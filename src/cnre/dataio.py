@@ -8,10 +8,13 @@ analysis groupings (sparsity quantiles, history dropping).
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class ParseError(ValueError):
@@ -47,20 +50,48 @@ class BehaviorSpec:
         return self.names.index(name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InteractionDataset:
-    """Densely indexed per-behavior edge sets with raw-ID maps."""
+    """Densely indexed per-behavior edge sets with raw-ID maps.
+
+    The edges are immutable after construction (a tuple of frozensets), so
+    the chain-code matrix derived from them can be cached.
+    """
 
     spec: BehaviorSpec
     num_users: int
     num_items: int
-    per_behavior_edges: list  # list of set[(u, i)], aligned with spec.names
-    user_ids: list            # dense index -> raw id
+    per_behavior_edges: tuple  # frozenset[(u, i)] per behavior, aligned with spec.names
+    user_ids: list             # dense index -> raw id
     item_ids: list
 
     def __post_init__(self):
-        self.user_index = {raw: k for k, raw in enumerate(self.user_ids)}
-        self.item_index = {raw: k for k, raw in enumerate(self.item_ids)}
+        set_attr = object.__setattr__
+        set_attr(self, "per_behavior_edges",
+                 tuple(frozenset(e) for e in self.per_behavior_edges))
+        set_attr(self, "user_index", {raw: k for k, raw in enumerate(self.user_ids)})
+        set_attr(self, "item_index", {raw: k for k, raw in enumerate(self.item_ids)})
+
+    @cached_property
+    def chain_code_matrix(self):
+        """M x N sparse matrix C = sum_k 2^k A_k; bit k of C[u, i] is behavior k's flag.
+
+        Built on first use: most datasets (split inputs, sweep copies) never
+        need it.
+        """
+        rows, cols, vals = [], [], []
+        for k, edges in enumerate(self.per_behavior_edges):
+            arr = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+            rows.append(arr[:, 0])
+            cols.append(arr[:, 1])
+            vals.append(np.full(arr.shape[0], 1 << k, dtype=np.int64))
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.num_users, self.num_items), dtype=np.int64)
+
+    def chain_codes(self, users, items):
+        """Chain code of each (users[p], items[p]) pair, as an int64 array."""
+        return np.asarray(self.chain_code_matrix[users, items], dtype=np.int64).reshape(-1)
 
     def encode_user(self, raw):
         if raw not in self.user_index:
@@ -102,16 +133,6 @@ class InteractionDataset:
 
     def total_interactions(self):
         return sum(len(e) for e in self.per_behavior_edges)
-
-    def copy(self):
-        return InteractionDataset(
-            spec=self.spec,
-            num_users=self.num_users,
-            num_items=self.num_items,
-            per_behavior_edges=[set(e) for e in self.per_behavior_edges],
-            user_ids=list(self.user_ids),
-            item_ids=list(self.item_ids),
-        )
 
 
 @dataclass
@@ -218,14 +239,9 @@ def reorder_behaviors(dataset, new_order):
     if new_order[-1] != spec.target:
         raise ValueError("the target behavior must remain last")
     perm = [spec.index_of(name) for name in new_order]
-    return InteractionDataset(
-        spec=BehaviorSpec(tuple(new_order)),
-        num_users=dataset.num_users,
-        num_items=dataset.num_items,
-        per_behavior_edges=[set(dataset.per_behavior_edges[k]) for k in perm],
-        user_ids=list(dataset.user_ids),
-        item_ids=list(dataset.item_ids),
-    )
+    return dataclasses.replace(
+        dataset, spec=BehaviorSpec(tuple(new_order)),
+        per_behavior_edges=[dataset.per_behavior_edges[k] for k in perm])
 
 
 def leave_one_out_split(dataset, seed):
@@ -234,17 +250,16 @@ def leave_one_out_split(dataset, seed):
     by_user = {}
     for u, i in sorted(dataset.target_edges()):
         by_user.setdefault(u, []).append(i)
-    train = dataset.copy()
     test_positives = {}
-    t_idx = dataset.spec.target_index
     for u in sorted(by_user):
         items = by_user[u]
         if len(items) < 2:
             continue
-        held = items[rng.integers(len(items))]
-        train.per_behavior_edges[t_idx].discard((u, held))
-        test_positives[u] = held
-    return SplitDataset(train=train, test_positives=test_positives)
+        test_positives[u] = items[rng.integers(len(items))]
+    edges = list(dataset.per_behavior_edges)
+    edges[-1] = edges[-1] - set(test_positives.items())
+    return SplitDataset(train=dataclasses.replace(dataset, per_behavior_edges=edges),
+                        test_positives=test_positives)
 
 
 def sample_bpr_triples(train, behavior, count, rng):
@@ -298,17 +313,17 @@ def drop_history(dataset, user_fraction, drop_fraction, seed):
     """
     if not (0.0 <= user_fraction <= 1.0 and 0.0 <= drop_fraction <= 1.0):
         raise ValueError("fractions must lie in [0, 1]")
-    out = dataset.copy()
     if user_fraction == 0.0 or drop_fraction == 0.0:
-        return out
+        return dataset
     rng = np.random.default_rng(seed)
     n_affected = int(round(user_fraction * dataset.num_users))
     affected = set(map(int, rng.choice(dataset.num_users, size=n_affected, replace=False)))
     pool = {u: [] for u in affected}
-    for b, edges in enumerate(out.per_behavior_edges):
+    for b, edges in enumerate(dataset.per_behavior_edges):
         for u, i in sorted(edges):
             if u in affected:
                 pool[u].append((b, u, i))
+    edges = [set(e) for e in dataset.per_behavior_edges]
     for u in sorted(affected):
         events = pool[u]
         n_drop = int(round(drop_fraction * len(events)))
@@ -317,7 +332,7 @@ def drop_history(dataset, user_fraction, drop_fraction, seed):
         picked = rng.choice(len(events), size=n_drop, replace=False)
         for k in picked:
             b, uu, ii = events[k]
-            out.per_behavior_edges[b].discard((uu, ii))
-        if not any(any(e[0] == u for e in edges) for edges in out.per_behavior_edges):
+            edges[b].discard((uu, ii))
+        if not any(any(e[0] == u for e in es) for es in edges):
             warnings.warn(f"user {u} has no interactions left after drop")
-    return out
+    return dataclasses.replace(dataset, per_behavior_edges=edges)

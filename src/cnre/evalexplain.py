@@ -10,11 +10,10 @@ edits perturb the chain observation only, never the parameters.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,6 +107,14 @@ def _score_pairs(model, users, items, cascade, indices):
     return probs.copy(), logits.data[:, 0].copy(), traces
 
 
+def _unowned_items(ds, u):
+    """Ascending items that user u has no train-target edge with."""
+    row = ds.chain_code_matrix[u]
+    owned = row.indices[(row.data >> ds.spec.target_index) & 1 == 1]
+    return np.setdiff1d(np.arange(ds.num_items, dtype=np.int64), owned,
+                        assume_unique=True)
+
+
 def rank_items(u, model, candidates=None, cascade=None, indices=None):
     """Score and sort candidates for one user.
 
@@ -121,14 +128,13 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
     if indices is None:
         indices = model.build_indices(cascade)
     if candidates is None:
-        owned = {i for (uu, i) in ds.target_edges() if uu == u}
-        candidates = [i for i in range(ds.num_items) if i not in owned]
+        candidates = _unowned_items(ds, u)
     candidates = np.asarray(list(candidates), dtype=np.int64)
     users = np.full(candidates.shape[0], u, dtype=np.int64)
     probs, logits, traces = _score_pairs(model, users, candidates, cascade, indices)
     order = np.lexsort((candidates, -logits))
-    return [(int(candidates[k]), float(probs[k]), traces[k].path.value)
-            for k in order]
+    labels = traces.path_labels()
+    return [(int(candidates[k]), float(probs[k]), str(labels[k])) for k in order]
 
 
 def evaluate(model, split, ks=(10, 50), n_groups=4):
@@ -137,7 +143,6 @@ def evaluate(model, split, ks=(10, 50), n_groups=4):
     if (ds.num_users, ds.num_items) != (split.train.num_users, split.train.num_items):
         raise ValueError("model and split dimensions differ")
     ks = list(ks)
-    target_items = ds.user_items(ds.spec.target_index)
     test_users = sorted(split.test_positives)
 
     cascade = model.cascade()
@@ -145,8 +150,7 @@ def evaluate(model, split, ks=(10, 50), n_groups=4):
 
     def rank_of_held_out(u):
         held = split.test_positives[u]
-        cands = [i for i in range(ds.num_items) if i not in target_items[u]]
-        arr = np.asarray(cands, dtype=np.int64)
+        arr = _unowned_items(ds, u)
         users = np.full(arr.shape[0], u, dtype=np.int64)
         _, logits, traces = _score_pairs(model, users, arr, cascade, indices)
         order = np.lexsort((arr, -logits))
@@ -155,15 +159,7 @@ def evaluate(model, split, ks=(10, 50), n_groups=4):
         path = traces[int(np.nonzero(arr == held)[0][0])].path.value
         return rank, path
 
-    workers = int(os.environ.get("CNRE_THREADS", "1"))
-    results = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for u, res in zip(test_users, pool.map(rank_of_held_out, test_users)):
-                results[u] = res
-    else:
-        for u in test_users:
-            results[u] = rank_of_held_out(u)
+    results = {u: rank_of_held_out(u) for u in test_users}
 
     hr = {k: float(np.mean([hr_at_k(results[u][0], k) for u in test_users]))
           for k in ks}
@@ -298,7 +294,7 @@ def layer_sweep(split, config, grids, ks=(10,), log=None):
         raise ValueError("layer-count grid is empty")
     rows = []
     for counts in grids:
-        cfg = training.TrainConfig(**{**_cfg_dict(config), "layer_counts": list(counts)})
+        cfg = dataclasses.replace(config, layer_counts=list(counts))
         model, _ = training.train(split, cfg, log=log)
         report = evaluate(model, split, ks=ks)
         rows.append({"layer_counts": list(counts),
@@ -320,11 +316,6 @@ def robustness_sweep(split, config, drop_fractions, ks=(10,), user_fraction=0.5,
         rows.append({"drop_fraction": frac,
                      "hr": dict(report.hr), "ndcg": dict(report.ndcg)})
     return rows
-
-
-def _cfg_dict(config):
-    from dataclasses import asdict
-    return asdict(config)
 
 
 def rows_to_tsv(rows):

@@ -84,11 +84,6 @@ def lightgcn_propagate(adj, e0_u, e0_i, layers):
     return sum_u, sum_i
 
 
-def intrinsic_preference(unified_adj, e0_u, e0_i, layers):
-    """Propagate base embeddings over the union-of-behaviors graph."""
-    return lightgcn_propagate(unified_adj, e0_u, e0_i, layers)
-
-
 def hypergraph_incidence(e_col, w_hyp):
     """Learned incidence: H = e_col @ W_hyp (rows x K)."""
     return tg.matmul(e_col, w_hyp)
@@ -145,8 +140,9 @@ def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_coun
     if disable_hpp:
         e_p_u, e_p_i = base_u, base_i
     else:
-        # intrinsic pass reuses behavior 1's layer count
-        e_p_u, e_p_i = intrinsic_preference(unified_adj, base_u, base_i, layer_counts[0])
+        # intrinsic pass over the union-of-behaviors graph reuses behavior 1's
+        # layer count
+        e_p_u, e_p_i = lightgcn_propagate(unified_adj, base_u, base_i, layer_counts[0])
 
     zeros_u = tg.Tensor(np.zeros_like(base_u.data))
     zeros_i = tg.Tensor(np.zeros_like(base_i.data))

@@ -18,7 +18,11 @@ a trace recording each step of the dispatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -106,6 +110,11 @@ def disjunction_mediator(e_u_rows, e_i_sem_rows, s_sem_rows, params):
     return _logic_mlp(tg.concat_cols([e_u_rows, e_i_sem_rows, s_sem_rows]), params, "disj")
 
 
+def _gate_arrays(bundle):
+    return {"e_u": bundle.e_u.data, "e_i": bundle.e_i.data,
+            "e_col_i": bundle.e_col_i.data, "e_sem_i": bundle.e_sem_i.data}
+
+
 @dataclass
 class GateSnapshot:
     """Frozen embedding arrays used for gating decisions only.
@@ -120,11 +129,45 @@ class GateSnapshot:
 
     @classmethod
     def from_cascade(cls, cascade):
-        return cls(per_behavior=[
-            {"e_u": b.e_u.data.copy(), "e_i": b.e_i.data.copy(),
-             "e_col_i": b.e_col_i.data.copy(), "e_sem_i": b.e_sem_i.data.copy()}
-            for b in cascade.per_behavior
-        ])
+        return cls(per_behavior=[{k: v.copy() for k, v in _gate_arrays(b).items()}
+                                 for b in cascade.per_behavior])
+
+
+PATHS = tuple(PreferenceStrength)  # path index -> strength
+_MEDIUM = PATHS.index(PreferenceStrength.MEDIUM)
+_WEAK = PATHS.index(PreferenceStrength.WEAK)
+_DEFAULT = PATHS.index(PreferenceStrength.DEFAULT)
+_CONCAT, _CONJ, _DISJ = 0, 1, 2   # operator codes, in the order groups are stacked
+
+
+def flags_to_code(flags):
+    """Chain code of a flag tuple: bit k is behavior k's flag."""
+    return sum(1 << k for k, f in enumerate(flags) if f)
+
+
+@functools.lru_cache(maxsize=None)
+def flag_table(n_behaviors):
+    """The flag tuple of every chain code."""
+    return tuple(tuple((code >> k) & 1 for k in range(n_behaviors))
+                 for code in range(1 << n_behaviors))
+
+
+@functools.lru_cache(maxsize=None)
+def dispatch_table(n_behaviors):
+    """(path index into PATHS, behavior) per chain code, from the scalar oracles.
+
+    Strong and default pairs use the target behavior's embeddings; medium
+    and weak pairs use their chain behavior's.
+    """
+    t_idx = n_behaviors - 1
+    paths, behaviors = [], []
+    for flags in flag_table(n_behaviors):
+        path = dispatch(flags)
+        paths.append(PATHS.index(path))
+        behaviors.append(chain_behavior(flags)
+                         if path in (PreferenceStrength.MEDIUM, PreferenceStrength.WEAK)
+                         else t_idx)
+    return np.array(paths, dtype=np.int64), np.array(behaviors, dtype=np.int64)
 
 
 def _pooling_matrix(id_lists, n_items):
@@ -141,6 +184,58 @@ def _pooling_matrix(id_lists, n_items):
     return sp.csr_matrix((vals, (rows, cols)), shape=(len(id_lists), n_items))
 
 
+class TraceSequence(Sequence):
+    """The ReasoningTrace of each pair in a batch, built on first access.
+
+    Holds plain arrays only (never a tensor), so keeping the sequence does
+    not keep the batch's autodiff tape alive.
+    """
+
+    _SPACES = {_CONJ: "collaborative", _DISJ: "semantic"}
+
+    def __init__(self, codes, paths, behaviors, confidence, neighbors, kinds,
+                 n_behaviors, tau, mediators=None):
+        self._codes = codes
+        self._paths = paths
+        self._behaviors = behaviors
+        self._confidence = confidence  # NaN where no confidence was computed
+        self._neighbors = neighbors    # position -> neighbor ids (retrieval pairs)
+        self._kinds = kinds
+        self._flags = flag_table(n_behaviors)
+        self._tau = tau
+        self._mediators = mediators    # mediator rows when traces were collected
+        self._cache = {}
+
+    def __len__(self):
+        return self._codes.shape[0]
+
+    def path_labels(self):
+        """Path label of every pair, as a numpy string array."""
+        return np.array([p.value for p in PATHS])[self._paths]
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("trace index out of range")
+        trace = self._cache.get(k)
+        if trace is None:
+            trace = self._cache[k] = self._build(k)
+        return trace
+
+    def _build(self, k):
+        conf = float(self._confidence[k])
+        ids = self._neighbors.get(k)
+        return ReasoningTrace(
+            flags=self._flags[self._codes[k]], path=PATHS[self._paths[k]],
+            threshold=self._tau, behavior=int(self._behaviors[k]),
+            confidence=None if math.isnan(conf) else conf,
+            neighbor_ids=None if ids is None else list(ids),
+            space=self._SPACES.get(self._kinds[k]),
+            mediator=None if self._mediators is None else self._mediators[k].copy())
+
+
 def reason_batch(users, items, train, cascade, indices, params, tau,
                  n_c=10, disable_rea=False, disable_cnj=False,
                  disable_dsj=False, collect_traces=False, flags_fn=None,
@@ -148,103 +243,85 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     """Route a batch of (u, i) pairs through the reasoner.
 
     Returns (mediators, traces) where mediators is an (n x 2d) tensor in
-    batch order and traces is a list of ReasoningTrace (always built; the
-    mediator snapshot inside each trace is filled only when
+    batch order and traces is a TraceSequence of ReasoningTrace, built
+    lazily (the mediator snapshot inside each trace is filled only when
     collect_traces is True). When a GateSnapshot is given, confidence and
     retrieval queries read it instead of the live cascade values.
+
+    Dispatch is a table lookup on each pair's chain code; pairs are then
+    grouped by (operator, behavior), each group keeping batch order, and
+    every group's mediators are computed in one batched call.
     """
-    if gate is None:
-        gate = GateSnapshot.from_cascade(cascade)
+    gate_arrays = (gate.per_behavior if gate is not None
+                   else [_gate_arrays(b) for b in cascade.per_behavior])
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     n = users.shape[0]
-    t_idx = len(train.per_behavior_edges) - 1
+    n_b = len(train.per_behavior_edges)
+    t_idx = n_b - 1
 
-    traces = []
-    groups = {}  # key -> dict(positions, users, items, id_lists)
+    if flags_fn is None:
+        codes = train.chain_codes(users, items)
+    else:
+        codes = np.array([flags_to_code(flags_fn(int(u), int(i)))
+                          for u, i in zip(users, items)], dtype=np.int64)
+    path_table, behavior_table = dispatch_table(n_b)
+    if disable_rea:
+        paths = np.full(n, _DEFAULT, dtype=np.int64)
+        behaviors = np.full(n, t_idx, dtype=np.int64)
+    else:
+        paths = path_table[codes]
+        behaviors = behavior_table[codes]
 
-    def put(key, pos, u, i, ids=None):
-        g = groups.setdefault(key, {"pos": [], "u": [], "i": [], "ids": []})
-        g["pos"].append(pos)
-        g["u"].append(u)
-        g["i"].append(i)
-        g["ids"].append(ids)
+    kinds = np.full(n, _CONCAT, dtype=np.int64)
+    confidence = np.full(n, np.nan)
+    if not disable_cnj:
+        medium = np.flatnonzero(paths == _MEDIUM)
+        for b in np.unique(behaviors[medium]):
+            pos = medium[behaviors[medium] == b]
+            g = gate_arrays[b]
+            # stacked vector @ vector products: bitwise equal to confidence_score's np.dot
+            dots = np.matmul(g["e_u"][users[pos], None, :], g["e_i"][items[pos], :, None])
+            confidence[pos] = tg._sigmoid(dots.reshape(-1))
+        kinds[medium[confidence[medium] < tau]] = _CONJ
+    if not disable_dsj:
+        kinds[paths == _WEAK] = _DISJ
 
-    for p in range(n):
-        u, i = int(users[p]), int(items[p])
-        flags = observe_chain(train, u, i) if flags_fn is None else flags_fn(u, i)
-        path = PreferenceStrength.DEFAULT if disable_rea else dispatch(flags)
-        trace = ReasoningTrace(flags=flags, path=path, threshold=tau)
+    neighbors = {}
+    for p in np.flatnonzero(kinds != _CONCAT).tolist():
+        b, i = int(behaviors[p]), int(items[p])
+        space, key = ("col", "e_col_i") if kinds[p] == _CONJ else ("sem", "e_sem_i")
+        neighbors[p] = retrieval.query(indices[(b, space)], gate_arrays[b][key][i],
+                                       n_c, exclude_id=i).ids
 
-        if path is PreferenceStrength.STRONG:
-            trace.behavior = t_idx
-            put(("concat", t_idx), p, u, i)
-        elif path is PreferenceStrength.DEFAULT:
-            trace.behavior = t_idx
-            put(("concat", t_idx), p, u, i)
-        elif path is PreferenceStrength.MEDIUM:
-            b = chain_behavior(flags)
-            trace.behavior = b
-            gb = gate.per_behavior[b]
-            if disable_cnj:
-                put(("concat", b), p, u, i)
-            else:
-                conf = confidence_score(gb["e_u"][u], gb["e_i"][i])
-                trace.confidence = conf
-                if conf >= tau:
-                    put(("concat", b), p, u, i)
-                else:
-                    hood = retrieval.query(indices[(b, "col")],
-                                           gb["e_col_i"][i], n_c, exclude_id=i)
-                    trace.neighbor_ids = list(hood.ids)
-                    trace.space = "collaborative"
-                    put(("conj", b), p, u, i, hood.ids)
-        else:  # WEAK
-            b = chain_behavior(flags)
-            trace.behavior = b
-            gb = gate.per_behavior[b]
-            if disable_dsj:
-                put(("concat", b), p, u, i)
-            else:
-                hood = retrieval.query(indices[(b, "sem")],
-                                       gb["e_sem_i"][i], n_c, exclude_id=i)
-                trace.neighbor_ids = list(hood.ids)
-                trace.space = "semantic"
-                put(("disj", b), p, u, i, hood.ids)
-        traces.append(trace)
-
+    group_key = kinds * n_b + behaviors
+    order = np.argsort(group_key, kind="stable")
+    bounds = np.flatnonzero(np.diff(group_key[order])) + 1
     parts = []
-    positions = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1])):
-        g = groups[key]
-        kind, b = key
+    for pos in np.split(order, bounds):
+        kind, b = int(kinds[pos[0]]), int(behaviors[pos[0]])
         bundle = cascade.per_behavior[b]
-        us = np.array(g["u"], dtype=np.int64)
-        its = np.array(g["i"], dtype=np.int64)
-        e_u_rows = tg.index_rows(bundle.e_u, us)
-        if kind == "concat":
+        e_u_rows = tg.index_rows(bundle.e_u, users[pos])
+        its = items[pos]
+        if kind == _CONCAT:
             med = strong_mediator(e_u_rows, tg.index_rows(bundle.e_i, its))
-        elif kind == "conj":
-            pool = _pooling_matrix(g["ids"], train.num_items)
-            s_col = tg.spmm(pool, bundle.e_col_i)
-            med = conjunction_mediator(e_u_rows, tg.index_rows(bundle.e_col_i, its),
-                                       s_col, params)
-        else:  # disj
-            pool = _pooling_matrix(g["ids"], train.num_items)
-            s_sem = tg.spmm(pool, bundle.e_sem_i)
-            med = disjunction_mediator(e_u_rows, tg.index_rows(bundle.e_sem_i, its),
-                                       s_sem, params)
+        else:
+            pool = _pooling_matrix([neighbors[p] for p in pos.tolist()], train.num_items)
+            if kind == _CONJ:
+                med = conjunction_mediator(e_u_rows, tg.index_rows(bundle.e_col_i, its),
+                                           tg.spmm(pool, bundle.e_col_i), params)
+            else:
+                med = disjunction_mediator(e_u_rows, tg.index_rows(bundle.e_sem_i, its),
+                                           tg.spmm(pool, bundle.e_sem_i), params)
         parts.append(med)
-        positions.extend(g["pos"])
 
     stacked = tg.concat_rows(parts) if len(parts) > 1 else parts[0]
     inv = np.empty(n, dtype=np.int64)
-    inv[np.array(positions, dtype=np.int64)] = np.arange(n)
+    inv[order] = np.arange(n)
     mediators = tg.index_rows(stacked, inv)
 
-    if collect_traces:
-        for p, trace in enumerate(traces):
-            trace.mediator = mediators.data[p].copy()
+    traces = TraceSequence(codes, paths, behaviors, confidence, neighbors, kinds,
+                           n_b, tau, mediators=mediators.data if collect_traces else None)
     return mediators, traces
 
 

@@ -134,6 +134,7 @@ class NNIndex:
         self.mode = mode
         self.ef_search = ef_search
         self._graph = None
+        self._memo = {}  # (query bytes, n_c, exclude_id) -> Neighborhood
         if mode == "approximate":
             rng = np.random.default_rng(seed)
             self._graph = _HnswGraph(self.space, rng, m=m,
@@ -149,17 +150,32 @@ def build_index(space, mode="exact", **kwargs):
 
 
 def query(index, vector, n_c, exclude_id=None):
-    """Up to n_c nearest rows by Euclidean distance, self-excluded."""
+    """Up to n_c nearest rows by Euclidean distance, self-excluded.
+
+    Results are memoized on the index: its space is a private copy and both
+    search modes are deterministic, so a repeated query has one answer.
+    """
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
     q = np.asarray(vector, dtype=np.float64).reshape(-1)
     if q.shape[0] != index.space.shape[1]:
         raise ValueError("query width does not match index space")
+    key = (q.tobytes(), n_c, exclude_id)
+    hood = index._memo.get(key)
+    if hood is None:
+        hood = _search(index, q, n_c, exclude_id)
+        index._memo[key] = hood
+    return Neighborhood(ids=list(hood.ids), pooled=hood.pooled.copy())
+
+
+def _search(index, q, n_c, exclude_id):
     if index.mode == "exact":
         diff = index.space - q
         dist = np.sum(diff * diff, axis=1)
         order = np.lexsort((np.arange(index.size), dist))
-        ids = [int(i) for i in order if exclude_id is None or int(i) != exclude_id][:n_c]
+        if exclude_id is not None:
+            order = order[order != exclude_id]
+        ids = order[:n_c].tolist()
     else:
         # over-fetch so the excluded id cannot starve the result
         found = index._graph.search(q, n_c + 1, index.ef_search)

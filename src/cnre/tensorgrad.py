@@ -392,10 +392,6 @@ class ParameterStore:
             t.data = np.asarray(arr, dtype=np.float64).copy()
 
 
-def adam_step(store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    store.adam_step(lr, beta1=beta1, beta2=beta2, eps=eps)
-
-
 def finite_difference_check(loss_fn, store, h=1e-5, max_coords=256, rng=None):
     """Central-difference gradient check over sampled coordinates.
 

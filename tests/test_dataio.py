@@ -85,6 +85,27 @@ class TestBuildDataset:
         assert d1.user_ids == d2.user_ids == ["a", "b"]
         assert d1.per_behavior_edges == d2.per_behavior_edges
 
+    def test_edge_sets_are_immutable(self):
+        ds = _toy_dataset()
+        with pytest.raises(AttributeError):
+            ds.per_behavior_edges[0].add((2, 0))
+        with pytest.raises(AttributeError):
+            ds.target_edges().discard((0, 0))
+        with pytest.raises(TypeError):
+            ds.per_behavior_edges[0] = set()
+        with pytest.raises(AttributeError):
+            ds.per_behavior_edges = ()
+        assert ds.total_interactions() == 14
+
+    def test_chain_codes_carry_one_bit_per_behavior(self):
+        ds = _toy_dataset()
+        users, items = np.divmod(np.arange(9), 3)
+        codes = ds.chain_codes(users, items)
+        for u, i, code in zip(users, items, codes):
+            want = sum(1 << b for b, edges in enumerate(ds.per_behavior_edges)
+                       if (u, i) in edges)
+            assert code == want
+
     def test_build_dataset_from_files(self, tmp_path):
         files = {}
         for name, rows in [("view", "u\ti1\nu\ti2\n"), ("buy", "u\ti1\n")]:

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -106,17 +105,6 @@ class TestEvaluate:
         model, split = _quick_model()
         report = evalexplain.evaluate(model, split)
         assert "strong" not in report.path_fractions
-
-    def test_thread_pool_matches_sequential(self):
-        model, split = _quick_model()
-        seq = evalexplain.evaluate(model, split)
-        os.environ["CNRE_THREADS"] = "4"
-        try:
-            par = evalexplain.evaluate(model, split)
-        finally:
-            del os.environ["CNRE_THREADS"]
-        assert seq.hr == par.hr and seq.ndcg == par.ndcg
-        assert seq.path_fractions == par.path_fractions
 
     def test_json_line_roundtrips(self):
         model, split = _quick_model()

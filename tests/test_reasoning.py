@@ -222,6 +222,19 @@ class TestReasonBatch:
                     want = np.concatenate([bundle.e_u.data[u], bundle.e_i.data[i]])
                     np.testing.assert_allclose(med.data[0], want, atol=1e-12)
 
+    def test_confidence_at_threshold_concatenates(self):
+        train, model, cascade, indices = _trained_bits()
+        pair = next((u, i) for u in range(train.num_users) for i in range(train.num_items)
+                    if reasoning.dispatch(reasoning.observe_chain(train, u, i)) is P.MEDIUM)
+        _, trace = reasoning.reason(*pair, train, cascade, indices, model.store, 0.5, n_c=3)
+        conf = trace.confidence
+        _, at = reasoning.reason(*pair, train, cascade, indices, model.store, conf, n_c=3)
+        _, above = reasoning.reason(*pair, train, cascade, indices, model.store,
+                                    float(np.nextafter(conf, np.inf)), n_c=3)
+        assert at.confidence == above.confidence == conf
+        assert at.neighbor_ids is None and at.space is None
+        assert above.neighbor_ids is not None and above.space == "collaborative"
+
     def test_gradient_reaches_retrieved_neighbors(self):
         train, model, cascade, indices = _trained_bits()
         # find a weak pair so the disjunction path runs
