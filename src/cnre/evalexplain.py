@@ -229,12 +229,8 @@ def explain(user_raw, item_raw, model, cascade=None, indices=None, flags_fn=None
         cascade = model.cascade()
     if indices is None:
         indices = model.build_indices(cascade)
-    cfg = model.config
-    from . import reasoning
-    mediators, traces = reasoning.reason_batch(
-        [u], [i], ds, cascade, indices, model.store, cfg.tau, n_c=cfg.n_c,
-        disable_rea=cfg.disable_rea, disable_cnj=cfg.disable_cnj,
-        disable_dsj=cfg.disable_dsj, collect_traces=True, flags_fn=flags_fn)
+    mediators, traces = model.reason_batch([u], [i], cascade, indices,
+                                           collect_traces=True, flags_fn=flags_fn)
     score = float(training.predict(mediators, model.store).data[0, 0])
     trace = traces[0]
     trace.score = score

@@ -19,6 +19,7 @@ a trace recording each step of the dispatch.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -111,21 +112,20 @@ def disjunction_mediator(e_u_rows, e_i_sem_rows, s_sem_rows, params):
 
 
 def _gate_arrays(bundle):
-    return {"e_u": bundle.e_u.data, "e_i": bundle.e_i.data,
-            "e_col_i": bundle.e_col_i.data, "e_sem_i": bundle.e_sem_i.data}
+    return {"e_u": bundle.e_u.data, "e_i": bundle.e_i.data}
 
 
 @dataclass
 class GateSnapshot:
-    """Frozen embedding arrays used for gating decisions only.
+    """Frozen user/item embedding arrays for the confidence gate only.
 
-    Confidence scores and retrieval queries are evaluated on this snapshot
-    (the same one the epoch's indices were built from) so that dispatch
-    decisions are piecewise constant within a training step; gradients
-    still flow through the live cascade tensors.
+    Confidence scores are evaluated on this snapshot (taken from the same
+    cascade the epoch's indices were built from) so that dispatch decisions
+    are piecewise constant within a training step; gradients still flow
+    through the live cascade tensors.
     """
 
-    per_behavior: list  # dicts with 'e_u', 'e_i', 'e_col_i', 'e_sem_i' arrays
+    per_behavior: list  # dicts with 'e_u' and 'e_i' arrays
 
     @classmethod
     def from_cascade(cls, cascade):
@@ -172,15 +172,11 @@ def dispatch_table(n_behaviors):
 
 def _pooling_matrix(id_lists, n_items):
     """g x N averaging matrix: row p puts 1/len(ids) on each neighbor id."""
-    rows, cols, vals = [], [], []
-    for p, ids in enumerate(id_lists):
-        if not ids:
-            continue
-        w = 1.0 / len(ids)
-        for i in ids:
-            rows.append(p)
-            cols.append(i)
-            vals.append(w)
+    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
+    cols = np.fromiter(itertools.chain.from_iterable(id_lists), dtype=np.int64,
+                       count=int(lengths.sum()))
+    rows = np.repeat(np.arange(len(id_lists)), lengths)
+    vals = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
     return sp.csr_matrix((vals, (rows, cols)), shape=(len(id_lists), n_items))
 
 
@@ -245,8 +241,9 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     Returns (mediators, traces) where mediators is an (n x 2d) tensor in
     batch order and traces is a TraceSequence of ReasoningTrace, built
     lazily (the mediator snapshot inside each trace is filled only when
-    collect_traces is True). When a GateSnapshot is given, confidence and
-    retrieval queries read it instead of the live cascade values.
+    collect_traces is True). When a GateSnapshot is given, confidence
+    scores read it instead of the live cascade values; retrieval asks the
+    indices for the neighbors of each pair's item.
 
     Dispatch is a table lookup on each pair's chain code; pairs are then
     grouped by (operator, behavior), each group keeping batch order, and
@@ -287,17 +284,10 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     if not disable_dsj:
         kinds[paths == _WEAK] = _DISJ
 
-    neighbors = {}
-    for p in np.flatnonzero(kinds != _CONCAT).tolist():
-        b, i = int(behaviors[p]), int(items[p])
-        space, key = ("col", "e_col_i") if kinds[p] == _CONJ else ("sem", "e_sem_i")
-        neighbors[p] = retrieval.query(indices[(b, space)], gate_arrays[b][key][i],
-                                       n_c, exclude_id=i).ids
-
     group_key = kinds * n_b + behaviors
     order = np.argsort(group_key, kind="stable")
     bounds = np.flatnonzero(np.diff(group_key[order])) + 1
-    parts = []
+    parts, neighbors = [], {}
     for pos in np.split(order, bounds):
         kind, b = int(kinds[pos[0]]), int(behaviors[pos[0]])
         bundle = cascade.per_behavior[b]
@@ -306,13 +296,14 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
         if kind == _CONCAT:
             med = strong_mediator(e_u_rows, tg.index_rows(bundle.e_i, its))
         else:
-            pool = _pooling_matrix([neighbors[p] for p in pos.tolist()], train.num_items)
-            if kind == _CONJ:
-                med = conjunction_mediator(e_u_rows, tg.index_rows(bundle.e_col_i, its),
-                                           tg.spmm(pool, bundle.e_col_i), params)
-            else:
-                med = disjunction_mediator(e_u_rows, tg.index_rows(bundle.e_sem_i, its),
-                                           tg.spmm(pool, bundle.e_sem_i), params)
+            space, e_space, mediator_fn = (
+                ("col", bundle.e_col_i, conjunction_mediator) if kind == _CONJ
+                else ("sem", bundle.e_sem_i, disjunction_mediator))
+            hoods = retrieval.neighbors(indices[(b, space)], its, n_c)
+            neighbors.update(zip(pos.tolist(), hoods))
+            pool = _pooling_matrix(hoods, train.num_items)
+            med = mediator_fn(e_u_rows, tg.index_rows(e_space, its), tg.spmm(pool, e_space),
+                              params)
         parts.append(med)
 
     stacked = tg.concat_rows(parts) if len(parts) > 1 else parts[0]

@@ -2,23 +2,16 @@
 
 Two modes: exact (brute-force linear scan, also the ground truth for
 tests) and approximate (a hierarchical navigable small-world proximity
-graph). Distances are Euclidean. Queries can exclude the target item's
-own row and return a mean-pooled neighborhood vector.
+graph). Distances are Euclidean, ties broken by id. ``query`` searches for
+a vector; ``neighbors`` gives items of the index their nearest other rows.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class Neighborhood:
-    ids: list          # item indices, ascending distance, query item excluded
-    pooled: np.ndarray  # 1 x d mean of neighbor rows (zeros if no neighbors)
 
 
 class _HnswGraph:
@@ -134,7 +127,7 @@ class NNIndex:
         self.mode = mode
         self.ef_search = ef_search
         self._graph = None
-        self._memo = {}  # (query bytes, n_c, exclude_id) -> Neighborhood
+        self._neighbors = {}  # (item, n_c) -> tuple of neighbor ids
         if mode == "approximate":
             rng = np.random.default_rng(seed)
             self._graph = _HnswGraph(self.space, rng, m=m,
@@ -150,38 +143,44 @@ def build_index(space, mode="exact", **kwargs):
 
 
 def query(index, vector, n_c, exclude_id=None):
-    """Up to n_c nearest rows by Euclidean distance, self-excluded.
-
-    Results are memoized on the index: its space is a private copy and both
-    search modes are deterministic, so a repeated query has one answer.
-    """
+    """Ids of up to n_c nearest rows to vector, ascending distance, ties by id."""
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
     q = np.asarray(vector, dtype=np.float64).reshape(-1)
     if q.shape[0] != index.space.shape[1]:
         raise ValueError("query width does not match index space")
-    key = (q.tobytes(), n_c, exclude_id)
-    hood = index._memo.get(key)
-    if hood is None:
-        hood = _search(index, q, n_c, exclude_id)
-        index._memo[key] = hood
-    return Neighborhood(ids=list(hood.ids), pooled=hood.pooled.copy())
+    return _search(index, q, n_c, exclude_id)
+
+
+def neighbors(index, items, n_c):
+    """Per item i, the tuple query(index, index.space[i], n_c, exclude_id=i).
+
+    Searched on first use and memoized on the index by (i, n_c): the space is
+    a private copy and both search modes are deterministic.
+    """
+    if n_c < 1:
+        raise ValueError("n_c must be >= 1")
+    memo = index._neighbors
+    out = []
+    for i in np.asarray(items, dtype=np.int64).tolist():
+        ids = memo.get((i, n_c))
+        if ids is None:
+            ids = memo[(i, n_c)] = tuple(_search(index, index.space[i], n_c, i))
+        out.append(ids)
+    return out
 
 
 def _search(index, q, n_c, exclude_id):
-    if index.mode == "exact":
-        diff = index.space - q
-        dist = np.sum(diff * diff, axis=1)
-        order = np.lexsort((np.arange(index.size), dist))
-        if exclude_id is not None:
-            order = order[order != exclude_id]
-        ids = order[:n_c].tolist()
-    else:
+    if index.mode == "approximate":
         # over-fetch so the excluded id cannot starve the result
         found = index._graph.search(q, n_c + 1, index.ef_search)
-        ids = [i for _, i in found if exclude_id is None or i != exclude_id][:n_c]
-    if ids:
-        pooled = index.space[ids].mean(axis=0, keepdims=True)
-    else:
-        pooled = np.zeros((1, index.space.shape[1]))
-    return Neighborhood(ids=ids, pooled=pooled)
+        return [i for _, i in found if exclude_id is None or i != exclude_id][:n_c]
+    diff = index.space - q
+    dist = np.sum(diff * diff, axis=1)
+    # rows up to the (n_c+1)-th distance: a prefix of the (distance, id) order
+    k = min(n_c + 1, index.size)
+    near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
+    order = near[np.lexsort((near, dist[near]))]
+    if exclude_id is not None:
+        order = order[order != exclude_id]
+    return order[:n_c].tolist()

@@ -157,13 +157,13 @@ class CnreModel:
         return indices
 
     def reason_batch(self, users, items, cascade, indices, collect_traces=False,
-                     gate=None):
+                     gate=None, flags_fn=None):
         cfg = self.config
         return reasoning.reason_batch(
             users, items, self.train_dataset, cascade, indices, self.store,
             cfg.tau, n_c=cfg.n_c, disable_rea=cfg.disable_rea,
             disable_cnj=cfg.disable_cnj, disable_dsj=cfg.disable_dsj,
-            collect_traces=collect_traces, gate=gate)
+            collect_traces=collect_traces, flags_fn=flags_fn, gate=gate)
 
     def batch_loss(self, per_behavior_triples, cascade, indices, gate=None):
         """Multi-task loss over one step's triples; returns (loss, n_pairs)."""
@@ -257,7 +257,10 @@ class CnreModel:
             raise CheckpointError("checkpoint dimensions do not match the dataset")
         if list(train_dataset.spec.names) != h["behaviors"]:
             raise CheckpointError("checkpoint behavior chain does not match the dataset")
-        config = TrainConfig(**h["config"])
+        try:
+            config = TrainConfig(**h["config"])
+        except TypeError as exc:
+            raise CheckpointError(f"checkpoint config does not fit TrainConfig: {exc}") from exc
         model = cls(train_dataset, config)
         model.store.load_arrays(ckpt.arrays)
         model.store.step_count = h["step"]

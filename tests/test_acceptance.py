@@ -115,9 +115,9 @@ def test_criterion_4_retrieval_oracle():
     hits = total = 0
     for _ in range(1000):
         q = rng.normal(size=16)
-        want = retrieval.query(exact, q, 10).ids
+        want = retrieval.query(exact, q, 10)
         assert want == linear_scan(q, 10)
-        got = set(retrieval.query(approx, q, 10).ids)
+        got = set(retrieval.query(approx, q, 10))
         hits += len(set(want) & got)
         total += 10
     recall = hits / total

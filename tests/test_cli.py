@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cnre import cli
+from cnre import cli, training
 from cnre.synthetic import make_planted_dataset
 
 
@@ -159,6 +159,20 @@ class TestExitCodes:
         tmp_path, mpath, _, _ = workspace
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "none.cnre"),
                          "--manifest", str(mpath)]) == 2
+
+    def test_unknown_checkpoint_config_key_exits_2(self, workspace):
+        tmp_path, mpath, manifest, _ = workspace
+        assert cli.main(["train", "--manifest", str(mpath)]) == 0
+        ckpt = os.path.join(manifest["output_dir"], "checkpoint.cnre")
+        train = cli.build_split(cli.load_manifest(str(mpath))).train
+        model = training.CnreModel.from_checkpoint(ckpt, train)
+        header = model.checkpoint_header()
+        header["config"]["surprise"] = 1
+        bad = str(tmp_path / "bad.cnre")
+        training.save_checkpoint(bad, model.store, header)
+        with pytest.raises(training.CheckpointError, match="surprise"):
+            training.CnreModel.from_checkpoint(bad, train)
+        assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(mpath)]) == 2
 
     def test_unknown_pair_exits_2(self, workspace):
         tmp_path, mpath, manifest, _ = workspace

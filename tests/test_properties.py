@@ -1,8 +1,8 @@
 """Property tests pinning the array kernels to their scalar references.
 
 Random small datasets drive the chain-code dispatch, the batched reasoner
-and the memoized retrieval; each is compared with the per-pair or uncached
-path it replaces.
+and the memoized item neighbors; each is compared with the per-pair or
+uncached path it replaces.
 """
 
 import numpy as np
@@ -51,26 +51,30 @@ def _trace_fields(t):
     return (t.flags, t.path, t.behavior, t.confidence, t.neighbor_ids, t.space)
 
 
-def _reference_trace(u, i, ds, gate, indices, tau, n_c, flags_fn=None,
+def _reference_trace(u, i, ds, gate, cascade, indices, tau, n_c, flags_fn=None,
                      disable_rea=False, disable_cnj=False, disable_dsj=False):
-    """The dispatch rule for one pair, written with the scalar functions only."""
+    """The dispatch rule for one pair, written with the scalar functions only.
+
+    Confidence reads the gate arrays; retrieval queries the index with the
+    cascade's row of item i, which the index was built from.
+    """
     flags = tuple(flags_fn(u, i)) if flags_fn else reasoning.observe_chain(ds, u, i)
     path = P.DEFAULT if disable_rea else reasoning.dispatch(flags)
     t = reasoning.ReasoningTrace(flags=flags, path=path, threshold=tau,
                                  behavior=len(ds.spec) - 1)
     if path in (P.MEDIUM, P.WEAK):
         t.behavior = b = reasoning.chain_behavior(flags)
-        g = gate[b]
+        g, bundle = gate[b], cascade.per_behavior[b]
         if path is P.MEDIUM and not disable_cnj:
             t.confidence = reasoning.confidence_score(g["e_u"][u], g["e_i"][i])
             if t.confidence < tau:
                 t.space = "collaborative"
-                t.neighbor_ids = retrieval.query(indices[(b, "col")], g["e_col_i"][i],
-                                                 n_c, exclude_id=i).ids
+                t.neighbor_ids = retrieval.query(indices[(b, "col")], bundle.e_col_i.data[i],
+                                                 n_c, exclude_id=i)
         elif path is P.WEAK and not disable_dsj:
             t.space = "semantic"
-            t.neighbor_ids = retrieval.query(indices[(b, "sem")], g["e_sem_i"][i],
-                                             n_c, exclude_id=i).ids
+            t.neighbor_ids = retrieval.query(indices[(b, "sem")], bundle.e_sem_i.data[i],
+                                             n_c, exclude_id=i)
     return t
 
 
@@ -101,8 +105,7 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
     n = len(pairs)
     kw = dict(n_c=cfg.n_c, flags_fn=flags_fn, gate=gate, **ablation)
     gate_arrays = (gate.per_behavior if gate else
-                   [{"e_u": b.e_u.data, "e_i": b.e_i.data, "e_col_i": b.e_col_i.data,
-                     "e_sem_i": b.e_sem_i.data} for b in cascade.per_behavior])
+                   [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior])
 
     med, traces = reasoning.reason_batch(users, items, ds, cascade, indices,
                                          model.store, tau, **kw)
@@ -115,7 +118,7 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
         logit1 = training.predict_logit(med1, model.store).data[0, 0]
         assert abs(logits[p] - logit1) <= 1e-12
         assert _trace_fields(traces[p]) == _trace_fields(trace)
-        want = _reference_trace(u, i, ds, gate_arrays, indices, tau, cfg.n_c,
+        want = _reference_trace(u, i, ds, gate_arrays, cascade, indices, tau, cfg.n_c,
                                 flags_fn=flags_fn, **ablation)
         assert _trace_fields(traces[p]) == _trace_fields(want)
 
@@ -127,13 +130,10 @@ def test_memoized_query_matches_uncached(mode, seed, n_rows, n_c):
     rng = np.random.default_rng(seed)
     space = rng.normal(size=(n_rows, 3))
     memo = retrieval.build_index(space, mode=mode, seed=1)
-    rows = rng.integers(n_rows, size=4).tolist()
-    queries = [(space[k], k) for k in rows] + [(space[k], None) for k in rows]
-    queries += [(rng.normal(size=3), None) for _ in range(3)]
-    for q, excl in queries * 2:  # the second pass is answered from the memo
+    items = rng.integers(n_rows, size=6)
+    # the repeats of each (item, n_c) key are answered from the memo
+    for k in (n_c, n_c + 1, n_c, n_c + 1):
         fresh = retrieval.build_index(space, mode=mode, seed=1)
-        want = retrieval.query(fresh, q, n_c, exclude_id=excl)
-        got = retrieval.query(memo, q, n_c, exclude_id=excl)
-        assert got.ids == want.ids
-        np.testing.assert_array_equal(got.pooled, want.pooled)
-        got.ids.append(-1)  # a caller's edit must not reach the memo
+        want = [tuple(retrieval.query(fresh, space[i], k, exclude_id=i))
+                for i in items.tolist()]
+        assert retrieval.neighbors(memo, items, k) == want

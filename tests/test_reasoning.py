@@ -257,6 +257,50 @@ class TestReasonBatch:
         assert any(np.any(base_grad[j]) for j in trace.neighbor_ids)
 
 
+def _retrieval_mediators_match_operators(train, model, cascade, indices, tau):
+    """Each retrieval pair's mediator is its operator on (e_u, e_space row, neighbor mean)."""
+    users, items = np.divmod(np.arange(train.num_users * train.num_items), train.num_items)
+    med, traces = reasoning.reason_batch(users, items, train, cascade, indices,
+                                         model.store, tau, n_c=model.config.n_c)
+    checked = set()
+    for p, trace in enumerate(traces):
+        if trace.neighbor_ids is None:
+            continue
+        bundle = cascade.per_behavior[trace.behavior]
+        if trace.space == "collaborative":
+            space, operator = bundle.e_col_i.data, reasoning.conjunction_mediator
+        else:
+            space, operator = bundle.e_sem_i.data, reasoning.disjunction_mediator
+        ids = trace.neighbor_ids
+        pooled = (space[ids].mean(axis=0, keepdims=True) if ids
+                  else np.zeros((1, space.shape[1])))
+        want = operator(tg.Tensor(bundle.e_u.data[[users[p]]]),
+                        tg.Tensor(space[[items[p]]]), tg.Tensor(pooled), model.store)
+        np.testing.assert_allclose(med.data[p], want.data[0], atol=1e-12)
+        checked.add((trace.space, len(ids) > 0))
+    return checked
+
+
+def test_retrieval_mediators_pool_the_neighbor_rows():
+    train, model, cascade, indices = _trained_bits()
+    # tau = 1 sends every medium pair to the conjunction
+    checked = _retrieval_mediators_match_operators(train, model, cascade, indices, 1.0)
+    assert checked == {("collaborative", True), ("semantic", True)}
+
+
+def test_retrieval_mediator_without_neighbors_pools_zeros():
+    # one item: the weak pair's item is the index's only row, so it has no neighbors
+    ds = dataio.InteractionDataset(
+        spec=dataio.BehaviorSpec(("view", "cart", "buy")), num_users=1, num_items=1,
+        per_behavior_edges=[{(0, 0)}, set(), set()], user_ids=["u"], item_ids=["i"])
+    model = training.CnreModel(ds, training.TrainConfig(embedding_dim=4, hyperedges=2,
+                                                        epochs=0, n_c=3))
+    cascade = model.cascade()
+    indices = model.build_indices(cascade)
+    checked = _retrieval_mediators_match_operators(ds, model, cascade, indices, 0.5)
+    assert checked == {("semantic", False)}
+
+
 def test_gate_snapshot_freezes_dispatch_inputs():
     train, model, cascade, indices = _trained_bits()
     gate = reasoning.GateSnapshot.from_cascade(cascade)

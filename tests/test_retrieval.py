@@ -1,7 +1,8 @@
-"""Nearest-neighbor index tests: exact-mode oracle, recall, pooling rules."""
+"""Nearest-neighbor index tests: exact-mode oracle, recall, neighbor rules."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnre import retrieval
 
@@ -15,8 +16,8 @@ def _linear_scan(space, q, n_c, exclude_id=None):
 def test_three_point_example():
     space = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
     index = retrieval.build_index(space)
-    hood = retrieval.query(index, np.array([0.9, 0.0]), 1)
-    assert hood.ids == [1]
+    ids = retrieval.query(index, np.array([0.9, 0.0]), 1)
+    assert ids == [1]
 
 
 def test_exact_matches_linear_scan():
@@ -26,15 +27,15 @@ def test_exact_matches_linear_scan():
     for _ in range(1000):
         q = rng.normal(size=8)
         excl = int(rng.integers(300)) if rng.random() < 0.5 else None
-        hood = retrieval.query(index, q, 10, exclude_id=excl)
-        assert hood.ids == _linear_scan(space, q, 10, exclude_id=excl)
+        ids = retrieval.query(index, q, 10, exclude_id=excl)
+        assert ids == _linear_scan(space, q, 10, exclude_id=excl)
 
 
 def test_exact_ties_break_by_index():
     space = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     index = retrieval.build_index(space)
-    hood = retrieval.query(index, np.zeros(2), 3)
-    assert hood.ids == [0, 1, 2]
+    ids = retrieval.query(index, np.zeros(2), 3)
+    assert ids == [0, 1, 2]
 
 
 def test_approximate_recall_small():
@@ -45,8 +46,8 @@ def test_approximate_recall_small():
     hits = total = 0
     for _ in range(200):
         q = rng.normal(size=12)
-        want = set(retrieval.query(exact, q, 10).ids)
-        got = set(retrieval.query(approx, q, 10).ids)
+        want = set(retrieval.query(exact, q, 10))
+        got = set(retrieval.query(approx, q, 10))
         hits += len(want & got)
         total += len(want)
     assert hits / total >= 0.95
@@ -58,9 +59,9 @@ def test_self_exclusion():
     for mode in ("exact", "approximate"):
         index = retrieval.build_index(space, mode=mode, seed=3)
         for i in (0, 17, 49):
-            hood = retrieval.query(index, space[i], 5, exclude_id=i)
-            assert i not in hood.ids
-            assert len(hood.ids) == 5
+            ids = retrieval.query(index, space[i], 5, exclude_id=i)
+            assert i not in ids
+            assert len(ids) == 5
 
 
 def test_neighbor_count_monotone_in_n_c():
@@ -70,44 +71,25 @@ def test_neighbor_count_monotone_in_n_c():
     q = rng.normal(size=3)
     prev = []
     for n_c in (1, 3, 7, 15):
-        ids = retrieval.query(index, q, n_c).ids
+        ids = retrieval.query(index, q, n_c)
         assert len(ids) == n_c
         assert ids[:len(prev)] == prev  # extending n_c only appends
         prev = ids
 
 
-def test_pooled_is_neighbor_mean():
-    rng = np.random.default_rng(4)
-    space = rng.normal(size=(30, 5))
-    index = retrieval.build_index(space)
-    hood = retrieval.query(index, rng.normal(size=5), 6)
-    np.testing.assert_allclose(hood.pooled,
-                               space[hood.ids].mean(axis=0, keepdims=True),
-                               atol=1e-12)
-    assert hood.pooled.shape == (1, 5)
-
-
-def test_pooled_zero_when_no_neighbors():
-    space = np.array([[1.0, 2.0]])
-    index = retrieval.build_index(space)
-    hood = retrieval.query(index, np.zeros(2), 3, exclude_id=0)
-    assert hood.ids == []
-    np.testing.assert_array_equal(hood.pooled, np.zeros((1, 2)))
-
-
 def test_fewer_rows_than_n_c():
     space = np.eye(3)
     index = retrieval.build_index(space)
-    hood = retrieval.query(index, np.zeros(3), 10)
-    assert sorted(hood.ids) == [0, 1, 2]
+    ids = retrieval.query(index, np.zeros(3), 10)
+    assert sorted(ids) == [0, 1, 2]
 
 
 def test_index_snapshot_is_frozen():
     space = np.eye(2)
     index = retrieval.build_index(space)
     space[0, 0] = 99.0  # mutating the source must not affect the index
-    hood = retrieval.query(index, np.array([1.0, 0.0]), 1)
-    assert hood.ids == [0]
+    ids = retrieval.query(index, np.array([1.0, 0.0]), 1)
+    assert ids == [0]
 
 
 def test_validation_errors():
@@ -120,6 +102,8 @@ def test_validation_errors():
         retrieval.query(index, np.ones(2), 0)
     with pytest.raises(ValueError):
         retrieval.query(index, np.ones(3), 1)
+    with pytest.raises(ValueError):
+        retrieval.neighbors(index, [0], 0)
 
 
 def test_approximate_deterministic_given_seed():
@@ -129,4 +113,33 @@ def test_approximate_deterministic_given_seed():
     b = retrieval.build_index(space, mode="approximate", seed=11)
     for _ in range(20):
         q = rng.normal(size=6)
-        assert retrieval.query(a, q, 8).ids == retrieval.query(b, q, 8).ids
+        assert retrieval.query(a, q, 8) == retrieval.query(b, q, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 24), width=st.integers(1, 2),
+       n_c=st.integers(1, 26))
+def test_exact_matches_linear_scan_with_ties(data, n_rows, width, n_c):
+    """Small integer spaces make equal distances common; the order must still match."""
+    cells = st.integers(-1, 1)
+    space = np.array(data.draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                                        min_size=n_rows, max_size=n_rows)), dtype=float)
+    q = np.array(data.draw(st.lists(cells, min_size=width, max_size=width)), dtype=float)
+    excl = data.draw(st.none() | st.integers(0, n_rows - 1))
+    index = retrieval.build_index(space)
+    assert retrieval.query(index, q, n_c, exclude_id=excl) == _linear_scan(
+        space, q, n_c, exclude_id=excl)
+
+
+def test_neighbors_are_self_excluded_queries_of_index_rows():
+    rng = np.random.default_rng(6)
+    space = rng.normal(size=(30, 4))
+    for mode in ("exact", "approximate"):
+        index = retrieval.build_index(space, mode=mode, seed=2)
+        items = [3, 0, 3, 29]
+        got = retrieval.neighbors(index, np.array(items), 5)
+        assert got == [tuple(retrieval.query(index, space[i], 5, exclude_id=i))
+                       for i in items]
+        assert got[0] is got[2]  # the repeated item is answered from the memo
+    single = retrieval.build_index(np.array([[1.0, 2.0]]))
+    assert retrieval.neighbors(single, [0], 3) == [()]
