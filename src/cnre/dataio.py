@@ -9,6 +9,7 @@ analysis groupings (sparsity quantiles, history dropping).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,48 +51,91 @@ class BehaviorSpec:
         return self.names.index(name)
 
 
-@dataclass(frozen=True)
-class InteractionDataset:
-    """Densely indexed per-behavior edge sets with raw-ID maps.
+def edge_matrix(users, items, num_users, num_items):
+    """Canonical M x N 0/1 CSR of the (users[p], items[p]) edges.
 
-    The edges are immutable after construction (a tuple of frozensets), so
-    the chain-code matrix derived from them can be cached.
+    Rows hold sorted, distinct item indices (a repeated pair counts once)
+    and the matrix's arrays are read-only.
+    """
+    users = np.asarray(users, dtype=np.int64).reshape(-1)
+    items = np.asarray(items, dtype=np.int64).reshape(-1)
+    if users.size and (users.min() < 0 or users.max() >= num_users
+                       or items.min() < 0 or items.max() >= num_items):
+        raise ValueError("edge indices out of range")
+    rows, cols = np.divmod(np.unique(users * num_items + items), max(num_items, 1))
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_users), out=indptr[1:])
+    return _frozen(sp.csr_matrix((np.ones(cols.size, dtype=np.int64), cols, indptr),
+                                 shape=(num_users, num_items)))
+
+
+def _frozen(matrix):
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.flags.writeable = False
+    return matrix
+
+
+def entry_rows(matrix):
+    """Row index of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr))
+
+
+def _keep_entries(matrix, keep):
+    """The edge matrix holding only the stored entries where keep is True."""
+    return edge_matrix(entry_rows(matrix)[keep], matrix.indices[keep], *matrix.shape)
+
+
+@dataclass(frozen=True, eq=False)  # eq=False: sparse matrices have no truth value
+class InteractionDataset:
+    """Per-behavior edge matrices with raw-ID maps.
+
+    Each behavior's edges are one canonical M x N 0/1 CSR matrix (see
+    ``edge_matrix``) whose arrays are read-only, so everything derived from
+    them (the chain-code matrix, the set views) can be cached.
     """
 
     spec: BehaviorSpec
     num_users: int
     num_items: int
-    per_behavior_edges: tuple  # frozenset[(u, i)] per behavior, aligned with spec.names
-    user_ids: list             # dense index -> raw id
+    matrices: tuple  # edge matrix per behavior, aligned with spec.names
+    user_ids: list   # dense index -> raw id
     item_ids: list
 
     def __post_init__(self):
         set_attr = object.__setattr__
-        set_attr(self, "per_behavior_edges",
-                 tuple(frozenset(e) for e in self.per_behavior_edges))
+        set_attr(self, "matrices", tuple(self.matrices))
+        shape = (self.num_users, self.num_items)
+        if len(self.matrices) != len(self.spec) or any(m.shape != shape for m in self.matrices):
+            raise ValueError(f"one {shape} edge matrix per behavior required")
         set_attr(self, "user_index", {raw: k for k, raw in enumerate(self.user_ids)})
         set_attr(self, "item_index", {raw: k for k, raw in enumerate(self.item_ids)})
 
+    @classmethod
+    def from_edges(cls, spec, num_users, num_items, per_behavior_edges, user_ids, item_ids):
+        """Dataset from dense (u, i) pairs, one collection per behavior."""
+        pairs = [np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
+                             count=2 * len(edges)).reshape(-1, 2).T
+                 for edges in per_behavior_edges]
+        matrices = [edge_matrix(us, its, num_users, num_items) for us, its in pairs]
+        return cls(spec, num_users, num_items, matrices, user_ids, item_ids)
+
     @cached_property
     def chain_code_matrix(self):
-        """M x N sparse matrix C = sum_k 2^k A_k; bit k of C[u, i] is behavior k's flag.
-
-        Built on first use: most datasets (split inputs, sweep copies) never
-        need it.
-        """
-        rows, cols, vals = [], [], []
-        for k, edges in enumerate(self.per_behavior_edges):
-            arr = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-            rows.append(arr[:, 0])
-            cols.append(arr[:, 1])
-            vals.append(np.full(arr.shape[0], 1 << k, dtype=np.int64))
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.num_users, self.num_items), dtype=np.int64)
+        """C = sum_k 2^k A_k: bit k of C[u, i] is behavior k's flag; pattern = all edges."""
+        return _frozen(sum((1 << k) * m for k, m in enumerate(self.matrices)))
 
     def chain_codes(self, users, items):
         """Chain code of each (users[p], items[p]) pair, as an int64 array."""
         return np.asarray(self.chain_code_matrix[users, items], dtype=np.int64).reshape(-1)
+
+    def behavior_index(self, behavior):
+        """Index of a behavior given by index or label."""
+        return self.spec.index_of(behavior) if isinstance(behavior, str) else behavior
+
+    def items_of(self, behavior, u):
+        """Ascending items user u has under a behavior (a read-only row slice)."""
+        m = self.matrices[self.behavior_index(behavior)]
+        return m.indices[m.indptr[u]:m.indptr[u + 1]]
 
     def encode_user(self, raw):
         if raw not in self.user_index:
@@ -109,30 +153,25 @@ class InteractionDataset:
     def decode_item(self, idx):
         return self.item_ids[idx]
 
+    @cached_property
+    def per_behavior_edges(self):
+        """Frozenset of (u, i) edges per behavior: a read-only view built on first use."""
+        return tuple(frozenset(zip(entry_rows(m).tolist(), m.indices.tolist()))
+                     for m in self.matrices)
+
     def edges(self, behavior):
-        """Edge set for a behavior given by index or label."""
-        if isinstance(behavior, str):
-            behavior = self.spec.index_of(behavior)
-        return self.per_behavior_edges[behavior]
+        """Edge set view for a behavior given by index or label."""
+        return self.per_behavior_edges[self.behavior_index(behavior)]
 
     def target_edges(self):
         return self.per_behavior_edges[self.spec.target_index]
 
-    def union_edges(self):
-        out = set()
-        for edges in self.per_behavior_edges:
-            out |= edges
-        return out
-
     def user_items(self, behavior):
-        """Per-user item sets under one behavior."""
-        out = [set() for _ in range(self.num_users)]
-        for u, i in self.edges(behavior):
-            out[u].add(i)
-        return out
+        """Per-user item sets under one behavior (fresh sets on every call)."""
+        return [set(self.items_of(behavior, u).tolist()) for u in range(self.num_users)]
 
     def total_interactions(self):
-        return sum(len(e) for e in self.per_behavior_edges)
+        return sum(m.nnz for m in self.matrices)
 
 
 @dataclass
@@ -141,14 +180,6 @@ class SplitDataset:
 
     train: InteractionDataset
     test_positives: dict  # user index -> held-out item index
-
-
-@dataclass(frozen=True)
-class BprTriple:
-    user: int
-    pos_item: int
-    neg_item: int
-    behavior: int
 
 
 def load_interactions(path, behavior):
@@ -174,28 +205,13 @@ def build_dataset_from_pairs(per_behavior_pairs, spec):
     """Assign dense ids (first-seen order across behaviors in spec order)."""
     if len(per_behavior_pairs) != len(spec):
         raise ValueError("one pair set per behavior required")
-    user_ids, item_ids = [], []
-    user_index, item_index = {}, {}
-    edges = []
-    for pairs in per_behavior_pairs:
-        eset = set()
-        for raw_u, raw_i in sorted(pairs, key=lambda p: (str(p[0]), str(p[1]))):
-            if raw_u not in user_index:
-                user_index[raw_u] = len(user_ids)
-                user_ids.append(raw_u)
-            if raw_i not in item_index:
-                item_index[raw_i] = len(item_ids)
-                item_ids.append(raw_i)
-            eset.add((user_index[raw_u], item_index[raw_i]))
-        edges.append(eset)
-    return InteractionDataset(
-        spec=spec,
-        num_users=len(user_ids),
-        num_items=len(item_ids),
-        per_behavior_edges=edges,
-        user_ids=user_ids,
-        item_ids=item_ids,
-    )
+    user_index, item_index = {}, {}  # raw id -> dense id, in first-seen order
+    dense = [[(user_index.setdefault(u, len(user_index)),
+               item_index.setdefault(i, len(item_index)))
+              for u, i in sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))]
+             for pairs in per_behavior_pairs]
+    return InteractionDataset.from_edges(spec, len(user_index), len(item_index), dense,
+                                         list(user_index), list(item_index))
 
 
 def build_dataset(per_behavior_files, spec):
@@ -217,16 +233,13 @@ def compute_conversion_order(dataset):
     target is forced last; ties keep the configured spec order.
     """
     spec = dataset.spec
-    target = dataset.target_edges()
+    target = dataset.matrices[spec.target_index]
     rates = []
     for k, name in enumerate(spec.names[:-1]):
-        edges = dataset.per_behavior_edges[k]
-        if not edges:
+        m = dataset.matrices[k]
+        if not m.nnz:
             warnings.warn(f"behavior '{name}' has no edges; placed first")
-            rates.append((-1.0, k, name))
-            continue
-        rate = len(edges & target) / len(edges)
-        rates.append((rate, k, name))
+        rates.append((m.multiply(target).nnz / m.nnz if m.nnz else -1.0, k, name))
     rates.sort(key=lambda r: (r[0], r[1]))  # tie-break: spec order
     return [name for _, _, name in rates] + [spec.target]
 
@@ -238,78 +251,80 @@ def reorder_behaviors(dataset, new_order):
         raise ValueError("new order must be a permutation of the behavior labels")
     if new_order[-1] != spec.target:
         raise ValueError("the target behavior must remain last")
-    perm = [spec.index_of(name) for name in new_order]
     return dataclasses.replace(
         dataset, spec=BehaviorSpec(tuple(new_order)),
-        per_behavior_edges=[dataset.per_behavior_edges[k] for k in perm])
+        matrices=[dataset.matrices[spec.index_of(name)] for name in new_order])
 
 
 def leave_one_out_split(dataset, seed):
-    """Hold out one target interaction per user with >= 2 target edges."""
+    """Hold out one target interaction per user with >= 2 target edges.
+
+    Each such user, in ascending order, draws one of its ascending target
+    items uniformly.
+    """
     rng = np.random.default_rng(seed)
-    by_user = {}
-    for u, i in sorted(dataset.target_edges()):
-        by_user.setdefault(u, []).append(i)
-    test_positives = {}
-    for u in sorted(by_user):
-        items = by_user[u]
-        if len(items) < 2:
-            continue
-        test_positives[u] = items[rng.integers(len(items))]
-    edges = list(dataset.per_behavior_edges)
-    edges[-1] = edges[-1] - set(test_positives.items())
-    return SplitDataset(train=dataclasses.replace(dataset, per_behavior_edges=edges),
-                        test_positives=test_positives)
+    target = dataset.matrices[-1]
+    counts = np.diff(target.indptr)
+    users = np.flatnonzero(counts >= 2)
+    picked = target.indptr[users] + rng.integers(counts[users])
+    keep = np.ones(target.nnz, dtype=bool)
+    keep[picked] = False
+    train = dataclasses.replace(
+        dataset, matrices=dataset.matrices[:-1] + (_keep_entries(target, keep),))
+    return SplitDataset(train=train, test_positives=dict(
+        zip(users.tolist(), target.indices[picked].tolist())))
 
 
 def sample_bpr_triples(train, behavior, count, rng):
-    """Uniform positives with one rejection-sampled uniform negative each."""
-    if isinstance(behavior, str):
-        behavior = train.spec.index_of(behavior)
-    edges = sorted(train.per_behavior_edges[behavior])
-    if not edges:
+    """(count, 3) int64 array of (user, positive item, negative item) rows.
+
+    Positives are uniform over the behavior's edges whose user still has an
+    unobserved item; each negative is uniform over that user's unobserved
+    items, rejection-sampled in vectorized rounds.
+    """
+    behavior = train.behavior_index(behavior)
+    m = train.matrices[behavior]
+    if not m.nnz:
         raise ValueError(f"behavior index {behavior} has no edges")
-    if train.num_items < 2:
+    n_items = train.num_items
+    if n_items < 2:
         raise ValueError("negative sampling needs at least 2 items")
-    user_items = train.user_items(behavior)
-    eligible = [e for e in edges if len(user_items[e[0]]) < train.num_items]
-    if not eligible:
+    rows = entry_rows(m)
+    eligible = np.flatnonzero(np.diff(m.indptr)[rows] < n_items)
+    if not eligible.size:
         raise ValueError("every positive's user interacted with every item; "
                          "no negatives available")
-    if len(eligible) < len(edges):
-        warnings.warn(f"{len(edges) - len(eligible)} positives skipped: their "
+    if eligible.size < m.nnz:
+        warnings.warn(f"{m.nnz - eligible.size} positives skipped: their "
                       "users interacted with every item")
-    triples = []
-    n_edges = len(eligible)
-    while len(triples) < count:
-        u, i = eligible[rng.integers(n_edges)]
-        seen = user_items[u]
-        while True:
-            j = int(rng.integers(train.num_items))
-            if j not in seen:
-                break
-        triples.append(BprTriple(user=u, pos_item=i, neg_item=j, behavior=behavior))
-    return triples
+    picked = eligible[rng.integers(eligible.size, size=count)]
+    users = rows[picked]
+    keys = rows * n_items + m.indices  # ascending, as the matrix is canonical
+    neg = np.empty(count, dtype=np.int64)
+    redraw = np.arange(count)
+    while redraw.size:
+        neg[redraw] = rng.integers(n_items, size=redraw.size)
+        drawn = users[redraw] * n_items + neg[redraw]
+        redraw = redraw[keys[np.minimum(np.searchsorted(keys, drawn), keys.size - 1)] == drawn]
+    return np.stack([users, m.indices[picked], neg], axis=1)
 
 
 def group_users_by_sparsity(dataset, n_groups=4):
     """Split users into equal-population quantile buckets by interaction count."""
     if dataset.num_users < n_groups:
         raise ValueError(f"{dataset.num_users} users cannot form {n_groups} groups")
-    counts = np.zeros(dataset.num_users, dtype=np.int64)
-    for edges in dataset.per_behavior_edges:
-        for u, _ in edges:
-            counts[u] += 1
+    counts = sum(np.diff(m.indptr) for m in dataset.matrices)
     order = np.argsort(counts, kind="stable")
-    return [list(map(int, chunk)) for chunk in np.array_split(order, n_groups)]
+    return [chunk.tolist() for chunk in np.array_split(order, n_groups)]
 
 
 def drop_history(dataset, user_fraction, drop_fraction, seed):
     """Remove a fraction of interactions for a random fraction of users.
 
-    Drops are uniform across behaviors for each affected user. Operates on
-    a train dataset, so held-out test positives (absent from train) are
-    never touched.
+    Drops are uniform across behaviors for each affected user: the user's
+    events are numbered behavior by behavior, items ascending, and a
+    uniform subset of them is dropped. Operates on a train dataset, so
+    held-out test positives (absent from train) are never touched.
     """
     if not (0.0 <= user_fraction <= 1.0 and 0.0 <= drop_fraction <= 1.0):
         raise ValueError("fractions must lie in [0, 1]")
@@ -317,22 +332,20 @@ def drop_history(dataset, user_fraction, drop_fraction, seed):
         return dataset
     rng = np.random.default_rng(seed)
     n_affected = int(round(user_fraction * dataset.num_users))
-    affected = set(map(int, rng.choice(dataset.num_users, size=n_affected, replace=False)))
-    pool = {u: [] for u in affected}
-    for b, edges in enumerate(dataset.per_behavior_edges):
-        for u, i in sorted(edges):
-            if u in affected:
-                pool[u].append((b, u, i))
-    edges = [set(e) for e in dataset.per_behavior_edges]
-    for u in sorted(affected):
-        events = pool[u]
-        n_drop = int(round(drop_fraction * len(events)))
+    affected = np.sort(rng.choice(dataset.num_users, size=n_affected, replace=False))
+    mats = dataset.matrices
+    rows = np.concatenate([entry_rows(m) for m in mats])  # every behavior's entries
+    events = np.argsort(rows, kind="stable")  # per user: behavior by behavior, items ascending
+    bounds = np.searchsorted(rows[events], np.arange(dataset.num_users + 1))
+    keep = np.ones(rows.size, dtype=bool)
+    for u in affected.tolist():
+        mine = events[bounds[u]:bounds[u + 1]]
+        n_drop = int(round(drop_fraction * mine.size))
         if n_drop == 0:
             continue
-        picked = rng.choice(len(events), size=n_drop, replace=False)
-        for k in picked:
-            b, uu, ii = events[k]
-            edges[b].discard((uu, ii))
-        if not any(any(e[0] == u for e in es) for es in edges):
+        keep[mine[rng.choice(mine.size, size=n_drop, replace=False)]] = False
+        if n_drop == mine.size:
             warnings.warn(f"user {u} has no interactions left after drop")
-    return dataclasses.replace(dataset, per_behavior_edges=edges)
+    ends = np.cumsum([m.nnz for m in mats])[:-1]
+    return dataclasses.replace(dataset, matrices=[
+        _keep_entries(m, k) for m, k in zip(mats, np.split(keep, ends))])

@@ -10,6 +10,7 @@ edits perturb the chain observation only, never the parameters.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -109,10 +110,8 @@ def _score_pairs(model, users, items, cascade, indices):
 
 def _unowned_items(ds, u):
     """Ascending items that user u has no train-target edge with."""
-    row = ds.chain_code_matrix[u]
-    owned = row.indices[(row.data >> ds.spec.target_index) & 1 == 1]
-    return np.setdiff1d(np.arange(ds.num_items, dtype=np.int64), owned,
-                        assume_unique=True)
+    return np.setdiff1d(np.arange(ds.num_items, dtype=np.int64),
+                        ds.items_of(ds.spec.target_index, u), assume_unique=True)
 
 
 def rank_items(u, model, candidates=None, cascade=None, indices=None):
@@ -161,31 +160,24 @@ def evaluate(model, split, ks=(10, 50), n_groups=4):
 
     results = {u: rank_of_held_out(u) for u in test_users}
 
-    hr = {k: float(np.mean([hr_at_k(results[u][0], k) for u in test_users]))
-          for k in ks}
-    ndcg = {k: float(np.mean([ndcg_at_k(results[u][0], k) for u in test_users]))
-            for k in ks}
+    def mean(metric, users, k):
+        return float(np.mean([metric(results[u][0], k) for u in users]))
 
-    path_counts = {}
-    for u in test_users:
-        path_counts[results[u][1]] = path_counts.get(results[u][1], 0) + 1
+    hr = {k: mean(hr_at_k, test_users, k) for k in ks}
+    ndcg = {k: mean(ndcg_at_k, test_users, k) for k in ks}
+
+    path_counts = collections.Counter(results[u][1] for u in test_users)
     total = max(len(test_users), 1)
     path_fractions = {p: c / total for p, c in path_counts.items()}
 
-    groups = dataio.group_users_by_sparsity(ds, n_groups=n_groups)
     group_metrics = []
-    for g_idx, members in enumerate(groups):
+    for g_idx, members in enumerate(dataio.group_users_by_sparsity(ds, n_groups=n_groups)):
         in_test = [u for u in members if u in results]
-        entry = {"group": g_idx + 1, "users": len(in_test)}
-        if in_test:
-            entry["hr"] = {str(k): float(np.mean([hr_at_k(results[u][0], k)
-                                                  for u in in_test])) for k in ks}
-            entry["ndcg"] = {str(k): float(np.mean([ndcg_at_k(results[u][0], k)
-                                                    for u in in_test])) for k in ks}
-        else:
-            entry["hr"] = {str(k): None for k in ks}
-            entry["ndcg"] = {str(k): None for k in ks}
-        group_metrics.append(entry)
+        group_metrics.append({"group": g_idx + 1, "users": len(in_test),
+                              "hr": {str(k): mean(hr_at_k, in_test, k) if in_test else None
+                                     for k in ks},
+                              "ndcg": {str(k): mean(ndcg_at_k, in_test, k) if in_test else None
+                                       for k in ks}})
 
     return MetricsReport(ks=ks, hr=hr, ndcg=ndcg, group_metrics=group_metrics,
                          path_fractions=path_fractions, user_count=len(test_users))

@@ -53,19 +53,15 @@ class CascadeState:
         return last.e_u, last.e_i
 
 
-def build_normalized_adjacency(edges, num_users, num_items):
-    """Weight each edge by 1/sqrt(deg(u) * deg(i))."""
-    if not edges:
-        z_ui = sp.csr_matrix((num_users, num_items))
-        return NormalizedAdjacency(user_to_item=z_ui, item_to_user=z_ui.T.tocsr())
-    arr = np.array(sorted(edges), dtype=np.int64)
-    us, its = arr[:, 0], arr[:, 1]
-    if us.min() < 0 or us.max() >= num_users or its.min() < 0 or its.max() >= num_items:
-        raise ValueError("edge indices out of range")
-    deg_u = np.bincount(us, minlength=num_users).astype(np.float64)
-    deg_i = np.bincount(its, minlength=num_items).astype(np.float64)
-    w = 1.0 / np.sqrt(deg_u[us] * deg_i[its])
-    ui = sp.csr_matrix((w, (us, its)), shape=(num_users, num_items))
+def build_normalized_adjacency(matrix):
+    """Weight each entry (u, i) of a canonical M x N CSR pattern by 1/sqrt(deg(u) deg(i))."""
+    num_users, num_items = matrix.shape
+    counts = np.diff(matrix.indptr)
+    deg_u = counts.astype(np.float64)
+    deg_i = np.bincount(matrix.indices, minlength=num_items).astype(np.float64)
+    w = 1.0 / np.sqrt(np.repeat(deg_u, counts) * deg_i[matrix.indices])
+    ui = sp.csr_matrix((w, matrix.indices.copy(), matrix.indptr.copy()),
+                       shape=(num_users, num_items))
     return NormalizedAdjacency(user_to_item=ui, item_to_user=ui.T.tocsr())
 
 

@@ -65,7 +65,7 @@ class ReasoningTrace:
 
 def observe_chain(train, u, i):
     """One flag per behavior: 1 iff (u, i) is a train edge of that behavior."""
-    return tuple(int((u, i) in edges) for edges in train.per_behavior_edges)
+    return tuple(int(i in train.items_of(b, u).tolist()) for b in range(len(train.spec)))
 
 
 def dispatch(flags):
@@ -254,7 +254,7 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     n = users.shape[0]
-    n_b = len(train.per_behavior_edges)
+    n_b = len(train.spec)
     t_idx = n_b - 1
 
     if flags_fn is None:

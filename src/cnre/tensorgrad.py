@@ -14,8 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 
-class ShapeError(ValueError):
-    """Raised when operand shapes are incompatible for an op."""
+class ShapeError(Exception):
+    """Incompatible operand shapes: a bug in the model, so not a ValueError (bad input)."""
 
 
 class NonFiniteError(FloatingPointError):

@@ -102,7 +102,10 @@ class CnreModel:
         self.rng = np.random.default_rng(config.seed)
         self.store = tg.ParameterStore()
         self._init_parameters()
-        self._build_adjacencies()
+        self.adjacencies = [propagation.build_normalized_adjacency(m)
+                            for m in train_dataset.matrices]
+        self.unified_adj = propagation.build_normalized_adjacency(
+            train_dataset.chain_code_matrix)  # its pattern is the union of all behaviors
 
     def _init_parameters(self):
         d = self.config.embedding_dim
@@ -125,15 +128,6 @@ class CnreModel:
         add("head_bh", np.zeros((1, d)))
         add("head_wo", tg.xavier_uniform(rng, d, 1))
         add("head_bo", np.zeros((1, 1)))
-
-    def _build_adjacencies(self):
-        ds = self.train_dataset
-        self.adjacencies = [
-            propagation.build_normalized_adjacency(edges, ds.num_users, ds.num_items)
-            for edges in ds.per_behavior_edges
-        ]
-        self.unified_adj = propagation.build_normalized_adjacency(
-            ds.union_edges(), ds.num_users, ds.num_items)
 
     def cascade(self):
         cfg = self.config
@@ -171,11 +165,9 @@ class CnreModel:
         n_pairs = 0
         t_idx = len(self.behavior_names) - 1
         for b, triples in enumerate(per_behavior_triples):
-            if not triples:
+            if not len(triples):
                 continue
-            users = np.array([t.user for t in triples], dtype=np.int64)
-            pos = np.array([t.pos_item for t in triples], dtype=np.int64)
-            neg = np.array([t.neg_item for t in triples], dtype=np.int64)
+            users, pos, neg = np.asarray(triples, dtype=np.int64).T
             # BPR margins use the head logits; the logistic squash would cap
             # the achievable margin at 1 and stall the pairwise objective
             if b == t_idx:
@@ -203,20 +195,18 @@ class CnreModel:
             cascade_snapshot = self.cascade()
             indices = self.build_indices(cascade_snapshot)
             gate = reasoning.GateSnapshot.from_cascade(cascade_snapshot)
-            per_behavior = []
-            for b, edges in enumerate(ds.per_behavior_edges):
-                if not edges:
-                    per_behavior.append([])
-                    continue
-                count = cfg.samples_per_epoch or len(edges)
-                per_behavior.append(dataio.sample_bpr_triples(ds, b, count, self.rng))
+            del cascade_snapshot  # the indices and the gate hold plain arrays
+            per_behavior = [
+                dataio.sample_bpr_triples(ds, b, cfg.samples_per_epoch or m.nnz, self.rng)
+                if m.nnz else np.empty((0, 3), dtype=np.int64)
+                for b, m in enumerate(ds.matrices)]
             n_steps = max(1, -(-max(len(t) for t in per_behavior) // cfg.batch_size))
             epoch_loss = 0.0
             epoch_pairs = 0
             for step in range(n_steps):
                 lo, hi = step * cfg.batch_size, (step + 1) * cfg.batch_size
                 batch = [t[lo:hi] for t in per_behavior]
-                if not any(batch):
+                if not any(len(t) for t in batch):
                     continue
                 cascade = self.cascade()
                 loss, n_pairs = self.batch_loss(batch, cascade, indices, gate=gate)
@@ -225,6 +215,7 @@ class CnreModel:
                 self.store.adam_step(cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
                 epoch_loss += loss.item()
                 epoch_pairs += n_pairs
+                del loss, cascade  # free this step's tape before the next cascade
             mean_bpr = epoch_loss / max(epoch_pairs, 1)
             history.append(mean_bpr)
             if log is not None:
@@ -262,6 +253,12 @@ class CnreModel:
         except TypeError as exc:
             raise CheckpointError(f"checkpoint config does not fit TrainConfig: {exc}") from exc
         model = cls(train_dataset, config)
+        want = {s["name"]: s["shape"] for s in model.checkpoint_header()["slots"]}
+        got = {s["name"]: s["shape"] for s in h["slots"]}
+        if got != want:
+            raise CheckpointError("checkpoint slots do not match the model: " + ", ".join(
+                f"{n}: checkpoint {got.get(n, 'has none')}, model {want.get(n, 'has none')}"
+                for n in sorted(want.keys() | got.keys()) if got.get(n) != want.get(n)))
         model.store.load_arrays(ckpt.arrays)
         model.store.step_count = h["step"]
         return model

@@ -29,7 +29,7 @@ def test_criterion_1_gradient_suite():
     cart = {e for e in view if rng.random() < 0.5}
     buy = {e for e in cart if rng.random() < 0.6}
     view.add((0, 0)); cart.add((0, 0)); buy.add((0, 0))
-    ds = dataio.InteractionDataset(
+    ds = dataio.InteractionDataset.from_edges(
         spec=dataio.BehaviorSpec(("view", "cart", "buy")),
         num_users=20, num_items=15,
         per_behavior_edges=[view, cart, buy],
@@ -180,7 +180,8 @@ def test_criterion_7_propagation_oracles():
     rng = np.random.default_rng(7)
     edges = {(u, i) for u in range(9) for i in range(7) if rng.random() < 0.35}
     edges.add((0, 0))
-    adj = propagation.build_normalized_adjacency(edges, 9, 7)
+    us, its = zip(*sorted(edges))
+    adj = propagation.build_normalized_adjacency(dataio.edge_matrix(us, its, 9, 7))
     e_u = rng.normal(size=(9, 5))
     e_i = rng.normal(size=(7, 5))
     out_u, out_i = propagation.lightgcn_propagate(adj, tg.Tensor(e_u),

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cnre import cli, training
+from cnre import cli, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 
@@ -160,19 +160,68 @@ class TestExitCodes:
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "none.cnre"),
                          "--manifest", str(mpath)]) == 2
 
-    def test_unknown_checkpoint_config_key_exits_2(self, workspace):
+    def _edited_checkpoint(self, workspace, edit):
+        """Train, then save the model's checkpoint after edit(model); return (path, train)."""
         tmp_path, mpath, manifest, _ = workspace
         assert cli.main(["train", "--manifest", str(mpath)]) == 0
         ckpt = os.path.join(manifest["output_dir"], "checkpoint.cnre")
         train = cli.build_split(cli.load_manifest(str(mpath))).train
         model = training.CnreModel.from_checkpoint(ckpt, train)
-        header = model.checkpoint_header()
-        header["config"]["surprise"] = 1
+        header = edit(model)
         bad = str(tmp_path / "bad.cnre")
         training.save_checkpoint(bad, model.store, header)
+        return bad, train
+
+    def test_unknown_checkpoint_config_key_exits_2(self, workspace):
+        def edit(model):
+            header = model.checkpoint_header()
+            header["config"]["surprise"] = 1
+            return header
+        bad, train = self._edited_checkpoint(workspace, edit)
         with pytest.raises(training.CheckpointError, match="surprise"):
             training.CnreModel.from_checkpoint(bad, train)
-        assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(mpath)]) == 2
+        assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    def test_checkpoint_missing_slot_exits_2(self, workspace):
+        def edit(model):
+            header = model.checkpoint_header()
+            header["slots"] = [s for s in header["slots"] if s["name"] != "head_bo"]
+            return header
+        bad, train = self._edited_checkpoint(workspace, edit)
+        with pytest.raises(training.CheckpointError,
+                           match="head_bo: checkpoint has none, model \\[1, 1\\]"):
+            training.CnreModel.from_checkpoint(bad, train)
+        assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    def test_checkpoint_extra_slot_exits_2(self, workspace):
+        def edit(model):
+            model.store.add("surplus", np.zeros((1, 1)))
+            return model.checkpoint_header()
+        bad, train = self._edited_checkpoint(workspace, edit)
+        with pytest.raises(training.CheckpointError,
+                           match="surplus: checkpoint \\[1, 1\\], model has none"):
+            training.CnreModel.from_checkpoint(bad, train)
+        assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    def test_checkpoint_slot_shape_mismatch_exits_2(self, workspace):
+        def edit(model):
+            model.store["head_bo"].data = np.zeros((1, 2))
+            return model.checkpoint_header()
+        bad, train = self._edited_checkpoint(workspace, edit)
+        with pytest.raises(training.CheckpointError,
+                           match="head_bo: checkpoint \\[1, 2\\], model \\[1, 1\\]"):
+            training.CnreModel.from_checkpoint(bad, train)
+        assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    def test_internal_shape_error_is_not_invalid_input(self, workspace, monkeypatch):
+        _, mpath, _, _ = workspace
+
+        def broken_fit(self, log=None):
+            raise tg.ShapeError("matmul: (2, 3) @ (4, 5)")
+
+        monkeypatch.setattr(training.CnreModel, "fit", broken_fit)
+        with pytest.raises(tg.ShapeError):
+            cli.main(["train", "--manifest", str(mpath)])
 
     def test_unknown_pair_exits_2(self, workspace):
         tmp_path, mpath, manifest, _ = workspace

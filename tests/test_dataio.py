@@ -16,7 +16,7 @@ def _toy_dataset():
     view = {(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)}
     cart = {(0, 0), (1, 2), (2, 1)}
     buy = {(0, 0), (0, 1), (1, 2), (2, 1), (2, 2)}
-    return dataio.InteractionDataset(
+    return dataio.InteractionDataset.from_edges(
         spec=VIEW_CART_BUY, num_users=3, num_items=3,
         per_behavior_edges=[view, cart, buy],
         user_ids=["u0", "u1", "u2"], item_ids=["i0", "i1", "i2"])
@@ -131,14 +131,14 @@ class TestConversionOrder:
 
     def test_tie_breaks_keep_spec_order(self):
         edges = [{(0, 0)}, {(0, 1)}, {(0, 0), (0, 1)}]
-        ds = dataio.InteractionDataset(
+        ds = dataio.InteractionDataset.from_edges(
             spec=VIEW_CART_BUY, num_users=1, num_items=2,
             per_behavior_edges=edges, user_ids=["u"], item_ids=["a", "b"])
         assert dataio.compute_conversion_order(ds) == ["view", "cart", "buy"]
 
     def test_empty_behavior_warns_and_sorts_first(self):
         edges = [set(), {(0, 0)}, {(0, 0)}]
-        ds = dataio.InteractionDataset(
+        ds = dataio.InteractionDataset.from_edges(
             spec=VIEW_CART_BUY, num_users=1, num_items=1,
             per_behavior_edges=edges, user_ids=["u"], item_ids=["a"])
         with pytest.warns(UserWarning):
@@ -176,7 +176,7 @@ class TestLeaveOneOut:
 
     def test_only_multi_interaction_users_held_out(self):
         edges = [{(0, 0), (1, 0), (1, 1)}, {(0, 0), (1, 0), (1, 1)}]
-        ds = dataio.InteractionDataset(
+        ds = dataio.InteractionDataset.from_edges(
             spec=dataio.BehaviorSpec(("view", "buy")), num_users=2, num_items=2,
             per_behavior_edges=edges, user_ids=["a", "b"], item_ids=["x", "y"])
         split = dataio.leave_one_out_split(ds, seed=3)
@@ -201,20 +201,20 @@ class TestBprSampling:
         rng = np.random.default_rng(0)
         triples = dataio.sample_bpr_triples(ds, "buy", 500, rng)
         seen = ds.user_items(ds.spec.target_index)
-        assert len(triples) == 500
-        for t in triples:
-            assert (t.user, t.pos_item) in ds.target_edges()
-            assert t.neg_item not in seen[t.user]
+        assert triples.shape == (500, 3) and triples.dtype == np.int64
+        for u, pos, neg in triples.tolist():
+            assert (u, pos) in ds.target_edges()
+            assert neg not in seen[u]
 
     def test_negative_distribution_roughly_uniform(self):
         edges = [{(0, i) for i in range(2)}, {(0, 0), (0, 1)}]
-        ds = dataio.InteractionDataset(
+        ds = dataio.InteractionDataset.from_edges(
             spec=dataio.BehaviorSpec(("view", "buy")), num_users=1, num_items=12,
             per_behavior_edges=edges, user_ids=["u"],
             item_ids=[f"i{k}" for k in range(12)])
         rng = np.random.default_rng(1)
         triples = dataio.sample_bpr_triples(ds, "buy", 5000, rng)
-        counts = np.bincount([t.neg_item for t in triples], minlength=12)
+        counts = np.bincount(triples[:, 2], minlength=12)
         assert counts[0] == 0 and counts[1] == 0
         # 10 candidate negatives, expect 500 each; chi-square df=9 at p~1e-6 is ~47
         expected = 5000 / 10.0
@@ -224,17 +224,17 @@ class TestBprSampling:
     def test_saturated_user_skipped_with_warning(self):
         # user 0 saw both items (no negative exists); user 1 still has one
         edges = [{(0, 0), (0, 1), (1, 0)}, {(0, 0), (1, 0)}]
-        ds = dataio.InteractionDataset(
+        ds = dataio.InteractionDataset.from_edges(
             spec=dataio.BehaviorSpec(("view", "buy")), num_users=2, num_items=2,
             per_behavior_edges=edges, user_ids=["a", "b"], item_ids=["x", "y"])
         with pytest.warns(UserWarning, match="skipped"):
             triples = dataio.sample_bpr_triples(ds, "view", 20,
                                                 np.random.default_rng(0))
-        assert all(t.user == 1 and t.neg_item == 1 for t in triples)
+        assert (triples[:, 0] == 1).all() and (triples[:, 2] == 1).all()
 
     def test_fully_saturated_behavior_rejected(self):
         edges = [{(0, 0), (0, 1)}, {(0, 0)}]
-        ds = dataio.InteractionDataset(
+        ds = dataio.InteractionDataset.from_edges(
             spec=dataio.BehaviorSpec(("view", "buy")), num_users=1, num_items=2,
             per_behavior_edges=edges, user_ids=["a"], item_ids=["x", "y"])
         with pytest.raises(ValueError, match="no negatives"):
@@ -242,7 +242,7 @@ class TestBprSampling:
 
     def test_empty_behavior_rejected(self):
         edges = [set(), {(0, 0)}]
-        ds = dataio.InteractionDataset(
+        ds = dataio.InteractionDataset.from_edges(
             spec=dataio.BehaviorSpec(("view", "buy")), num_users=1, num_items=2,
             per_behavior_edges=edges, user_ids=["u"], item_ids=["a", "b"])
         with pytest.raises(ValueError):

@@ -191,7 +191,7 @@ class TestCounterfactual:
         view = {(0, 0), (0, 1), (1, 0), (1, 2)}
         cart = {(0, 0), (0, 2), (1, 2)}
         buy = {(0, 0), (0, 1), (1, 0), (1, 2)}
-        ds = dataio.InteractionDataset(
+        ds = dataio.InteractionDataset.from_edges(
             spec=dataio.BehaviorSpec(("view", "cart", "buy")),
             num_users=2, num_items=3,
             per_behavior_edges=[view, cart, buy],

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from cnre import propagation, tensorgrad as tg
+from cnre import dataio, propagation, tensorgrad as tg
+
+
+def _adjacency(edges, num_users, num_items):
+    """Normalized adjacency of a set of dense (u, i) edges."""
+    arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return propagation.build_normalized_adjacency(
+        dataio.edge_matrix(arr[:, 0], arr[:, 1], num_users, num_items))
 
 
 def _random_edges(rng, num_users, num_items, density=0.3):
@@ -21,7 +28,7 @@ class TestNormalizedAdjacency:
     def test_weights_match_brute_force(self):
         rng = np.random.default_rng(0)
         edges = _random_edges(rng, 6, 5)
-        adj = propagation.build_normalized_adjacency(edges, 6, 5)
+        adj = _adjacency(edges, 6, 5)
         deg_u = {u: sum(1 for (uu, _) in edges if uu == u) for u in range(6)}
         deg_i = {i: sum(1 for (_, ii) in edges if ii == i) for i in range(5)}
         dense = adj.user_to_item.toarray()
@@ -32,20 +39,20 @@ class TestNormalizedAdjacency:
         np.testing.assert_allclose(adj.item_to_user.toarray(), dense.T)
 
     def test_empty_graph_is_zero(self):
-        adj = propagation.build_normalized_adjacency(set(), 3, 4)
+        adj = _adjacency(set(), 3, 4)
         assert adj.user_to_item.nnz == 0
         assert adj.user_to_item.shape == (3, 4)
 
     def test_out_of_range_edge_rejected(self):
-        with pytest.raises(ValueError):
-            propagation.build_normalized_adjacency({(5, 0)}, 3, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            dataio.edge_matrix([5], [0], 3, 4)
 
 
 class TestLightGcn:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         edges = _random_edges(rng, 7, 6)
-        adj = propagation.build_normalized_adjacency(edges, 7, 6)
+        adj = _adjacency(edges, 7, 6)
         e_u = tg.Tensor(rng.normal(size=(7, 4)))
         e_i = tg.Tensor(rng.normal(size=(6, 4)))
         out_u, out_i = propagation.lightgcn_propagate(adj, e_u, e_i, layers=3)
@@ -61,7 +68,7 @@ class TestLightGcn:
         np.testing.assert_allclose(out_i.data, si, atol=1e-10)
 
     def test_zero_layers_is_identity(self):
-        adj = propagation.build_normalized_adjacency({(0, 0)}, 2, 2)
+        adj = _adjacency({(0, 0)}, 2, 2)
         e_u = tg.Tensor(np.ones((2, 3)))
         e_i = tg.Tensor(np.ones((2, 3)))
         out_u, out_i = propagation.lightgcn_propagate(adj, e_u, e_i, layers=0)
@@ -71,7 +78,7 @@ class TestLightGcn:
     def test_linearity_in_inputs(self):
         rng = np.random.default_rng(2)
         edges = _random_edges(rng, 5, 5)
-        adj = propagation.build_normalized_adjacency(edges, 5, 5)
+        adj = _adjacency(edges, 5, 5)
         x = rng.normal(size=(5, 3))
         y = rng.normal(size=(5, 3))
         a_u, _ = propagation.lightgcn_propagate(adj, tg.Tensor(x), tg.Tensor(y), 2)
@@ -80,14 +87,14 @@ class TestLightGcn:
 
     def test_isolated_node_keeps_layer_zero_only(self):
         # user 1 has no edges: every propagated layer contributes zeros
-        adj = propagation.build_normalized_adjacency({(0, 0)}, 2, 1)
+        adj = _adjacency({(0, 0)}, 2, 1)
         e_u = tg.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         e_i = tg.Tensor(np.array([[5.0, 6.0]]))
         out_u, _ = propagation.lightgcn_propagate(adj, e_u, e_i, layers=2)
         np.testing.assert_allclose(out_u.data[1], [3.0, 4.0])
 
     def test_negative_layers_rejected(self):
-        adj = propagation.build_normalized_adjacency({(0, 0)}, 1, 1)
+        adj = _adjacency({(0, 0)}, 1, 1)
         with pytest.raises(ValueError):
             propagation.lightgcn_propagate(adj, tg.Tensor(np.ones((1, 1))),
                                            tg.Tensor(np.ones((1, 1))), -1)
@@ -213,12 +220,12 @@ class TestCascade:
         for name in names:
             w_u.append(store.add(f"hyp_u_{name}", rng.normal(size=(d, k))).data)
             w_i.append(store.add(f"hyp_i_{name}", rng.normal(size=(d, k))).data)
-        adjs = [propagation.build_normalized_adjacency(e, num_users, num_items)
+        adjs = [_adjacency(e, num_users, num_items)
                 for e in edges]
         union = set()
         for e in edges:
             union |= e
-        uni = propagation.build_normalized_adjacency(union, num_users, num_items)
+        uni = _adjacency(union, num_users, num_items)
         return edges, store, names, adjs, uni, w_u, w_i
 
     def test_matches_numpy_reimplementation(self):

@@ -1,31 +1,202 @@
 """Property tests pinning the array kernels to their scalar references.
 
-Random small datasets drive the chain-code dispatch, the batched reasoner
-and the memoized item neighbors; each is compared with the per-pair or
-uncached path it replaces.
+Random small datasets drive the edge matrices and every helper derived
+from them, the chain-code dispatch, the batched reasoner and the memoized
+item neighbors; each is compared with a set-based or per-pair reference
+written out here, or with the uncached path it replaces.
 """
 
+import warnings
+
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from cnre import dataio, reasoning, retrieval, tensorgrad as tg, training
+from cnre import dataio, propagation, reasoning, retrieval, tensorgrad as tg, training
 from cnre.reasoning import PreferenceStrength as P
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
 
 @st.composite
-def datasets(draw, max_users=6, max_items=8):
-    """Every (u, i) pair draws its chain code, so all chain shapes occur."""
+def edge_sets(draw, max_users=6, max_items=8):
+    """(users, items, edges): every (u, i) pair draws its chain code, so all chain shapes occur."""
     n_b = draw(st.integers(2, 4))
     m = draw(st.integers(1, max_users))
     n = draw(st.integers(2, max_items))
     codes = draw(st.lists(st.integers(0, (1 << n_b) - 1), min_size=m * n, max_size=m * n))
     edges = [{divmod(p, n) for p, c in enumerate(codes) if c >> k & 1} for k in range(n_b)]
-    return dataio.InteractionDataset(
-        spec=dataio.BehaviorSpec(tuple(f"b{k}" for k in range(n_b))),
+    return m, n, edges
+
+
+def _dataset(m, n, edges):
+    return dataio.InteractionDataset.from_edges(
+        spec=dataio.BehaviorSpec(tuple(f"b{k}" for k in range(len(edges)))),
         num_users=m, num_items=n, per_behavior_edges=edges,
         user_ids=[f"u{k}" for k in range(m)], item_ids=[f"i{k}" for k in range(n)])
+
+
+@st.composite
+def datasets(draw, max_users=6, max_items=8):
+    return _dataset(*draw(edge_sets(max_users, max_items)))
+
+
+def _entries(matrix):
+    """Stored (row, col) pairs of a CSR, in storage order."""
+    return list(zip(dataio.entry_rows(matrix).tolist(), matrix.indices.tolist()))
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for field in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def _reference_adjacency(edges, m, n):
+    """Normalized adjacency of an edge set, built from the sorted pairs through COO."""
+    if not edges:
+        return sp.csr_matrix((m, n))
+    arr = np.array(sorted(edges), dtype=np.int64)
+    us, its = arr[:, 0], arr[:, 1]
+    deg_u = np.bincount(us, minlength=m).astype(np.float64)
+    deg_i = np.bincount(its, minlength=n).astype(np.float64)
+    return sp.csr_matrix((1.0 / np.sqrt(deg_u[us] * deg_i[its]), (us, its)), shape=(m, n))
+
+
+@SETTINGS
+@given(edge_sets())
+def test_edge_matrices_are_canonical_read_only_and_match_the_sets(case):
+    m, n, edges = case
+    ds = _dataset(m, n, edges)
+    assert (ds.num_users, ds.num_items) == (m, n)
+    for b, (mat, want) in enumerate(zip(ds.matrices, edges)):
+        assert _entries(mat) == sorted(want)
+        assert mat.data.tolist() == [1] * len(want)
+        assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
+        assert ds.per_behavior_edges[b] == want == ds.edges(f"b{b}")
+        assert ds.user_items(b) == [{i for uu, i in want if uu == u} for u in range(m)]
+        for u in range(m):
+            assert ds.items_of(b, u).tolist() == sorted(i for uu, i in want if uu == u)
+    assert ds.total_interactions() == sum(len(e) for e in edges)
+    # repeated and unordered pairs give the same matrix
+    for mat, want in zip(ds.matrices, edges):
+        pairs = np.array(sorted(want) * 2, dtype=np.int64).reshape(-1, 2)[::-1]
+        _assert_same_csr(dataio.edge_matrix(pairs[:, 0], pairs[:, 1], m, n), mat)
+
+
+@SETTINGS
+@given(edge_sets())
+def test_chain_codes_and_adjacencies_match_set_references(case):
+    m, n, edges = case
+    ds = _dataset(m, n, edges)
+    union = set().union(*edges)
+    codes = ds.chain_code_matrix
+    assert _entries(codes) == sorted(union)
+    assert codes.data.tolist() == [sum(1 << k for k, e in enumerate(edges) if p in e)
+                                   for p in sorted(union)]
+    for u in range(m):
+        for i in range(n):
+            assert reasoning.observe_chain(ds, u, i) == tuple(int((u, i) in e) for e in edges)
+    model = training.CnreModel(ds, training.TrainConfig(embedding_dim=2, hyperedges=2))
+    for adj, e in zip(model.adjacencies + [model.unified_adj], edges + [union]):
+        want = _reference_adjacency(e, m, n)
+        _assert_same_csr(adj.user_to_item, want)
+        _assert_same_csr(adj.item_to_user, want.T.tocsr())
+
+
+def _reference_split(target, seed):
+    rng = np.random.default_rng(seed)
+    by_user = {}
+    for u, i in sorted(target):
+        by_user.setdefault(u, []).append(i)
+    held = {}
+    for u in sorted(by_user):
+        if len(by_user[u]) >= 2:
+            held[u] = by_user[u][rng.integers(len(by_user[u]))]
+    return held, target - set(held.items())
+
+
+@SETTINGS
+@given(edge_sets(), st.integers(0, 2**16))
+def test_split_holds_out_the_reference_items(case, seed):
+    m, n, edges = case
+    split = dataio.leave_one_out_split(_dataset(m, n, edges), seed)
+    held, train_target = _reference_split(edges[-1], seed)
+    assert split.test_positives == held
+    assert list(split.test_positives) == sorted(held)
+    assert list(split.train.per_behavior_edges) == edges[:-1] + [train_target]
+
+
+def _reference_drop(edges, m, user_fraction, drop_fraction, seed):
+    """Per affected user, drop a uniform subset of its (behavior, item-ascending) events."""
+    rng = np.random.default_rng(seed)
+    affected = sorted(set(map(int, rng.choice(m, size=int(round(user_fraction * m)),
+                                              replace=False))))
+    out = [set(e) for e in edges]
+    warned = []
+    for u in affected:
+        events = [(b, i) for b, e in enumerate(edges) for uu, i in sorted(e) if uu == u]
+        n_drop = int(round(drop_fraction * len(events)))
+        if n_drop == 0:
+            continue
+        for k in rng.choice(len(events), size=n_drop, replace=False):
+            b, i = events[k]
+            out[b].discard((u, i))
+        if not any(uu == u for e in out for uu, _ in e):
+            warned.append(f"user {u} has no interactions left after drop")
+    return out, warned
+
+
+@SETTINGS
+@given(edge_sets(), st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from([0.3, 0.5, 1.0]),
+       st.integers(0, 2**16))
+def test_drop_history_matches_reference(case, user_fraction, drop_fraction, seed):
+    m, n, edges = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = dataio.drop_history(_dataset(m, n, edges), user_fraction, drop_fraction, seed)
+    want, warned = _reference_drop(edges, m, user_fraction, drop_fraction, seed)
+    assert list(out.per_behavior_edges) == want
+    assert [str(w.message) for w in caught] == warned
+
+
+@SETTINGS
+@given(edge_sets(), st.integers(1, 4))
+def test_groups_and_conversion_order_match_set_references(case, n_groups):
+    m, n, edges = case
+    ds = _dataset(m, n, edges)
+    if m >= n_groups:
+        counts = np.zeros(m, dtype=np.int64)
+        for e in edges:
+            for u, _ in e:
+                counts[u] += 1
+        order = np.argsort(counts, kind="stable")
+        assert dataio.group_users_by_sparsity(ds, n_groups) == [
+            list(map(int, chunk)) for chunk in np.array_split(order, n_groups)]
+    rates = [(len(e & edges[-1]) / len(e) if e else -1.0, k)
+             for k, e in enumerate(edges[:-1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = dataio.compute_conversion_order(ds)
+    assert got == [f"b{k}" for _, k in sorted(rates)] + [f"b{len(edges) - 1}"]
+
+
+@SETTINGS
+@given(edge_sets(), st.integers(0, 200), st.integers(0, 2**16))
+def test_sampled_triples_are_edges_with_unobserved_negatives(case, count, seed):
+    m, n, edges = case
+    ds = _dataset(m, n, edges)
+    for b, e in enumerate(edges):
+        owned = [{i for uu, i in e if uu == u} for u in range(m)]
+        eligible = {(u, i) for u, i in e if len(owned[u]) < n}
+        if not eligible:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            triples = dataio.sample_bpr_triples(ds, b, count, np.random.default_rng(seed))
+        assert triples.shape == (count, 3) and triples.dtype == np.int64
+        for u, pos, neg in triples.tolist():
+            assert (u, pos) in eligible and neg not in owned[u] and 0 <= neg < n
 
 
 @SETTINGS

@@ -290,7 +290,7 @@ def test_retrieval_mediators_pool_the_neighbor_rows():
 
 def test_retrieval_mediator_without_neighbors_pools_zeros():
     # one item: the weak pair's item is the index's only row, so it has no neighbors
-    ds = dataio.InteractionDataset(
+    ds = dataio.InteractionDataset.from_edges(
         spec=dataio.BehaviorSpec(("view", "cart", "buy")), num_users=1, num_items=1,
         per_behavior_edges=[{(0, 0)}, set(), set()], user_ids=["u"], item_ids=["i"])
     model = training.CnreModel(ds, training.TrainConfig(embedding_dim=4, hyperedges=2,
