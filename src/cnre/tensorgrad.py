@@ -1,8 +1,9 @@
 """Minimal dense/sparse autodiff kernel with an Adam optimizer.
 
-Tensors wrap float64 numpy arrays and record a tape of operations so that
-``backward`` can replay exact reverse-mode gradients. The op set is the
-fixed vocabulary the rest of the model needs (matmul, sparse @ dense,
+Tensors wrap float64 numpy arrays, and each op output records its inputs
+with their vector-Jacobian products, so that ``backward`` can run exact
+reverse-mode gradients over the tape, freeing it as it goes. The op set is
+the fixed vocabulary the rest of the model needs (matmul, sparse @ dense,
 elementwise arithmetic with broadcasting, relu/sigmoid/softplus, row
 gather/concat, reductions). Every op output is checked for NaN/Inf and
 fails hard on the first non-finite value.
@@ -28,18 +29,23 @@ def _check_finite(arr, where):
 
 
 class Tensor:
-    """A float64 array plus gradient slot and backward closure."""
+    """A float64 array plus gradient slot and the op's (input, vjp) pairs.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    ``_inputs`` holds one pair per input that requires grad; ``vjp`` maps
+    this tensor's grad to that input's grad. No vjp refers to the tensor it
+    belongs to, so a tape is a DAG that reference counting frees. It is
+    ``None`` once ``backward`` has consumed the tape.
+    """
 
-    def __init__(self, data, requires_grad=False, op="leaf", _parents=()):
+    __slots__ = ("data", "grad", "requires_grad", "op", "_inputs")
+
+    def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         _check_finite(self.data, op)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward = None
         self.op = op
+        self._inputs = ()
 
     @property
     def shape(self):
@@ -54,25 +60,35 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Reverse-mode sweep from this (scalar) tensor."""
+        """Reverse-mode sweep from this (scalar) tensor; consumes the tape.
+
+        Each op output's grad and inputs are dropped once its vjps have run,
+        so only leaf grads remain and a second sweep over the tape raises.
+        """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar tensor")
+        # iterative post-order DFS: inputs before the ops that read them
         order = []
-        seen = set()
-
-        def visit(t):
-            if id(t) in seen or not t.requires_grad:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            order.append(t)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(_live_inputs(self)))]
+        while stack:
+            t, pending = stack[-1]
+            for p, _ in pending:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(_live_inputs(p))))
+                    break
+            else:
+                stack.pop()
+                order.append(t)
         self.accumulate_grad(np.ones_like(self.data))
-        for t in reversed(order):
-            if t._backward is not None:
-                t._backward()
+        while order:
+            t = order.pop()
+            if t._inputs:
+                for p, vjp in t._inputs:
+                    p.accumulate_grad(vjp(t.grad))
+                t._inputs = None
+                t.grad = None
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -81,15 +97,21 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
 
+def _live_inputs(t):
+    if t._inputs is None:
+        raise RuntimeError(f"backward() through a consumed tape (op {t.op!r})")
+    return t._inputs
+
+
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, backward, op):
-    req = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=req, op=op, _parents=tuple(parents) if req else ())
-    if req:
-        out._backward = backward
+def _make(data, op, *pairs):
+    """Op output over (input, vjp) pairs; only inputs that require grad are kept."""
+    pairs = tuple((t, vjp) for t, vjp in pairs if t.requires_grad)
+    out = Tensor(data, requires_grad=bool(pairs), op=op)
+    out._inputs = pairs
     return out
 
 
@@ -105,41 +127,23 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-    def backward():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
-    out = _make(data, (a, b), backward, "add")
-    return out
+    return _make(a.data + b.data, "add",
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-    def backward():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
-    out = _make(data, (a, b), backward, "sub")
-    return out
+    return _make(a.data - b.data, "sub",
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-    def backward():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
-    out = _make(data, (a, b), backward, "mul")
-    return out
+    return _make(a.data * b.data, "mul",
+                 (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b):
@@ -147,29 +151,18 @@ def div(a, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
     _check_finite(data, "div")
-    def backward():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-    out = _make(data, (a, b), backward, "div")
-    return out
+    return _make(data, "div",
+                 (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-    def backward():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-    out = _make(data, (a, b), backward, "matmul")
-    return out
+    return _make(a.data @ b.data, "matmul",
+                 (a, lambda g: g @ b.data.T),
+                 (b, lambda g: a.data.T @ g))
 
 
 def spmm(s, d):
@@ -180,33 +173,18 @@ def spmm(s, d):
     if s.shape[1] != d.data.shape[0]:
         raise ShapeError(f"spmm: {s.shape} @ {d.data.shape}")
     s = s.tocsr()
-    data = s @ d.data
-    def backward():
-        if d.requires_grad:
-            d.accumulate_grad(s.T @ out.grad)
-    out = _make(data, (d,), backward, "spmm")
-    return out
+    return _make(s @ d.data, "spmm", (d, lambda g: s.T @ g))
 
 
 def transpose(a):
     a = as_tensor(a)
-    data = a.data.T.copy()
-    def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.T)
-    out = _make(data, (a,), backward, "transpose")
-    return out
+    return _make(a.data.T.copy(), "transpose", (a, lambda g: g.T))
 
 
 def relu(a):
     a = as_tensor(a)
     mask = a.data > 0.0  # subgradient at 0 is 0
-    data = np.where(mask, a.data, 0.0)
-    def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * mask)
-    out = _make(data, (a,), backward, "relu")
-    return out
+    return _make(np.where(mask, a.data, 0.0), "relu", (a, lambda g: g * mask))
 
 
 def _sigmoid(x):
@@ -221,74 +199,48 @@ def _sigmoid(x):
 def sigmoid(a):
     a = as_tensor(a)
     data = _sigmoid(a.data)
-    def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * data * (1.0 - data))
-    out = _make(data, (a,), backward, "sigmoid")
-    return out
+    return _make(data, "sigmoid", (a, lambda g: g * data * (1.0 - data)))
 
 
 def softplus(a):
     """log(1 + exp(x)), numerically stable."""
     a = as_tensor(a)
-    data = np.logaddexp(0.0, a.data)
-    def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * _sigmoid(a.data))
-    out = _make(data, (a,), backward, "softplus")
-    return out
+    return _make(np.logaddexp(0.0, a.data), "softplus",
+                 (a, lambda g: g * _sigmoid(a.data)))
+
+
+def _concat(tensors, axis, op):
+    ts = [as_tensor(t) for t in tensors]
+    other = 1 - axis
+    for t in ts:
+        if t.data.shape[other] != ts[0].data.shape[other]:
+            raise ShapeError(f"{op}: {'row' if axis else 'column'} counts differ")
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts]).tolist()
+
+    def piece(lo, hi):
+        return lambda g: g[:, lo:hi] if axis else g[lo:hi]
+    return _make(np.concatenate([t.data for t in ts], axis=axis), op,
+                 *((t, piece(lo, hi)) for t, lo, hi in zip(ts, offsets, offsets[1:])))
 
 
 def concat_cols(tensors):
-    ts = [as_tensor(t) for t in tensors]
-    rows = ts[0].data.shape[0]
-    for t in ts:
-        if t.data.shape[0] != rows:
-            raise ShapeError("concat_cols: row counts differ")
-    data = np.concatenate([t.data for t in ts], axis=1)
-    widths = [t.data.shape[1] for t in ts]
-    def backward():
-        g = out.grad
-        off = 0
-        for t, w in zip(ts, widths):
-            if t.requires_grad:
-                t.accumulate_grad(g[:, off:off + w])
-            off += w
-    out = _make(data, ts, backward, "concat_cols")
-    return out
+    return _concat(tensors, 1, "concat_cols")
 
 
 def concat_rows(tensors):
-    ts = [as_tensor(t) for t in tensors]
-    cols = ts[0].data.shape[1]
-    for t in ts:
-        if t.data.shape[1] != cols:
-            raise ShapeError("concat_rows: column counts differ")
-    data = np.concatenate([t.data for t in ts], axis=0)
-    heights = [t.data.shape[0] for t in ts]
-    def backward():
-        g = out.grad
-        off = 0
-        for t, h in zip(ts, heights):
-            if t.requires_grad:
-                t.accumulate_grad(g[off:off + h])
-            off += h
-    out = _make(data, ts, backward, "concat_rows")
-    return out
+    return _concat(tensors, 0, "concat_rows")
 
 
 def index_rows(a, idx):
     """Gather rows; backward scatter-adds (handles repeated indices)."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    data = a.data[idx]
-    def backward():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, out.grad)
-            a.accumulate_grad(g)
-    out = _make(data, (a,), backward, "index_rows")
-    return out
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return full
+    return _make(a.data[idx], "index_rows", (a, vjp))
 
 
 def rowwise_dot(a, b):
@@ -296,36 +248,21 @@ def rowwise_dot(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"rowwise_dot: {a.data.shape} vs {b.data.shape}")
-    data = np.sum(a.data * b.data, axis=1, keepdims=True)
-    def backward():
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-    out = _make(data, (a, b), backward, "rowwise_dot")
-    return out
+    return _make(np.sum(a.data * b.data, axis=1, keepdims=True), "rowwise_dot",
+                 (a, lambda g: g * b.data),
+                 (b, lambda g: g * a.data))
 
 
 def sum_all(a):
     a = as_tensor(a)
-    data = np.array(a.data.sum())
-    def backward():
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, out.grad))
-    out = _make(data, (a,), backward, "sum_all")
-    return out
+    return _make(np.array(a.data.sum()), "sum_all", (a, lambda g: np.full_like(a.data, g)))
 
 
 def l2_norm_sq(a):
     """Squared Frobenius norm as a scalar tensor."""
     a = as_tensor(a)
-    data = np.array(np.sum(a.data * a.data))
-    def backward():
-        if a.requires_grad:
-            a.accumulate_grad(2.0 * out.grad * a.data)
-    out = _make(data, (a,), backward, "l2_norm_sq")
-    return out
+    return _make(np.array(np.sum(a.data * a.data)), "l2_norm_sq",
+                 (a, lambda g: 2.0 * g * a.data))
 
 
 class ParameterStore:

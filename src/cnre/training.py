@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field, asdict
@@ -289,6 +290,44 @@ def save_checkpoint(path, store, header):
             fh.write(arr.tobytes(order="C"))
 
 
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_slot(value):
+    return (isinstance(value, dict) and isinstance(value.get("name"), str)
+            and isinstance(value.get("shape"), list) and all(map(_is_count, value["shape"])))
+
+
+# header fields CnreModel.from_checkpoint reads, with their checks
+_HEADER_FIELDS = {
+    "num_users": _is_count,
+    "num_items": _is_count,
+    "behaviors": lambda v: isinstance(v, list) and all(isinstance(b, str) for b in v),
+    "step": _is_count,
+    "config": lambda v: isinstance(v, dict),
+    "slots": lambda v: isinstance(v, list) and all(map(_is_slot, v)),
+}
+
+
+def _parse_header(raw):
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    for key, valid in _HEADER_FIELDS.items():
+        if key not in header:
+            raise CheckpointError(f"checkpoint header has no '{key}'")
+        if not valid(header[key]):
+            raise CheckpointError(f"checkpoint header field '{key}' is malformed")
+    names = [slot["name"] for slot in header["slots"]]
+    if len(set(names)) != len(names):
+        raise CheckpointError("checkpoint header names a slot twice")
+    return header
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -301,16 +340,22 @@ def load_checkpoint(path):
     (hlen,) = struct.unpack("<I", blob[5:9])
     if len(blob) < 9 + hlen:
         raise CheckpointError("truncated checkpoint header")
-    header = json.loads(blob[9:9 + hlen].decode("utf-8"))
+    header = _parse_header(blob[9:9 + hlen])
     off = 9 + hlen
     arrays = {}
     for slot in header["slots"]:
-        shape = tuple(slot["shape"])
-        nbytes = 4 * int(np.prod(shape))
+        name, shape = slot["name"], tuple(slot["shape"])
+        nbytes = 4 * math.prod(shape)
         chunk = blob[off:off + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"truncated payload for slot '{slot['name']}'")
-        arrays[slot["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+            raise CheckpointError(f"truncated payload for slot '{name}'")
+        try:
+            arr = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+        except ValueError as exc:  # a zero-size shape numpy cannot allocate
+            raise CheckpointError(f"slot '{name}': shape {list(shape)}: {exc}") from exc
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"slot '{name}' holds non-finite values")
+        arrays[name] = arr
         off += nbytes
     if off != len(blob):
         raise CheckpointError("trailing bytes after declared payload")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -212,6 +213,54 @@ class TestExitCodes:
                            match="head_bo: checkpoint \\[1, 2\\], model \\[1, 1\\]"):
             training.CnreModel.from_checkpoint(bad, train)
         assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    def _raw_checkpoint(self, workspace, edit_header=None, edit_payload=None):
+        """Train, then rewrite the saved file's JSON header or payload bytes; return its path."""
+        tmp_path, mpath, manifest, _ = workspace
+        assert cli.main(["train", "--manifest", str(mpath)]) == 0
+        with open(os.path.join(manifest["output_dir"], "checkpoint.cnre"), "rb") as fh:
+            blob = fh.read()
+        (hlen,) = struct.unpack("<I", blob[5:9])
+        header = json.loads(blob[9:9 + hlen])
+        payload = bytearray(blob[9 + hlen:])
+        if edit_header is not None:
+            header = edit_header(header)
+        if edit_payload is not None:
+            edit_payload(payload)
+        raw = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.cnre"
+        bad.write_bytes(blob[:5] + struct.pack("<I", len(raw)) + raw + bytes(payload))
+        return str(bad)
+
+    def _assert_rejected(self, workspace, bad, match):
+        train = cli.build_split(cli.load_manifest(str(workspace[1]))).train
+        with pytest.raises(training.CheckpointError, match=match):
+            training.CnreModel.from_checkpoint(bad, train)
+        assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    def test_checkpoint_slots_not_a_list_exits_2(self, workspace):
+        def edit(header):
+            header["slots"] = 5
+            return header
+        self._assert_rejected(workspace, self._raw_checkpoint(workspace, edit),
+                              "field 'slots' is malformed")
+
+    def test_checkpoint_header_not_an_object_exits_2(self, workspace):
+        bad = self._raw_checkpoint(workspace, lambda header: [header])
+        self._assert_rejected(workspace, bad, "not a JSON object")
+
+    def test_checkpoint_string_shape_exits_2(self, workspace):
+        def edit(header):
+            header["slots"][0]["shape"] = ["12", "6"]
+            return header
+        self._assert_rejected(workspace, self._raw_checkpoint(workspace, edit),
+                              "field 'slots' is malformed")
+
+    def test_checkpoint_nan_parameter_exits_2(self, workspace):
+        def edit(payload):
+            payload[:4] = struct.pack("<f", float("nan"))
+        bad = self._raw_checkpoint(workspace, edit_payload=edit)
+        self._assert_rejected(workspace, bad, "slot 'base_user' holds non-finite values")
 
     def test_internal_shape_error_is_not_invalid_input(self, workspace, monkeypatch):
         _, mpath, _, _ = workspace

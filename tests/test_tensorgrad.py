@@ -1,10 +1,13 @@
-"""Unit tests for the autodiff kernel: op gradients, Adam, and the FD harness."""
+"""Unit tests for the autodiff kernel: op gradients, the tape, Adam, and the FD harness."""
+
+import gc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cnre import tensorgrad as tg
+from cnre import dataio, tensorgrad as tg, training
+from cnre.synthetic import make_planted_dataset
 
 
 def _fd_scalar(loss_fn, store, **kw):
@@ -129,6 +132,102 @@ def test_sigmoid_softplus_stable_at_extremes():
     np.testing.assert_allclose(p.data[1], 1000.0, rtol=1e-12)
 
 
+def _small_loss(store):
+    """A scalar loss through all 16 ops."""
+    a, b = store["a"], store["b"]
+    x = tg.concat_cols([tg.index_rows(a, [0, 2, 2]), tg.relu(b)])
+    y = tg.concat_rows([tg.sigmoid(x), tg.softplus(x)])
+    z = tg.div(tg.sub(tg.mul(y, y), tg.transpose(tg.transpose(y))), tg.add(y, 3.0))
+    w = tg.spmm(sp.csr_matrix(np.eye(6)), tg.matmul(z, tg.transpose(z)))
+    return tg.add(tg.sum_all(tg.rowwise_dot(w, w)), tg.l2_norm_sq(a))
+
+
+@pytest.fixture
+def gc_off():
+    """Disable the cyclic collector so that only reference counting frees memory."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+    gc.collect()
+
+
+class TestTape:
+    def _store(self):
+        rng = np.random.default_rng(8)
+        return _store_with(a=rng.normal(size=(3, 2)), b=rng.normal(size=(3, 2)))
+
+    def test_dropped_loss_leaves_no_cyclic_garbage(self, gc_off):
+        store = self._store()
+        gc.collect()
+        loss = _small_loss(store)   # never backpropagated
+        del loss
+        loss = _small_loss(store)
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+
+    def test_fit_epoch_leaves_no_tensor_garbage(self, gc_off):
+        ds = make_planted_dataset(num_users=15, num_items=10, n_groups=3)
+        split = dataio.leave_one_out_split(ds, 0)
+        cfg = training.TrainConfig(embedding_dim=4, hyperedges=2, epochs=1, seed=0,
+                                   batch_size=8, n_c=3)
+        model = training.CnreModel(split.train, cfg)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            model.fit()
+            gc.collect()
+            tensors = [o for o in gc.garbage if isinstance(o, tg.Tensor)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert tensors == []
+
+    def test_backward_frees_intermediates_and_keeps_leaf_grads(self):
+        store = self._store()
+        a = store["a"]
+        h = tg.mul(a, a)
+        loss = tg.sum_all(h)
+        loss.backward()
+        for t in (h, loss):
+            assert t.grad is None and t._inputs is None
+        np.testing.assert_array_equal(a.grad, 2.0 * a.data)
+        assert a._inputs == ()
+        assert store["b"].grad is None
+
+    def test_second_backward_raises(self):
+        store = self._store()
+        loss = _small_loss(store)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="consumed tape") as info:
+            loss.backward()
+        assert not isinstance(info.value, ValueError)
+
+    def test_backward_through_a_consumed_branch_raises(self):
+        store = self._store()
+        shared = tg.mul(store["a"], store["a"])
+        tg.sum_all(shared).backward()
+        with pytest.raises(RuntimeError, match="consumed tape"):
+            tg.sum_all(tg.add(shared, store["b"])).backward()
+
+    def test_inputs_without_grad_are_not_recorded(self):
+        store = self._store()
+        const = tg.Tensor(np.ones((3, 2)))
+        out = tg.mul(const, store["a"])
+        assert [t for t, _ in out._inputs] == [store["a"]]
+        assert tg.mul(const, const)._inputs == ()
+        assert not tg.mul(const, const).requires_grad
+
+    def test_deep_chain_needs_no_recursion(self):
+        x = tg.Tensor(np.array([[1.0]]), requires_grad=True)
+        y = x
+        for _ in range(5000):
+            y = tg.add(y, 0.0)
+        tg.sum_all(y).backward()
+        np.testing.assert_array_equal(x.grad, [[1.0]])
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         """With bias correction, step 1 moves by lr * g / (|g| + eps)."""
@@ -186,8 +285,7 @@ def test_finite_difference_check_flags_wrong_gradient():
 
     def bad_loss():
         w = store["w"]
-        out = tg.Tensor(w.data * w.data, requires_grad=True, op="bad", _parents=(w,))
-        out._backward = lambda: w.accumulate_grad(out.grad * 3.0 * w.data)  # wrong: 3x
+        out = tg._make(w.data * w.data, "bad", (w, lambda g: g * 3.0 * w.data))  # wrong: 3x
         return tg.sum_all(out)
 
     assert tg.finite_difference_check(bad_loss, store) > 0.1

@@ -1,7 +1,11 @@
 """Head/loss oracles, training-loop behavior and checkpoint persistence."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnre import dataio, reasoning, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
@@ -224,6 +228,112 @@ class TestCheckpoints:
         other_split = dataio.leave_one_out_split(other, 0)
         with pytest.raises(training.CheckpointError, match="dimensions"):
             training.CnreModel.from_checkpoint(str(path), other_split.train)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """(checkpoint bytes, train dataset, scratch dir) of a small one-epoch model."""
+    ds = make_planted_dataset(num_users=12, num_items=8, n_groups=3)
+    split = dataio.leave_one_out_split(ds, 0)
+    cfg = training.TrainConfig(embedding_dim=4, hyperedges=2, epochs=1, seed=3)
+    model, _ = training.train(split, cfg)
+    workdir = tmp_path_factory.mktemp("fuzz")
+    model.save(str(workdir / "model.cnre"))
+    return (workdir / "model.cnre").read_bytes(), split.train, workdir
+
+
+def _load_only_or_checkpoint_error(blob, train, workdir):
+    """from_checkpoint on blob either returns a model or raises CheckpointError."""
+    path = workdir / "edited.cnre"
+    path.write_bytes(bytes(blob))
+    try:
+        model = training.CnreModel.from_checkpoint(str(path), train)
+    except training.CheckpointError:
+        return
+    assert isinstance(model, training.CnreModel)
+
+
+def _with_header(blob, header):
+    """The checkpoint blob with its JSON header replaced by header."""
+    (hlen,) = struct.unpack("<I", blob[5:9])
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:5] + struct.pack("<I", len(raw)) + raw + blob[9 + hlen:]
+
+
+def _other_type(value):
+    """JSON values whose type differs from value's (bool counts apart from int)."""
+    def kind(v):
+        return type(v).__name__ if not isinstance(v, float) else "float"
+    leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
+                     st.text(max_size=3))
+    any_json = st.recursive(leaf, lambda inner: st.lists(inner, max_size=2)
+                            | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                            max_leaves=4)
+    return any_json.filter(lambda v: kind(v) != kind(value))
+
+
+class TestCheckpointFuzz:
+    """Damaged checkpoints load or raise CheckpointError, never another error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncation(self, saved_checkpoint, data):
+        blob, train, workdir = saved_checkpoint
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        _load_only_or_checkpoint_error(blob[:cut], train, workdir)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_single_bit_flip(self, saved_checkpoint, data):
+        blob, train, workdir = saved_checkpoint
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        _load_only_or_checkpoint_error(flipped, train, workdir)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_header_field_type_edit(self, saved_checkpoint, data):
+        blob, train, workdir = saved_checkpoint
+        (hlen,) = struct.unpack("<I", blob[5:9])
+        header = json.loads(blob[9:9 + hlen])
+        slot = data.draw(st.sampled_from(header["slots"]))
+        # (container, key) of every top-level field and every slot field
+        places = [(header, k) for k in sorted(header)] + [(slot, "name"), (slot, "shape")]
+        places += [(slot["shape"], k) for k in range(len(slot["shape"]))]
+        where, key = data.draw(st.sampled_from(places))
+        where[key] = data.draw(_other_type(where[key]))
+        _load_only_or_checkpoint_error(_with_header(blob, header), train, workdir)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("num_users", None, "has no 'num_users'"),
+        ("step", None, "has no 'step'"),
+        ("slots", None, "has no 'slots'"),
+        ("step", "1", "'step' is malformed"),
+        ("step", -1, "'step' is malformed"),
+        ("num_items", 8.0, "'num_items' is malformed"),
+        ("num_users", True, "'num_users' is malformed"),
+        ("behaviors", "view", "'behaviors' is malformed"),
+        ("behaviors", ["view", 1, "buy"], "'behaviors' is malformed"),
+        ("config", [], "'config' is malformed"),
+        ("slots", [{"name": "base_user"}], "'slots' is malformed"),
+        ("slots", [{"name": 1, "shape": [12, 4]}], "'slots' is malformed"),
+        ("slots", [{"name": "base_user", "shape": [12, -4]}], "'slots' is malformed"),
+        ("slots", [{"name": "a", "shape": []}, {"name": "a", "shape": []}], "slot twice"),
+        ("slots", [{"name": "a", "shape": [0, 2 ** 62, 2 ** 62]}], "slot 'a': shape"),
+    ])
+    def test_malformed_header_field_rejected(self, saved_checkpoint, field, value, match):
+        blob, _, workdir = saved_checkpoint
+        (hlen,) = struct.unpack("<I", blob[5:9])
+        header = json.loads(blob[9:9 + hlen])
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        path = workdir / "malformed.cnre"
+        path.write_bytes(_with_header(blob, header))
+        with pytest.raises(training.CheckpointError, match=match):
+            training.load_checkpoint(str(path))
 
 
 def test_full_loss_gradients_finite_difference():
