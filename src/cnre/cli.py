@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
 
 from . import dataio, evalexplain, training
 from .tensorgrad import NonFiniteError
@@ -23,7 +22,6 @@ class ManifestError(ValueError):
 
 
 _TOP_KEYS = {"behaviors", "files", "order", "split_seed", "output_dir", "ks", "train"}
-_TRAIN_KEYS = {f.name for f in fields(training.TrainConfig)}
 
 
 def load_manifest(path):
@@ -49,10 +47,10 @@ def load_manifest(path):
     extra_files = set(files) - set(behaviors)
     if extra_files:
         raise ManifestError(f"files listed for unknown behaviors: {sorted(extra_files)}")
-    train_raw = dict(raw.get("train", {}))
-    unknown_train = set(train_raw) - _TRAIN_KEYS
-    if unknown_train:
-        raise ManifestError(f"unknown train keys: {sorted(unknown_train)}")
+    try:
+        config = training.TrainConfig(**dict(raw.get("train", {})))
+    except (TypeError, ValueError) as exc:  # an unknown or mistyped key
+        raise ManifestError(f"manifest train block: {exc}") from exc
     order = raw.get("order", behaviors)
     if order != "auto":
         order = list(order)
@@ -65,7 +63,7 @@ def load_manifest(path):
         "split_seed": int(raw.get("split_seed", 0)),
         "output_dir": raw.get("output_dir", "cnre_out"),
         "ks": [int(k) for k in raw.get("ks", [10, 50])],
-        "train": training.TrainConfig(**train_raw),
+        "train": config,
     }
 
 

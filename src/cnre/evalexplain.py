@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, training, tensorgrad as tg
-from .reasoning import PreferenceStrength, STRENGTH_RANK, observe_chain
+from .reasoning import PreferenceStrength, STRENGTH_RANK
 
 
 @dataclass
@@ -136,7 +136,7 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
     return [(int(candidates[k]), float(probs[k]), str(labels[k])) for k in order]
 
 
-def evaluate(model, split, ks=(10, 50), n_groups=4):
+def evaluate(model, split, ks=(10, 50)):
     """Mean HR/NDCG over test users plus path and sparsity analytics."""
     ds = model.train_dataset
     if (ds.num_users, ds.num_items) != (split.train.num_users, split.train.num_items):
@@ -171,7 +171,7 @@ def evaluate(model, split, ks=(10, 50), n_groups=4):
     path_fractions = {p: c / total for p, c in path_counts.items()}
 
     group_metrics = []
-    for g_idx, members in enumerate(dataio.group_users_by_sparsity(ds, n_groups=n_groups)):
+    for g_idx, members in enumerate(dataio.group_users_by_sparsity(ds)):
         in_test = [u for u in members if u in results]
         group_metrics.append({"group": g_idx + 1, "users": len(in_test),
                               "hr": {str(k): mean(hr_at_k, in_test, k) if in_test else None
@@ -212,8 +212,8 @@ def _trace_to_record(model, trace, u, i, score):
                              steps=steps, score=score)
 
 
-def explain(user_raw, item_raw, model, cascade=None, indices=None, flags_fn=None):
-    """Run the reasoner once for a raw (user, item) pair and record the trace."""
+def explain(user_raw, item_raw, model, cascade=None, indices=None, code=None):
+    """Reason once over a raw (user, item) pair, with chain code ``code`` if given."""
     ds = model.train_dataset
     u = ds.encode_user(user_raw)
     i = ds.encode_item(item_raw)
@@ -221,8 +221,7 @@ def explain(user_raw, item_raw, model, cascade=None, indices=None, flags_fn=None
         cascade = model.cascade()
     if indices is None:
         indices = model.build_indices(cascade)
-    mediators, traces = model.reason_batch([u], [i], cascade, indices,
-                                           collect_traces=True, flags_fn=flags_fn)
+    mediators, traces = model.reason_batch([u], [i], cascade, indices, codes=code)
     score = float(training.predict(mediators, model.store).data[0, 0])
     trace = traces[0]
     trace.score = score
@@ -230,10 +229,10 @@ def explain(user_raw, item_raw, model, cascade=None, indices=None, flags_fn=None
 
 
 def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
-    """Re-run the reasoner with an edited chain observation.
+    """Re-run the reasoner with one bit of the pair's chain code flipped.
 
     Returns (base_record, edited_record, diff); model parameters and train
-    edges are untouched, only the observation seen by the dispatcher changes.
+    edges are untouched, only the code seen by the dispatcher changes.
     """
     ds = model.train_dataset
     u = ds.encode_user(user_raw)
@@ -243,22 +242,19 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     if indices is None:
         indices = model.build_indices(cascade)
 
-    base_flags = observe_chain(ds, u, i)
+    code = int(ds.chain_code_matrix[u, i])
     label = edit.drop if edit.drop is not None else edit.add
     if label not in ds.spec.names:
         raise ValueError(f"unknown behavior label {label!r}")
-    b = ds.spec.index_of(label)
-    if edit.drop is not None and not base_flags[b]:
+    bit = 1 << ds.spec.index_of(label)
+    if edit.drop is not None and not code & bit:
         raise ValueError(f"cannot drop absent behavior '{label}'")
-    if edit.add is not None and base_flags[b]:
+    if edit.add is not None and code & bit:
         raise ValueError(f"cannot add already-present behavior '{label}'")
-    edited_flags = list(base_flags)
-    edited_flags[b] = 0 if edit.drop is not None else 1
-    edited_flags = tuple(edited_flags)
 
     base = explain(user_raw, item_raw, model, cascade=cascade, indices=indices)
     edited = explain(user_raw, item_raw, model, cascade=cascade, indices=indices,
-                     flags_fn=lambda uu, ii: edited_flags)
+                     code=code ^ bit)
 
     def neighbors(rec):
         for step in rec.steps:

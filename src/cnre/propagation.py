@@ -115,7 +115,6 @@ def aggregate_behavior(e_prev, e_col, e_hat_sem):
 
 
 def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_counts,
-                    eps=1e-8, hypergraph_normalize=True,
                     disable_hpp=False, disable_par=False, disable_prj=False):
     """Run the full propagation cascade and record every bundle.
 
@@ -156,13 +155,13 @@ def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_coun
         else:
             h_u = hypergraph_incidence(e_col_u, params[f"hyp_u_{name}"])
             h_i = hypergraph_incidence(e_col_i, params[f"hyp_i_{name}"])
-            e_sem_u = hypergraph_convolve(h_u, e_col_u, normalize=hypergraph_normalize)
-            e_sem_i = hypergraph_convolve(h_i, e_col_i, normalize=hypergraph_normalize)
+            e_sem_u = hypergraph_convolve(h_u, e_col_u, normalize=True)
+            e_sem_i = hypergraph_convolve(h_i, e_col_i, normalize=True)
             if disable_prj:
                 e_hat_u, e_hat_i = e_sem_u, e_sem_i
             else:
-                e_hat_u = adaptive_project(e_col_u, e_sem_u, eps)
-                e_hat_i = adaptive_project(e_col_i, e_sem_i, eps)
+                e_hat_u = adaptive_project(e_col_u, e_sem_u)
+                e_hat_i = adaptive_project(e_col_i, e_sem_i)
 
         up_u = zeros_u if disable_hpp else prev_u
         up_i = zeros_i if disable_hpp else prev_i

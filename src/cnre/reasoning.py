@@ -136,13 +136,7 @@ class GateSnapshot:
 PATHS = tuple(PreferenceStrength)  # path index -> strength
 _MEDIUM = PATHS.index(PreferenceStrength.MEDIUM)
 _WEAK = PATHS.index(PreferenceStrength.WEAK)
-_DEFAULT = PATHS.index(PreferenceStrength.DEFAULT)
 _CONCAT, _CONJ, _DISJ = 0, 1, 2   # operator codes, in the order groups are stacked
-
-
-def flags_to_code(flags):
-    """Chain code of a flag tuple: bit k is behavior k's flag."""
-    return sum(1 << k for k, f in enumerate(flags) if f)
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,7 +184,7 @@ class TraceSequence(Sequence):
     _SPACES = {_CONJ: "collaborative", _DISJ: "semantic"}
 
     def __init__(self, codes, paths, behaviors, confidence, neighbors, kinds,
-                 n_behaviors, tau, mediators=None):
+                 n_behaviors, tau, mediators):
         self._codes = codes
         self._paths = paths
         self._behaviors = behaviors
@@ -199,7 +193,7 @@ class TraceSequence(Sequence):
         self._kinds = kinds
         self._flags = flag_table(n_behaviors)
         self._tau = tau
-        self._mediators = mediators    # mediator rows when traces were collected
+        self._mediators = mediators    # the batch's mediator array; rows are copied on read
         self._cache = {}
 
     def __len__(self):
@@ -229,25 +223,25 @@ class TraceSequence(Sequence):
             confidence=None if math.isnan(conf) else conf,
             neighbor_ids=None if ids is None else list(ids),
             space=self._SPACES.get(self._kinds[k]),
-            mediator=None if self._mediators is None else self._mediators[k].copy())
+            mediator=self._mediators[k].copy())
 
 
 def reason_batch(users, items, train, cascade, indices, params, tau,
                  n_c=10, disable_rea=False, disable_cnj=False,
-                 disable_dsj=False, collect_traces=False, flags_fn=None,
-                 gate=None):
+                 disable_dsj=False, codes=None, gate=None):
     """Route a batch of (u, i) pairs through the reasoner.
 
     Returns (mediators, traces) where mediators is an (n x 2d) tensor in
     batch order and traces is a TraceSequence of ReasoningTrace, built
-    lazily (the mediator snapshot inside each trace is filled only when
-    collect_traces is True). When a GateSnapshot is given, confidence
-    scores read it instead of the live cascade values; retrieval asks the
-    indices for the neighbors of each pair's item.
+    lazily. When a GateSnapshot is given, confidence scores read it
+    instead of the live cascade values; retrieval asks the indices for the
+    neighbors of each pair's item.
 
-    Dispatch is a table lookup on each pair's chain code; pairs are then
-    grouped by (operator, behavior), each group keeping batch order, and
-    every group's mediators are computed in one batched call.
+    Dispatch is a table lookup on each pair's chain code (on code 0 under
+    disable_rea); ``codes``, one code or one per pair, replaces the observed
+    codes. Pairs are then grouped by (operator, behavior), each group
+    keeping batch order, and every group's mediators are computed in one
+    batched call.
     """
     gate_arrays = (gate.per_behavior if gate is not None
                    else [_gate_arrays(b) for b in cascade.per_behavior])
@@ -255,20 +249,15 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     items = np.asarray(items, dtype=np.int64)
     n = users.shape[0]
     n_b = len(train.spec)
-    t_idx = n_b - 1
 
-    if flags_fn is None:
+    if codes is None:
         codes = train.chain_codes(users, items)
     else:
-        codes = np.array([flags_to_code(flags_fn(int(u), int(i)))
-                          for u, i in zip(users, items)], dtype=np.int64)
+        codes = np.broadcast_to(np.asarray(codes, dtype=np.int64), (n,))
     path_table, behavior_table = dispatch_table(n_b)
-    if disable_rea:
-        paths = np.full(n, _DEFAULT, dtype=np.int64)
-        behaviors = np.full(n, t_idx, dtype=np.int64)
-    else:
-        paths = path_table[codes]
-        behaviors = behavior_table[codes]
+    routed = np.zeros_like(codes) if disable_rea else codes
+    paths = path_table[routed]
+    behaviors = behavior_table[routed]
 
     kinds = np.full(n, _CONCAT, dtype=np.int64)
     confidence = np.full(n, np.nan)
@@ -312,12 +301,12 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     mediators = tg.index_rows(stacked, inv)
 
     traces = TraceSequence(codes, paths, behaviors, confidence, neighbors, kinds,
-                           n_b, tau, mediators=mediators.data if collect_traces else None)
+                           n_b, tau, mediators.data)
     return mediators, traces
 
 
 def reason(u, i, train, cascade, indices, params, tau, n_c=10, **flags):
     """Single-pair wrapper around reason_batch."""
     mediators, traces = reason_batch([u], [i], train, cascade, indices, params,
-                                     tau, n_c=n_c, collect_traces=True, **flags)
+                                     tau, n_c=n_c, **flags)
     return mediators, traces[0]

@@ -13,16 +13,19 @@ import math
 
 import numpy as np
 
+# HNSW: links per node above layer 0 (twice that at layer 0), and the
+# candidate-list widths of insertion and search
+HNSW_M = 16
+HNSW_EF_CONSTRUCTION = 100
+HNSW_EF_SEARCH = 128
+
 
 class _HnswGraph:
     """Navigable small-world layers over the row set."""
 
-    def __init__(self, space, rng, m=16, ef_construction=100):
+    def __init__(self, space, rng):
         self.space = space
-        self.m = m
-        self.m0 = 2 * m
-        self.ef_construction = ef_construction
-        self.level_mult = 1.0 / math.log(m)
+        self.level_mult = 1.0 / math.log(HNSW_M)
         self.entry = None
         self.max_level = -1
         self.levels = []
@@ -47,8 +50,8 @@ class _HnswGraph:
         for lvl in range(self.max_level, level, -1):
             ep = self._greedy(q, ep, lvl)
         for lvl in range(min(level, self.max_level), -1, -1):
-            cands = self._search_layer(q, [ep], lvl, self.ef_construction)
-            cap = self.m0 if lvl == 0 else self.m
+            cands = self._search_layer(q, [ep], lvl, HNSW_EF_CONSTRUCTION)
+            cap = 2 * HNSW_M if lvl == 0 else HNSW_M
             chosen = [i for _, i in cands[:cap]]
             self.links[node][lvl] = list(chosen)
             for c in chosen:
@@ -105,19 +108,18 @@ class _HnswGraph:
             del best[max(ef, 1):]
         return best
 
-    def search(self, q, k, ef):
+    def search(self, q, k):
         ep = self.entry
         for lvl in range(self.max_level, 0, -1):
             ep = self._greedy(q, ep, lvl)
-        found = self._search_layer(q, [ep], 0, max(ef, k))
+        found = self._search_layer(q, [ep], 0, max(HNSW_EF_SEARCH, k))
         return found[:k]
 
 
 class NNIndex:
     """Frozen snapshot of an embedding space plus a search structure."""
 
-    def __init__(self, space, mode="exact", m=16, ef_construction=100,
-                 ef_search=128, seed=0):
+    def __init__(self, space, mode="exact", seed=0):
         space = np.asarray(space, dtype=np.float64)
         if space.ndim != 2 or space.shape[0] < 1:
             raise ValueError("index space must be a non-empty 2-D array")
@@ -125,21 +127,19 @@ class NNIndex:
             raise ValueError(f"unknown index mode {mode!r}")
         self.space = space.copy()
         self.mode = mode
-        self.ef_search = ef_search
         self._graph = None
         self._neighbors = {}  # (item, n_c) -> tuple of neighbor ids
         if mode == "approximate":
             rng = np.random.default_rng(seed)
-            self._graph = _HnswGraph(self.space, rng, m=m,
-                                     ef_construction=ef_construction)
+            self._graph = _HnswGraph(self.space, rng)
 
     @property
     def size(self):
         return self.space.shape[0]
 
 
-def build_index(space, mode="exact", **kwargs):
-    return NNIndex(space, mode=mode, **kwargs)
+def build_index(space, mode="exact", seed=0):
+    return NNIndex(space, mode=mode, seed=seed)
 
 
 def query(index, vector, n_c, exclude_id=None):
@@ -173,7 +173,7 @@ def neighbors(index, items, n_c):
 def _search(index, q, n_c, exclude_id):
     if index.mode == "approximate":
         # over-fetch so the excluded id cannot starve the result
-        found = index._graph.search(q, n_c + 1, index.ef_search)
+        found = index._graph.search(q, n_c + 1)
         return [i for _, i in found if exclude_id is None or i != exclude_id][:n_c]
     diff = index.space - q
     dist = np.sum(diff * diff, axis=1)

@@ -150,7 +150,6 @@ def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
-    _check_finite(data, "div")
     return _make(data, "div",
                  (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
                  (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
@@ -265,6 +264,11 @@ def l2_norm_sq(a):
                  (a, lambda g: 2.0 * g * a.data))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class ParameterStore:
     """Named trainable tensors with paired Adam moment buffers."""
 
@@ -299,7 +303,7 @@ class ParameterStore:
         for t in self._slots.values():
             t.zero_grad()
 
-    def adam_step(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def adam_step(self, lr):
         """Standard bias-corrected Adam over all slots; zeroes gradients."""
         self.step_count += 1
         t = self.step_count
@@ -307,13 +311,13 @@ class ParameterStore:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self._m[name]
             v = self._v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1 ** t)
-            v_hat = v / (1.0 - beta2 ** t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** t)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             _check_finite(p.data, f"adam_step:{name}")
         self.zero_grad()
 

@@ -6,7 +6,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
@@ -17,6 +17,21 @@ class CheckpointError(ValueError):
     """Unreadable or inconsistent checkpoint file."""
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# TrainConfig field annotation -> (value check, description); values may come from JSON
+_FIELD_TYPES = {
+    "int": (_is_int, "an int"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list | None": (lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v))),
+                    "null or a list of ints"),
+}
+
+
 @dataclass
 class TrainConfig:
     embedding_dim: int = 64
@@ -24,23 +39,25 @@ class TrainConfig:
     layer_counts: list | None = None   # default: 1 per auxiliary behavior, 3 for target
     lr: float = 1e-3
     l2: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
     tau: float = 0.5
     n_c: int = 10
     batch_size: int = 1024
     epochs: int = 10
     seed: int = 0
     index_mode: str = "exact"
-    eps_project: float = 1e-8
-    hypergraph_normalize: bool = True  # printed (raw) affinity diverges at depth
-    samples_per_epoch: int | None = None  # per behavior; default = edge count
     disable_hpp: bool = False
     disable_par: bool = False
     disable_prj: bool = False
     disable_rea: bool = False
     disable_cnj: bool = False
     disable_dsj: bool = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            valid, want = _FIELD_TYPES[f.type]
+            if not valid(getattr(self, f.name)):
+                raise ValueError(f"config field '{f.name}' must be {want}, "
+                                 f"not {getattr(self, f.name)!r}")
 
     def resolved_layer_counts(self, n_behaviors):
         if self.layer_counts is not None:
@@ -82,14 +99,14 @@ def multi_task_loss(per_behavior_bpr, l2_weight, store):
     return total
 
 
-def auxiliary_task_score(users, items, behavior, cascade, params, logits=False):
-    """Score auxiliary pairs via a strong-style mediator through the shared head."""
+def auxiliary_task_score(users, items, behavior, cascade, params):
+    """Head logits of auxiliary pairs, via a strong-style mediator."""
     bundle = cascade.per_behavior[behavior]
     med = reasoning.strong_mediator(
         tg.index_rows(bundle.e_u, np.asarray(users, dtype=np.int64)),
         tg.index_rows(bundle.e_i, np.asarray(items, dtype=np.int64)),
     )
-    return predict_logit(med, params) if logits else predict(med, params)
+    return predict_logit(med, params)
 
 
 class CnreModel:
@@ -134,10 +151,8 @@ class CnreModel:
         cfg = self.config
         return propagation.cascade_forward(
             self.adjacencies, self.unified_adj, self.store,
-            self.behavior_names, self.layer_counts,
-            eps=cfg.eps_project, hypergraph_normalize=cfg.hypergraph_normalize,
-            disable_hpp=cfg.disable_hpp, disable_par=cfg.disable_par,
-            disable_prj=cfg.disable_prj)
+            self.behavior_names, self.layer_counts, disable_hpp=cfg.disable_hpp,
+            disable_par=cfg.disable_par, disable_prj=cfg.disable_prj)
 
     def build_indices(self, cascade):
         """Fresh retrieval indices over the auxiliary item embedding spaces."""
@@ -151,14 +166,13 @@ class CnreModel:
                 bundle.e_sem_i.data, mode=cfg.index_mode, seed=cfg.seed)
         return indices
 
-    def reason_batch(self, users, items, cascade, indices, collect_traces=False,
-                     gate=None, flags_fn=None):
+    def reason_batch(self, users, items, cascade, indices, gate=None, codes=None):
         cfg = self.config
         return reasoning.reason_batch(
             users, items, self.train_dataset, cascade, indices, self.store,
             cfg.tau, n_c=cfg.n_c, disable_rea=cfg.disable_rea,
             disable_cnj=cfg.disable_cnj, disable_dsj=cfg.disable_dsj,
-            collect_traces=collect_traces, flags_fn=flags_fn, gate=gate)
+            codes=codes, gate=gate)
 
     def batch_loss(self, per_behavior_triples, cascade, indices, gate=None):
         """Multi-task loss over one step's triples; returns (loss, n_pairs)."""
@@ -177,10 +191,8 @@ class CnreModel:
                 y_pos = predict_logit(med_pos, self.store)
                 y_neg = predict_logit(med_neg, self.store)
             else:
-                y_pos = auxiliary_task_score(users, pos, b, cascade, self.store,
-                                             logits=True)
-                y_neg = auxiliary_task_score(users, neg, b, cascade, self.store,
-                                             logits=True)
+                y_pos = auxiliary_task_score(users, pos, b, cascade, self.store)
+                y_neg = auxiliary_task_score(users, neg, b, cascade, self.store)
             terms.append(bpr_loss(y_pos, y_neg))
             n_pairs += len(triples)
         loss = multi_task_loss(terms, self.config.l2, self.store)
@@ -198,7 +210,7 @@ class CnreModel:
             gate = reasoning.GateSnapshot.from_cascade(cascade_snapshot)
             del cascade_snapshot  # the indices and the gate hold plain arrays
             per_behavior = [
-                dataio.sample_bpr_triples(ds, b, cfg.samples_per_epoch or m.nnz, self.rng)
+                dataio.sample_bpr_triples(ds, b, m.nnz, self.rng)
                 if m.nnz else np.empty((0, 3), dtype=np.int64)
                 for b, m in enumerate(ds.matrices)]
             n_steps = max(1, -(-max(len(t) for t in per_behavior) // cfg.batch_size))
@@ -213,7 +225,7 @@ class CnreModel:
                 loss, n_pairs = self.batch_loss(batch, cascade, indices, gate=gate)
                 self.store.zero_grad()
                 loss.backward()
-                self.store.adam_step(cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+                self.store.adam_step(cfg.lr)
                 epoch_loss += loss.item()
                 epoch_pairs += n_pairs
                 del loss, cascade  # free this step's tape before the next cascade
@@ -251,7 +263,8 @@ class CnreModel:
             raise CheckpointError("checkpoint behavior chain does not match the dataset")
         try:
             config = TrainConfig(**h["config"])
-        except TypeError as exc:
+            config.resolved_layer_counts(len(h["behaviors"]))
+        except (TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint config does not fit TrainConfig: {exc}") from exc
         model = cls(train_dataset, config)
         want = {s["name"]: s["shape"] for s in model.checkpoint_header()["slots"]}
@@ -291,7 +304,7 @@ def save_checkpoint(path, store, header):
 
 
 def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 def _is_slot(value):

@@ -51,6 +51,12 @@ class TestManifest:
         with pytest.raises(cli.ManifestError, match="surprise"):
             cli.load_manifest(str(mpath))
 
+    def test_int_accepted_for_float_train_value(self, workspace):
+        _, mpath, manifest, _ = workspace
+        manifest["train"]["tau"] = 1
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        assert cli.load_manifest(str(mpath))["train"].tau == 1
+
     def test_unknown_train_key_rejected(self, workspace):
         tmp_path, mpath, manifest, _ = workspace
         manifest["train"]["learning_rate"] = 0.1
@@ -149,6 +155,22 @@ class TestCommands:
                          "--sweep", str(sweep)]) == 2
 
 
+# TrainConfig values of the wrong type: ints reject bools and floats, floats
+# take ints, bools take only bools, layer_counts is null or a list of ints
+MISTYPED_CONFIG = [
+    ("embedding_dim", "x"),
+    ("n_c", 2.5),
+    ("epochs", True),
+    ("tau", "0.5"),
+    ("lr", None),
+    ("layer_counts", 3),
+    ("layer_counts", [1, 1.0, 2]),
+    ("disable_rea", "yes"),
+    ("disable_cnj", 1),
+    ("index_mode", ["exact"]),
+]
+
+
 class TestExitCodes:
     def test_bad_manifest_exits_2(self, workspace):
         tmp_path, mpath, manifest, _ = workspace
@@ -237,6 +259,30 @@ class TestExitCodes:
         with pytest.raises(training.CheckpointError, match=match):
             training.CnreModel.from_checkpoint(bad, train)
         assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    @pytest.mark.parametrize("key, value", MISTYPED_CONFIG)
+    def test_mistyped_manifest_train_value_exits_2(self, workspace, key, value):
+        tmp_path, mpath, manifest, _ = workspace
+        manifest["train"][key] = value
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(cli.ManifestError, match=f"'{key}'"):
+            cli.load_manifest(str(mpath))
+        assert cli.main(["train", "--manifest", str(mpath)]) == 2
+        assert not os.path.exists(os.path.join(manifest["output_dir"], "checkpoint.cnre"))
+
+    @pytest.mark.parametrize("key, value", MISTYPED_CONFIG)
+    def test_mistyped_checkpoint_config_value_exits_2(self, workspace, key, value):
+        def edit(header):
+            header["config"][key] = value
+            return header
+        self._assert_rejected(workspace, self._raw_checkpoint(workspace, edit), f"'{key}'")
+
+    def test_checkpoint_layer_counts_of_wrong_length_exits_2(self, workspace):
+        def edit(header):
+            header["config"]["layer_counts"] = [1, 1]
+            return header
+        self._assert_rejected(workspace, self._raw_checkpoint(workspace, edit),
+                              "layer_counts length")
 
     def test_checkpoint_slots_not_a_list_exits_2(self, workspace):
         def edit(header):

@@ -241,6 +241,18 @@ class TestCounterfactual:
             evalexplain.counterfactual(pair[0], pair[1],
                                        evalexplain.CounterfactualEdit(add="cart"),
                                        model)
+        with pytest.raises(ValueError, match="cannot drop absent behavior 'buy'"):
+            evalexplain.counterfactual(pair[0], pair[1],
+                                       evalexplain.CounterfactualEdit(drop="buy"),
+                                       model)
+
+    def test_disable_rea_reports_default_on_both_sides(self):
+        model, _ = _quick_model(disable_rea=True)
+        pair = _find_pair_with_flags(model, (1, 1, 0))
+        base, edited, diff = evalexplain.counterfactual(
+            pair[0], pair[1], evalexplain.CounterfactualEdit(drop="cart"), model)
+        assert (base.flags, edited.flags) == ((1, 1, 0), (1, 0, 0))
+        assert diff["path_before"] == diff["path_after"] == "default"
 
 
 class TestSweeps:

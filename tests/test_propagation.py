@@ -161,8 +161,7 @@ class TestAdaptiveProjection:
                                          tg.Tensor(np.ones((1, 2))), eps=0.0)
 
 
-def _numpy_cascade(edges_by_b, base_u, base_i, w_hyp_u, w_hyp_i, layer_counts,
-                   eps=1e-8, normalize=True):
+def _numpy_cascade(edges_by_b, base_u, base_i, w_hyp_u, w_hyp_i, layer_counts):
     """Straight-numpy reimplementation of the full cascade for comparison."""
     num_users, num_items = base_u.shape[0], base_i.shape[0]
 
@@ -193,15 +192,12 @@ def _numpy_cascade(edges_by_b, base_u, base_i, w_hyp_u, w_hyp_i, layer_counts,
     for k, edges in enumerate(edges_by_b):
         col_u, col_i = lightgcn(norm_adj(edges), prev_u, prev_i, layer_counts[k])
         h_u, h_i = col_u @ w_hyp_u[k], col_i @ w_hyp_i[k]
-        sem_u = h_u @ (h_u.T @ col_u)
-        sem_i = h_i @ (h_i.T @ col_i)
-        if normalize:
-            sem_u = sem_u / (np.sum(h_u * h_u) + 1e-12)
-            sem_i = sem_i / (np.sum(h_i * h_i) + 1e-12)
+        sem_u = h_u @ (h_u.T @ col_u) / (np.sum(h_u * h_u) + 1e-12)
+        sem_i = h_i @ (h_i.T @ col_i) / (np.sum(h_i * h_i) + 1e-12)
         coef_u = np.sum(col_u * sem_u, axis=1, keepdims=True) / (
-            np.sum(col_u * col_u, axis=1, keepdims=True) + eps)
+            np.sum(col_u * col_u, axis=1, keepdims=True) + 1e-8)
         coef_i = np.sum(col_i * sem_i, axis=1, keepdims=True) / (
-            np.sum(col_i * col_i, axis=1, keepdims=True) + eps)
+            np.sum(col_i * col_i, axis=1, keepdims=True) + 1e-8)
         prev_u = prev_u + col_u + coef_u * col_u
         prev_i = prev_i + col_i + coef_i * col_i
     return prev_u, prev_i

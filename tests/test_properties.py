@@ -209,7 +209,7 @@ def test_chain_codes_and_table_match_scalar_dispatch(ds):
     for u, i, code in zip(users.tolist(), items.tolist(), codes.tolist()):
         flags = reasoning.observe_chain(ds, u, i)
         assert reasoning.flag_table(n_b)[code] == flags
-        assert reasoning.flags_to_code(flags) == code
+        assert sum(f << k for k, f in enumerate(flags)) == code
         path = reasoning.dispatch(flags)
         assert reasoning.PATHS[paths[code]] is path
         if path in (P.MEDIUM, P.WEAK):
@@ -222,14 +222,16 @@ def _trace_fields(t):
     return (t.flags, t.path, t.behavior, t.confidence, t.neighbor_ids, t.space)
 
 
-def _reference_trace(u, i, ds, gate, cascade, indices, tau, n_c, flags_fn=None,
+def _reference_trace(u, i, ds, gate, cascade, indices, tau, n_c, code=None,
                      disable_rea=False, disable_cnj=False, disable_dsj=False):
     """The dispatch rule for one pair, written with the scalar functions only.
 
-    Confidence reads the gate arrays; retrieval queries the index with the
-    cascade's row of item i, which the index was built from.
+    The chain is observed unless code gives it. Confidence reads the gate
+    arrays; retrieval queries the index with the cascade's row of item i,
+    which the index was built from.
     """
-    flags = tuple(flags_fn(u, i)) if flags_fn else reasoning.observe_chain(ds, u, i)
+    flags = (reasoning.observe_chain(ds, u, i) if code is None
+             else tuple(code >> k & 1 for k in range(len(ds.spec))))
     path = P.DEFAULT if disable_rea else reasoning.dispatch(flags)
     t = reasoning.ReasoningTrace(flags=flags, path=path, threshold=tau,
                                  behavior=len(ds.spec) - 1)
@@ -259,13 +261,6 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
     model = training.CnreModel(ds, cfg)
     cascade = model.cascade()
     indices = model.build_indices(cascade)
-    flags_fn = None
-    if data.draw(st.booleans()):
-        flags = st.tuples(*[st.integers(0, 1)] * len(ds.spec))
-        table = data.draw(st.dictionaries(
-            st.tuples(st.integers(0, ds.num_users - 1), st.integers(0, ds.num_items - 1)),
-            flags))
-        flags_fn = lambda u, i: table.get((u, i), (0,) * len(ds.spec))  # noqa: E731
     gate = reasoning.GateSnapshot.from_cascade(cascade) if data.draw(st.booleans()) else None
     tau = data.draw(st.sampled_from([0.3, 0.5, 0.7]))
     n_pairs = ds.num_users * ds.num_items
@@ -274,24 +269,33 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
         st.lists(st.integers(0, n_pairs - 1), max_size=10))
     users, items = np.divmod(np.array(pairs), ds.num_items)
     n = len(pairs)
-    kw = dict(n_c=cfg.n_c, flags_fn=flags_fn, gate=gate, **ablation)
+    # observed chains, one code for the batch, or one code per pair
+    code = st.integers(0, (1 << len(ds.spec)) - 1)
+    codes = data.draw(st.one_of(st.none(), code,
+                                st.lists(code, min_size=n, max_size=n).map(np.array)))
+    pair_codes = [None] * n if codes is None else np.broadcast_to(codes, (n,)).tolist()
+    kw = dict(n_c=cfg.n_c, gate=gate, **ablation)
     gate_arrays = (gate.per_behavior if gate else
                    [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior])
 
     med, traces = reasoning.reason_batch(users, items, ds, cascade, indices,
-                                         model.store, tau, **kw)
+                                         model.store, tau, codes=codes, **kw)
     logits = training.predict_logit(med, model.store).data[:, 0]
     assert len(traces) == n and len(list(traces)) == n
     assert not any(isinstance(v, tg.Tensor) for v in vars(traces).values())
     for p in range(n):
         u, i = int(users[p]), int(items[p])
-        med1, trace = reasoning.reason(u, i, ds, cascade, indices, model.store, tau, **kw)
+        med1, trace = reasoning.reason(u, i, ds, cascade, indices, model.store, tau,
+                                       codes=pair_codes[p], **kw)
         logit1 = training.predict_logit(med1, model.store).data[0, 0]
         assert abs(logits[p] - logit1) <= 1e-12
         assert _trace_fields(traces[p]) == _trace_fields(trace)
         want = _reference_trace(u, i, ds, gate_arrays, cascade, indices, tau, cfg.n_c,
-                                flags_fn=flags_fn, **ablation)
+                                code=pair_codes[p], **ablation)
         assert _trace_fields(traces[p]) == _trace_fields(want)
+        # each trace holds a copy of its row of the batch mediators
+        np.testing.assert_array_equal(traces[p].mediator, med.data[p])
+        assert not np.shares_memory(traces[p].mediator, med.data)
 
 
 @SETTINGS

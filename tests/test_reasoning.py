@@ -146,8 +146,7 @@ class TestReasonBatch:
         rng = np.random.default_rng(0)
         users = rng.integers(train.num_users, size=20)
         items = rng.integers(train.num_items, size=20)
-        med_batch, traces = model.reason_batch(users, items, cascade, indices,
-                                               collect_traces=True)
+        med_batch, traces = model.reason_batch(users, items, cascade, indices)
         for k in range(20):
             med_one, trace = reasoning.reason(
                 int(users[k]), int(items[k]), train, cascade, indices,
@@ -191,20 +190,20 @@ class TestReasonBatch:
                 if trace.neighbor_ids is not None:
                     assert i not in trace.neighbor_ids
 
-    def test_flags_fn_overrides_observation(self):
+    def test_codes_override_observation(self):
         train, model, cascade, indices = _trained_bits()
-        _, trace = reasoning.reason(0, 0, train, cascade, indices, model.store,
-                                    model.config.tau, n_c=3,
-                                    flags_fn=lambda u, i: (0, 0, 0))
-        assert trace.path is P.DEFAULT
+        for code in range(8):
+            _, trace = reasoning.reason(0, 0, train, cascade, indices, model.store,
+                                        model.config.tau, n_c=3, codes=code)
+            flags = tuple(code >> k & 1 for k in range(3))
+            assert trace.flags == flags
+            assert trace.path is reasoning.dispatch(flags)
 
     def test_disable_rea_forces_default(self):
         train, model, cascade, indices = _trained_bits()
-        med, traces = model.reason_batch(
-            np.arange(5), np.arange(5), cascade, indices, collect_traces=True)
+        med, traces = model.reason_batch(np.arange(5), np.arange(5), cascade, indices)
         train2, model2, cascade2, indices2 = _trained_bits(disable_rea=True)
-        _, traces2 = model2.reason_batch(
-            np.arange(5), np.arange(5), cascade2, indices2, collect_traces=True)
+        _, traces2 = model2.reason_batch(np.arange(5), np.arange(5), cascade2, indices2)
         assert all(t.path is P.DEFAULT for t in traces2)
 
     def test_disable_cnj_dsj_fall_back_to_concat(self):
@@ -306,14 +305,12 @@ def test_gate_snapshot_freezes_dispatch_inputs():
     gate = reasoning.GateSnapshot.from_cascade(cascade)
     users = np.arange(train.num_users)
     items = np.arange(train.num_users) % train.num_items
-    _, before = model.reason_batch(users, items, cascade, indices,
-                                   collect_traces=True, gate=gate)
+    _, before = model.reason_batch(users, items, cascade, indices, gate=gate)
     # perturb the live parameters: with the gate pinned, confidences and
     # retrieval queries must not move
     model.store["base_user"].data += 0.5
     cascade2 = model.cascade()
-    _, after = model.reason_batch(users, items, cascade2, indices,
-                                  collect_traces=True, gate=gate)
+    _, after = model.reason_batch(users, items, cascade2, indices, gate=gate)
     for t1, t2 in zip(before, after):
         assert t1.path == t2.path
         assert t1.confidence == t2.confidence

@@ -119,7 +119,7 @@ def test_matmul_shape_error():
 def test_non_finite_input_rejected():
     with pytest.raises(tg.NonFiniteError):
         tg.Tensor(np.array([np.nan]))
-    with pytest.raises(tg.NonFiniteError):
+    with pytest.raises(tg.NonFiniteError, match="'div'"):
         tg.div(tg.Tensor(np.ones(2)), tg.Tensor(np.zeros(2)))
 
 

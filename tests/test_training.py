@@ -116,7 +116,7 @@ def test_auxiliary_score_compositional_identity():
     bundle = cascade.per_behavior[0]
     med = reasoning.strong_mediator(tg.index_rows(bundle.e_u, users),
                                     tg.index_rows(bundle.e_i, items))
-    want = training.predict(med, model.store).data
+    want = training.predict_logit(med, model.store).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -298,8 +298,9 @@ class TestCheckpointFuzz:
         (hlen,) = struct.unpack("<I", blob[5:9])
         header = json.loads(blob[9:9 + hlen])
         slot = data.draw(st.sampled_from(header["slots"]))
-        # (container, key) of every top-level field and every slot field
+        # (container, key) of every top-level, config and slot field
         places = [(header, k) for k in sorted(header)] + [(slot, "name"), (slot, "shape")]
+        places += [(header["config"], k) for k in sorted(header["config"])]
         places += [(slot["shape"], k) for k in range(len(slot["shape"]))]
         where, key = data.draw(st.sampled_from(places))
         where[key] = data.draw(_other_type(where[key]))
