@@ -185,13 +185,13 @@ class SplitDataset:
 def load_interactions(path, behavior):
     """Read one behavior file into a set of raw (user, item) pairs."""
     pairs = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
+            if len(parts) != 2 or not parts[0] or not parts[1] or "\ufeff" in line:
                 raise ParseError(
                     f"{path}: line {lineno}: expected '<user>\\t<item>', got {line!r}"
                 )

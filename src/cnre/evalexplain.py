@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, training, tensorgrad as tg
-from .reasoning import PreferenceStrength, STRENGTH_RANK
 
 
 @dataclass
@@ -95,17 +94,26 @@ def ndcg_at_k(rank, k):
     return 1.0 / math.log2(rank + 1) if rank <= k else 0.0
 
 
-def _score_pairs(model, users, items, cascade, indices):
-    """Returns (probabilities, logits, traces) for a batch of pairs.
+def _snapshot(model, cascade, indices):
+    """The given cascade and retrieval indices, or fresh ones from the model."""
+    if cascade is None:
+        cascade = model.cascade()
+    if indices is None:
+        indices = model.build_indices(cascade)
+    return cascade, indices
 
-    Rankings sort on the logits: the logistic saturates to exactly 1.0 in
-    float once logits are large, which would collapse well-separated pairs
-    into ties.
+
+def _ranked(model, users, items, cascade, indices, codes=None):
+    """Score a batch of pairs with the head; returns (order, probabilities, traces).
+
+    ``order`` sorts the pairs by descending logit, ties broken by ascending
+    item. Rankings sort on the logits: the logistic saturates to exactly 1.0
+    in float once logits are large, which would collapse well-separated
+    pairs into ties.
     """
-    mediators, traces = model.reason_batch(users, items, cascade, indices)
-    logits = training.predict_logit(mediators, model.store)
-    probs = tg._sigmoid(logits.data[:, 0])
-    return probs.copy(), logits.data[:, 0].copy(), traces
+    mediators, traces = model.reason_batch(users, items, cascade, indices, codes=codes)
+    logits = training.predict_logit(mediators, model.store).data[:, 0]
+    return np.lexsort((items, -logits)), tg._sigmoid(logits), traces
 
 
 def _unowned_items(ds, u):
@@ -121,19 +129,14 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
     broken by ascending item index. Candidates default to all items minus
     the user's train-target items.
     """
-    ds = model.train_dataset
-    if cascade is None:
-        cascade = model.cascade()
-    if indices is None:
-        indices = model.build_indices(cascade)
+    cascade, indices = _snapshot(model, cascade, indices)
     if candidates is None:
-        candidates = _unowned_items(ds, u)
+        candidates = _unowned_items(model.train_dataset, u)
     candidates = np.asarray(list(candidates), dtype=np.int64)
     users = np.full(candidates.shape[0], u, dtype=np.int64)
-    probs, logits, traces = _score_pairs(model, users, candidates, cascade, indices)
-    order = np.lexsort((candidates, -logits))
-    labels = traces.path_labels()
-    return [(int(candidates[k]), float(probs[k]), str(labels[k])) for k in order]
+    order, probs, traces = _ranked(model, users, candidates, cascade, indices)
+    return list(zip(candidates[order].tolist(), probs[order].tolist(),
+                    traces.path_labels()[order].tolist()))
 
 
 def evaluate(model, split, ks=(10, 50)):
@@ -144,19 +147,14 @@ def evaluate(model, split, ks=(10, 50)):
     ks = list(ks)
     test_users = sorted(split.test_positives)
 
-    cascade = model.cascade()
-    indices = model.build_indices(cascade)
+    cascade, indices = _snapshot(model, None, None)
 
     def rank_of_held_out(u):
-        held = split.test_positives[u]
-        arr = _unowned_items(ds, u)
-        users = np.full(arr.shape[0], u, dtype=np.int64)
-        _, logits, traces = _score_pairs(model, users, arr, cascade, indices)
-        order = np.lexsort((arr, -logits))
-        ranked = arr[order]
-        rank = int(np.nonzero(ranked == held)[0][0]) + 1
-        path = traces[int(np.nonzero(arr == held)[0][0])].path.value
-        return rank, path
+        items = _unowned_items(ds, u)
+        users = np.full(items.shape[0], u, dtype=np.int64)
+        order, _, traces = _ranked(model, users, items, cascade, indices)
+        k = np.flatnonzero(items == split.test_positives[u])[0]  # IndexError if not a candidate
+        return int(np.flatnonzero(order == k)[0]) + 1, str(traces.path_labels()[k])
 
     results = {u: rank_of_held_out(u) for u in test_users}
 
@@ -196,14 +194,8 @@ def _trace_to_record(model, trace, u, i, score):
     if trace.neighbor_ids is not None:
         steps.append({"step": "retrieve", "space": trace.space,
                       "neighbor_ids": [ds.decode_item(j) for j in trace.neighbor_ids]})
-    operator = {
-        PreferenceStrength.STRONG: "concatenation",
-        PreferenceStrength.DEFAULT: "concatenation",
-        PreferenceStrength.MEDIUM: "neural_conjunction"
-                                   if trace.neighbor_ids is not None else "concatenation",
-        PreferenceStrength.WEAK: "neural_disjunction"
-                                 if trace.neighbor_ids is not None else "concatenation",
-    }[trace.path]
+    operator = {"collaborative": "neural_conjunction",
+                "semantic": "neural_disjunction"}.get(trace.space, "concatenation")
     steps.append({"step": "operator", "name": operator,
                   "behavior": ds.spec.names[trace.behavior]})
     steps.append({"step": "predict", "score": score})
@@ -217,15 +209,10 @@ def explain(user_raw, item_raw, model, cascade=None, indices=None, code=None):
     ds = model.train_dataset
     u = ds.encode_user(user_raw)
     i = ds.encode_item(item_raw)
-    if cascade is None:
-        cascade = model.cascade()
-    if indices is None:
-        indices = model.build_indices(cascade)
-    mediators, traces = model.reason_batch([u], [i], cascade, indices, codes=code)
-    score = float(training.predict(mediators, model.store).data[0, 0])
-    trace = traces[0]
-    trace.score = score
-    return _trace_to_record(model, trace, u, i, score)
+    cascade, indices = _snapshot(model, cascade, indices)
+    _, probs, traces = _ranked(model, np.array([u]), np.array([i]), cascade, indices,
+                               codes=code)
+    return _trace_to_record(model, traces[0], u, i, float(probs[0]))
 
 
 def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
@@ -237,10 +224,7 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     ds = model.train_dataset
     u = ds.encode_user(user_raw)
     i = ds.encode_item(item_raw)
-    if cascade is None:
-        cascade = model.cascade()
-    if indices is None:
-        indices = model.build_indices(cascade)
+    cascade, indices = _snapshot(model, cascade, indices)
 
     code = int(ds.chain_code_matrix[u, i])
     label = edit.drop if edit.drop is not None else edit.add

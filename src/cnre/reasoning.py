@@ -60,7 +60,6 @@ class ReasoningTrace:
     neighbor_ids: list | None = None     # retrieval paths only
     space: str | None = None             # 'collaborative' | 'semantic'
     mediator: np.ndarray | None = None
-    score: float | None = None
 
 
 def observe_chain(train, u, i):

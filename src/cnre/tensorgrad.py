@@ -4,7 +4,7 @@ Tensors wrap float64 numpy arrays, and each op output records its inputs
 with their vector-Jacobian products, so that ``backward`` can run exact
 reverse-mode gradients over the tape, freeing it as it goes. The op set is
 the fixed vocabulary the rest of the model needs (matmul, sparse @ dense,
-elementwise arithmetic with broadcasting, relu/sigmoid/softplus, row
+elementwise arithmetic with broadcasting, relu/softplus, row
 gather/concat, reductions). Every op output is checked for NaN/Inf and
 fails hard on the first non-finite value.
 """
@@ -193,12 +193,6 @@ def _sigmoid(x):
     e = np.exp(x[~pos])
     z[~pos] = e / (1.0 + e)
     return z
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    data = _sigmoid(a.data)
-    return _make(data, "sigmoid", (a, lambda g: g * data * (1.0 - data)))
 
 
 def softplus(a):

@@ -31,6 +31,18 @@ _FIELD_TYPES = {
                     "null or a list of ints"),
 }
 
+# TrainConfig field -> (range check, description), applied to a value of the right type
+_FIELD_RANGES = {
+    **dict.fromkeys(("embedding_dim", "hyperedges", "n_c", "batch_size"),
+                    (lambda v: v >= 1, "at least 1")),
+    **dict.fromkeys(("epochs", "seed"), (lambda v: v >= 0, "at least 0")),
+    "layer_counts": (lambda v: v is None or all(c >= 0 for c in v),
+                     "null or a list of counts of at least 0"),
+    "lr": (lambda v: 0 < v < math.inf, "finite and above 0"),
+    "l2": (lambda v: 0 <= v < math.inf, "finite and at least 0"),
+    "tau": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
 
 @dataclass
 class TrainConfig:
@@ -54,10 +66,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            value = getattr(self, f.name)
             valid, want = _FIELD_TYPES[f.type]
-            if not valid(getattr(self, f.name)):
-                raise ValueError(f"config field '{f.name}' must be {want}, "
-                                 f"not {getattr(self, f.name)!r}")
+            if valid(value):
+                valid, want = _FIELD_RANGES.get(f.name, (valid, want))
+            if not valid(value):
+                raise ValueError(f"config field '{f.name}' must be {want}, not {value!r}")
 
     def resolved_layer_counts(self, n_behaviors):
         if self.layer_counts is not None:
@@ -71,11 +85,6 @@ def predict_logit(mediators, params):
     """Pre-activation of the head MLP: relu(m @ W_h + b_h) @ w_o + b_o."""
     hidden = tg.relu(tg.add(tg.matmul(mediators, params["head_wh"]), params["head_bh"]))
     return tg.add(tg.matmul(hidden, params["head_wo"]), params["head_bo"])
-
-
-def predict(mediators, params):
-    """Head MLP probability: logistic of the head logit, output in (0, 1)."""
-    return tg.sigmoid(predict_logit(mediators, params))
 
 
 def bpr_loss(y_pos, y_neg):
@@ -205,10 +214,6 @@ class CnreModel:
         history = []
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
-            cascade_snapshot = self.cascade()
-            indices = self.build_indices(cascade_snapshot)
-            gate = reasoning.GateSnapshot.from_cascade(cascade_snapshot)
-            del cascade_snapshot  # the indices and the gate hold plain arrays
             per_behavior = [
                 dataio.sample_bpr_triples(ds, b, m.nnz, self.rng)
                 if m.nnz else np.empty((0, 3), dtype=np.int64)
@@ -222,6 +227,9 @@ class CnreModel:
                 if not any(len(t) for t in batch):
                     continue
                 cascade = self.cascade()
+                if step == 0:  # the epoch's indices and gate: plain arrays of step 0's cascade
+                    indices = self.build_indices(cascade)
+                    gate = reasoning.GateSnapshot.from_cascade(cascade)
                 loss, n_pairs = self.batch_loss(batch, cascade, indices, gate=gate)
                 self.store.zero_grad()
                 loss.backward()

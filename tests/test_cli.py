@@ -156,7 +156,8 @@ class TestCommands:
 
 
 # TrainConfig values of the wrong type: ints reject bools and floats, floats
-# take ints, bools take only bools, layer_counts is null or a list of ints
+# take ints, bools take only bools, layer_counts is null or a list of ints;
+# then values of the right type out of range
 MISTYPED_CONFIG = [
     ("embedding_dim", "x"),
     ("n_c", 2.5),
@@ -168,6 +169,22 @@ MISTYPED_CONFIG = [
     ("disable_rea", "yes"),
     ("disable_cnj", 1),
     ("index_mode", ["exact"]),
+    ("embedding_dim", 0),
+    ("hyperedges", 0),
+    ("n_c", 0),
+    ("batch_size", 0),
+    ("batch_size", -5),
+    ("epochs", -1),
+    ("seed", -1),
+    ("layer_counts", [1, -1, 3]),
+    ("lr", 0),
+    ("lr", -1),
+    ("lr", float("nan")),
+    ("lr", float("inf")),
+    ("l2", -1),
+    ("l2", float("nan")),
+    ("tau", -0.1),
+    ("tau", 2.0),
 ]
 
 
@@ -177,6 +194,19 @@ class TestExitCodes:
         manifest["bogus_key"] = True
         mpath.write_text(json.dumps(manifest), encoding="utf-8")
         assert cli.main(["train", "--manifest", str(mpath)]) == 2
+
+    @pytest.mark.parametrize("name, content", [
+        ("view", b"u1\ti1\nnot-a-pair\n"),          # malformed line
+        ("cart", b"u1\ti\xff\n"),                   # not UTF-8
+        ("buy", b""),                                # empty target file
+    ])
+    @pytest.mark.filterwarnings("ignore:behavior 'buy' file")
+    def test_bad_interaction_file_exits_2(self, workspace, name, content):
+        _, mpath, manifest, _ = workspace
+        with open(manifest["files"][name], "wb") as fh:
+            fh.write(content)
+        assert cli.main(["train", "--manifest", str(mpath)]) == 2
+        assert not os.path.exists(os.path.join(manifest["output_dir"], "checkpoint.cnre"))
 
     def test_missing_checkpoint_exits_2(self, workspace):
         tmp_path, mpath, _, _ = workspace

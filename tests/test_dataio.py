@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnre import dataio
 from cnre.synthetic import make_planted_dataset
@@ -61,6 +62,12 @@ class TestLoadInteractions:
         with pytest.warns(UserWarning):
             dataio.load_interactions(str(p), "view")
 
+    def test_byte_order_mark_inside_file_rejected(self, tmp_path):
+        p = tmp_path / "view.tsv"
+        p.write_text("u1\ti1\n\ufeffu2\ti2\n", encoding="utf-8")
+        with pytest.raises(dataio.ParseError, match="line 2"):
+            dataio.load_interactions(str(p), "view")
+
 
 class TestBuildDataset:
     def test_id_maps_are_bijections(self):
@@ -115,6 +122,22 @@ class TestBuildDataset:
         ds = dataio.build_dataset(files, dataio.BehaviorSpec(("view", "buy")))
         assert ds.num_users == 1 and ds.num_items == 2
         assert len(ds.edges("view")) == 2 and len(ds.target_edges()) == 1
+
+    def test_byte_order_mark_leaves_ids_unchanged(self, tmp_path):
+        rows = {"view": "u1\ti1\nu2\ti2\n", "buy": "u1\ti2\nu2\ti1\n"}
+        spec = dataio.BehaviorSpec(("view", "buy"))
+        datasets = []
+        for prefix in ("", "\ufeff"):
+            files = {}
+            for name, text in rows.items():
+                p = tmp_path / f"{name}{len(prefix)}.tsv"
+                p.write_text(prefix + text, encoding="utf-8")
+                files[name] = str(p)
+            datasets.append(dataio.build_dataset(files, spec))
+        plain, bom = datasets
+        assert bom.user_ids == plain.user_ids == ["u1", "u2"]
+        assert bom.item_ids == plain.item_ids
+        assert bom.per_behavior_edges == plain.per_behavior_edges
 
     def test_missing_behavior_file_rejected(self, tmp_path):
         p = tmp_path / "view.tsv"
@@ -302,3 +325,37 @@ class TestDropHistory:
         ds = make_planted_dataset()
         with pytest.raises(ValueError):
             dataio.drop_history(ds, 1.5, 0.5, seed=0)
+
+
+# byte runs that hit the parser's edge cases more often than uniform bytes do
+_TSV_PIECES = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([b"u1", b"i1", b"\t", b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf",
+                     b"\xff", b"\xc3", b"\xe2\x80\xa8", b" ", b"\x00"]),
+)
+
+
+class TestIngestionFuzz:
+    """Arbitrary bytes in one behavior file: a clean dataset or a ValueError, nothing else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_bytes_in_one_file(self, tmp_path_factory, data):
+        workdir = tmp_path_factory.mktemp("tsv")
+        blob = b"".join(data.draw(st.lists(_TSV_PIECES, max_size=12)))
+        fuzzed = data.draw(st.sampled_from(VIEW_CART_BUY.names))
+        files = {}
+        for name in VIEW_CART_BUY.names:
+            p = workdir / f"{name}.tsv"
+            p.write_bytes(blob if name == fuzzed else b"u1\ti1\nu2\ti2\n")
+            files[name] = str(p)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ds = dataio.build_dataset(files, VIEW_CART_BUY)
+        except ValueError as exc:
+            assert (isinstance(exc, (dataio.ParseError, UnicodeDecodeError))
+                    or str(exc) == "target behavior file is empty"), repr(exc)
+            return
+        for raw in [*ds.user_ids, *ds.item_ids]:
+            assert raw and not set(raw) & {"\t", "\n", "\r", "\ufeff"}, repr(raw)

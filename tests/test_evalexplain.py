@@ -77,6 +77,14 @@ class TestRankItems:
         scores = [s for _, s, _ in ranked]
         assert scores == sorted(scores, reverse=True)
 
+    def test_ties_broken_by_ascending_item(self):
+        model, _ = _quick_model()
+        for name in ("head_wo", "head_bo"):
+            model.store[name].data[:] = 0.0  # every logit is exactly 0
+        ranked = evalexplain.rank_items(0, model, candidates=[7, 2, 11, 5, 0])
+        assert [i for i, _, _ in ranked] == [0, 2, 5, 7, 11]
+        assert {s for _, s, _ in ranked} == {0.5}
+
     def test_path_labels_valid(self):
         model, _ = _quick_model()
         labels = {p for _, _, p in evalexplain.rank_items(1, model)}
@@ -113,6 +121,33 @@ class TestEvaluate:
         assert payload["user_count"] == report.user_count
         assert payload["hr"]["10"] == report.hr[10]
 
+    def test_agrees_with_rank_items(self):
+        model, split = _quick_model()
+        report = evalexplain.evaluate(model, split, ks=(1, 5, 10))
+        cascade = model.cascade()
+        indices = model.build_indices(cascade)
+        ranks, paths = [], []
+        for u in sorted(split.test_positives):
+            ranked = evalexplain.rank_items(u, model, cascade=cascade, indices=indices)
+            (pos,) = [k for k, (i, _, _) in enumerate(ranked) if i == split.test_positives[u]]
+            ranks.append(pos + 1)
+            paths.append(ranked[pos][2])
+        for k in (1, 5, 10):
+            assert report.hr[k] == float(np.mean([evalexplain.hr_at_k(r, k) for r in ranks]))
+            assert report.ndcg[k] == float(np.mean([evalexplain.ndcg_at_k(r, k)
+                                                    for r in ranks]))
+        assert report.path_fractions == {p: paths.count(p) / len(paths) for p in set(paths)}
+
+    def test_held_out_item_that_is_not_a_candidate_raises(self):
+        model, split = _quick_model()
+        ds = model.train_dataset
+        u = next(iter(split.test_positives))
+        owned = int(ds.items_of(ds.spec.target_index, u)[0])
+        bad = dataio.SplitDataset(train=split.train,
+                                  test_positives={**split.test_positives, u: owned})
+        with pytest.raises(IndexError):
+            evalexplain.evaluate(model, bad)
+
     def test_group_metrics_cover_all_test_users(self):
         model, split = _quick_model()
         report = evalexplain.evaluate(model, split)
@@ -133,6 +168,25 @@ class TestExplain:
         assert steps[-1] == "predict"
         assert any(s["step"] == "operator" for s in rec.steps)
         assert 0.0 < rec.score < 1.0
+
+    def test_score_path_and_operator_match_rank_items(self):
+        model, split = _quick_model()
+        ds = model.train_dataset
+        cascade = model.cascade()
+        indices = model.build_indices(cascade)
+        retrieving = {"medium": "neural_conjunction", "weak": "neural_disjunction"}
+        for u in sorted(split.test_positives)[:3]:
+            ranked = evalexplain.rank_items(u, model, candidates=range(ds.num_items),
+                                            cascade=cascade, indices=indices)
+            for i, score, path in ranked:
+                rec = evalexplain.explain(ds.decode_user(u), ds.decode_item(i), model,
+                                          cascade=cascade, indices=indices)
+                assert rec.path == path
+                assert rec.score == pytest.approx(score, rel=0, abs=1e-12)
+                steps = [s["step"] for s in rec.steps]
+                operator = rec.steps[steps.index("operator")]["name"]
+                want = retrieving[path] if "retrieve" in steps else "concatenation"
+                assert operator == want
 
     def test_deterministic_across_calls(self):
         model, split = _quick_model()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnre import dataio, reasoning, tensorgrad as tg, training
+from cnre import dataio, propagation, reasoning, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 
@@ -26,34 +26,32 @@ def _head_store(d=4, seed=0, zero=False):
 
 
 class TestPredict:
+    """The head's probability is ``tg._sigmoid`` of ``predict_logit``."""
+
     def test_zero_head_gives_half(self):
         store, _ = _head_store(zero=True)
-        out = training.predict(tg.Tensor(np.zeros((3, 8))), store)
-        np.testing.assert_allclose(out.data, 0.5)
+        logit = training.predict_logit(tg.Tensor(np.zeros((3, 8))), store).data
+        np.testing.assert_array_equal(logit, 0.0)
+        np.testing.assert_allclose(tg._sigmoid(logit), 0.5)
 
     def test_output_in_open_interval(self):
         store, rng = _head_store()
-        out = training.predict(tg.Tensor(rng.normal(size=(50, 8)) * 10), store).data
+        logit = training.predict_logit(tg.Tensor(rng.normal(size=(50, 8)) * 10), store).data
+        out = tg._sigmoid(logit)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_matches_loop_oracle(self):
         store, rng = _head_store(d=3, seed=1)
         med = rng.normal(size=(6, 6))
-        got = training.predict(tg.Tensor(med), store).data
+        got = training.predict_logit(tg.Tensor(med), store).data
         wh, bh = store["head_wh"].data, store["head_bh"].data
         wo, bo = store["head_wo"].data, store["head_bo"].data
         for r in range(6):
             hidden = np.maximum(med[r] @ wh + bh[0], 0.0)
             logit = hidden @ wo + bo[0]
-            want = 1.0 / (1.0 + np.exp(-logit))
-            np.testing.assert_allclose(got[r], want, atol=1e-12)
-
-    def test_predict_is_sigmoid_of_logit(self):
-        store, rng = _head_store(d=3, seed=2)
-        med = tg.Tensor(rng.normal(size=(4, 6)))
-        logit = training.predict_logit(med, store).data
-        prob = training.predict(med, store).data
-        np.testing.assert_allclose(prob, 1.0 / (1.0 + np.exp(-logit)), atol=1e-12)
+            np.testing.assert_allclose(got[r], logit, atol=1e-12)
+            np.testing.assert_allclose(tg._sigmoid(got[r]), 1.0 / (1.0 + np.exp(-logit)),
+                                       atol=1e-12)
 
 
 class TestBprLoss:
@@ -151,6 +149,26 @@ class TestTrainLoop:
                                    seed=0, lr=0.01)
         _, history = training.train(split, cfg)
         assert history[-1] < history[0]
+
+    def test_one_cascade_per_step(self, monkeypatch):
+        ds = make_planted_dataset(num_users=15, num_items=10, n_groups=3)
+        split = dataio.leave_one_out_split(ds, 0)
+        cfg = training.TrainConfig(embedding_dim=4, hyperedges=2, epochs=3, seed=0,
+                                   batch_size=8, n_c=3)
+        model = training.CnreModel(split.train, cfg)
+        calls, snapshots = [], []
+        forward = propagation.cascade_forward
+        monkeypatch.setattr(propagation, "cascade_forward",
+                            lambda *a, **k: calls.append(1) or forward(*a, **k))
+        build_indices = model.build_indices
+        monkeypatch.setattr(model, "build_indices",
+                            lambda cascade: snapshots.append(1) or build_indices(cascade))
+        model.fit()
+        steps = -(-max(m.nnz for m in split.train.matrices) // cfg.batch_size)
+        assert steps > 1
+        assert model.store.step_count == cfg.epochs * steps
+        assert len(calls) == cfg.epochs * steps
+        assert len(snapshots) == cfg.epochs  # the epoch's indices come from its first step
 
     def test_training_log_lines(self):
         ds = make_planted_dataset(num_users=10, num_items=10, n_groups=2)
