@@ -66,18 +66,49 @@ def build_normalized_adjacency(matrix):
 
 
 def lightgcn_propagate(adj, e0_u, e0_i, layers):
-    """Alternating user<->item aggregation, layer-0 included in the sum."""
+    """Alternating user<->item aggregation, layer-0 included in the sum.
+
+    One fused op per side. The layer sum is linear in (e0_u, e0_i) and the
+    adjacency is symmetric (item_to_user is user_to_item.T), so a side's vjp
+    is the same alternating chain run from that side's grad: ``layers``
+    spmm calls per side, as many as the forward pass makes.
+    """
     if layers < 0:
         raise ValueError("layer count must be >= 0")
-    sum_u, sum_i = e0_u, e0_i
-    cur_u, cur_i = e0_u, e0_i
+    if layers == 0:
+        return e0_u, e0_i
+    ui, iu = adj.user_to_item, adj.item_to_user
+    cur_u, cur_i = e0_u.data, e0_i.data
+    if ui.shape != (len(cur_u), len(cur_i)):
+        raise tg.ShapeError(f"lightgcn_propagate: {ui.shape} graph, {len(cur_u)} x "
+                            f"{len(cur_i)} embedding rows")
+    sum_u, sum_i = cur_u.copy(), cur_i.copy()
     for _ in range(layers):
-        nxt_u = tg.spmm(adj.user_to_item, cur_i)
-        nxt_i = tg.spmm(adj.item_to_user, cur_u)
-        sum_u = tg.add(sum_u, nxt_u)
-        sum_i = tg.add(sum_i, nxt_i)
-        cur_u, cur_i = nxt_u, nxt_i
-    return sum_u, sum_i
+        cur_u, cur_i = ui @ cur_i, iu @ cur_u
+        sum_u += cur_u
+        sum_i += cur_i
+    inputs = (e0_u, e0_i)
+    return (tg.fused(sum_u, "lightgcn_propagate", inputs,
+                     lambda g: _layer_sum_vjp(g, iu, ui, layers)),
+            tg.fused(sum_i, "lightgcn_propagate", inputs,
+                     lambda g: _layer_sum_vjp(g, ui, iu, layers)[::-1]))
+
+
+def _layer_sum_vjp(g, first, second, layers):
+    """(own side, other side) grads of one side's layer sum, given its grad g.
+
+    The chain from (g, 0) alternates sides, so each step is one spmm that
+    adds to one grad: the 1st, 3rd, ... steps land on the other side, the
+    2nd, 4th, ... back on this side.
+    """
+    own, other, cur = g, None, g
+    for k in range(layers):
+        cur = (second if k % 2 else first) @ cur
+        if k % 2:
+            own = own + cur
+        else:
+            other = cur if other is None else other + cur
+    return own, other
 
 
 def hypergraph_incidence(e_col, w_hyp):
@@ -90,28 +121,46 @@ def hypergraph_convolve(h, e_col, normalize=False):
 
     With normalize=True the affinity is divided by ||H||_F^2, which caps
     its spectral norm at 1; the raw form grows multiplicatively with the
-    row count and blows up through a cascade.
+    row count and blows up through a cascade. One fused op: its grads
+    share H^T e_col and H^T dS, and each is computed once.
     """
-    e_sem = tg.matmul(h, tg.matmul(tg.transpose(h), e_col))
-    if normalize:
-        energy = tg.add(tg.l2_norm_sq(h), tg.Tensor(np.array(1e-12)))
-        e_sem = tg.div(e_sem, energy)
-    return e_sem
+    hd, ed = h.data, e_col.data
+    if len(hd) != len(ed):
+        raise tg.ShapeError(f"hypergraph_convolve: {hd.shape} incidence, {ed.shape} rows")
+    ht_e = hd.T @ ed
+    energy = np.sum(hd * hd) + 1e-12 if normalize else 1.0
+    out = hd @ ht_e / energy
+
+    def vjp(g):
+        ds = g / energy
+        ht_ds = hd.T @ ds
+        grad_h = ds @ ht_e.T + ed @ ht_ds.T
+        if normalize:
+            grad_h -= (2.0 * np.sum(g * out) / energy) * hd
+        return grad_h, hd @ ht_ds
+    return tg.fused(out, "hypergraph_convolve", (h, e_col), vjp)
 
 
 def adaptive_project(e_col, e_sem, eps=1e-8):
-    """Row-wise projection of e_sem onto e_col with an eps-guarded norm."""
+    """Row-wise projection of e_sem onto e_col with an eps-guarded norm (one fused op)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    num = tg.rowwise_dot(e_col, e_sem)
-    den = tg.add(tg.rowwise_dot(e_col, e_col), tg.Tensor(np.array([[eps]])))
-    coef = tg.div(num, den)
-    return tg.mul(coef, e_col)
+    c, s = e_col.data, e_sem.data
+    if c.shape != s.shape:
+        raise tg.ShapeError(f"adaptive_project: {c.shape} vs {s.shape}")
+    den = np.sum(c * c, axis=1, keepdims=True) + eps
+    coef = np.sum(c * s, axis=1, keepdims=True) / den
+
+    def vjp(g):
+        g_num = np.sum(g * c, axis=1, keepdims=True) / den  # the grad of coef's numerator
+        return coef * g + g_num * (s - 2.0 * coef * c), g_num * c
+    return tg.fused(coef * c, "adaptive_project", (e_col, e_sem), vjp)
 
 
 def aggregate_behavior(e_prev, e_col, e_hat_sem):
-    """Elementwise sum of the upstream, collaborative and calibrated parts."""
-    return tg.add(tg.add(e_prev, e_col), e_hat_sem)
+    """Elementwise sum of the upstream, collaborative and calibrated parts (one op)."""
+    return tg.fused(e_prev.data + e_col.data + e_hat_sem.data, "aggregate_behavior",
+                    (e_prev, e_col, e_hat_sem), lambda g: (g, g, g))
 
 
 def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_counts,

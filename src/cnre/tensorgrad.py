@@ -5,8 +5,10 @@ with their vector-Jacobian products, so that ``backward`` can run exact
 reverse-mode gradients over the tape, freeing it as it goes. The op set is
 the fixed vocabulary the rest of the model needs (matmul, sparse @ dense,
 elementwise arithmetic with broadcasting, relu/softplus, row
-gather/concat, reductions). Every op output is checked for NaN/Inf and
-fails hard on the first non-finite value.
+gather/concat, reductions), plus ``fused``, which records a multi-input
+kernel with one hand-written vjp (the propagation stack is built of these).
+Every op output is checked for NaN/Inf and fails hard on the first
+non-finite value.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class Tensor:
         return self.data.shape
 
     def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # the first grad is kept as it is and later ones add out of place:
+        # it may be the very array another tensor holds (add passes g through)
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -115,6 +117,24 @@ def _make(data, op, *pairs):
     return out
 
 
+def fused(data, op, inputs, vjp):
+    """Op output over several inputs, with one vjp that returns a grad per input.
+
+    The vjp runs once, on the first recorded input's turn in ``backward``,
+    so the terms its grads share are computed once. It must not write into
+    the grad it is given, and the grads it returns are stored as they are.
+    """
+    grads = []
+
+    def pick(k):
+        def grad_k(g):
+            if not grads:
+                grads.extend(vjp(g))
+            return grads[k]
+        return grad_k
+    return _make(data, op, *((t, pick(k)) for k, t in enumerate(inputs)))
+
+
 def _unbroadcast(g, shape):
     """Sum gradient g down to the given operand shape."""
     while g.ndim > len(shape):
@@ -146,15 +166,6 @@ def mul(a, b):
                  (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
-    return _make(data, "div",
-                 (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[-1] != b.data.shape[0]:
@@ -173,11 +184,6 @@ def spmm(s, d):
         raise ShapeError(f"spmm: {s.shape} @ {d.data.shape}")
     s = s.tocsr()
     return _make(s @ d.data, "spmm", (d, lambda g: s.T @ g))
-
-
-def transpose(a):
-    a = as_tensor(a)
-    return _make(a.data.T.copy(), "transpose", (a, lambda g: g.T))
 
 
 def relu(a):
@@ -230,20 +236,16 @@ def index_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
 
     def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return full
+        # the gather's transpose as a rows x len(idx) CSR: row r holds the
+        # positions j with idx[j] == r in batch order, so repeated rows sum
+        # in the order np.add.at adds them
+        rows = a.data.shape[0]
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(idx, minlength=rows), out=indptr[1:])
+        scatter = sp.csr_matrix((np.ones(len(idx)), np.argsort(idx, kind="stable"), indptr),
+                                shape=(rows, len(idx)))
+        return scatter @ g
     return _make(a.data[idx], "index_rows", (a, vjp))
-
-
-def rowwise_dot(a, b):
-    """Per-row inner product, returns an (n, 1) tensor."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"rowwise_dot: {a.data.shape} vs {b.data.shape}")
-    return _make(np.sum(a.data * b.data, axis=1, keepdims=True), "rowwise_dot",
-                 (a, lambda g: g * b.data),
-                 (b, lambda g: g * a.data))
 
 
 def sum_all(a):

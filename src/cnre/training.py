@@ -31,10 +31,16 @@ _FIELD_TYPES = {
                     "null or a list of ints"),
 }
 
+# Upper limit on embedding_dim and hyperedges (16x the default width). The
+# logic operators hold 3d x 2d weights (50 MB each at d = 1024), so a much
+# larger value would fail allocating the model instead of as invalid input.
+MAX_WIDTH = 1024
+
 # TrainConfig field -> (range check, description), applied to a value of the right type
 _FIELD_RANGES = {
-    **dict.fromkeys(("embedding_dim", "hyperedges", "n_c", "batch_size"),
-                    (lambda v: v >= 1, "at least 1")),
+    **dict.fromkeys(("embedding_dim", "hyperedges"),
+                    (lambda v: 1 <= v <= MAX_WIDTH, f"between 1 and {MAX_WIDTH}")),
+    **dict.fromkeys(("n_c", "batch_size"), (lambda v: v >= 1, "at least 1")),
     **dict.fromkeys(("epochs", "seed"), (lambda v: v >= 0, "at least 0")),
     "layer_counts": (lambda v: v is None or all(c >= 0 for c in v),
                      "null or a list of counts of at least 0"),

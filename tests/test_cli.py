@@ -157,7 +157,8 @@ class TestCommands:
 
 # TrainConfig values of the wrong type: ints reject bools and floats, floats
 # take ints, bools take only bools, layer_counts is null or a list of ints;
-# then values of the right type out of range
+# then values of the right type out of range (the widths above their limit
+# would fail allocating the model)
 MISTYPED_CONFIG = [
     ("embedding_dim", "x"),
     ("n_c", 2.5),
@@ -185,6 +186,8 @@ MISTYPED_CONFIG = [
     ("l2", float("nan")),
     ("tau", -0.1),
     ("tau", 2.0),
+    ("embedding_dim", 10**6),
+    ("hyperedges", 1025),
 ]
 
 

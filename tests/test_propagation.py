@@ -93,6 +93,30 @@ class TestLightGcn:
         out_u, _ = propagation.lightgcn_propagate(adj, e_u, e_i, layers=2)
         np.testing.assert_allclose(out_u.data[1], [3.0, 4.0])
 
+    def test_backward_makes_as_many_spmm_calls_as_forward(self):
+        calls = []
+
+        class Counting:
+            def __init__(self, m):
+                self.m, self.shape = m, m.shape
+
+            def __matmul__(self, x):
+                calls.append(1)
+                return self.m @ x
+
+        rng = np.random.default_rng(3)
+        adj = _adjacency(_random_edges(rng, 7, 5), 7, 5)
+        adj = propagation.NormalizedAdjacency(Counting(adj.user_to_item),
+                                              Counting(adj.item_to_user))
+        for layers in (1, 2, 3):
+            calls.clear()
+            e_u = tg.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+            e_i = tg.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+            out_u, out_i = propagation.lightgcn_propagate(adj, e_u, e_i, layers)
+            assert len(calls) == 2 * layers
+            tg.add(tg.sum_all(out_u), tg.sum_all(out_i)).backward()
+            assert len(calls) == 4 * layers
+
     def test_negative_layers_rejected(self):
         adj = _adjacency({(0, 0)}, 1, 1)
         with pytest.raises(ValueError):
@@ -159,6 +183,33 @@ class TestAdaptiveProjection:
         with pytest.raises(ValueError):
             propagation.adaptive_project(tg.Tensor(np.ones((1, 2))),
                                          tg.Tensor(np.ones((1, 2))), eps=0.0)
+
+
+@pytest.mark.parametrize("op", ["lightgcn_propagate", "hypergraph_convolve",
+                                "adaptive_project", "aggregate_behavior"])
+def test_planted_nan_in_fused_input_names_the_op(op):
+    adj = _adjacency({(0, 0), (1, 1)}, 2, 2)
+    calls = {
+        "lightgcn_propagate": lambda x, y: propagation.lightgcn_propagate(adj, x, y, 2)[0],
+        "hypergraph_convolve": lambda x, y: propagation.hypergraph_convolve(x, y, True),
+        "adaptive_project": propagation.adaptive_project,
+        "aggregate_behavior": lambda x, y: propagation.aggregate_behavior(x, y, y),
+    }
+    x = tg.Tensor(np.ones((2, 2)), requires_grad=True)
+    x.data[0, 0] = np.nan
+    with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
+        calls[op](x, tg.Tensor(np.ones((2, 2)), requires_grad=True))
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    adj = _adjacency({(0, 0)}, 2, 3)
+    two, three = tg.Tensor(np.ones((2, 2))), tg.Tensor(np.ones((3, 2)))
+    with pytest.raises(tg.ShapeError):
+        propagation.lightgcn_propagate(adj, three, two, 1)
+    with pytest.raises(tg.ShapeError):
+        propagation.hypergraph_convolve(two, three)
+    with pytest.raises(tg.ShapeError):
+        propagation.adaptive_project(two, three)
 
 
 def _numpy_cascade(edges_by_b, base_u, base_i, w_hyp_u, w_hyp_i, layer_counts):

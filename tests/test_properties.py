@@ -3,7 +3,9 @@
 Random small datasets drive the edge matrices and every helper derived
 from them, the chain-code dispatch, the batched reasoner and the memoized
 item neighbors; each is compared with a set-based or per-pair reference
-written out here, or with the uncached path it replaces.
+written out here, or with the uncached path it replaces. The fused
+propagation kernels are compared with their unfused tape composition
+(``unfused.py``), forward and grads.
 """
 
 import warnings
@@ -14,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from cnre import dataio, propagation, reasoning, retrieval, tensorgrad as tg, training
 from cnre.reasoning import PreferenceStrength as P
+
+import unfused
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -312,3 +316,86 @@ def test_memoized_query_matches_uncached(mode, seed, n_rows, n_c):
         want = [tuple(retrieval.query(fresh, space[i], k, exclude_id=i))
                 for i in items.tolist()]
         assert retrieval.neighbors(memo, items, k) == want
+
+
+def _outputs_and_grads(op, arrays, seed):
+    """op's outputs on fresh leaves, and each leaf's grad of sum_k <w_k, out_k> (w_k random)."""
+    leaves = [tg.Tensor(a, requires_grad=True) for a in arrays]
+    outs = op(*leaves)
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    rng = np.random.default_rng(seed)
+    loss = tg.Tensor(np.array(0.0))
+    for o in outs:
+        loss = tg.add(loss, tg.sum_all(tg.mul(o, tg.Tensor(rng.normal(size=o.shape)))))
+    datas = [o.data.copy() for o in outs]
+    loss.backward()
+    return datas + [t.grad for t in leaves]
+
+
+def _assert_fused_matches_unfused(fused, reference, arrays, seed):
+    """Every output and every input's grad within 1e-12 of the tape's.
+
+    The error is relative to the largest value among the op's outputs and
+    grads: a grad that cancels to zero up to rounding (the normalized
+    hypergraph is invariant to H's scale, so with one row its H grad is 0)
+    is compared at the scale of the terms that cancel.
+    """
+    got = _outputs_and_grads(fused, arrays, seed)
+    want = _outputs_and_grads(reference, arrays, seed)
+    assert [a.shape for a in got] == [b.shape for b in want]
+    scale = max(np.max(np.abs(a), initial=0.0) for a in got + want)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(edge_sets(), st.booleans(), st.integers(0, 3), st.integers(1, 4), st.integers(0, 2**16))
+def test_fused_lightgcn_matches_unfused_tape(case, isolate, layers, d, seed):
+    m, n, edges = case
+    if isolate:  # the last user and the last item lose every edge
+        edges[0] = {(u, i) for u, i in edges[0] if u != m - 1 and i != n - 1}
+    pairs = np.array(sorted(edges[0]), dtype=np.int64).reshape(-1, 2)
+    adj = propagation.build_normalized_adjacency(
+        dataio.edge_matrix(pairs[:, 0], pairs[:, 1], m, n))
+    rng = np.random.default_rng(seed)
+    _assert_fused_matches_unfused(
+        lambda u, i: propagation.lightgcn_propagate(adj, u, i, layers),
+        lambda u, i: unfused.lightgcn_propagate(adj, u, i, layers),
+        [rng.normal(size=(m, d)), rng.normal(size=(n, d))], seed)
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**16))
+def test_fused_hypergraph_convolve_matches_unfused_tape(rows, k, d, normalize, seed):
+    rng = np.random.default_rng(seed)  # k > rows in about half the cases
+    _assert_fused_matches_unfused(
+        lambda h, e: propagation.hypergraph_convolve(h, e, normalize=normalize),
+        lambda h, e: unfused.hypergraph_convolve(h, e, normalize=normalize),
+        [rng.normal(size=(rows, k)), rng.normal(size=(rows, d))], seed)
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(), st.integers(0, 2**16))
+def test_fused_projection_and_aggregation_match_unfused_tape(rows, d, zero_row, seed):
+    rng = np.random.default_rng(seed)
+    e_col = rng.normal(size=(rows, d))
+    if zero_row:  # only the eps guard keeps this row's coefficient finite
+        e_col[0] = 0.0
+    _assert_fused_matches_unfused(propagation.adaptive_project, unfused.adaptive_project,
+                                  [e_col, rng.normal(size=(rows, d))], seed)
+    _assert_fused_matches_unfused(propagation.aggregate_behavior, unfused.aggregate_behavior,
+                                  [e_col, *rng.normal(size=(2, rows, d))], seed)
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 3), st.data(), st.integers(0, 2**16))
+def test_index_rows_backward_equals_add_at_bit_for_bit(rows, d, data, seed):
+    idx = data.draw(st.lists(st.integers(0, rows - 1), max_size=20))
+    rng = np.random.default_rng(seed)
+    a = tg.Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+    g = rng.normal(size=(len(idx), d))
+    tg.sum_all(tg.mul(tg.index_rows(a, idx), tg.Tensor(g))).backward()  # index_rows gets g
+    want = np.zeros((rows, d))
+    np.add.at(want, np.asarray(idx, dtype=np.int64), g)
+    assert a.grad.tobytes() == want.tobytes()

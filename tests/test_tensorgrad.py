@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cnre import dataio, tensorgrad as tg, training
+from cnre import dataio, propagation, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
+
+import unfused
 
 
 def _fd_scalar(loss_fn, store, **kw):
@@ -22,7 +24,10 @@ def _store_with(**arrays):
 
 
 class TestPrimitiveGradients:
-    """Each op checked by central differences through a scalar reduction."""
+    """Each op checked by central differences through a scalar reduction.
+
+    div, transpose and rowwise_dot are the reference ops of ``unfused.py``.
+    """
 
     def test_add_sub_mul_div_broadcast(self):
         rng = np.random.default_rng(0)
@@ -32,7 +37,7 @@ class TestPrimitiveGradients:
         def loss():
             x = tg.add(store["a"], store["b"])
             y = tg.sub(x, tg.mul(store["a"], store["b"]))
-            z = tg.div(y, store["c"])
+            z = unfused.div(y, store["c"])
             return tg.sum_all(tg.mul(z, z))
 
         assert _fd_scalar(loss, store) < 1e-6
@@ -42,7 +47,7 @@ class TestPrimitiveGradients:
         store = _store_with(a=rng.normal(size=(3, 4)), b=rng.normal(size=(4, 2)))
 
         def loss():
-            return tg.sum_all(tg.matmul(tg.transpose(tg.matmul(store["a"], store["b"])),
+            return tg.sum_all(tg.matmul(unfused.transpose(tg.matmul(store["a"], store["b"])),
                                         store["a"]))
 
         assert _fd_scalar(loss, store) < 1e-6
@@ -68,7 +73,7 @@ class TestPrimitiveGradients:
             gb = tg.index_rows(store["b"], idx)
             cat = tg.concat_cols([ga, gb])
             stack = tg.concat_rows([cat, cat])
-            return tg.sum_all(tg.rowwise_dot(stack, stack))
+            return tg.sum_all(unfused.rowwise_dot(stack, stack))
 
         assert _fd_scalar(loss, store) < 1e-6
 
@@ -118,8 +123,10 @@ def test_matmul_shape_error():
 def test_non_finite_input_rejected():
     with pytest.raises(tg.NonFiniteError):
         tg.Tensor(np.array([np.nan]))
-    with pytest.raises(tg.NonFiniteError, match="'div'"):
-        tg.div(tg.Tensor(np.ones(2)), tg.Tensor(np.zeros(2)))
+    planted = tg.Tensor(np.ones(2))
+    planted.data[0] = np.nan
+    with pytest.raises(tg.NonFiniteError, match="'mul'"):
+        tg.mul(planted, tg.Tensor(np.ones(2)))
 
 
 def test_sigmoid_softplus_stable_at_extremes():
@@ -131,13 +138,13 @@ def test_sigmoid_softplus_stable_at_extremes():
 
 
 def _small_loss(store):
-    """A scalar loss through all 15 ops."""
+    """A scalar loss through all 12 ops and a fused one."""
     a, b = store["a"], store["b"]
     x = tg.concat_cols([tg.index_rows(a, [0, 2, 2]), tg.relu(b)])
     y = tg.concat_rows([x, tg.softplus(x)])
-    z = tg.div(tg.sub(tg.mul(y, y), tg.transpose(tg.transpose(y))), tg.add(y, 3.0))
-    w = tg.spmm(sp.csr_matrix(np.eye(6)), tg.matmul(z, tg.transpose(z)))
-    return tg.add(tg.sum_all(tg.rowwise_dot(w, w)), tg.l2_norm_sq(a))
+    z = propagation.adaptive_project(tg.sub(tg.mul(y, y), y), tg.add(y, 3.0))
+    w = tg.spmm(sp.csr_matrix(np.eye(6)), tg.matmul(z, tg.Tensor(np.ones((4, 2)))))
+    return tg.add(tg.sum_all(tg.mul(w, tg.concat_rows([a, b]))), tg.l2_norm_sq(a))
 
 
 @pytest.fixture
@@ -216,6 +223,16 @@ class TestTape:
         assert [t for t, _ in out._inputs] == [store["a"]]
         assert tg.mul(const, const)._inputs == ()
         assert not tg.mul(const, const).requires_grad
+
+    def test_inputs_given_one_grad_array_accumulate_apart(self):
+        store = self._store()
+        a, b = store["a"], store["b"]
+        # add and aggregate_behavior pass one grad array to every input
+        both = tg.add(propagation.aggregate_behavior(a, b, tg.add(a, b)), b)
+        tg.sum_all(tg.add(both, tg.mul(a, 2.0))).backward()
+        np.testing.assert_array_equal(a.grad, np.full((3, 2), 4.0))
+        np.testing.assert_array_equal(b.grad, np.full((3, 2), 3.0))
+        assert not np.shares_memory(a.grad, b.grad)
 
     def test_deep_chain_needs_no_recursion(self):
         x = tg.Tensor(np.array([[1.0]]), requires_grad=True)
