@@ -3,7 +3,9 @@
 Runs are driven by a JSON manifest naming the per-behavior files, the
 cascade order ("auto" derives it from conversion rates) and all training
 settings, so every experiment is reproducible from the manifest alone.
-Exit codes: 0 success, 2 manifest/validation error, 3 numerical abort.
+Exit codes: 0 success, 2 invalid input (``dataio.InputError`` or a missing
+file), 3 numerical abort; any other exception is a fault in the program and
+ends it with a traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -17,28 +19,59 @@ from . import dataio, evalexplain, training
 from .tensorgrad import NonFiniteError
 
 
-class ManifestError(ValueError):
+class ManifestError(dataio.InputError):
     pass
 
 
-_TOP_KEYS = {"behaviors", "files", "order", "split_seed", "output_dir", "ks", "train"}
+def _is_int(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_ks(value):
+    return isinstance(value, list) and bool(value) and all(_is_int(k, 1) for k in value)
+
+
+# top-level manifest key -> (value check, description); values come from JSON
+_MANIFEST_VALUES = {
+    "behaviors": (_is_strings, "a list of strings"),
+    "files": (lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
+              "an object mapping behaviors to file paths"),
+    "order": (lambda v: v == "auto" or _is_strings(v), "\"auto\" or a list of behaviors"),
+    "split_seed": (lambda v: _is_int(v, 0), "an int of at least 0"),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
+    "ks": (_is_ks, "a non-empty list of ints of at least 1"),
+    "train": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _read_json(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError or UnicodeDecodeError
+        raise ManifestError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_manifest(path):
-    """Parse and validate a run manifest; unknown keys are rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    unknown = set(raw) - _TOP_KEYS
+    """Parse and validate a run manifest; unknown keys and mistyped values are rejected."""
+    raw = _read_json(path, "manifest")
+    if not isinstance(raw, dict):
+        raise ManifestError(f"manifest {path} is not a JSON object")
+    unknown = set(raw) - set(_MANIFEST_VALUES)
     if unknown:
         raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
     for key in ("behaviors", "files"):
         if key not in raw:
             raise ManifestError(f"manifest missing required key '{key}'")
-    behaviors = list(raw["behaviors"])
-    files = dict(raw["files"])
+    for key, value in raw.items():
+        valid, want = _MANIFEST_VALUES[key]
+        if not valid(value):
+            raise ManifestError(f"manifest key '{key}' must be {want}, not {value!r}")
+    behaviors, files = raw["behaviors"], raw["files"]
     for name in behaviors:
         if name not in files:
             raise ManifestError(f"no file listed for behavior '{name}'")
@@ -48,21 +81,20 @@ def load_manifest(path):
     if extra_files:
         raise ManifestError(f"files listed for unknown behaviors: {sorted(extra_files)}")
     try:
-        config = training.TrainConfig(**dict(raw.get("train", {})))
+        config = training.TrainConfig(**raw.get("train", {}))
     except (TypeError, ValueError) as exc:  # an unknown or mistyped key
         raise ManifestError(f"manifest train block: {exc}") from exc
     order = raw.get("order", behaviors)
-    if order != "auto":
-        order = list(order)
-        if sorted(order) != sorted(behaviors) or order[-1] != behaviors[-1]:
-            raise ManifestError("order must permute the behaviors with the target last")
+    if order != "auto" and (sorted(order) != sorted(behaviors)
+                            or order[-1:] != behaviors[-1:]):
+        raise ManifestError("order must permute the behaviors with the target last")
     return {
         "behaviors": behaviors,
         "files": files,
         "order": order,
-        "split_seed": int(raw.get("split_seed", 0)),
+        "split_seed": raw.get("split_seed", 0),
         "output_dir": raw.get("output_dir", "cnre_out"),
-        "ks": [int(k) for k in raw.get("ks", [10, 50])],
+        "ks": raw.get("ks", [10, 50]),
         "train": config,
     }
 
@@ -136,13 +168,19 @@ def cmd_counterfactual(args):
 
 def cmd_sweep(args):
     manifest = load_manifest(args.manifest)
-    with open(args.sweep, "r", encoding="utf-8") as fh:
-        sweep_spec = json.load(fh)
+    sweep_spec = _read_json(args.sweep, "sweep spec")
+    if not isinstance(sweep_spec, dict):
+        raise ManifestError(f"sweep spec {args.sweep} is not a JSON object")
     unknown = set(sweep_spec) - {"type", "grid", "fractions", "user_fraction", "ks"}
     if unknown:
         raise ManifestError(f"unknown sweep keys: {sorted(unknown)}")
-    split = build_split(manifest)
     ks = sweep_spec.get("ks", [10])
+    if not _is_ks(ks):
+        raise ManifestError(f"sweep key 'ks' must be {_MANIFEST_VALUES['ks'][1]}, not {ks!r}")
+    needs = {"layers": "grid", "robustness": "fractions"}.get(sweep_spec.get("type"))
+    if needs is not None and not isinstance(sweep_spec.get(needs), list):
+        raise ManifestError(f"sweep key '{needs}' must be a list")
+    split = build_split(manifest)
     if sweep_spec.get("type") == "layers":
         rows = evalexplain.layer_sweep(split, manifest["train"],
                                        sweep_spec["grid"], ks=ks)
@@ -161,6 +199,13 @@ def cmd_sweep(args):
     return 0
 
 
+def _positive_int(text):
+    k = int(text)  # argparse reports a ValueError as an invalid value
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"{k} is not at least 1")
+    return k
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="cnre",
                                      description="multi-behavior recommendation engine")
@@ -174,7 +219,7 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--ks", type=int, nargs="+", default=None)
+    p_eval.add_argument("--ks", type=_positive_int, nargs="+", default=None)
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -208,8 +253,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, training.CheckpointError, ValueError, KeyError,
-            FileNotFoundError) as exc:
+    except (dataio.InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteError as exc:

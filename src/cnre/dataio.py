@@ -18,8 +18,18 @@ import numpy as np
 import scipy.sparse as sp
 
 
-class ParseError(ValueError):
-    """Malformed interaction line."""
+class InputError(ValueError):
+    """Input the program cannot use: a manifest, file, checkpoint, id, edit or dataset."""
+
+
+class ParseError(InputError):
+    """Malformed or undecodable interaction line."""
+
+
+class UnknownIdError(InputError, KeyError):
+    """A raw user or item id the dataset does not know."""
+
+    __str__ = Exception.__str__  # the message, without KeyError's quotes
 
 
 @dataclass(frozen=True)
@@ -32,9 +42,9 @@ class BehaviorSpec:
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
         if len(names) < 2:
-            raise ValueError("behavior chain needs at least 2 behaviors")
+            raise InputError("behavior chain needs at least 2 behaviors")
         if len(set(names)) != len(names):
-            raise ValueError("behavior labels must be unique")
+            raise InputError("behavior labels must be unique")
 
     @property
     def target_index(self):
@@ -139,12 +149,12 @@ class InteractionDataset:
 
     def encode_user(self, raw):
         if raw not in self.user_index:
-            raise KeyError(f"unknown raw user id {raw!r}")
+            raise UnknownIdError(f"unknown raw user id {raw!r}")
         return self.user_index[raw]
 
     def encode_item(self, raw):
         if raw not in self.item_index:
-            raise KeyError(f"unknown raw item id {raw!r}")
+            raise UnknownIdError(f"unknown raw item id {raw!r}")
         return self.item_index[raw]
 
     def decode_user(self, idx):
@@ -185,17 +195,20 @@ class SplitDataset:
 def load_interactions(path, behavior):
     """Read one behavior file into a set of raw (user, item) pairs."""
     pairs = set()
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1] or "\ufeff" in line:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected '<user>\\t<item>', got {line!r}"
-                )
-            pairs.add((parts[0], parts[1]))
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or not parts[0] or not parts[1] or "\ufeff" in line:
+                    raise ParseError(
+                        f"{path}: line {lineno}: expected '<user>\\t<item>', got {line!r}"
+                    )
+                pairs.add((parts[0], parts[1]))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     if not pairs:
         warnings.warn(f"behavior '{behavior}' file {path} is empty")
     return pairs
@@ -219,10 +232,10 @@ def build_dataset(per_behavior_files, spec):
     pair_sets = []
     for name in spec.names:
         if name not in per_behavior_files:
-            raise ValueError(f"no file given for behavior '{name}'")
+            raise InputError(f"no file given for behavior '{name}'")
         pair_sets.append(load_interactions(per_behavior_files[name], name))
     if not pair_sets[-1]:
-        raise ValueError("target behavior file is empty")
+        raise InputError("target behavior file is empty")
     return build_dataset_from_pairs(pair_sets, spec)
 
 
@@ -248,9 +261,9 @@ def reorder_behaviors(dataset, new_order):
     """Permute the behavior chain; the target must stay last."""
     spec = dataset.spec
     if sorted(new_order) != sorted(spec.names):
-        raise ValueError("new order must be a permutation of the behavior labels")
+        raise InputError("new order must be a permutation of the behavior labels")
     if new_order[-1] != spec.target:
-        raise ValueError("the target behavior must remain last")
+        raise InputError("the target behavior must remain last")
     return dataclasses.replace(
         dataset, spec=BehaviorSpec(tuple(new_order)),
         matrices=[dataset.matrices[spec.index_of(name)] for name in new_order])
@@ -285,14 +298,14 @@ def sample_bpr_triples(train, behavior, count, rng):
     behavior = train.behavior_index(behavior)
     m = train.matrices[behavior]
     if not m.nnz:
-        raise ValueError(f"behavior index {behavior} has no edges")
+        raise InputError(f"behavior index {behavior} has no edges")
     n_items = train.num_items
     if n_items < 2:
-        raise ValueError("negative sampling needs at least 2 items")
+        raise InputError("negative sampling needs at least 2 items")
     rows = entry_rows(m)
     eligible = np.flatnonzero(np.diff(m.indptr)[rows] < n_items)
     if not eligible.size:
-        raise ValueError("every positive's user interacted with every item; "
+        raise InputError("every positive's user interacted with every item; "
                          "no negatives available")
     if eligible.size < m.nnz:
         warnings.warn(f"{m.nnz - eligible.size} positives skipped: their "
@@ -312,7 +325,7 @@ def sample_bpr_triples(train, behavior, count, rng):
 def group_users_by_sparsity(dataset, n_groups=4):
     """Split users into equal-population quantile buckets by interaction count."""
     if dataset.num_users < n_groups:
-        raise ValueError(f"{dataset.num_users} users cannot form {n_groups} groups")
+        raise InputError(f"{dataset.num_users} users cannot form {n_groups} groups")
     counts = sum(np.diff(m.indptr) for m in dataset.matrices)
     order = np.argsort(counts, kind="stable")
     return [chunk.tolist() for chunk in np.array_split(order, n_groups)]
@@ -327,7 +340,7 @@ def drop_history(dataset, user_fraction, drop_fraction, seed):
     held-out test positives (absent from train) are never touched.
     """
     if not (0.0 <= user_fraction <= 1.0 and 0.0 <= drop_fraction <= 1.0):
-        raise ValueError("fractions must lie in [0, 1]")
+        raise InputError("fractions must lie in [0, 1]")
     if user_fraction == 0.0 or drop_fraction == 0.0:
         return dataset
     rng = np.random.default_rng(seed)

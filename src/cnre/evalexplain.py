@@ -79,7 +79,7 @@ class CounterfactualEdit:
 
     def __post_init__(self):
         if (self.drop is None) == (self.add is None):
-            raise ValueError("exactly one of drop/add must be given")
+            raise dataio.InputError("exactly one of drop/add must be given")
 
 
 def hr_at_k(rank, k):
@@ -229,12 +229,12 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     code = int(ds.chain_code_matrix[u, i])
     label = edit.drop if edit.drop is not None else edit.add
     if label not in ds.spec.names:
-        raise ValueError(f"unknown behavior label {label!r}")
+        raise dataio.InputError(f"unknown behavior label {label!r}")
     bit = 1 << ds.spec.index_of(label)
     if edit.drop is not None and not code & bit:
-        raise ValueError(f"cannot drop absent behavior '{label}'")
+        raise dataio.InputError(f"cannot drop absent behavior '{label}'")
     if edit.add is not None and code & bit:
-        raise ValueError(f"cannot add already-present behavior '{label}'")
+        raise dataio.InputError(f"cannot add already-present behavior '{label}'")
 
     base = explain(user_raw, item_raw, model, cascade=cascade, indices=indices)
     edited = explain(user_raw, item_raw, model, cascade=cascade, indices=indices,
@@ -259,7 +259,7 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
 def layer_sweep(split, config, grids, ks=(10,), log=None):
     """Train and evaluate one run per layer-count combination."""
     if not grids:
-        raise ValueError("layer-count grid is empty")
+        raise dataio.InputError("layer-count grid is empty")
     rows = []
     for counts in grids:
         cfg = dataclasses.replace(config, layer_counts=list(counts))

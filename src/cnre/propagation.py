@@ -4,6 +4,8 @@ Covers the unified-graph intrinsic pass, per-behavior LightGCN-style
 collaborative encoding, learnable-hypergraph semantic encoding, the
 adaptive projection that calibrates semantic against collaborative
 signals, and the cascading aggregation that chains behaviors in order.
+Each graph is one weighted M x N CSR; its item side is the ``.T`` view.
+Every kernel is one ``tensorgrad.record`` op with a hand-written vjp.
 """
 
 from __future__ import annotations
@@ -14,14 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensorgrad as tg
-
-
-@dataclass
-class NormalizedAdjacency:
-    """Symmetric-degree-normalized bipartite adjacency, both directions."""
-
-    user_to_item: sp.csr_matrix  # M x N
-    item_to_user: sp.csr_matrix  # N x M
 
 
 @dataclass
@@ -54,30 +48,29 @@ class CascadeState:
 
 
 def build_normalized_adjacency(matrix):
-    """Weight each entry (u, i) of a canonical M x N CSR pattern by 1/sqrt(deg(u) deg(i))."""
+    """M x N CSR weighting each entry (u, i) of a canonical pattern by 1/sqrt(deg(u) deg(i))."""
     num_users, num_items = matrix.shape
     counts = np.diff(matrix.indptr)
     deg_u = counts.astype(np.float64)
     deg_i = np.bincount(matrix.indices, minlength=num_items).astype(np.float64)
     w = 1.0 / np.sqrt(np.repeat(deg_u, counts) * deg_i[matrix.indices])
-    ui = sp.csr_matrix((w, matrix.indices.copy(), matrix.indptr.copy()),
-                       shape=(num_users, num_items))
-    return NormalizedAdjacency(user_to_item=ui, item_to_user=ui.T.tocsr())
+    return sp.csr_matrix((w, matrix.indices.copy(), matrix.indptr.copy()),
+                         shape=(num_users, num_items))
 
 
 def lightgcn_propagate(adj, e0_u, e0_i, layers):
     """Alternating user<->item aggregation, layer-0 included in the sum.
 
-    One fused op per side. The layer sum is linear in (e0_u, e0_i) and the
-    adjacency is symmetric (item_to_user is user_to_item.T), so a side's vjp
-    is the same alternating chain run from that side's grad: ``layers``
-    spmm calls per side, as many as the forward pass makes.
+    adj is the M x N graph and adj.T its item side. One op per side: the
+    layer sum is linear in (e0_u, e0_i) and the graph is symmetric, so a
+    side's vjp is the same alternating chain run from that side's grad:
+    ``layers`` spmm calls per side, as many as the forward pass makes.
     """
     if layers < 0:
         raise ValueError("layer count must be >= 0")
     if layers == 0:
         return e0_u, e0_i
-    ui, iu = adj.user_to_item, adj.item_to_user
+    ui, iu = adj, adj.T
     cur_u, cur_i = e0_u.data, e0_i.data
     if ui.shape != (len(cur_u), len(cur_i)):
         raise tg.ShapeError(f"lightgcn_propagate: {ui.shape} graph, {len(cur_u)} x "
@@ -88,10 +81,10 @@ def lightgcn_propagate(adj, e0_u, e0_i, layers):
         sum_u += cur_u
         sum_i += cur_i
     inputs = (e0_u, e0_i)
-    return (tg.fused(sum_u, "lightgcn_propagate", inputs,
-                     lambda g: _layer_sum_vjp(g, iu, ui, layers)),
-            tg.fused(sum_i, "lightgcn_propagate", inputs,
-                     lambda g: _layer_sum_vjp(g, ui, iu, layers)[::-1]))
+    return (tg.record(sum_u, "lightgcn_propagate", inputs,
+                      lambda g: _layer_sum_vjp(g, iu, ui, layers)),
+            tg.record(sum_i, "lightgcn_propagate", inputs,
+                      lambda g: _layer_sum_vjp(g, ui, iu, layers)[::-1]))
 
 
 def _layer_sum_vjp(g, first, second, layers):
@@ -121,7 +114,7 @@ def hypergraph_convolve(h, e_col, normalize=False):
 
     With normalize=True the affinity is divided by ||H||_F^2, which caps
     its spectral norm at 1; the raw form grows multiplicatively with the
-    row count and blows up through a cascade. One fused op: its grads
+    row count and blows up through a cascade. One op: its grads
     share H^T e_col and H^T dS, and each is computed once.
     """
     hd, ed = h.data, e_col.data
@@ -138,11 +131,11 @@ def hypergraph_convolve(h, e_col, normalize=False):
         if normalize:
             grad_h -= (2.0 * np.sum(g * out) / energy) * hd
         return grad_h, hd @ ht_ds
-    return tg.fused(out, "hypergraph_convolve", (h, e_col), vjp)
+    return tg.record(out, "hypergraph_convolve", (h, e_col), vjp)
 
 
 def adaptive_project(e_col, e_sem, eps=1e-8):
-    """Row-wise projection of e_sem onto e_col with an eps-guarded norm (one fused op)."""
+    """Row-wise projection of e_sem onto e_col with an eps-guarded norm (one op)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     c, s = e_col.data, e_sem.data
@@ -154,20 +147,20 @@ def adaptive_project(e_col, e_sem, eps=1e-8):
     def vjp(g):
         g_num = np.sum(g * c, axis=1, keepdims=True) / den  # the grad of coef's numerator
         return coef * g + g_num * (s - 2.0 * coef * c), g_num * c
-    return tg.fused(coef * c, "adaptive_project", (e_col, e_sem), vjp)
+    return tg.record(coef * c, "adaptive_project", (e_col, e_sem), vjp)
 
 
 def aggregate_behavior(e_prev, e_col, e_hat_sem):
     """Elementwise sum of the upstream, collaborative and calibrated parts (one op)."""
-    return tg.fused(e_prev.data + e_col.data + e_hat_sem.data, "aggregate_behavior",
-                    (e_prev, e_col, e_hat_sem), lambda g: (g, g, g))
+    return tg.record(e_prev.data + e_col.data + e_hat_sem.data, "aggregate_behavior",
+                     (e_prev, e_col, e_hat_sem), lambda g: (g, g, g))
 
 
 def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_counts,
                     disable_hpp=False, disable_par=False, disable_prj=False):
     """Run the full propagation cascade and record every bundle.
 
-    adjacencies: per-behavior NormalizedAdjacency list in cascade order.
+    adjacencies: per-behavior normalized M x N CSR graphs in cascade order.
     params: ParameterStore with 'base_user', 'base_item' and per-behavior
     'hyp_u_<name>' / 'hyp_i_<name>' slots.
 

@@ -120,7 +120,7 @@ class GateSnapshot:
 
     Confidence scores are evaluated on this snapshot (taken from the same
     cascade the epoch's indices were built from) so that dispatch decisions
-    are piecewise constant within a training step; gradients still flow
+    are piecewise constant within an epoch; gradients still flow
     through the live cascade tensors.
     """
 

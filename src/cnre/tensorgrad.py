@@ -1,14 +1,13 @@
 """Minimal dense/sparse autodiff kernel with an Adam optimizer.
 
-Tensors wrap float64 numpy arrays, and each op output records its inputs
-with their vector-Jacobian products, so that ``backward`` can run exact
-reverse-mode gradients over the tape, freeing it as it goes. The op set is
-the fixed vocabulary the rest of the model needs (matmul, sparse @ dense,
-elementwise arithmetic with broadcasting, relu/softplus, row
-gather/concat, reductions), plus ``fused``, which records a multi-input
-kernel with one hand-written vjp (the propagation stack is built of these).
-Every op output is checked for NaN/Inf and fails hard on the first
-non-finite value.
+Tensors wrap float64 numpy arrays. Every op output is made by ``record``,
+which keeps its inputs and one vector-Jacobian product returning a grad per
+input, so that ``backward`` can run exact reverse-mode gradients over the
+tape, freeing it as it goes. The op set is the fixed vocabulary the rest of
+the model needs (matmul, sparse @ dense, elementwise arithmetic with
+broadcasting, relu/softplus, row gather/concat, reductions); the
+propagation stack records its multi-input kernels the same way. Every op
+output is checked for NaN/Inf and fails hard on the first non-finite value.
 """
 
 from __future__ import annotations
@@ -31,15 +30,15 @@ def _check_finite(arr, where):
 
 
 class Tensor:
-    """A float64 array plus gradient slot and the op's (input, vjp) pairs.
+    """A float64 array plus gradient slot, and an op output's inputs and vjp.
 
-    ``_inputs`` holds one pair per input that requires grad; ``vjp`` maps
-    this tensor's grad to that input's grad. No vjp refers to the tensor it
-    belongs to, so a tape is a DAG that reference counting frees. It is
-    ``None`` once ``backward`` has consumed the tape.
+    ``_vjp`` maps this tensor's grad to one grad per entry of ``_inputs``.
+    No vjp refers to the tensor it belongs to, so a tape is a DAG that
+    reference counting frees. ``_inputs`` is ``None`` once ``backward`` has
+    consumed the tape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_inputs")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_inputs", "_vjp")
 
     def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
@@ -48,6 +47,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.op = op
         self._inputs = ()
+        self._vjp = None
 
     @property
     def shape(self):
@@ -64,8 +64,9 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from this (scalar) tensor; consumes the tape.
 
-        Each op output's grad and inputs are dropped once its vjps have run,
-        so only leaf grads remain and a second sweep over the tape raises.
+        Each op output's grad, inputs and vjp are dropped once the vjp has
+        run, so only leaf grads remain and a second sweep over the tape
+        raises. Inputs that require no grad get none.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar tensor")
@@ -75,7 +76,7 @@ class Tensor:
         stack = [(self, iter(_live_inputs(self)))]
         while stack:
             t, pending = stack[-1]
-            for p, _ in pending:
+            for p in pending:
                 if id(p) not in seen:
                     seen.add(id(p))
                     stack.append((p, iter(_live_inputs(p))))
@@ -87,10 +88,10 @@ class Tensor:
         while order:
             t = order.pop()
             if t._inputs:
-                for p, vjp in t._inputs:
-                    p.accumulate_grad(vjp(t.grad))
-                t._inputs = None
-                t.grad = None
+                for p, g in zip(t._inputs, t._vjp(t.grad)):
+                    if p.requires_grad:
+                        p.accumulate_grad(g)
+                t._inputs = t._vjp = t.grad = None
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -109,30 +110,17 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, op, *pairs):
-    """Op output over (input, vjp) pairs; only inputs that require grad are kept."""
-    pairs = tuple((t, vjp) for t, vjp in pairs if t.requires_grad)
-    out = Tensor(data, requires_grad=bool(pairs), op=op)
-    out._inputs = pairs
-    return out
+def record(data, op, inputs, vjp):
+    """Op output over a tuple of input tensors, with a vjp returning a grad per input.
 
-
-def fused(data, op, inputs, vjp):
-    """Op output over several inputs, with one vjp that returns a grad per input.
-
-    The vjp runs once, on the first recorded input's turn in ``backward``,
+    Nothing is recorded unless an input requires grad. The vjp runs once,
     so the terms its grads share are computed once. It must not write into
     the grad it is given, and the grads it returns are stored as they are.
     """
-    grads = []
-
-    def pick(k):
-        def grad_k(g):
-            if not grads:
-                grads.extend(vjp(g))
-            return grads[k]
-        return grad_k
-    return _make(data, op, *((t, pick(k)) for k, t in enumerate(inputs)))
+    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs), op=op)
+    if out.requires_grad:
+        out._inputs, out._vjp = inputs, vjp
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -147,32 +135,28 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data + b.data, "add",
-                 (a, lambda g: _unbroadcast(g, a.data.shape)),
-                 (b, lambda g: _unbroadcast(g, b.data.shape)))
+    return record(a.data + b.data, "add", (a, b),
+                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data - b.data, "sub",
-                 (a, lambda g: _unbroadcast(g, a.data.shape)),
-                 (b, lambda g: _unbroadcast(-g, b.data.shape)))
+    return record(a.data - b.data, "sub", (a, b),
+                  lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data * b.data, "mul",
-                 (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
+    return record(a.data * b.data, "mul", (a, b),
+                  lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                             _unbroadcast(g * a.data, b.data.shape)))
 
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    return _make(a.data @ b.data, "matmul",
-                 (a, lambda g: g @ b.data.T),
-                 (b, lambda g: a.data.T @ g))
+    return record(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def spmm(s, d):
@@ -183,13 +167,13 @@ def spmm(s, d):
     if s.shape[1] != d.data.shape[0]:
         raise ShapeError(f"spmm: {s.shape} @ {d.data.shape}")
     s = s.tocsr()
-    return _make(s @ d.data, "spmm", (d, lambda g: s.T @ g))
+    return record(s @ d.data, "spmm", (d,), lambda g: (s.T @ g,))
 
 
 def relu(a):
     a = as_tensor(a)
     mask = a.data > 0.0  # subgradient at 0 is 0
-    return _make(np.where(mask, a.data, 0.0), "relu", (a, lambda g: g * mask))
+    return record(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
 
 
 def _sigmoid(x):
@@ -204,22 +188,19 @@ def _sigmoid(x):
 def softplus(a):
     """log(1 + exp(x)), numerically stable."""
     a = as_tensor(a)
-    return _make(np.logaddexp(0.0, a.data), "softplus",
-                 (a, lambda g: g * _sigmoid(a.data)))
+    return record(np.logaddexp(0.0, a.data), "softplus", (a,),
+                  lambda g: (g * _sigmoid(a.data),))
 
 
 def _concat(tensors, axis, op):
-    ts = [as_tensor(t) for t in tensors]
+    ts = tuple(as_tensor(t) for t in tensors)
     other = 1 - axis
     for t in ts:
         if t.data.shape[other] != ts[0].data.shape[other]:
             raise ShapeError(f"{op}: {'row' if axis else 'column'} counts differ")
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts]).tolist()
-
-    def piece(lo, hi):
-        return lambda g: g[:, lo:hi] if axis else g[lo:hi]
-    return _make(np.concatenate([t.data for t in ts], axis=axis), op,
-                 *((t, piece(lo, hi)) for t, lo, hi in zip(ts, offsets, offsets[1:])))
+    cuts = np.cumsum([t.data.shape[axis] for t in ts[:-1]])
+    return record(np.concatenate([t.data for t in ts], axis=axis), op, ts,
+                  lambda g: np.split(g, cuts, axis=axis))
 
 
 def concat_cols(tensors):
@@ -231,33 +212,32 @@ def concat_rows(tensors):
 
 
 def index_rows(a, idx):
-    """Gather rows; backward scatter-adds (handles repeated indices)."""
+    """Gather rows; backward is the product with the gather's transpose.
+
+    The transpose of the len(idx) x rows gather CSR is a CSC view whose
+    product adds batch positions in order, so repeated rows sum in the
+    order np.add.at adds them.
+    """
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
+    n = len(idx)
 
     def vjp(g):
-        # the gather's transpose as a rows x len(idx) CSR: row r holds the
-        # positions j with idx[j] == r in batch order, so repeated rows sum
-        # in the order np.add.at adds them
-        rows = a.data.shape[0]
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(idx, minlength=rows), out=indptr[1:])
-        scatter = sp.csr_matrix((np.ones(len(idx)), np.argsort(idx, kind="stable"), indptr),
-                                shape=(rows, len(idx)))
-        return scatter @ g
-    return _make(a.data[idx], "index_rows", (a, vjp))
+        gather = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, len(a.data)))
+        return (gather.T @ g,)
+    return record(a.data[idx], "index_rows", (a,), vjp)
 
 
 def sum_all(a):
     a = as_tensor(a)
-    return _make(np.array(a.data.sum()), "sum_all", (a, lambda g: np.full_like(a.data, g)))
+    return record(np.array(a.data.sum()), "sum_all", (a,), lambda g: (np.full_like(a.data, g),))
 
 
 def l2_norm_sq(a):
     """Squared Frobenius norm as a scalar tensor."""
     a = as_tensor(a)
-    return _make(np.array(np.sum(a.data * a.data)), "l2_norm_sq",
-                 (a, lambda g: 2.0 * g * a.data))
+    return record(np.array(np.sum(a.data * a.data)), "l2_norm_sq", (a,),
+                  lambda g: (2.0 * g * a.data,))
 
 
 ADAM_BETA1 = 0.9

@@ -13,7 +13,7 @@ import numpy as np
 from . import dataio, propagation, reasoning, retrieval, tensorgrad as tg
 
 
-class CheckpointError(ValueError):
+class CheckpointError(dataio.InputError):
     """Unreadable or inconsistent checkpoint file."""
 
 
@@ -77,12 +77,12 @@ class TrainConfig:
             if valid(value):
                 valid, want = _FIELD_RANGES.get(f.name, (valid, want))
             if not valid(value):
-                raise ValueError(f"config field '{f.name}' must be {want}, not {value!r}")
+                raise dataio.InputError(f"config field '{f.name}' must be {want}, not {value!r}")
 
     def resolved_layer_counts(self, n_behaviors):
         if self.layer_counts is not None:
             if len(self.layer_counts) != n_behaviors:
-                raise ValueError("layer_counts length must equal behavior count")
+                raise dataio.InputError("layer_counts length must equal behavior count")
             return list(self.layer_counts)
         return [1] * (n_behaviors - 1) + [3]
 

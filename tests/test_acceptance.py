@@ -186,7 +186,7 @@ def test_criterion_7_propagation_oracles():
     e_i = rng.normal(size=(7, 5))
     out_u, out_i = propagation.lightgcn_propagate(adj, tg.Tensor(e_u),
                                                   tg.Tensor(e_i), 3)
-    a = adj.user_to_item.toarray()
+    a = adj.toarray()
     su, si = e_u.copy(), e_i.copy()
     cu, ci = e_u, e_i
     for _ in range(3):

@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -191,12 +193,72 @@ MISTYPED_CONFIG = [
 ]
 
 
+# Manifest values of the wrong type or range; key None replaces the whole
+# manifest, and a "files" value keeps the other behaviors' paths
+MISTYPED_MANIFEST = [
+    (None, 5),
+    (None, ["behaviors", "files"]),
+    ("behaviors", 5),
+    ("behaviors", [["view"], "buy"]),
+    ("files", {"view": 0}),  # fd 0 exists: without the check this reads stdin
+    ("order", 3),
+    ("split_seed", {}),
+    ("split_seed", True),
+    ("split_seed", -1),
+    ("output_dir", 5),
+    ("ks", 5),
+    ("ks", [0, 10]),
+    ("ks", [5.0]),
+]
+
+
 class TestExitCodes:
     def test_bad_manifest_exits_2(self, workspace):
         tmp_path, mpath, manifest, _ = workspace
         manifest["bogus_key"] = True
         mpath.write_text(json.dumps(manifest), encoding="utf-8")
         assert cli.main(["train", "--manifest", str(mpath)]) == 2
+
+    @pytest.mark.parametrize("key, value", MISTYPED_MANIFEST)
+    def test_mistyped_manifest_value_exits_2(self, workspace, key, value):
+        _, mpath, manifest, _ = workspace
+        out = manifest["output_dir"]
+        if key is None:
+            manifest = value
+        else:
+            manifest[key] = {**manifest["files"], **value} if key == "files" else value
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(cli.ManifestError, match=f"'{key}'" if key else "not a JSON object"):
+            cli.load_manifest(str(mpath))
+        assert cli.main(["train", "--manifest", str(mpath)]) == 2
+        assert not os.path.exists(os.path.join(out, "checkpoint.cnre"))
+
+    @pytest.mark.parametrize("ks", [["0"], ["5", "-1"]])
+    def test_eval_ks_below_1_exits_2(self, workspace, capsys, ks):
+        tmp_path, mpath, _, _ = workspace
+        with pytest.raises(SystemExit) as info:
+            cli.main(["eval", "--checkpoint", str(tmp_path / "none.cnre"),
+                      "--manifest", str(mpath), "--ks", *ks])
+        assert info.value.code == 2
+        assert "--ks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", ["ValueError", "KeyError"])
+    def test_internal_value_or_key_error_exits_1_with_traceback(self, workspace, exc):
+        """A plain ValueError or KeyError is a fault in the program, not invalid input."""
+        _, mpath, _, _ = workspace
+        script = (f"import sys\n"
+                  f"from cnre import cli\n"
+                  f"def broken(manifest):\n"
+                  f"    raise {exc}('internal fault')\n"
+                  f"cli.build_split = broken\n"
+                  f"sys.exit(cli.main(['train', '--manifest', {str(mpath)!r}]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and f"{exc}: " in proc.stderr
 
     @pytest.mark.parametrize("name, content", [
         ("view", b"u1\ti1\nnot-a-pair\n"),          # malformed line

@@ -104,8 +104,24 @@ def test_chain_codes_and_adjacencies_match_set_references(case):
     model = training.CnreModel(ds, training.TrainConfig(embedding_dim=2, hyperedges=2))
     for adj, e in zip(model.adjacencies + [model.unified_adj], edges + [union]):
         want = _reference_adjacency(e, m, n)
-        _assert_same_csr(adj.user_to_item, want)
-        _assert_same_csr(adj.item_to_user, want.T.tocsr())
+        _assert_same_csr(adj, want)
+
+
+@SETTINGS
+@given(edge_sets(), st.data(), st.integers(1, 4), st.integers(0, 2**16))
+def test_item_side_view_product_equals_materialized_transpose_bit_for_bit(case, data, d, seed):
+    m, n, edges = case
+    empty_users = data.draw(st.sets(st.integers(0, m - 1)))
+    empty_items = data.draw(st.sets(st.integers(0, n - 1)))
+    pairs = np.array(sorted((u, i) for u, i in edges[0]
+                            if u not in empty_users and i not in empty_items),
+                     dtype=np.int64).reshape(-1, 2)
+    adj = propagation.build_normalized_adjacency(
+        dataio.edge_matrix(pairs[:, 0], pairs[:, 1], m, n))
+    x = np.random.default_rng(seed).normal(size=(m, d))
+    got = adj.T @ x
+    assert got.shape == (n, d)
+    assert got.tobytes() == (adj.T.tocsr() @ x).tobytes()
 
 
 def _reference_split(target, seed):

@@ -170,18 +170,18 @@ class TestTrainLoop:
         assert len(calls) == cfg.epochs * steps
         assert len(snapshots) == cfg.epochs  # the epoch's indices come from its first step
 
-    def test_cascade_records_at_most_32_op_outputs(self, monkeypatch):
+    def test_cascade_records_32_op_outputs(self, monkeypatch):
         ds = make_planted_dataset(num_users=15, num_items=10, n_groups=3)
         model = training.CnreModel(ds, training.TrainConfig(embedding_dim=4, hyperedges=2))
         assert len(model.behavior_names) == 3
         ops = []
-        make = tg._make
-        monkeypatch.setattr(tg, "_make", lambda data, op, *pairs: ops.append(op)
-                            or make(data, op, *pairs))
+        record = tg.record
+        monkeypatch.setattr(tg, "record", lambda data, op, inputs, vjp: ops.append(op)
+                            or record(data, op, inputs, vjp))
         model.cascade()
         # per side: the intrinsic pass, then per behavior lightgcn, incidence,
         # convolution, projection and aggregation
-        assert len(ops) <= 32
+        assert len(ops) == 32
 
     def test_training_log_lines(self):
         ds = make_planted_dataset(num_users=10, num_items=10, n_groups=2)

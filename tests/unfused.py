@@ -3,7 +3,7 @@
 This is the reference the fused kernels in ``cnre.propagation`` are
 checked against: every step is its own op with its own vjp, so the grads
 come from the tape alone. ``div``, ``transpose`` and ``rowwise_dot`` are
-ops the model no longer needs, built here with ``tg._make``.
+ops the model no longer needs, built here with ``tg.record``.
 """
 
 import numpy as np
@@ -15,31 +15,29 @@ def div(a, b):
     a, b = tg.as_tensor(a), tg.as_tensor(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
-    return tg._make(data, "div",
-                    (a, lambda g: tg._unbroadcast(g / b.data, a.data.shape)),
-                    (b, lambda g: tg._unbroadcast(-g * a.data / (b.data * b.data),
-                                                  b.data.shape)))
+    return tg.record(data, "div", (a, b),
+                     lambda g: (tg._unbroadcast(g / b.data, a.data.shape),
+                                tg._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def transpose(a):
     a = tg.as_tensor(a)
-    return tg._make(a.data.T.copy(), "transpose", (a, lambda g: g.T))
+    return tg.record(a.data.T.copy(), "transpose", (a,), lambda g: (g.T,))
 
 
 def rowwise_dot(a, b):
     """Per-row inner product, returns an (n, 1) tensor."""
     a, b = tg.as_tensor(a), tg.as_tensor(b)
-    return tg._make(np.sum(a.data * b.data, axis=1, keepdims=True), "rowwise_dot",
-                    (a, lambda g: g * b.data),
-                    (b, lambda g: g * a.data))
+    return tg.record(np.sum(a.data * b.data, axis=1, keepdims=True), "rowwise_dot", (a, b),
+                     lambda g: (g * b.data, g * a.data))
 
 
 def lightgcn_propagate(adj, e0_u, e0_i, layers):
     sum_u, sum_i = e0_u, e0_i
     cur_u, cur_i = e0_u, e0_i
     for _ in range(layers):
-        nxt_u = tg.spmm(adj.user_to_item, cur_i)
-        nxt_i = tg.spmm(adj.item_to_user, cur_u)
+        nxt_u = tg.spmm(adj, cur_i)
+        nxt_i = tg.spmm(adj.T, cur_u)
         sum_u = tg.add(sum_u, nxt_u)
         sum_i = tg.add(sum_i, nxt_i)
         cur_u, cur_i = nxt_u, nxt_i
