@@ -48,6 +48,23 @@ _MANIFEST_VALUES = {
 }
 
 
+def _is_fraction(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 <= value <= 1)
+
+
+# sweep spec key -> (value check, description); "type" picks the sweep
+_SWEEP_VALUES = {
+    "grid": (lambda v: isinstance(v, list) and all(
+        isinstance(c, list) and all(_is_int(n, 0) for n in c) for c in v),
+             "a list of layer-count lists of ints of at least 0"),
+    "fractions": (lambda v: isinstance(v, list) and all(map(_is_fraction, v)),
+                  "a list of numbers in [0, 1]"),
+    "user_fraction": (_is_fraction, "a number in [0, 1]"),
+    "ks": _MANIFEST_VALUES["ks"],
+}
+
+
 def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -171,25 +188,27 @@ def cmd_sweep(args):
     sweep_spec = _read_json(args.sweep, "sweep spec")
     if not isinstance(sweep_spec, dict):
         raise ManifestError(f"sweep spec {args.sweep} is not a JSON object")
-    unknown = set(sweep_spec) - {"type", "grid", "fractions", "user_fraction", "ks"}
+    unknown = set(sweep_spec) - set(_SWEEP_VALUES) - {"type"}
     if unknown:
         raise ManifestError(f"unknown sweep keys: {sorted(unknown)}")
+    kind = sweep_spec.get("type")
+    if kind not in ("layers", "robustness"):
+        raise ManifestError(f"sweep key 'type' must be 'layers' or 'robustness', not {kind!r}")
+    needs = "grid" if kind == "layers" else "fractions"
+    if needs not in sweep_spec:
+        raise ManifestError(f"sweep spec missing required key '{needs}'")
+    for key, (valid, want) in _SWEEP_VALUES.items():
+        if key in sweep_spec and not valid(sweep_spec[key]):
+            raise ManifestError(f"sweep key '{key}' must be {want}, not {sweep_spec[key]!r}")
     ks = sweep_spec.get("ks", [10])
-    if not _is_ks(ks):
-        raise ManifestError(f"sweep key 'ks' must be {_MANIFEST_VALUES['ks'][1]}, not {ks!r}")
-    needs = {"layers": "grid", "robustness": "fractions"}.get(sweep_spec.get("type"))
-    if needs is not None and not isinstance(sweep_spec.get(needs), list):
-        raise ManifestError(f"sweep key '{needs}' must be a list")
     split = build_split(manifest)
-    if sweep_spec.get("type") == "layers":
+    if needs == "grid":
         rows = evalexplain.layer_sweep(split, manifest["train"],
                                        sweep_spec["grid"], ks=ks)
-    elif sweep_spec.get("type") == "robustness":
+    else:
         rows = evalexplain.robustness_sweep(
             split, manifest["train"], sweep_spec["fractions"], ks=ks,
             user_fraction=sweep_spec.get("user_fraction", 0.5))
-    else:
-        raise ManifestError("sweep type must be 'layers' or 'robustness'")
     tsv = evalexplain.rows_to_tsv(rows)
     print(tsv, end="")
     out_dir = args.out or manifest["output_dir"]

@@ -4,6 +4,12 @@ Two modes: exact (brute-force linear scan, also the ground truth for
 tests) and approximate (a hierarchical navigable small-world proximity
 graph). Distances are Euclidean, ties broken by id. ``query`` searches for
 a vector; ``neighbors`` gives items of the index their nearest other rows.
+
+Every distance comes from a vectorized row, ``_sq_dist``: a query
+computes its row over all N rows, and inserting a node into the graph
+computes its row over the nodes inserted before it, so a build does
+O(N·d) numpy work per insert, O(N²·d) flops in total. A space with a
+NaN or infinite value is rejected.
 """
 
 from __future__ import annotations
@@ -20,8 +26,20 @@ HNSW_EF_CONSTRUCTION = 100
 HNSW_EF_SEARCH = 128
 
 
+def _sq_dist(rows, q):
+    """Squared distance from q to each row."""
+    diff = rows - q
+    return np.sum(diff * diff, axis=1)
+
+
 class _HnswGraph:
-    """Navigable small-world layers over the row set."""
+    """Navigable small-world layers over the row set.
+
+    The searches read distances from a list indexed by node id, one row per
+    insert or search. During the build each link's distance from its owner
+    is kept next to it (the same value both ways, as (a-b)² equals (b-a)²),
+    so pruning an overflowing neighbor list sorts stored values.
+    """
 
     def __init__(self, space, rng):
         self.space = space
@@ -30,90 +48,86 @@ class _HnswGraph:
         self.max_level = -1
         self.levels = []
         self.links = []  # per node: list over levels of neighbor id lists
+        link_dist = []  # shaped like links: each link's distance from its owner
         for node in range(space.shape[0]):
-            self._insert(node, rng)
+            self._insert(node, rng, link_dist)
 
-    def _dist(self, q, ids):
-        diff = self.space[np.asarray(ids, dtype=np.int64)] - q
-        return np.sum(diff * diff, axis=1)
-
-    def _insert(self, node, rng):
+    def _insert(self, node, rng, link_dist):
         level = int(-math.log(max(rng.random(), 1e-12)) * self.level_mult)
         self.levels.append(level)
         self.links.append([[] for _ in range(level + 1)])
+        link_dist.append([[] for _ in range(level + 1)])
         if self.entry is None:
             self.entry = node
             self.max_level = level
             return
-        q = self.space[node]
+        dist = _sq_dist(self.space[:node], self.space[node]).tolist()
         ep = self.entry
         for lvl in range(self.max_level, level, -1):
-            ep = self._greedy(q, ep, lvl)
+            ep = self._greedy(dist, ep, lvl)
         for lvl in range(min(level, self.max_level), -1, -1):
-            cands = self._search_layer(q, [ep], lvl, HNSW_EF_CONSTRUCTION)
             cap = 2 * HNSW_M if lvl == 0 else HNSW_M
-            chosen = [i for _, i in cands[:cap]]
-            self.links[node][lvl] = list(chosen)
-            for c in chosen:
-                nb = self.links[c][lvl]
+            chosen = self._search_layer(dist, ep, lvl, HNSW_EF_CONSTRUCTION)[:cap]
+            self.links[node][lvl] = [c for _, c in chosen]
+            link_dist[node][lvl] = [d for d, _ in chosen]
+            for d, c in chosen:
+                nb, nd = self.links[c][lvl], link_dist[c][lvl]
                 nb.append(node)
+                nd.append(d)
                 if len(nb) > cap:
-                    d = self._dist(self.space[c], nb)
-                    keep = np.argsort(d, kind="stable")[:cap]
+                    keep = sorted(range(len(nb)), key=nd.__getitem__)[:cap]
                     self.links[c][lvl] = [nb[k] for k in keep]
-            ep = chosen[0] if chosen else ep
+                    link_dist[c][lvl] = [nd[k] for k in keep]
+            ep = chosen[0][1]
         if level > self.max_level:
             self.max_level = level
             self.entry = node
 
-    def _greedy(self, q, ep, lvl):
+    def _greedy(self, dist, ep, lvl):
         cur = ep
-        cur_d = float(self._dist(q, [cur])[0])
+        cur_d = dist[cur]
         improved = True
         while improved:
             improved = False
             nbrs = self.links[cur][lvl] if lvl < len(self.links[cur]) else []
             if not nbrs:
                 break
-            d = self._dist(q, nbrs)
-            k = int(np.argmin(d))
-            if d[k] < cur_d:
-                cur, cur_d = nbrs[k], float(d[k])
+            ds = [dist[n] for n in nbrs]
+            d = min(ds)
+            if d < cur_d:
+                cur, cur_d = nbrs[ds.index(d)], d
                 improved = True
         return cur
 
-    def _search_layer(self, q, entries, lvl, ef):
-        """Best-first expansion; returns (dist, id) ascending."""
-        visited = set(entries)
-        ed = self._dist(q, entries)
-        cand = [(float(d), e) for d, e in zip(ed, entries)]
-        heapq.heapify(cand)
-        best = sorted(cand)
+    def _search_layer(self, dist, ep, lvl, ef):
+        """Best-first expansion from ep; returns (dist, id) ascending."""
+        visited = {ep}
+        cand = [(dist[ep], ep)]
+        best = list(cand)
         while cand:
             d, c = heapq.heappop(cand)
-            if d > best[min(len(best), ef) - 1][0] and len(best) >= ef:
+            if len(best) >= ef and d > best[ef - 1][0]:
                 break
             nbrs = [n for n in (self.links[c][lvl] if lvl < len(self.links[c]) else [])
                     if n not in visited]
             if not nbrs:
                 continue
             visited.update(nbrs)
-            nd = self._dist(q, nbrs)
-            bound = best[min(len(best), ef) - 1][0] if len(best) >= ef else math.inf
-            for dd, n in zip(nd, nbrs):
-                if dd <= bound or len(best) < ef:
-                    heapq.heappush(cand, (float(dd), n))
-                    best.append((float(dd), n))
+            bound = best[ef - 1][0] if len(best) >= ef else math.inf
+            for n in nbrs:
+                if dist[n] <= bound:
+                    heapq.heappush(cand, (dist[n], n))
+                    best.append((dist[n], n))
             best.sort()
-            del best[max(ef, 1):]
+            del best[ef:]
         return best
 
     def search(self, q, k):
+        dist = _sq_dist(self.space, q).tolist()
         ep = self.entry
         for lvl in range(self.max_level, 0, -1):
-            ep = self._greedy(q, ep, lvl)
-        found = self._search_layer(q, [ep], 0, max(HNSW_EF_SEARCH, k))
-        return found[:k]
+            ep = self._greedy(dist, ep, lvl)
+        return self._search_layer(dist, ep, 0, max(HNSW_EF_SEARCH, k))[:k]
 
 
 class NNIndex:
@@ -123,6 +137,8 @@ class NNIndex:
         space = np.asarray(space, dtype=np.float64)
         if space.ndim != 2 or space.shape[0] < 1:
             raise ValueError("index space must be a non-empty 2-D array")
+        if not np.isfinite(space).all():
+            raise ValueError("index space must be finite")
         if mode not in ("exact", "approximate"):
             raise ValueError(f"unknown index mode {mode!r}")
         self.space = space.copy()
@@ -175,8 +191,7 @@ def _search(index, q, n_c, exclude_id):
         # over-fetch so the excluded id cannot starve the result
         found = index._graph.search(q, n_c + 1)
         return [i for _, i in found if exclude_id is None or i != exclude_id][:n_c]
-    diff = index.space - q
-    dist = np.sum(diff * diff, axis=1)
+    dist = _sq_dist(index.space, q)
     # rows up to the (n_c+1)-th distance: a prefix of the (distance, id) order
     k = min(n_c + 1, index.size)
     near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])

@@ -156,6 +156,25 @@ class TestCommands:
         assert cli.main(["sweep", "--manifest", str(mpath),
                          "--sweep", str(sweep)]) == 2
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"type": "layers", "grid": [5]}, "grid"),
+        ({"type": "robustness", "fractions": ["a"]}, "fractions"),
+        ({"type": "robustness", "fractions": [0.5], "user_fraction": "x"}, "user_fraction"),
+        ({"type": "layers", "grid": [[1, 1, "2"]]}, "grid"),
+        ({"type": "robustness", "fractions": [1.5]}, "fractions"),
+        ({"type": "robustness", "fractions": [True]}, "fractions"),
+        ({"type": "robustness", "fractions": [], "user_fraction": -0.1}, "user_fraction"),
+        ({"type": "layers"}, "grid"),
+        ({"type": ["layers"], "grid": [[1, 1, 1]]}, "type"),
+    ])
+    def test_mistyped_sweep_spec_exits_2(self, workspace, capsys, spec, key):
+        tmp_path, mpath, _, _ = workspace
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(spec), encoding="utf-8")
+        assert cli.main(["sweep", "--manifest", str(mpath),
+                         "--sweep", str(sweep)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
 
 # TrainConfig values of the wrong type: ints reject bools and floats, floats
 # take ints, bools take only bools, layer_counts is null or a list of ints;
