@@ -136,6 +136,8 @@ class InteractionDataset:
 
     def chain_codes(self, users, items):
         """Chain code of each (users[p], items[p]) pair, as an int64 array."""
+        if len(users) == 0:  # scipy answers an empty pair index with a sparse matrix
+            return np.empty(0, dtype=np.int64)
         return np.asarray(self.chain_code_matrix[users, items], dtype=np.int64).reshape(-1)
 
     def behavior_index(self, behavior):

@@ -6,6 +6,12 @@ under the target behavior (full ranking, no sampled negatives). HR@K and
 NDCG@K use the single-relevant-item closed forms. Explanations convert a
 reasoning trace into a lossless, line-serializable record; counterfactual
 edits perturb the chain observation only, never the parameters.
+
+Every read path (``rank_items``, ``evaluate``, ``explain`` and
+``counterfactual``) scores pairs with ``reason_batch(tape=False)``, the
+tape-free scorer of ``reasoning``, on one snapshot: a cascade and its
+retrieval indices, given by the caller or built fresh. The only tape ops
+of a call are the cascade's, when it builds one.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class MetricsReport:
             "path_fractions": self.path_fractions,
             "user_count": self.user_count,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 @dataclass
@@ -60,7 +66,7 @@ class ExplanationRecord:
             "steps": self.steps,
             "score": self.score,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_json_line(line):
@@ -104,22 +110,22 @@ def _snapshot(model, cascade, indices):
 
 
 def _ranked(model, users, items, cascade, indices, codes=None):
-    """Score a batch of pairs with the head; returns (order, probabilities, traces).
+    """Score a batch of pairs with no tape; returns (order, probabilities, traces).
 
     ``order`` sorts the pairs by descending logit, ties broken by ascending
     item. Rankings sort on the logits: the logistic saturates to exactly 1.0
     in float once logits are large, which would collapse well-separated
     pairs into ties.
     """
-    mediators, traces = model.reason_batch(users, items, cascade, indices, codes=codes)
-    logits = training.predict_logit(mediators, model.store).data[:, 0]
+    logits, traces = model.reason_batch(users, items, cascade, indices, codes=codes, tape=False)
     return np.lexsort((items, -logits)), tg._sigmoid(logits), traces
 
 
 def _unowned_items(ds, u):
     """Ascending items that user u has no train-target edge with."""
-    return np.setdiff1d(np.arange(ds.num_items, dtype=np.int64),
-                        ds.items_of(ds.spec.target_index, u), assume_unique=True)
+    keep = np.ones(ds.num_items, dtype=bool)
+    keep[ds.items_of(ds.spec.target_index, u)] = False
+    return np.flatnonzero(keep)
 
 
 def rank_items(u, model, candidates=None, cascade=None, indices=None):
@@ -139,24 +145,56 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
                     traces.path_labels()[order].tolist()))
 
 
+# Pairs per evaluate batch: many users share one scorer call, and the
+# batch's temporaries (a few width-d rows per pair) stay a few MB.
+EVAL_BATCH_PAIRS = 1 << 14
+
+
+def _user_batches(ds, users):
+    """(users, candidate arrays) in batches of about EVAL_BATCH_PAIRS pairs."""
+    batch, cands, size = [], [], 0
+    for u in users:
+        items = _unowned_items(ds, u)
+        batch.append(u)
+        cands.append(items)
+        size += items.shape[0]
+        if size >= EVAL_BATCH_PAIRS:
+            yield batch, cands
+            batch, cands, size = [], [], 0
+    if batch:
+        yield batch, cands
+
+
 def evaluate(model, split, ks=(10, 50)):
-    """Mean HR/NDCG over test users plus path and sparsity analytics."""
+    """Mean HR/NDCG over test users plus path and sparsity analytics.
+
+    Users are scored in batches. A held-out item's rank is one plus the
+    number of candidates ranked before it: a higher logit, or an equal
+    logit and a lower item, the order ``rank_items`` sorts by.
+    """
     ds = model.train_dataset
     if (ds.num_users, ds.num_items) != (split.train.num_users, split.train.num_items):
         raise ValueError("model and split dimensions differ")
     ks = list(ks)
     test_users = sorted(split.test_positives)
+    if not test_users:
+        raise dataio.InputError("the split has no test users: no user has a held-out "
+                                "target item (each needs at least 2 target edges)")
 
     cascade, indices = _snapshot(model, None, None)
-
-    def rank_of_held_out(u):
-        items = _unowned_items(ds, u)
-        users = np.full(items.shape[0], u, dtype=np.int64)
-        order, _, traces = _ranked(model, users, items, cascade, indices)
-        k = np.flatnonzero(items == split.test_positives[u])[0]  # IndexError if not a candidate
-        return int(np.flatnonzero(order == k)[0]) + 1, str(traces.path_labels()[k])
-
-    results = {u: rank_of_held_out(u) for u in test_users}
+    results = {}
+    for batch, cands in _user_batches(ds, test_users):
+        users = np.repeat(batch, [c.shape[0] for c in cands])
+        logits, traces = model.reason_batch(users, np.concatenate(cands), cascade, indices,
+                                            tape=False)
+        labels = traces.path_labels()
+        start = 0
+        for u, items in zip(batch, cands):
+            seg = logits[start:start + items.shape[0]]
+            k = np.flatnonzero(items == split.test_positives[u])[0]  # IndexError if not a candidate
+            rank = 1 + np.count_nonzero(seg > seg[k]) + np.count_nonzero(seg[:k] == seg[k])
+            results[u] = int(rank), str(labels[start + k])
+            start += items.shape[0]
 
     def mean(metric, users, k):
         return float(np.mean([metric(results[u][0], k) for u in users]))
@@ -165,8 +203,7 @@ def evaluate(model, split, ks=(10, 50)):
     ndcg = {k: mean(ndcg_at_k, test_users, k) for k in ks}
 
     path_counts = collections.Counter(results[u][1] for u in test_users)
-    total = max(len(test_users), 1)
-    path_fractions = {p: c / total for p, c in path_counts.items()}
+    path_fractions = {p: c / len(test_users) for p, c in path_counts.items()}
 
     group_metrics = []
     for g_idx, members in enumerate(dataio.group_users_by_sparsity(ds)):

@@ -10,7 +10,7 @@ Every kernel is one ``tensorgrad.record`` op with a hand-written vjp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +40,7 @@ class CascadeState:
     e_p_i: tg.Tensor
     per_behavior: list  # list[BehaviorEmbeddings], in cascade order
     layer_counts: list
+    memo: dict = field(default_factory=dict, repr=False, compare=False)  # readers' derived arrays
 
     def final(self):
         """Aggregated embeddings of the target (last) behavior."""

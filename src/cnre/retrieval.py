@@ -8,8 +8,10 @@ a vector; ``neighbors`` gives items of the index their nearest other rows.
 Every distance comes from a vectorized row, ``_sq_dist``: a query
 computes its row over all N rows, and inserting a node into the graph
 computes its row over the nodes inserted before it, so a build does
-O(N·d) numpy work per insert, O(N²·d) flops in total. A space with a
-NaN or infinite value is rejected.
+O(N·d) numpy work per insert, O(N²·d) flops in total. Each row's
+differences go into one scratch array per index, so two threads must not
+search one index at once. A space with a NaN or infinite value is
+rejected.
 """
 
 from __future__ import annotations
@@ -26,10 +28,16 @@ HNSW_EF_CONSTRUCTION = 100
 HNSW_EF_SEARCH = 128
 
 
-def _sq_dist(rows, q):
-    """Squared distance from q to each row."""
-    diff = rows - q
-    return np.sum(diff * diff, axis=1)
+def _sq_dist(rows, q, scratch):
+    """Squared distance from q to each row; the differences go into scratch.
+
+    scratch is a preallocated array of at least len(rows) rows, so a
+    distance row allocates only its result.
+    """
+    diff = scratch[:rows.shape[0]]
+    np.subtract(rows, q, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return diff.sum(axis=1)
 
 
 class _HnswGraph:
@@ -48,6 +56,7 @@ class _HnswGraph:
         self.max_level = -1
         self.levels = []
         self.links = []  # per node: list over levels of neighbor id lists
+        self._scratch = np.empty_like(space)  # every distance row's differences
         link_dist = []  # shaped like links: each link's distance from its owner
         for node in range(space.shape[0]):
             self._insert(node, rng, link_dist)
@@ -61,7 +70,7 @@ class _HnswGraph:
             self.entry = node
             self.max_level = level
             return
-        dist = _sq_dist(self.space[:node], self.space[node]).tolist()
+        dist = _sq_dist(self.space[:node], self.space[node], self._scratch).tolist()
         ep = self.entry
         for lvl in range(self.max_level, level, -1):
             ep = self._greedy(dist, ep, lvl)
@@ -123,7 +132,7 @@ class _HnswGraph:
         return best
 
     def search(self, q, k):
-        dist = _sq_dist(self.space, q).tolist()
+        dist = _sq_dist(self.space, q, self._scratch).tolist()
         ep = self.entry
         for lvl in range(self.max_level, 0, -1):
             ep = self._greedy(dist, ep, lvl)
@@ -143,11 +152,13 @@ class NNIndex:
             raise ValueError(f"unknown index mode {mode!r}")
         self.space = space.copy()
         self.mode = mode
-        self._graph = None
+        self._graph = self._scratch = None
         self._neighbors = {}  # (item, n_c) -> tuple of neighbor ids
         if mode == "approximate":
             rng = np.random.default_rng(seed)
             self._graph = _HnswGraph(self.space, rng)
+        else:
+            self._scratch = np.empty_like(self.space)
 
     @property
     def size(self):
@@ -191,7 +202,7 @@ def _search(index, q, n_c, exclude_id):
         # over-fetch so the excluded id cannot starve the result
         found = index._graph.search(q, n_c + 1)
         return [i for _, i in found if exclude_id is None or i != exclude_id][:n_c]
-    dist = _sq_dist(index.space, q)
+    dist = _sq_dist(index.space, q, index._scratch)
     # rows up to the (n_c+1)-th distance: a prefix of the (distance, id) order
     k = min(n_c + 1, index.size)
     near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])

@@ -253,6 +253,7 @@ class ParameterStore:
         self._m = {}
         self._v = {}
         self.step_count = 0
+        self.version = 0  # bumped by every write: adam_step and load_arrays
 
     def add(self, name, array):
         if name in self._slots:
@@ -282,6 +283,7 @@ class ParameterStore:
     def adam_step(self, lr):
         """Standard bias-corrected Adam over all slots; zeroes gradients."""
         self.step_count += 1
+        self.version += 1
         t = self.step_count
         for name, p in self._slots.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -302,6 +304,7 @@ class ParameterStore:
         return {name: t.data.copy() for name, t in self._slots.items()}
 
     def load_arrays(self, arrays):
+        self.version += 1
         for name, arr in arrays.items():
             t = self._slots[name]
             if t.data.shape != arr.shape:

@@ -181,13 +181,13 @@ class CnreModel:
                 bundle.e_sem_i.data, mode=cfg.index_mode, seed=cfg.seed)
         return indices
 
-    def reason_batch(self, users, items, cascade, indices, gate=None, codes=None):
+    def reason_batch(self, users, items, cascade, indices, gate=None, codes=None, tape=True):
         cfg = self.config
         return reasoning.reason_batch(
             users, items, self.train_dataset, cascade, indices, self.store,
             cfg.tau, n_c=cfg.n_c, disable_rea=cfg.disable_rea,
             disable_cnj=cfg.disable_cnj, disable_dsj=cfg.disable_dsj,
-            codes=codes, gate=gate)
+            codes=codes, gate=gate, tape=tape)
 
     def batch_loss(self, per_behavior_triples, cascade, indices, gate=None):
         """Multi-task loss over one step's triples; returns (loss, n_pairs)."""

@@ -16,7 +16,11 @@ from cnre.synthetic import make_planted_dataset
 @pytest.fixture
 def workspace(tmp_path):
     """Interaction files + manifest for a small planted dataset."""
-    ds = make_planted_dataset(num_users=15, num_items=10, n_groups=3, seed=0)
+    return _workspace(tmp_path, make_planted_dataset(num_users=15, num_items=10, n_groups=3,
+                                                     seed=0))
+
+
+def _workspace(tmp_path, ds):
     files = {}
     for b, name in enumerate(ds.spec.names):
         p = tmp_path / f"{name}.tsv"
@@ -291,6 +295,33 @@ class TestExitCodes:
             fh.write(content)
         assert cli.main(["train", "--manifest", str(mpath)]) == 2
         assert not os.path.exists(os.path.join(manifest["output_dir"], "checkpoint.cnre"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_eval_without_test_users_exits_2(self, tmp_path, capsys):
+        """One buy per user leaves no held-out item: exit 2, not NaN metrics."""
+        ds = make_planted_dataset(num_users=12, num_items=10, n_groups=3, seed=0,
+                                  buys_per_user=1)
+        _, mpath, manifest, _ = _workspace(tmp_path, ds)
+        assert cli.main(["train", "--manifest", str(mpath)]) == 0
+        ckpt = os.path.join(manifest["output_dir"], "checkpoint.cnre")
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(mpath)]) == 2
+        assert "no test users" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(manifest["output_dir"], "metrics.jsonl"))
+
+    def test_python_dash_m_cnre_runs_without_warning(self, workspace):
+        _, mpath, manifest, _ = workspace
+        assert cli.main(["train", "--manifest", str(mpath)]) == 0
+        ckpt = os.path.join(manifest["output_dir"], "checkpoint.cnre")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "cnre", "eval", "--checkpoint", ckpt,
+                               "--manifest", str(mpath)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert set(json.loads(proc.stdout)["hr"]) == {"5", "10"}
 
     def test_missing_checkpoint_exits_2(self, workspace):
         tmp_path, mpath, _, _ = workspace

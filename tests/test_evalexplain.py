@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cnre import dataio, evalexplain, training
+from cnre import dataio, evalexplain, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 
@@ -90,6 +90,64 @@ class TestRankItems:
         labels = {p for _, _, p in evalexplain.rank_items(1, model)}
         assert labels <= {"strong", "medium", "weak", "default"}
 
+    def test_empty_candidate_list_ranks_nothing(self):
+        model, _ = _quick_model()
+        assert evalexplain.rank_items(0, model, candidates=[]) == []
+
+    @pytest.mark.parametrize("half, message", [(0, "head user rows"),
+                                               (1, r"inference table \('head'")])
+    def test_nan_in_head_weight_raises(self, half, message):
+        """A NaN in the user half or the item half of W_h fails the scorer, naming where."""
+        model, _ = _quick_model()
+        model.store["head_wh"].data[half * model.config.embedding_dim, 0] = np.nan
+        with pytest.raises(tg.NonFiniteError, match=message):
+            evalexplain.rank_items(0, model)
+
+
+def _record_calls(monkeypatch, fail=False):
+    """Patch tg.record to log each op name (or to raise); returns the log."""
+    calls = []
+    real = tg.record
+
+    def record(data, op, inputs, vjp):
+        if fail:
+            raise AssertionError(f"tape op {op!r} recorded during inference")
+        calls.append(op)
+        return real(data, op, inputs, vjp)
+    monkeypatch.setattr(tg, "record", record)
+    return calls
+
+
+class TestNoTape:
+    def test_read_paths_record_no_op_given_a_snapshot(self, monkeypatch):
+        model, split = _quick_model()
+        ds = model.train_dataset
+        cascade = model.cascade()
+        indices = model.build_indices(cascade)
+        pair = _find_pair_with_flags(model, (1, 1, 0))
+        assert pair is not None
+        _record_calls(monkeypatch, fail=True)
+        for u in range(ds.num_users):
+            ranked = evalexplain.rank_items(u, model, cascade=cascade, indices=indices)
+        assert {p for _, _, p in ranked} <= {"strong", "medium", "weak", "default"}
+        evalexplain.explain(*pair, model, cascade=cascade, indices=indices)
+        evalexplain.counterfactual(*pair, evalexplain.CounterfactualEdit(drop="cart"), model,
+                                   cascade=cascade, indices=indices)
+
+    def test_evaluate_records_one_cascade_whatever_the_user_count(self, monkeypatch):
+        model, split = _quick_model()
+        calls = _record_calls(monkeypatch)
+        model.cascade()
+        one_cascade = list(calls)
+        assert one_cascade
+        users = sorted(split.test_positives)
+        for n in (1, len(users)):
+            calls.clear()
+            sub = dataio.SplitDataset(train=split.train, test_positives={
+                u: split.test_positives[u] for u in users[:n]})
+            evalexplain.evaluate(model, sub)
+            assert calls == one_cascade
+
 
 class TestEvaluate:
     def test_report_shape_and_ranges(self):
@@ -147,6 +205,21 @@ class TestEvaluate:
                                   test_positives={**split.test_positives, u: owned})
         with pytest.raises(IndexError):
             evalexplain.evaluate(model, bad)
+
+    def test_split_without_test_users_is_invalid_input(self):
+        model, split = _quick_model()
+        empty = dataio.SplitDataset(train=split.train, test_positives={})
+        with pytest.raises(dataio.InputError, match="no test users"):
+            evalexplain.evaluate(model, empty)
+
+    def test_nan_is_not_written_as_json(self):
+        report = evalexplain.MetricsReport(ks=[10], hr={10: math.nan}, ndcg={10: 0.0},
+                                           group_metrics=[], path_fractions={}, user_count=0)
+        record = evalexplain.ExplanationRecord(user="u", item="i", flags=(0, 0, 0),
+                                               path="default", steps=[], score=math.nan)
+        for line in (report, record):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                line.to_json_line()
 
     def test_group_metrics_cover_all_test_users(self):
         model, split = _quick_model()

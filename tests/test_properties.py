@@ -415,3 +415,50 @@ def test_index_rows_backward_equals_add_at_bit_for_bit(rows, d, data, seed):
     want = np.zeros((rows, d))
     np.add.at(want, np.asarray(idx, dtype=np.int64), g)
     assert a.grad.tobytes() == want.tobytes()
+
+
+def _assert_close_to_scale(got, want):
+    """Within 1e-12 of want, relative to the largest magnitude in want."""
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets(), data=st.data())
+def test_scorer_matches_tape_reasoner_and_head(ds, data):
+    """reason_batch with no tape against reason_batch + predict_logit on the tape."""
+    ablation = data.draw(st.sampled_from(
+        [{}, {"disable_rea": True}, {"disable_cnj": True}, {"disable_dsj": True}]))
+    cfg = training.TrainConfig(embedding_dim=data.draw(st.integers(1, 5)), hyperedges=2,
+                               epochs=0, n_c=data.draw(st.integers(1, 4)),
+                               seed=data.draw(st.integers(0, 2**16)), **ablation)
+    model = training.CnreModel(ds, cfg)
+    rng = np.random.default_rng(cfg.seed)  # biases start at 0: give them values to check
+    model.store.load_arrays({name: rng.normal(size=model.store[name].shape) for name in (
+        "conj_b1", "conj_b2", "disj_b1", "disj_b2", "head_bh", "head_bo")})
+    cascade = model.cascade()
+    indices = model.build_indices(cascade)
+    tau = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+    n_pairs = ds.num_users * ds.num_items
+    pairs = data.draw(st.lists(st.integers(0, n_pairs - 1), min_size=1, max_size=40))
+    users, items = np.divmod(np.array(pairs), ds.num_items)
+    code = st.integers(0, (1 << len(ds.spec)) - 1)
+    codes = data.draw(st.one_of(st.none(), code, st.lists(
+        code, min_size=len(pairs), max_size=len(pairs)).map(np.array)))
+    kw = dict(n_c=cfg.n_c, codes=codes, **ablation)
+
+    med, want = reasoning.reason_batch(users, items, ds, cascade, indices, model.store, tau,
+                                       **kw)
+    want_logits = training.predict_logit(med, model.store).data[:, 0]
+    logits, got = reasoning.reason_batch(users, items, ds, cascade, indices, model.store, tau,
+                                         tape=False, **kw)
+    _assert_close_to_scale(logits, want_logits)
+    np.testing.assert_array_equal(np.lexsort((items, -logits)),
+                                  np.lexsort((items, -want_logits)))
+    np.testing.assert_array_equal(got.path_labels(), want.path_labels())
+    for p in range(len(pairs)):
+        assert _trace_fields(got[p]) == _trace_fields(want[p])
+        if got[p].space is None:  # a concatenation: the same rows, bit for bit
+            np.testing.assert_array_equal(got[p].mediator, want[p].mediator)
+        else:
+            _assert_close_to_scale(got[p].mediator, want[p].mediator)

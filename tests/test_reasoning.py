@@ -315,3 +315,38 @@ def test_gate_snapshot_freezes_dispatch_inputs():
         assert t1.path == t2.path
         assert t1.confidence == t2.confidence
         assert t1.neighbor_ids == t2.neighbor_ids
+
+
+def test_scorer_tables_follow_parameter_writes():
+    """Tables memoized on a cascade are rebuilt after an Adam step or load_arrays."""
+    train, model, cascade, indices = _trained_bits()
+    users = np.repeat(np.arange(4), train.num_items)
+    items = np.tile(np.arange(train.num_items), 4)
+
+    def tape_logits():
+        med, _ = model.reason_batch(users, items, cascade, indices)
+        return training.predict_logit(med, model.store).data[:, 0]
+
+    def scored():
+        return model.reason_batch(users, items, cascade, indices, tape=False)[0]
+
+    before = scored()
+    tables = cascade.memo["inference"]
+    np.testing.assert_allclose(before, tape_logits(), rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(scored(), before)
+    assert cascade.memo["inference"] is tables  # no write, so the memo is kept
+
+    saved = model.store.state_arrays()
+    loss = None
+    for _, p in model.store.items():  # every slot gets a grad, so Adam moves every slot
+        sq = tg.l2_norm_sq(p)
+        loss = sq if loss is None else tg.add(loss, sq)
+    loss.backward()
+    model.store.adam_step(0.05)
+    after_step = scored()
+    assert cascade.memo["inference"] is not tables
+    assert np.max(np.abs(after_step - before)) > 1e-6
+    np.testing.assert_allclose(after_step, tape_logits(), rtol=1e-12, atol=1e-15)
+
+    model.store.load_arrays(saved)
+    np.testing.assert_array_equal(scored(), before)
