@@ -177,13 +177,20 @@ def dispatch_table(n_behaviors):
 
 
 def _pooling_matrix(id_lists, n_items):
-    """g x N averaging matrix: row p puts 1/len(ids) on each neighbor id."""
+    """g x N averaging matrix: row p puts 1/len(ids) on each neighbor id.
+
+    Built as CSR from its row pointers, then each row's columns are sorted,
+    so a product adds a row's neighbors in id order.
+    """
     lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
+    indptr = np.zeros(len(id_lists) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
     cols = np.fromiter(itertools.chain.from_iterable(id_lists), dtype=np.int64,
-                       count=int(lengths.sum()))
-    rows = np.repeat(np.arange(len(id_lists)), lengths)
+                       count=int(indptr[-1]))
     vals = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(id_lists), n_items))
+    pool = sp.csr_matrix((vals, cols, indptr), shape=(len(id_lists), n_items))
+    pool.sort_indices()
+    return pool
 
 
 class Route(NamedTuple):
@@ -333,6 +340,10 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
             mediator_fn = conjunction_mediator if kind == _CONJ else disjunction_mediator
             parts.append(mediator_fn(e_u_rows, tg.index_rows(e_space, its),
                                      tg.spmm(pool, e_space), params))
+    if not parts:  # an empty batch
+        width = 2 * cascade.per_behavior[0].e_u.data.shape[1]
+        mediators = tg.Tensor(np.empty((0, width)))
+        return mediators, TraceSequence(r, neighbors, n_b, tau, mediators.data.__getitem__)
     stacked = tg.concat_rows(parts) if len(parts) > 1 else parts[0]
     inv = np.empty(users.shape[0], dtype=np.int64)
     inv[order] = np.arange(users.shape[0])

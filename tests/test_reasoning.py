@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from cnre import dataio, reasoning, retrieval, tensorgrad as tg, training
 from cnre.reasoning import PreferenceStrength as P
@@ -155,6 +157,16 @@ class TestReasonBatch:
             assert trace.path == traces[k].path
             assert trace.neighbor_ids == traces[k].neighbor_ids
 
+    def test_empty_batch_in_both_modes(self):
+        train, model, cascade, indices = _trained_bits()
+        none = np.array([], dtype=np.int64)
+        med, traces = model.reason_batch(none, none, cascade, indices)
+        assert med.data.shape == (0, 2 * model.config.embedding_dim)
+        assert len(traces) == 0 and list(traces) == []
+        logits, traces = model.reason_batch(none, none, cascade, indices, tape=False)
+        assert logits.shape == (0,)
+        assert len(traces) == 0 and list(traces) == []
+
     def test_trace_contracts(self):
         train, model, cascade, indices = _trained_bits()
         found = set()
@@ -298,6 +310,23 @@ def test_retrieval_mediator_without_neighbors_pools_zeros():
     indices = model.build_indices(cascade)
     checked = _retrieval_mediators_match_operators(ds, model, cascade, indices, 0.5)
     assert checked == {("semantic", False)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_items=st.integers(1, 30))
+def test_pooling_matrix_equals_coo_build(data, n_items):
+    """The directly built CSR has the COO-built matrix's arrays, empty rows included."""
+    hood = st.lists(st.integers(0, n_items - 1), unique=True).map(tuple)
+    id_lists = data.draw(st.lists(hood, max_size=12))
+    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
+    rows = np.repeat(np.arange(len(id_lists)), lengths)
+    cols = np.array([i for ids in id_lists for i in ids], dtype=np.int64)
+    vals = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
+    want = sp.csr_matrix((vals, (rows, cols)), shape=(len(id_lists), n_items))
+    got = reasoning._pooling_matrix(id_lists, n_items)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_gate_snapshot_freezes_dispatch_inputs():

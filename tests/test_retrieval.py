@@ -207,3 +207,27 @@ def test_hnsw_graph_matches_reference_on_tied_grid(shape, seed):
     space = rng.integers(-3, 4, size=shape).astype(float)
     queries = [(rng.integers(-3, 4, size=shape[1]).astype(float), None), (space[5], 5)]
     _assert_graph_matches_reference(space, seed, queries, 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 60), width=st.integers(1, 3),
+       seed=st.integers(0, 2**64 - 1), ints=st.booleans())
+def test_search_layer_matches_reference_at_small_ef(data, n_rows, width, seed, ints):
+    """The bounded best list: every level, ef from 1 to 8 and above the node
+    count, on random spaces and on small integer spaces full of ties."""
+    if ints:
+        space = np.array(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=width,
+                                                     max_size=width),
+                                            min_size=n_rows + 1, max_size=n_rows + 1)),
+                         dtype=float)
+    else:
+        space = np.random.default_rng(seed).normal(size=(n_rows + 1, width))
+    space, q = space[:n_rows], space[n_rows]
+    got = retrieval.build_index(space, mode="approximate", seed=seed)._graph
+    want = hnsw_reference._HnswGraph(got.space, np.random.default_rng(seed))
+    assert got.links == want.links
+    dist = retrieval._sq_dist(got.space, q, got._scratch).tolist()
+    for lvl in range(got.max_level + 1):
+        ep = data.draw(st.sampled_from([n for n in range(n_rows) if got.levels[n] >= lvl]))
+        for ef in [*range(1, 9), n_rows + 1]:
+            assert got._search_layer(dist, ep, lvl, ef) == want._search_layer(q, [ep], lvl, ef)
