@@ -39,13 +39,7 @@ class CascadeState:
     e_p_u: tg.Tensor
     e_p_i: tg.Tensor
     per_behavior: list  # list[BehaviorEmbeddings], in cascade order
-    layer_counts: list
     memo: dict = field(default_factory=dict, repr=False, compare=False)  # readers' derived arrays
-
-    def final(self):
-        """Aggregated embeddings of the target (last) behavior."""
-        last = self.per_behavior[-1]
-        return last.e_u, last.e_i
 
 
 def build_normalized_adjacency(matrix):
@@ -219,5 +213,4 @@ def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_coun
         ))
         prev_u, prev_i = e_u, e_i
 
-    return CascadeState(e_p_u=e_p_u, e_p_i=e_p_i, per_behavior=bundles,
-                        layer_counts=list(layer_counts))
+    return CascadeState(e_p_u=e_p_u, e_p_i=e_p_i, per_behavior=bundles)

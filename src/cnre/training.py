@@ -162,11 +162,16 @@ class CnreModel:
         add("head_wo", tg.xavier_uniform(rng, d, 1))
         add("head_bo", np.zeros((1, 1)))
 
-    def cascade(self):
+    def cascade(self, n=None):
+        """Cascade over the first n behaviors (all by default).
+
+        A behavior's bundle feeds only the behaviors after it, so the first
+        n bundles are the same as those of the full cascade.
+        """
         cfg = self.config
         return propagation.cascade_forward(
-            self.adjacencies, self.unified_adj, self.store,
-            self.behavior_names, self.layer_counts, disable_hpp=cfg.disable_hpp,
+            self.adjacencies[:n], self.unified_adj, self.store,
+            self.behavior_names[:n], self.layer_counts[:n], disable_hpp=cfg.disable_hpp,
             disable_par=cfg.disable_par, disable_prj=cfg.disable_prj)
 
     def build_indices(self, cascade):
@@ -214,7 +219,13 @@ class CnreModel:
         return loss, n_pairs
 
     def fit(self, log=None):
-        """Run the configured number of epochs; returns per-epoch mean BPR."""
+        """Run the configured number of epochs; returns per-epoch mean BPR.
+
+        A step propagates the cascade only through the last behavior that
+        has triples in its batch: no loss term reads a later behavior. Step
+        0 runs the full cascade, because the epoch's retrieval indices and
+        gate are built from it.
+        """
         cfg = self.config
         ds = self.train_dataset
         history = []
@@ -232,7 +243,8 @@ class CnreModel:
                 batch = [t[lo:hi] for t in per_behavior]
                 if not any(len(t) for t in batch):
                     continue
-                cascade = self.cascade()
+                last = max(b for b, t in enumerate(batch) if len(t))
+                cascade = self.cascade(None if step == 0 else last + 1)
                 if step == 0:  # the epoch's indices and gate: plain arrays of step 0's cascade
                     indices = self.build_indices(cascade)
                     gate = reasoning.GateSnapshot.from_cascade(cascade)

@@ -1,7 +1,10 @@
 """Oracle tests for graph propagation, hypergraph encoding and projection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnre import dataio, propagation, tensorgrad as tg
 
@@ -285,9 +288,9 @@ class TestCascade:
         want_u, want_i = _numpy_cascade(
             edges, store["base_user"].data, store["base_item"].data,
             w_u, w_i, counts)
-        got_u, got_i = state.final()
-        np.testing.assert_allclose(got_u.data, want_u, atol=1e-10)
-        np.testing.assert_allclose(got_i.data, want_i, atol=1e-10)
+        last = state.per_behavior[-1]
+        np.testing.assert_allclose(last.e_u.data, want_u, atol=1e-10)
+        np.testing.assert_allclose(last.e_i.data, want_i, atol=1e-10)
 
     def test_bundles_recorded_per_behavior(self):
         _, store, names, adjs, uni, _, _ = self._setup()
@@ -322,6 +325,26 @@ class TestCascade:
                                             disable_prj=True)
         for b in state.per_behavior:
             np.testing.assert_array_equal(b.e_hat_sem_u.data, b.e_sem_u.data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 3),
+           st.lists(st.integers(0, 2), min_size=3, max_size=3),
+           st.sampled_from([{}, {"disable_hpp": True}, {"disable_par": True},
+                            {"disable_prj": True}]))
+    def test_leading_behaviors_match_full_cascade_bitwise(self, seed, n, counts, ablation):
+        # behavior k feeds only k + 1, ..., so a cascade over the first n
+        # behaviors gives the full cascade's first n bundles bit for bit
+        _, store, names, adjs, uni, _, _ = self._setup(seed=seed)
+        full = propagation.cascade_forward(adjs, uni, store, names, counts, **ablation)
+        part = propagation.cascade_forward(adjs[:n], uni, store, names[:n], counts[:n],
+                                           **ablation)
+        assert len(part.per_behavior) == n
+        np.testing.assert_array_equal(part.e_p_u.data, full.e_p_u.data)
+        np.testing.assert_array_equal(part.e_p_i.data, full.e_p_i.data)
+        for got, want in zip(part.per_behavior, full.per_behavior):
+            for f in dataclasses.fields(got):
+                np.testing.assert_array_equal(getattr(got, f.name).data,
+                                              getattr(want, f.name).data)
 
     def test_misaligned_inputs_rejected(self):
         _, store, names, adjs, uni, _, _ = self._setup()

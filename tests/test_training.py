@@ -118,6 +118,50 @@ def test_auxiliary_score_compositional_identity():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _small_model(**kw):
+    ds = make_planted_dataset(num_users=15, num_items=10, n_groups=3)
+    split = dataio.leave_one_out_split(ds, 0)
+    cfg = training.TrainConfig(embedding_dim=4, hyperedges=2, seed=0, n_c=3, **kw)
+    return split, training.CnreModel(split.train, cfg)
+
+
+def _leading_batch(split, n, size=6, seed=4):
+    """BPR triples for the first n behaviors and none for the rest."""
+    rng = np.random.default_rng(seed)
+    return [dataio.sample_bpr_triples(split.train, b, size, rng) if b < n
+            else np.empty((0, 3), dtype=np.int64) for b in range(len(split.train.matrices))]
+
+
+@pytest.mark.parametrize("n", [1, 2])  # views only; views and carts
+def test_truncated_cascade_gives_same_loss_and_grads(n):
+    split, model = _small_model(epochs=0)
+    batch = _leading_batch(split, n)
+    cascade0 = model.cascade()
+    indices = model.build_indices(cascade0)
+    gate = reasoning.GateSnapshot.from_cascade(cascade0)
+    runs = []
+    for cascade in (model.cascade(n), model.cascade()):
+        loss, _ = model.batch_loss(batch, cascade, indices, gate=gate)
+        model.store.zero_grad()
+        loss.backward()
+        runs.append((loss.data, {name: p.grad for name, p in model.store.items()}))
+    (loss_n, grads_n), (loss_all, grads_all) = runs
+    assert loss_n.tobytes() == loss_all.tobytes()
+    assert grads_n.keys() == grads_all.keys()
+    for name, g in grads_n.items():
+        assert g.tobytes() == grads_all[name].tobytes(), name
+
+
+def test_nan_before_relu_raises_naming_its_op():
+    # relu maps a NaN input to 0 and gives that entry a zero grad, so a NaN an op
+    # produces just before a relu can leave the loss and leaf grads finite; the
+    # per-op check still names the op. Here it is the add of head_bh.
+    split, model = _small_model(epochs=0)
+    model.store["head_bh"].data[0, 0] = np.nan  # written directly, not by adam_step
+    with pytest.raises(tg.NonFiniteError, match="'add'"):
+        model.batch_loss(_leading_batch(split, 1), model.cascade(1), None)
+
+
 class TestTrainLoop:
     def test_zero_epochs_keeps_initialization(self):
         ds = make_planted_dataset(num_users=10, num_items=8, n_groups=2)
@@ -182,6 +226,46 @@ class TestTrainLoop:
         # per side: the intrinsic pass, then per behavior lightgcn, incidence,
         # convolution, projection and aggregation
         assert len(ops) == 32
+        for n in (1, 2, 3):
+            ops.clear()
+            model.cascade(n)
+            assert len(ops) == 2 * (1 + 5 * n)
+
+    def test_views_only_step_propagates_unified_and_view(self, monkeypatch):
+        split, model = _small_model(epochs=1, batch_size=8)
+        graphs, per_step = [], []
+        lightgcn, forward = propagation.lightgcn_propagate, propagation.cascade_forward
+        monkeypatch.setattr(propagation, "lightgcn_propagate",
+                            lambda adj, *a: graphs.append(adj) or lightgcn(adj, *a))
+
+        def counted(*a, **k):
+            graphs.clear()
+            state = forward(*a, **k)
+            per_step.append(list(graphs))
+            return state
+        monkeypatch.setattr(propagation, "cascade_forward", counted)
+        model.fit()
+        # steps holding triples of each behavior; step 0 runs every behavior
+        steps = [-(-m.nnz // 8) for m in split.train.matrices]
+        assert steps[0] > steps[1] > steps[2]
+        want = [4] + [2 + max(b for b in range(3) if s < steps[b]) for s in range(1, steps[0])]
+        assert [len(g) for g in per_step] == want
+        for s in range(steps[1], steps[0]):  # views only: the unified pass and view
+            assert [id(g) for g in per_step[s]] == [id(model.unified_adj),
+                                                    id(model.adjacencies[0])]
+
+    def test_fit_matches_full_cascade_fit_bitwise(self, monkeypatch):
+        split, model = _small_model(epochs=2, batch_size=8)
+        _, full = _small_model(epochs=2, batch_size=8)
+        full_cascade = full.cascade
+        monkeypatch.setattr(full, "cascade", lambda n=None: full_cascade())
+        steps = [-(-m.nnz // 8) for m in split.train.matrices]
+        assert 2 * steps[2] < steps[0]  # most steps hold no target triple
+        model.fit()
+        full.fit()
+        assert model.store.step_count == full.store.step_count
+        for name in model.store.names():
+            np.testing.assert_array_equal(model.store[name].data, full.store[name].data)
 
     def test_training_log_lines(self):
         ds = make_planted_dataset(num_users=10, num_items=10, n_groups=2)
