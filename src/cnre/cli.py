@@ -3,14 +3,15 @@
 Runs are driven by a JSON manifest naming the per-behavior files, the
 cascade order ("auto" derives it from conversion rates) and all training
 settings, so every experiment is reproducible from the manifest alone.
-Exit codes: 0 success, 2 invalid input (``dataio.InputError`` or a missing
-file), 3 numerical abort; any other exception is a fault in the program and
-ends it with a traceback (exit 1).
+Exit codes: 0 success, 2 invalid input (``dataio.InputError``, which covers
+an input file that cannot be read), 3 numerical abort; any other exception
+is a fault in the program and ends it with a traceback (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,45 +24,32 @@ class ManifestError(dataio.InputError):
     pass
 
 
-def _is_int(value, least):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+_STRINGS = dataio.list_of(lambda v: isinstance(v, str))
+_KS = (lambda v: v != [] and dataio.list_of(lambda k: dataio.is_int(k, 1))(v),
+       "a non-empty list of ints of at least 1")
 
-
-def _is_strings(value):
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_ks(value):
-    return isinstance(value, list) and bool(value) and all(_is_int(k, 1) for k in value)
-
-
-# top-level manifest key -> (value check, description); values come from JSON
-_MANIFEST_VALUES = {
-    "behaviors": (_is_strings, "a list of strings"),
+# top-level manifest key -> (check, description); values come from JSON
+_MANIFEST_FIELDS = {
+    "behaviors": (_STRINGS, "a list of strings"),
     "files": (lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
               "an object mapping behaviors to file paths"),
-    "order": (lambda v: v == "auto" or _is_strings(v), "\"auto\" or a list of behaviors"),
-    "split_seed": (lambda v: _is_int(v, 0), "an int of at least 0"),
+    "order": (lambda v: v == "auto" or _STRINGS(v), "\"auto\" or a list of behaviors"),
+    "split_seed": (lambda v: dataio.is_int(v, 0), "an int of at least 0"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
-    "ks": (_is_ks, "a non-empty list of ints of at least 1"),
+    "ks": _KS,
     "train": (lambda v: isinstance(v, dict), "an object"),
 }
 
-
-def _is_fraction(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 <= value <= 1)
-
-
-# sweep spec key -> (value check, description); "type" picks the sweep
-_SWEEP_VALUES = {
-    "grid": (lambda v: isinstance(v, list) and all(
-        isinstance(c, list) and all(_is_int(n, 0) for n in c) for c in v),
-             "a list of layer-count lists of ints of at least 0"),
-    "fractions": (lambda v: isinstance(v, list) and all(map(_is_fraction, v)),
+# sweep spec key -> (check, description); "type" picks the sweep and its required key
+_SWEEP_FIELDS = {
+    "type": (lambda v: v in ("layers", "robustness"), "\"layers\" or \"robustness\""),
+    "grid": (lambda v: v != [] and dataio.list_of(
+        dataio.list_of(lambda n: dataio.is_int(n, 0)))(v),
+             "a non-empty list of layer-count lists of ints of at least 0"),
+    "fractions": (dataio.list_of(lambda v: dataio.is_number(v, 0, 1)),
                   "a list of numbers in [0, 1]"),
-    "user_fraction": (_is_fraction, "a number in [0, 1]"),
-    "ks": _MANIFEST_VALUES["ks"],
+    "user_fraction": (lambda v: dataio.is_number(v, 0, 1), "a number in [0, 1]"),
+    "ks": _KS,
 }
 
 
@@ -76,18 +64,8 @@ def _read_json(path, what):
 def load_manifest(path):
     """Parse and validate a run manifest; unknown keys and mistyped values are rejected."""
     raw = _read_json(path, "manifest")
-    if not isinstance(raw, dict):
-        raise ManifestError(f"manifest {path} is not a JSON object")
-    unknown = set(raw) - set(_MANIFEST_VALUES)
-    if unknown:
-        raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
-    for key in ("behaviors", "files"):
-        if key not in raw:
-            raise ManifestError(f"manifest missing required key '{key}'")
-    for key, value in raw.items():
-        valid, want = _MANIFEST_VALUES[key]
-        if not valid(value):
-            raise ManifestError(f"manifest key '{key}' must be {want}, not {value!r}")
+    dataio.check_fields(raw, _MANIFEST_FIELDS, f"manifest {path}", ManifestError,
+                        required=("behaviors", "files"))
     behaviors, files = raw["behaviors"], raw["files"]
     for name in behaviors:
         if name not in files:
@@ -99,8 +77,9 @@ def load_manifest(path):
         raise ManifestError(f"files listed for unknown behaviors: {sorted(extra_files)}")
     try:
         config = training.TrainConfig(**raw.get("train", {}))
-    except (TypeError, ValueError) as exc:  # an unknown or mistyped key
-        raise ManifestError(f"manifest train block: {exc}") from exc
+        config.resolved_layer_counts(len(behaviors))
+    except (TypeError, ValueError) as exc:  # an unknown, mistyped or misfitting key
+        raise ManifestError(f"manifest {path} field 'train': {exc}") from exc
     order = raw.get("order", behaviors)
     if order != "auto" and (sorted(order) != sorted(behaviors)
                             or order[-1:] != behaviors[-1:]):
@@ -186,20 +165,16 @@ def cmd_counterfactual(args):
 def cmd_sweep(args):
     manifest = load_manifest(args.manifest)
     sweep_spec = _read_json(args.sweep, "sweep spec")
-    if not isinstance(sweep_spec, dict):
-        raise ManifestError(f"sweep spec {args.sweep} is not a JSON object")
-    unknown = set(sweep_spec) - set(_SWEEP_VALUES) - {"type"}
-    if unknown:
-        raise ManifestError(f"unknown sweep keys: {sorted(unknown)}")
-    kind = sweep_spec.get("type")
-    if kind not in ("layers", "robustness"):
-        raise ManifestError(f"sweep key 'type' must be 'layers' or 'robustness', not {kind!r}")
-    needs = "grid" if kind == "layers" else "fractions"
-    if needs not in sweep_spec:
-        raise ManifestError(f"sweep spec missing required key '{needs}'")
-    for key, (valid, want) in _SWEEP_VALUES.items():
-        if key in sweep_spec and not valid(sweep_spec[key]):
-            raise ManifestError(f"sweep key '{key}' must be {want}, not {sweep_spec[key]!r}")
+    what = f"sweep spec {args.sweep}"
+    dataio.check_fields(sweep_spec, _SWEEP_FIELDS, what, ManifestError, required=("type",))
+    needs = "grid" if sweep_spec["type"] == "layers" else "fractions"
+    dataio.check_fields(sweep_spec, _SWEEP_FIELDS, what, ManifestError, required=(needs,))
+    for counts in sweep_spec.get("grid", []):
+        try:
+            dataclasses.replace(manifest["train"], layer_counts=counts).resolved_layer_counts(
+                len(manifest["behaviors"]))
+        except dataio.InputError as exc:
+            raise ManifestError(f"{what} field 'grid' entry {counts}: {exc}") from exc
     ks = sweep_spec.get("ks", [10])
     split = build_split(manifest)
     if needs == "grid":
@@ -272,7 +247,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (dataio.InputError, FileNotFoundError) as exc:
+    except dataio.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,13 +24,50 @@ class InputError(ValueError):
 
 
 class ParseError(InputError):
-    """Malformed or undecodable interaction line."""
+    """Unreadable interaction file, or a malformed or undecodable line in one."""
 
 
 class UnknownIdError(InputError, KeyError):
     """A raw user or item id the dataset does not know."""
 
     __str__ = Exception.__str__  # the message, without KeyError's quotes
+
+
+def is_int(value, least=-math.inf, most=math.inf):
+    """True for an int (not a bool) in [least, most]."""
+    return isinstance(value, int) and not isinstance(value, bool) and least <= value <= most
+
+
+def is_number(value, least=-math.inf, most=math.inf):
+    """True for an int (not a bool) or a finite float in [least, most]."""
+    return ((is_int(value) or isinstance(value, float) and math.isfinite(value))
+            and least <= value <= most)
+
+
+def list_of(check):
+    """A check for a list whose every element passes check."""
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+def check_fields(raw, schema, what, error, required=()):
+    """Validate a JSON object against schema: key -> (check, description).
+
+    Raises error, naming what and the key, for a raw that is not an object,
+    a key the schema does not list, a value its check rejects or a missing
+    required key.
+    """
+    if not isinstance(raw, dict):
+        raise error(f"{what} is not a JSON object")
+    unknown = raw.keys() - schema.keys()
+    if unknown:
+        raise error(f"{what} has unknown keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        check, want = schema[key]
+        if not check(value):
+            raise error(f"{what} field '{key}' is malformed: must be {want}, not {value!r}")
+    for key in required:
+        if key not in raw:
+            raise error(f"{what} has no '{key}'")
 
 
 @dataclass(frozen=True)
@@ -211,6 +249,8 @@ def load_interactions(path, behavior):
                 pairs.add((parts[0], parts[1]))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read interaction file {path}: {exc}") from exc
     if not pairs:
         warnings.warn(f"behavior '{behavior}' file {path} is empty")
     return pairs

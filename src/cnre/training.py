@@ -6,7 +6,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -17,36 +17,33 @@ class CheckpointError(dataio.InputError):
     """Unreadable or inconsistent checkpoint file."""
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# TrainConfig field annotation -> (value check, description); values may come from JSON
-_FIELD_TYPES = {
-    "int": (_is_int, "an int"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "list | None": (lambda v: v is None or (isinstance(v, list) and all(map(_is_int, v))),
-                    "null or a list of ints"),
-}
-
 # Upper limit on embedding_dim and hyperedges (16x the default width). The
 # logic operators hold 3d x 2d weights (50 MB each at d = 1024), so a much
 # larger value would fail allocating the model instead of as invalid input.
 MAX_WIDTH = 1024
 
-# TrainConfig field -> (range check, description), applied to a value of the right type
-_FIELD_RANGES = {
-    **dict.fromkeys(("embedding_dim", "hyperedges"),
-                    (lambda v: 1 <= v <= MAX_WIDTH, f"between 1 and {MAX_WIDTH}")),
-    **dict.fromkeys(("n_c", "batch_size"), (lambda v: v >= 1, "at least 1")),
-    **dict.fromkeys(("epochs", "seed"), (lambda v: v >= 0, "at least 0")),
-    "layer_counts": (lambda v: v is None or all(c >= 0 for c in v),
-                     "null or a list of counts of at least 0"),
-    "lr": (lambda v: 0 < v < math.inf, "finite and above 0"),
-    "l2": (lambda v: 0 <= v < math.inf, "finite and at least 0"),
-    "tau": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+_COUNT = (lambda v: dataio.is_int(v, 0), "an int of at least 0")
+_COUNTS = dataio.list_of(lambda c: dataio.is_int(c, 0))
+_POSITIVE = (lambda v: dataio.is_int(v, 1), "an int of at least 1")
+_WIDTH = (lambda v: dataio.is_int(v, 1, MAX_WIDTH), f"an int between 1 and {MAX_WIDTH}")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+
+# TrainConfig field -> (check, description); values may come from JSON
+_CONFIG_FIELDS = {
+    "embedding_dim": _WIDTH,
+    "hyperedges": _WIDTH,
+    "layer_counts": (lambda v: v is None or _COUNTS(v),
+                     "null or a list of ints of at least 0"),
+    "lr": (lambda v: dataio.is_number(v) and v > 0, "a finite number above 0"),
+    "l2": (lambda v: dataio.is_number(v, 0), "a finite number of at least 0"),
+    "tau": (lambda v: dataio.is_number(v, 0, 1), "a number in [0, 1]"),
+    "n_c": _POSITIVE,
+    "batch_size": _POSITIVE,
+    "epochs": _COUNT,
+    "seed": _COUNT,
+    "index_mode": (lambda v: v in ("exact", "approximate"), '"exact" or "approximate"'),
+    **dict.fromkeys(("disable_hpp", "disable_par", "disable_prj", "disable_rea",
+                     "disable_cnj", "disable_dsj"), _FLAG),
 }
 
 
@@ -71,13 +68,7 @@ class TrainConfig:
     disable_dsj: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            valid, want = _FIELD_TYPES[f.type]
-            if valid(value):
-                valid, want = _FIELD_RANGES.get(f.name, (valid, want))
-            if not valid(value):
-                raise dataio.InputError(f"config field '{f.name}' must be {want}, not {value!r}")
+        dataio.check_fields(vars(self), _CONFIG_FIELDS, "config", dataio.InputError)
 
     def resolved_layer_counts(self, n_behaviors):
         if self.layer_counts is not None:
@@ -329,23 +320,18 @@ def save_checkpoint(path, store, header):
             fh.write(arr.tobytes(order="C"))
 
 
-def _is_count(value):
-    return _is_int(value) and value >= 0
-
-
-def _is_slot(value):
-    return (isinstance(value, dict) and isinstance(value.get("name"), str)
-            and isinstance(value.get("shape"), list) and all(map(_is_count, value["shape"])))
-
-
-# header fields CnreModel.from_checkpoint reads, with their checks
+# every field checkpoint_header writes, with its check
 _HEADER_FIELDS = {
-    "num_users": _is_count,
-    "num_items": _is_count,
-    "behaviors": lambda v: isinstance(v, list) and all(isinstance(b, str) for b in v),
-    "step": _is_count,
-    "config": lambda v: isinstance(v, dict),
-    "slots": lambda v: isinstance(v, list) and all(map(_is_slot, v)),
+    "format_version": (lambda v: dataio.is_int(v, _VERSION, _VERSION), f"{_VERSION}"),
+    "num_users": _COUNT,
+    "num_items": _COUNT,
+    "behaviors": (dataio.list_of(lambda b: isinstance(b, str)), "a list of strings"),
+    "layer_counts": (_COUNTS, "a list of ints of at least 0"),
+    "step": _COUNT,
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "slots": (dataio.list_of(lambda s: isinstance(s, dict) and isinstance(s.get("name"), str)
+                             and _COUNTS(s.get("shape"))),
+              "a list of objects with a string name and a shape of ints of at least 0"),
 }
 
 
@@ -354,13 +340,8 @@ def _parse_header(raw):
         header = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError("checkpoint header is not a JSON object")
-    for key, valid in _HEADER_FIELDS.items():
-        if key not in header:
-            raise CheckpointError(f"checkpoint header has no '{key}'")
-        if not valid(header[key]):
-            raise CheckpointError(f"checkpoint header field '{key}' is malformed")
+    dataio.check_fields(header, _HEADER_FIELDS, "checkpoint header", CheckpointError,
+                        required=_HEADER_FIELDS)
     names = [slot["name"] for slot in header["slots"]]
     if len(set(names)) != len(names):
         raise CheckpointError("checkpoint header names a slot twice")
@@ -368,8 +349,11 @@ def _parse_header(raw):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if blob[:4] != _MAGIC:
         raise CheckpointError("bad magic: not a CNRE checkpoint")
     if len(blob) < 9:

@@ -170,11 +170,19 @@ class TestCommands:
         ({"type": "robustness", "fractions": [], "user_fraction": -0.1}, "user_fraction"),
         ({"type": "layers"}, "grid"),
         ({"type": ["layers"], "grid": [[1, 1, 1]]}, "type"),
+        ({"type": "layers", "grid": [[1, 1, 1], [1, 1]]}, "grid"),  # one count short
+        ({"type": "layers", "grid": []}, "grid"),
     ])
-    def test_mistyped_sweep_spec_exits_2(self, workspace, capsys, spec, key):
+    def test_mistyped_sweep_spec_exits_2(self, workspace, capsys, monkeypatch, spec, key):
         tmp_path, mpath, _, _ = workspace
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps(spec), encoding="utf-8")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the spec was not checked before the data was loaded")
+
+        monkeypatch.setattr(cli, "build_split", unreachable)
+        monkeypatch.setattr(training, "train", unreachable)
         assert cli.main(["sweep", "--manifest", str(mpath),
                          "--sweep", str(sweep)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
@@ -213,6 +221,7 @@ MISTYPED_CONFIG = [
     ("tau", 2.0),
     ("embedding_dim", 10**6),
     ("hyperedges", 1025),
+    ("index_mode", "fuzzy"),
 ]
 
 
@@ -232,6 +241,7 @@ MISTYPED_MANIFEST = [
     ("ks", 5),
     ("ks", [0, 10]),
     ("ks", [5.0]),
+    ("train", {"layer_counts": [1, 1]}),  # one count per behavior
 ]
 
 
@@ -327,6 +337,23 @@ class TestExitCodes:
         tmp_path, mpath, _, _ = workspace
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "none.cnre"),
                          "--manifest", str(mpath)]) == 2
+
+    def test_directory_as_checkpoint_exits_2(self, workspace, capsys):
+        tmp_path, mpath, _, _ = workspace
+        folder = tmp_path / "ckpt_dir"
+        folder.mkdir()
+        assert cli.main(["eval", "--checkpoint", str(folder), "--manifest", str(mpath)]) == 2
+        assert str(folder) in capsys.readouterr().err
+
+    def test_directory_as_interaction_file_exits_2(self, workspace, capsys):
+        tmp_path, mpath, manifest, _ = workspace
+        folder = tmp_path / "cart_dir"
+        folder.mkdir()
+        manifest["files"]["cart"] = str(folder)
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        assert cli.main(["train", "--manifest", str(mpath)]) == 2
+        assert str(folder) in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(manifest["output_dir"], "checkpoint.cnre"))
 
     def _edited_checkpoint(self, workspace, edit):
         """Train, then save the model's checkpoint after edit(model); return (path, train)."""

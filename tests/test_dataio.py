@@ -37,6 +37,28 @@ class TestBehaviorSpec:
             dataio.BehaviorSpec(("view", "view", "buy"))
 
 
+class TestCheckFields:
+    SCHEMA = {"n": (lambda v: dataio.is_int(v, 1), "an int of at least 1"),
+              "xs": (dataio.list_of(dataio.is_number), "a list of finite numbers")}
+
+    @pytest.mark.parametrize("raw, message", [
+        ([], "thing is not a JSON object"),
+        ({"m": 2, "k": 3}, "thing has unknown keys: ['k', 'm']"),
+        ({"n": True}, "thing field 'n' is malformed: must be an int of at least 1, not True"),
+        ({"n": 1, "xs": [1, float("nan")]},
+         "thing field 'xs' is malformed: must be a list of finite numbers, not [1, nan]"),
+        ({"xs": [0, 2.5]}, "thing has no 'n'"),
+    ], ids=["not-an-object", "unknown", "mistyped", "nan-element", "missing"])
+    def test_one_message_form(self, raw, message):
+        with pytest.raises(dataio.InputError) as info:
+            dataio.check_fields(raw, self.SCHEMA, "thing", dataio.InputError, required=("n",))
+        assert str(info.value) == message
+
+    def test_valid_object_passes(self):
+        dataio.check_fields({"n": 10**30, "xs": [0, -2.5]}, self.SCHEMA, "thing",
+                            dataio.InputError, required=("n",))
+
+
 class TestLoadInteractions:
     def test_parses_and_dedups(self, tmp_path):
         p = tmp_path / "view.tsv"
@@ -61,6 +83,10 @@ class TestLoadInteractions:
         p.write_text("", encoding="utf-8")
         with pytest.warns(UserWarning):
             dataio.load_interactions(str(p), "view")
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(dataio.ParseError, match="cannot read"):
+            dataio.load_interactions(str(tmp_path), "view")
 
     def test_byte_order_mark_inside_file_rejected(self, tmp_path):
         p = tmp_path / "view.tsv"

@@ -437,6 +437,9 @@ class TestCheckpointFuzz:
         ("slots", [{"name": "base_user", "shape": [12, -4]}], "'slots' is malformed"),
         ("slots", [{"name": "a", "shape": []}, {"name": "a", "shape": []}], "slot twice"),
         ("slots", [{"name": "a", "shape": [0, 2 ** 62, 2 ** 62]}], "slot 'a': shape"),
+        ("format_version", 2, "'format_version' is malformed"),
+        ("layer_counts", [1, -1, 3], "'layer_counts' is malformed"),
+        ("surprise", 1, r"unknown keys: \['surprise'\]"),
     ])
     def test_malformed_header_field_rejected(self, saved_checkpoint, field, value, match):
         blob, _, workdir = saved_checkpoint
