@@ -76,9 +76,9 @@ def load_manifest(path):
     if extra_files:
         raise ManifestError(f"files listed for unknown behaviors: {sorted(extra_files)}")
     try:
-        config = training.TrainConfig(**raw.get("train", {}))
+        config = training.TrainConfig.from_json(raw.get("train", {}))
         config.resolved_layer_counts(len(behaviors))
-    except (TypeError, ValueError) as exc:  # an unknown, mistyped or misfitting key
+    except dataio.InputError as exc:  # an unknown, mistyped or misfitting key
         raise ManifestError(f"manifest {path} field 'train': {exc}") from exc
     order = raw.get("order", behaviors)
     if order != "auto" and (sorted(order) != sorted(behaviors)

@@ -172,11 +172,32 @@ class InteractionDataset:
         """C = sum_k 2^k A_k: bit k of C[u, i] is behavior k's flag; pattern = all edges."""
         return _frozen(sum((1 << k) * m for k, m in enumerate(self.matrices)))
 
+    @cached_property
+    def _chain_keys(self):
+        """(u * N + i, code) of every stored chain code; ascending, as C is canonical."""
+        c = self.chain_code_matrix
+        return entry_rows(c) * self.num_items + c.indices, np.asarray(c.data, dtype=np.int64)
+
     def chain_codes(self, users, items):
-        """Chain code of each (users[p], items[p]) pair, as an int64 array."""
-        if len(users) == 0:  # scipy answers an empty pair index with a sparse matrix
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(self.chain_code_matrix[users, items], dtype=np.int64).reshape(-1)
+        """Chain code of each (users[p], items[p]) pair, as an int64 array.
+
+        Read from the sorted keys u * N + i of the chain-code matrix by binary
+        search; a pair with no edge has code 0. Raises IndexError for a user
+        outside [0, M) or an item outside [0, N), so no out-of-range pair
+        reads another pair's key.
+        """
+        users = np.asarray(users, dtype=np.int64).reshape(-1)
+        items = np.asarray(items, dtype=np.int64).reshape(-1)
+        for ids, bound, what in ((users, self.num_users, "user"),
+                                 (items, self.num_items, "item")):
+            if ids.size and (ids.min() < 0 or ids.max() >= bound):
+                raise IndexError(f"{what} index out of range [0, {bound})")
+        keys, codes = self._chain_keys
+        wanted = users * self.num_items + items
+        if not keys.size:
+            return np.zeros(wanted.shape, dtype=np.int64)
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return np.where(keys[at] == wanted, codes[at], 0)
 
     def behavior_index(self, behavior):
         """Index of a behavior given by index or label."""

@@ -136,9 +136,8 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
     the user's train-target items.
     """
     cascade, indices = _snapshot(model, cascade, indices)
-    if candidates is None:
-        candidates = _unowned_items(model.train_dataset, u)
-    candidates = np.asarray(list(candidates), dtype=np.int64)
+    candidates = (_unowned_items(model.train_dataset, u) if candidates is None
+                  else np.asarray(list(candidates), dtype=np.int64))
     users = np.full(candidates.shape[0], u, dtype=np.int64)
     order, probs, traces = _ranked(model, users, candidates, cascade, indices)
     return list(zip(candidates[order].tolist(), probs[order].tolist(),
@@ -263,7 +262,7 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     i = ds.encode_item(item_raw)
     cascade, indices = _snapshot(model, cascade, indices)
 
-    code = int(ds.chain_code_matrix[u, i])
+    code = int(ds.chain_codes([u], [i])[0])
     label = edit.drop if edit.drop is not None else edit.add
     if label not in ds.spec.names:
         raise dataio.InputError(f"unknown behavior label {label!r}")
@@ -273,7 +272,7 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     if edit.add is not None and code & bit:
         raise dataio.InputError(f"cannot add already-present behavior '{label}'")
 
-    base = explain(user_raw, item_raw, model, cascade=cascade, indices=indices)
+    base = explain(user_raw, item_raw, model, cascade=cascade, indices=indices, code=code)
     edited = explain(user_raw, item_raw, model, cascade=cascade, indices=indices,
                      code=code ^ bit)
 

@@ -22,7 +22,9 @@ training reads that mode, and it is the reference. With ``tape=False``
 the logic operators' first layers split into a user part and an item
 part, the item parts are per-snapshot tables (``InferenceTables``), and
 a pair costs a few width-d gathers and adds, plus the second operator
-layer on retrieval pairs.
+layer on retrieval pairs. A retrieval pair's pooled neighbor term is an
+item table too, filled lazily per item, so no sparse matrix is built for
+an item already seen; only the tape builds a pooling matrix per group.
 """
 
 from __future__ import annotations
@@ -318,18 +320,18 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     groups, neighbors = [], {}
     for pos in np.split(order, bounds) if len(order) else []:
         kind, b = int(r.kinds[pos[0]]), int(r.behaviors[pos[0]])
-        pool = None
+        index = hoods = None
         if kind != _CONCAT:
-            hoods = retrieval.neighbors(indices[(b, _SPACE_KEYS[kind])], items[pos], n_c)
+            index = indices[(b, _SPACE_KEYS[kind])]
+            hoods = retrieval.neighbors(index, items[pos], n_c)
             neighbors.update(zip(pos.tolist(), hoods))
-            pool = _pooling_matrix(hoods, train.num_items)
-        groups.append((kind, b, pos, pool))
+        groups.append((kind, b, pos, index, hoods))
 
     if not tape:
-        logits, mediator = _table_logits(users, items, r, groups, cascade, params)
+        logits, mediator = _table_logits(users, items, r, groups, cascade, params, n_c)
         return logits, TraceSequence(r, neighbors, n_b, tau, mediator)
     parts = []
-    for kind, b, pos, pool in groups:
+    for kind, b, pos, _, hoods in groups:
         bundle = cascade.per_behavior[b]
         e_u_rows = tg.index_rows(bundle.e_u, users[pos])
         its = items[pos]
@@ -338,6 +340,7 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
         else:
             e_space = getattr(bundle, _SPACE_ATTRS[kind])
             mediator_fn = conjunction_mediator if kind == _CONJ else disjunction_mediator
+            pool = _pooling_matrix(hoods, train.num_items)
             parts.append(mediator_fn(e_u_rows, tg.index_rows(e_space, its),
                                      tg.spmm(pool, e_space), params))
     if not parts:  # an empty batch
@@ -363,9 +366,12 @@ class InferenceTables:
     user row e_u @ Wh[:d] + b_h, computed per scored user, and the item
     table e_i @ Wh[d:]. A logic operator's first layer on [e_u, e_space, S]
     splits into the user row e_u @ W1[:d], the item table
-    e_space @ W1[d:2d] + b1 and the pooled rows P @ (e_space @ W1[2d:]),
-    where P averages each pair's neighbor rows (so P @ e_space is S). Each
-    table is built on first use and checked for finiteness once.
+    e_space @ W1[d:2d] + b1 and the pooled row P_i @ (e_space @ W1[2d:]),
+    where P_i averages item i's neighbor rows (so P_i @ e_space is S). The
+    neighbors are the item's own, so the pooled rows form one N x 2d table
+    per (operator, behavior, index, n_c), filled an item at a time on first
+    use. Each table, and each block of pooled rows, is checked for
+    finiteness once.
     """
 
     def __init__(self, cascade, params):
@@ -379,6 +385,7 @@ class InferenceTables:
                        for kind, attr in _SPACE_ATTRS.items()}
         self.d = self.user_rows[0].shape[1]
         self._tables = {}
+        self._pooled = {}  # (kind, b, index, n_c) -> (rows, filled); holds the index itself
 
     def _table(self, key, build):
         table = self._tables.get(key)
@@ -400,6 +407,31 @@ class InferenceTables:
         return (self._table((prefix, b, "item"), lambda: space @ w1[d:2 * d] + b1),
                 self._table((prefix, b, "pool"), lambda: space @ w1[2 * d:]))
 
+    def pooled_rows(self, kind, b, index, n_c, items, hoods):
+        """The pooled-row table of one operator, behavior, index and n_c, filled for items.
+
+        hoods[p] holds the neighbor ids of items[p] in index. Rows not yet
+        filled are computed in one product of their pooling matrix with the
+        operator's pool table: a CSR row's product reads that row alone, so
+        a row is the same bits whichever batch fills it.
+        """
+        pool_table = self.logic_items(kind, b)[1]
+        key = (kind, b, index, n_c)
+        entry = self._pooled.get(key)
+        if entry is None:
+            entry = self._pooled[key] = (np.empty(pool_table.shape),
+                                         np.zeros(pool_table.shape[0], dtype=bool))
+        rows, filled = entry
+        missing = np.flatnonzero(~filled[items])
+        if missing.size:
+            new, first = np.unique(items[missing], return_index=True)
+            pool = _pooling_matrix([hoods[k] for k in missing[first].tolist()], rows.shape[0])
+            block = pool @ pool_table
+            tg._check_finite(block, f"inference pooled rows {(_PREFIXES[kind], b)}")
+            rows[new] = block
+            filled[new] = True
+        return rows
+
 
 def inference_tables(cascade, params):
     """The snapshot's InferenceTables, memoized on the cascade until a parameter write."""
@@ -417,21 +449,22 @@ def _user_rows(rows, users, weight, where):
     return out, inv
 
 
-def _table_logits(users, items, r, groups, cascade, params):
+def _table_logits(users, items, r, groups, cascade, params, n_c):
     """The head's logits of routed groups, from the tables: (logits, mediator of a position).
 
     A concatenation pair's logit is relu(row + table[i]) @ w_o + b_o, with
     one head row per distinct user of the group. A retrieval pair's first
-    layer sums its user row, item table row and pooled rows; relu(.) @ W2 +
-    b2 is its mediator, which goes through the head. The user rows, the
-    retrieval mediators and the logits are checked for finiteness once.
+    layer sums its user row, item table row and pooled row, in that order;
+    relu(.) @ W2 + b2 is its mediator, which goes through the head. The user
+    rows, the retrieval mediators and the logits are checked for finiteness
+    once.
     """
     tables = inference_tables(cascade, params)
     d = tables.d
     wh, bh, wo, bo = (params[f"head_{k}"].data for k in ("wh", "bh", "wo", "bo"))
     logits = np.empty(users.shape[0])
     retrieved = {}
-    for kind, b, pos, pool in groups:
+    for kind, b, pos, index, hoods in groups:
         its = items[pos]
         if kind == _CONCAT:
             rows, inv = _user_rows(tables.user_rows[b], users[pos], wh[:d], "head user rows")
@@ -439,12 +472,12 @@ def _table_logits(users, items, r, groups, cascade, params):
             hidden += tables.head_items(b)[its]
         else:
             prefix = _PREFIXES[kind]
-            item_table, pool_table = tables.logic_items(kind, b)
+            item_table = tables.logic_items(kind, b)[0]
             rows, inv = _user_rows(tables.user_rows[b], users[pos],
                                    params[f"{prefix}_w1"].data[:d], f"{prefix} user rows")
             first = rows[inv]
             first += item_table[its]
-            first += pool @ pool_table
+            first += tables.pooled_rows(kind, b, index, n_c, its, hoods)[its]
             med = _relu(first) @ params[f"{prefix}_w2"].data + params[f"{prefix}_b2"].data
             tg._check_finite(med, f"{prefix} mediators")
             retrieved.update(zip(pos.tolist(), med))

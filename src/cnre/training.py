@@ -70,6 +70,12 @@ class TrainConfig:
     def __post_init__(self):
         dataio.check_fields(vars(self), _CONFIG_FIELDS, "config", dataio.InputError)
 
+    @classmethod
+    def from_json(cls, raw):
+        """The config a JSON object gives; every unknown key is named, as InputError."""
+        dataio.check_fields(raw, _CONFIG_FIELDS, "config", dataio.InputError)
+        return cls(**raw)
+
     def resolved_layer_counts(self, n_behaviors):
         if self.layer_counts is not None:
             if len(self.layer_counts) != n_behaviors:
@@ -279,9 +285,9 @@ class CnreModel:
         if list(train_dataset.spec.names) != h["behaviors"]:
             raise CheckpointError("checkpoint behavior chain does not match the dataset")
         try:
-            config = TrainConfig(**h["config"])
+            config = TrainConfig.from_json(h["config"])
             config.resolved_layer_counts(len(h["behaviors"]))
-        except (TypeError, ValueError) as exc:
+        except dataio.InputError as exc:
             raise CheckpointError(f"checkpoint config does not fit TrainConfig: {exc}") from exc
         model = cls(train_dataset, config)
         want = {s["name"]: s["shape"] for s in model.checkpoint_header()["slots"]}

@@ -70,6 +70,15 @@ class TestManifest:
         with pytest.raises(cli.ManifestError, match="learning_rate"):
             cli.load_manifest(str(mpath))
 
+    def test_every_unknown_train_key_named(self, workspace):
+        _, mpath, manifest, _ = workspace
+        manifest["train"].update(learning_rate=0.1, momentum=0.9)
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(cli.ManifestError, match=r"field 'train': config has unknown "
+                                                    r"keys: \['learning_rate', 'momentum'\]"):
+            cli.load_manifest(str(mpath))
+        assert cli.main(["train", "--manifest", str(mpath)]) == 2
+
     def test_missing_file_rejected(self, workspace):
         tmp_path, mpath, manifest, _ = workspace
         manifest["files"]["view"] = str(tmp_path / "nope.tsv")
@@ -275,6 +284,21 @@ class TestExitCodes:
         assert info.value.code == 2
         assert "--ks" in capsys.readouterr().err
 
+    def test_type_error_reading_a_config_is_not_input_error(self, workspace, monkeypatch):
+        """A TypeError while a config is read is a fault: it propagates, it does not exit 2."""
+        _, mpath, manifest, _ = workspace
+        assert cli.main(["train", "--manifest", str(mpath)]) == 0
+        train = cli.build_split(cli.load_manifest(str(mpath))).train
+
+        def broken(raw):
+            raise TypeError("internal fault")
+        monkeypatch.setattr(training.TrainConfig, "from_json", broken)
+        with pytest.raises(TypeError, match="internal fault"):
+            cli.main(["train", "--manifest", str(mpath)])
+        with pytest.raises(TypeError, match="internal fault"):
+            training.CnreModel.from_checkpoint(
+                os.path.join(manifest["output_dir"], "checkpoint.cnre"), train)
+
     @pytest.mark.parametrize("exc", ["ValueError", "KeyError"])
     def test_internal_value_or_key_error_exits_1_with_traceback(self, workspace, exc):
         """A plain ValueError or KeyError is a fault in the program, not invalid input."""
@@ -374,6 +398,17 @@ class TestExitCodes:
             return header
         bad, train = self._edited_checkpoint(workspace, edit)
         with pytest.raises(training.CheckpointError, match="surprise"):
+            training.CnreModel.from_checkpoint(bad, train)
+        assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    def test_every_unknown_checkpoint_config_key_named(self, workspace):
+        def edit(model):
+            header = model.checkpoint_header()
+            header["config"].update(surprise=1, another=2)
+            return header
+        bad, train = self._edited_checkpoint(workspace, edit)
+        with pytest.raises(training.CheckpointError,
+                           match=r"config has unknown keys: \['another', 'surprise'\]"):
             training.CnreModel.from_checkpoint(bad, train)
         assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
 

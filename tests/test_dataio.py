@@ -139,6 +139,18 @@ class TestBuildDataset:
                        if (u, i) in edges)
             assert code == want
 
+    @pytest.mark.parametrize("users, items", [
+        ([0, -1], [0, 0]),   # a negative user
+        ([0, 0], [1, -1]),   # a negative item: would wrap to item N - 1
+        ([3], [0]),          # user M
+        ([0], [3]),          # item N
+        ([0], [5]),          # item N + 2 of user 0: its key u * N + i is user 1's item 2
+    ])
+    def test_chain_codes_reject_out_of_range_ids(self, users, items):
+        ds = _toy_dataset()
+        with pytest.raises(IndexError, match="index out of range"):
+            ds.chain_codes(users, items)
+
     def test_build_dataset_from_files(self, tmp_path):
         files = {}
         for name, rows in [("view", "u\ti1\nu\ti2\n"), ("buy", "u\ti1\n")]:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cnre import dataio, evalexplain, tensorgrad as tg, training
+from cnre import dataio, evalexplain, reasoning, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 
@@ -94,6 +94,18 @@ class TestRankItems:
         model, _ = _quick_model()
         assert evalexplain.rank_items(0, model, candidates=[]) == []
 
+    @pytest.mark.parametrize("user, candidates", [
+        (0, [3, -1]),    # would score item N - 1 and report it as item -1
+        (0, [3, 12]),    # item N
+        (-1, [3]),       # would score user M - 1
+        (20, [3]),       # user M
+    ])
+    def test_out_of_range_ids_raise(self, user, candidates):
+        model, _ = _quick_model()
+        assert (model.train_dataset.num_users, model.train_dataset.num_items) == (20, 12)
+        with pytest.raises(IndexError, match="index out of range"):
+            evalexplain.rank_items(user, model, candidates=candidates)
+
     @pytest.mark.parametrize("half, message", [(0, "head user rows"),
                                                (1, r"inference table \('head'")])
     def test_nan_in_head_weight_raises(self, half, message):
@@ -133,6 +145,30 @@ class TestNoTape:
         evalexplain.explain(*pair, model, cascade=cascade, indices=indices)
         evalexplain.counterfactual(*pair, evalexplain.CounterfactualEdit(drop="cart"), model,
                                    cascade=cascade, indices=indices)
+
+    def test_second_ranking_on_a_snapshot_builds_no_pooling_matrix(self, monkeypatch):
+        """Pooled rows are filled once per snapshot; later requests only gather them."""
+        model, _ = _quick_model()
+        cascade = model.cascade()
+        indices = model.build_indices(cascade)
+        users = range(model.train_dataset.num_users)
+        builds = []
+        real = reasoning._pooling_matrix
+
+        def counted(id_lists, n_items):
+            builds.append(len(id_lists))
+            return real(id_lists, n_items)
+        monkeypatch.setattr(reasoning, "_pooling_matrix", counted)
+        first = [evalexplain.rank_items(u, model, cascade=cascade, indices=indices)
+                 for u in users]
+        # each item's row is filled at most once per (operator, auxiliary behavior)
+        assert builds and sum(builds) <= 2 * 2 * model.train_dataset.num_items
+
+        def fail(id_lists, n_items):
+            raise AssertionError("pooling matrix built for a filled snapshot")
+        monkeypatch.setattr(reasoning, "_pooling_matrix", fail)
+        assert [evalexplain.rank_items(u, model, cascade=cascade, indices=indices)
+                for u in users] == first
 
     def test_evaluate_records_one_cascade_whatever_the_user_count(self, monkeypatch):
         model, split = _quick_model()

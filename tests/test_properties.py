@@ -1,8 +1,8 @@
 """Property tests pinning the array kernels to their scalar references.
 
 Random small datasets drive the edge matrices and every helper derived
-from them, the chain-code dispatch, the batched reasoner and the memoized
-item neighbors; each is compared with a set-based or per-pair reference
+from them, the chain-code lookup and dispatch, the batched reasoner, the
+memoized item neighbors and the pooled-row tables; each is compared with a set-based or per-pair reference
 written out here, or with the uncached path it replaces. The fused
 propagation kernels are compared with their unfused tape composition
 (``unfused.py``), forward and grads.
@@ -11,6 +11,7 @@ propagation kernels are compared with their unfused tape composition
 import warnings
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -236,6 +237,60 @@ def test_chain_codes_and_table_match_scalar_dispatch(ds):
             assert behaviors[code] == reasoning.chain_behavior(flags)
         else:
             assert behaviors[code] == n_b - 1
+
+
+@SETTINGS
+@given(edge_sets(), st.data())
+def test_chain_code_lookup_matches_observe_chain(case, data):
+    """Batched codes equal the scalar observation, with behaviors emptied and any batch."""
+    m, n, edges = case
+    emptied = data.draw(st.sets(st.integers(0, len(edges) - 1)))
+    ds = _dataset(m, n, [set() if k in emptied else e for k, e in enumerate(edges)])
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                               max_size=3 * m * n))
+    users = np.array([u for u, _ in pairs], dtype=np.int64)
+    items = np.array([i for _, i in pairs], dtype=np.int64)
+    codes = ds.chain_codes(users, items)
+    assert codes.dtype == np.int64 and codes.shape == (len(pairs),)
+    flags = reasoning.flag_table(len(edges))
+    assert [flags[c] for c in codes.tolist()] == [
+        reasoning.observe_chain(ds, u, i) for u, i in pairs]
+    assert ds.chain_codes([], []).shape == (0,)
+    # an id out of range raises, wherever it sits in the batch
+    bad_u = data.draw(st.one_of(st.integers(-3, -1), st.integers(m, m + 3)))
+    bad_i = data.draw(st.one_of(st.integers(-3, -1), st.integers(n, n + 3)))
+    at = data.draw(st.integers(0, len(pairs)))
+    for u, i in ((bad_u, 0), (0, bad_i)):
+        with pytest.raises(IndexError):
+            ds.chain_codes(np.insert(users, at, u), np.insert(items, at, i))
+
+
+@SETTINGS
+@given(ds=datasets(), data=st.data())
+def test_pooled_rows_equal_one_batch_pooling_product(ds, data):
+    """A filled pooled row is the one-batch product's row bit for bit, however it was filled."""
+    cfg = training.TrainConfig(embedding_dim=data.draw(st.integers(1, 5)), hyperedges=2,
+                               epochs=0, seed=data.draw(st.integers(0, 2**16)))
+    model = training.CnreModel(ds, cfg)
+    cascade = model.cascade()
+    indices = model.build_indices(cascade)
+    kind = data.draw(st.sampled_from([reasoning._CONJ, reasoning._DISJ]))
+    b = data.draw(st.integers(0, len(ds.spec) - 2))
+    n_c = data.draw(st.integers(1, 4))
+    index = indices[(b, reasoning._SPACE_KEYS[kind])]
+    n = ds.num_items
+    tables = reasoning.InferenceTables(cascade, model.store)
+    pool_table = tables.logic_items(kind, b)[1]
+    want = reasoning._pooling_matrix(retrieval.neighbors(index, range(n), n_c), n) @ pool_table
+    # batches in any order, with repeats; the last one covers every item
+    batches = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n), max_size=4))
+    batches.append(data.draw(st.permutations(range(n))))
+    for batch in batches:
+        its = np.array(batch, dtype=np.int64)
+        rows = tables.pooled_rows(kind, b, index, n_c, its,
+                                  retrieval.neighbors(index, its, n_c))
+        np.testing.assert_array_equal(rows[its], want[its])
+    np.testing.assert_array_equal(rows, want)
 
 
 def _trace_fields(t):

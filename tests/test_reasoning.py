@@ -379,3 +379,33 @@ def test_scorer_tables_follow_parameter_writes():
 
     model.store.load_arrays(saved)
     np.testing.assert_array_equal(scored(), before)
+
+
+def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
+    """Pooled rows are keyed by the index object and n_c, not by the cascade alone."""
+    train, model, cascade, indices = _trained_bits()
+    saved = model.store.state_arrays()
+    model.store["base_item"].data += np.random.default_rng(1).normal(
+        scale=5.0, size=model.store["base_item"].shape)
+    other = model.build_indices(model.cascade())  # the same keys, other neighbors
+    model.store.load_arrays(saved)
+    users = np.repeat(np.arange(train.num_users), train.num_items)
+    items = np.tile(np.arange(train.num_items), train.num_users)
+    tau, n_c = 1.0, model.config.n_c  # tau = 1 sends every medium pair to the conjunction
+
+    def scored(idx, n_c=n_c):
+        return reasoning.reason_batch(users, items, train, cascade, idx, model.store, tau,
+                                      n_c=n_c, tape=False)
+
+    runs = [(indices, n_c), (other, n_c), (indices, n_c - 1), (other, n_c - 1)]
+    got = [scored(idx, k) for idx, k in runs]
+    tables = cascade.memo["inference"]
+    groups = {(kind, b) for kind, b, _, _ in tables._pooled}
+    assert len(tables._pooled) == len(groups) * len(runs)  # one table per run and group
+    for (idx, k), (logits, traces) in zip(runs, got):
+        del cascade.memo["inference"]  # fresh tables hold only this run's rows
+        fresh, fresh_traces = scored(idx, k)
+        np.testing.assert_array_equal(logits, fresh)
+        assert [t.neighbor_ids for t in traces] == [t.neighbor_ids for t in fresh_traces]
+    hoods = [[t.neighbor_ids for t in traces] for _, traces in got]
+    assert hoods[0] != hoods[1] and hoods[0] != hoods[2]
