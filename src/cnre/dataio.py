@@ -241,9 +241,6 @@ class InteractionDataset:
         """Per-user item sets under one behavior (fresh sets on every call)."""
         return [set(self.items_of(behavior, u).tolist()) for u in range(self.num_users)]
 
-    def total_interactions(self):
-        return sum(m.nnz for m in self.matrices)
-
 
 @dataclass
 class SplitDataset:

@@ -449,15 +449,33 @@ def _user_rows(rows, users, weight, where):
     return out, inv
 
 
+def split_head(rows, inv, item_rows, items, params, where=None):
+    """The concatenation head in split-first-layer form: (n x 1 logits, hidden layer).
+
+    The first layer of [e_u, e_i] @ W_h + b_h is (rows + b_h)[inv] +
+    item_rows[items], summed in that order: rows holds e_u @ Wh[:d] once
+    per distinct user and inv maps each pair to its row, and item_rows
+    holds e_i @ Wh[d:]. The logits are relu(.) @ w_o + b_o, and the hidden
+    layer is the relu's output. When ``where`` is given, the first layer
+    is checked for finiteness before the relu, under that name.
+    """
+    bh, wo, bo = (params[f"head_{k}"].data for k in ("bh", "wo", "bo"))
+    hidden = (rows + bh)[inv]
+    hidden += item_rows[items]
+    if where is not None:
+        tg._check_finite(hidden, where)
+    return _relu(hidden) @ wo + bo, hidden
+
+
 def _table_logits(users, items, r, groups, cascade, params, n_c):
     """The head's logits of routed groups, from the tables: (logits, mediator of a position).
 
-    A concatenation pair's logit is relu(row + table[i]) @ w_o + b_o, with
-    one head row per distinct user of the group. A retrieval pair's first
-    layer sums its user row, item table row and pooled row, in that order;
-    relu(.) @ W2 + b2 is its mediator, which goes through the head. The user
-    rows, the retrieval mediators and the logits are checked for finiteness
-    once.
+    A concatenation pair's logit is ``split_head`` of one head row per
+    distinct user of the group and the behavior's item table. A retrieval
+    pair's first layer sums its user row, item table row and pooled row, in
+    that order; relu(.) @ W2 + b2 is its mediator, which goes through the
+    head. The user rows, the retrieval mediators and the logits are checked
+    for finiteness once.
     """
     tables = inference_tables(cascade, params)
     d = tables.d
@@ -468,8 +486,7 @@ def _table_logits(users, items, r, groups, cascade, params, n_c):
         its = items[pos]
         if kind == _CONCAT:
             rows, inv = _user_rows(tables.user_rows[b], users[pos], wh[:d], "head user rows")
-            hidden = (rows + bh)[inv]
-            hidden += tables.head_items(b)[its]
+            logits[pos] = split_head(rows, inv, tables.head_items(b), its, params)[0][:, 0]
         else:
             prefix = _PREFIXES[kind]
             item_table = tables.logic_items(kind, b)[0]
@@ -481,8 +498,7 @@ def _table_logits(users, items, r, groups, cascade, params, n_c):
             med = _relu(first) @ params[f"{prefix}_w2"].data + params[f"{prefix}_b2"].data
             tg._check_finite(med, f"{prefix} mediators")
             retrieved.update(zip(pos.tolist(), med))
-            hidden = med @ wh + bh
-        logits[pos] = (_relu(hidden) @ wo)[:, 0] + bo[0, 0]
+            logits[pos] = (_relu(med @ wh + bh) @ wo)[:, 0] + bo[0, 0]
     tg._check_finite(logits, "logits")
 
     def mediator(k):  # retrieval rows as computed; a concatenation is built on read

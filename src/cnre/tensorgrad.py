@@ -5,7 +5,7 @@ which keeps its inputs and one vector-Jacobian product returning a grad per
 input, so that ``backward`` can run exact reverse-mode gradients over the
 tape, freeing it as it goes. The op set is the fixed vocabulary the rest of
 the model needs (matmul, sparse @ dense, elementwise arithmetic with
-broadcasting, relu/softplus, row gather/concat, reductions); the
+broadcasting, relu/softplus, row gather/slice/concat, reductions); the
 propagation stack records its multi-input kernels the same way. Every op
 output is checked for NaN/Inf and fails hard on the first non-finite value.
 """
@@ -211,21 +211,36 @@ def concat_rows(tensors):
     return _concat(tensors, 0, "concat_rows")
 
 
-def index_rows(a, idx):
-    """Gather rows; backward is the product with the gather's transpose.
+def scatter_add_rows(g, idx, rows):
+    """A rows-row array whose row r sums the rows of g that idx maps to r.
 
-    The transpose of the len(idx) x rows gather CSR is a CSC view whose
-    product adds batch positions in order, so repeated rows sum in the
-    order np.add.at adds them.
+    This is the product of the len(idx) x rows gather's transpose with g:
+    the transpose of the gather CSR is a CSC view whose product adds
+    positions in order, so repeated rows sum in the order np.add.at adds
+    them.
     """
+    n = len(idx)
+    gather = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, rows))
+    return gather.T @ g
+
+
+def index_rows(a, idx):
+    """Gather rows; backward scatters the grad back with scatter_add_rows."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    n = len(idx)
+    return record(a.data[idx], "index_rows", (a,),
+                  lambda g: (scatter_add_rows(g, idx, len(a.data)),))
+
+
+def slice_rows(a, start, stop):
+    """Rows start:stop of a; backward puts the grad in those rows of a zero array."""
+    a = as_tensor(a)
 
     def vjp(g):
-        gather = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, len(a.data)))
-        return (gather.T @ g,)
-    return record(a.data[idx], "index_rows", (a,), vjp)
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        return (full,)
+    return record(a.data[start:stop], "slice_rows", (a,), vjp)
 
 
 def sum_all(a):
@@ -293,9 +308,15 @@ class ParameterStore:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # lr * m_hat / (sqrt(v_hat) + eps), the same ops in the same
+            # order, in two buffers
+            step = np.divide(m, 1.0 - ADAM_BETA1 ** t)
+            den = np.divide(v, 1.0 - ADAM_BETA2 ** t)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            np.multiply(lr, step, out=step)
+            step /= den
+            p.data -= step
             _check_finite(p.data, f"adam_step:{name}")
         self.zero_grad()
 

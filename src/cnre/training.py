@@ -112,13 +112,37 @@ def multi_task_loss(per_behavior_bpr, l2_weight, store):
 
 
 def auxiliary_task_score(users, items, behavior, cascade, params):
-    """Head logits of auxiliary pairs, via a strong-style mediator."""
+    """Head logits of auxiliary pairs on a strong-style mediator, as one op.
+
+    predict_logit of [e_u[u], e_i[i]], in the split form of
+    ``reasoning.split_head``: one first-layer row per distinct user and
+    one per distinct item. The vjp returns the grads of the behavior's e_u
+    and e_i, each scattered once, and of the four head slots.
+    """
     bundle = cascade.per_behavior[behavior]
-    med = reasoning.strong_mediator(
-        tg.index_rows(bundle.e_u, np.asarray(users, dtype=np.int64)),
-        tg.index_rows(bundle.e_i, np.asarray(items, dtype=np.int64)),
-    )
-    return predict_logit(med, params)
+    e_u, e_i = bundle.e_u, bundle.e_i
+    wh, bh, wo, bo = (params[f"head_{k}"] for k in ("wh", "bh", "wo", "bo"))
+    d = e_u.data.shape[1]
+    w_user, w_item = wh.data[:d], wh.data[d:]
+    user_ids, user_of = np.unique(np.asarray(users, dtype=np.int64), return_inverse=True)
+    item_ids, item_of = np.unique(np.asarray(items, dtype=np.int64), return_inverse=True)
+    user_in, item_in = e_u.data[user_ids], e_i.data[item_ids]
+    logits, hidden = reasoning.split_head(user_in @ w_user, user_of, item_in @ w_item,
+                                          item_of, params, "auxiliary_head")
+
+    def vjp(g):
+        g_first = g @ wo.data.T
+        g_first *= hidden > 0.0
+        g_users = tg.scatter_add_rows(g_first, user_of, len(user_ids))
+        g_items = tg.scatter_add_rows(g_first, item_of, len(item_ids))
+        g_eu = np.zeros_like(e_u.data)
+        g_eu[user_ids] = g_users @ w_user.T
+        g_ei = np.zeros_like(e_i.data)
+        g_ei[item_ids] = g_items @ w_item.T
+        g_wh = np.concatenate([user_in.T @ g_users, item_in.T @ g_items])
+        return (g_eu, g_ei, g_wh, g_first.sum(axis=0, keepdims=True), hidden.T @ g,
+                g.sum(axis=0, keepdims=True))
+    return tg.record(logits, "auxiliary_head", (e_u, e_i, wh, bh, wo, bo), vjp)
 
 
 class CnreModel:
@@ -207,9 +231,11 @@ class CnreModel:
                 med_neg, _ = self.reason_batch(users, neg, cascade, indices, gate=gate)
                 y_pos = predict_logit(med_pos, self.store)
                 y_neg = predict_logit(med_neg, self.store)
-            else:
-                y_pos = auxiliary_task_score(users, pos, b, cascade, self.store)
-                y_neg = auxiliary_task_score(users, neg, b, cascade, self.store)
+            else:  # one call, so each user's head row and its grad are computed once
+                y = auxiliary_task_score(np.concatenate([users, users]),
+                                         np.concatenate([pos, neg]), b, cascade, self.store)
+                n = len(users)
+                y_pos, y_neg = tg.slice_rows(y, 0, n), tg.slice_rows(y, n, 2 * n)
             terms.append(bpr_loss(y_pos, y_neg))
             n_pairs += len(triples)
         loss = multi_task_loss(terms, self.config.l2, self.store)

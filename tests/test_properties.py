@@ -5,20 +5,23 @@ from them, the chain-code lookup and dispatch, the batched reasoner, the
 memoized item neighbors and the pooled-row tables; each is compared with a set-based or per-pair reference
 written out here, or with the uncached path it replaces. The fused
 propagation kernels are compared with their unfused tape composition
-(``unfused.py``), forward and grads.
+(``unfused.py``), forward and grads, and the fused auxiliary head with the
+op-by-op head.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cnre import dataio, propagation, reasoning, retrieval, tensorgrad as tg, training
 from cnre.reasoning import PreferenceStrength as P
 
 import unfused
+from test_dataio import total_interactions
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -82,7 +85,7 @@ def test_edge_matrices_are_canonical_read_only_and_match_the_sets(case):
         assert ds.user_items(b) == [{i for uu, i in want if uu == u} for u in range(m)]
         for u in range(m):
             assert ds.items_of(b, u).tolist() == sorted(i for uu, i in want if uu == u)
-    assert ds.total_interactions() == sum(len(e) for e in edges)
+    assert total_interactions(ds) == sum(len(e) for e in edges)
     # repeated and unordered pairs give the same matrix
     for mat, want in zip(ds.matrices, edges):
         pairs = np.array(sorted(want) * 2, dtype=np.int64).reshape(-1, 2)[::-1]
@@ -470,6 +473,41 @@ def test_index_rows_backward_equals_add_at_bit_for_bit(rows, d, data, seed):
     want = np.zeros((rows, d))
     np.add.at(want, np.asarray(idx, dtype=np.int64), g)
     assert a.grad.tobytes() == want.tobytes()
+
+
+HEAD_SLOTS = ("head_wh", "head_bh", "head_wo", "head_bo")
+
+
+@SETTINGS
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=8),
+       st.booleans(), st.integers(0, 2**16))
+@example(d=1, triples=[(2, 1, 3)], shared=False, seed=0)  # a single pair
+@example(d=1, triples=[(0, 1, 1), (0, 1, 2), (3, 1, 1)], shared=True, seed=1)
+def test_fused_auxiliary_head_matches_op_by_op_head(d, triples, shared, seed):
+    """auxiliary_task_score against strong_mediator of two gathers, then predict_logit.
+
+    With ``shared``, each triple's user scores its positive and its
+    negative in one call, as batch_loss scores an auxiliary task.
+    """
+    users, pos, neg = np.array(triples, dtype=np.int64).T
+    items = pos
+    if shared:
+        users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
+
+    def fused(e_u, e_i, *head):
+        cascade = SimpleNamespace(per_behavior=[SimpleNamespace(e_u=e_u, e_i=e_i)])
+        return training.auxiliary_task_score(users, items, 0, cascade,
+                                             dict(zip(HEAD_SLOTS, head)))
+
+    def reference(e_u, e_i, *head):
+        med = reasoning.strong_mediator(tg.index_rows(e_u, users), tg.index_rows(e_i, items))
+        return training.predict_logit(med, dict(zip(HEAD_SLOTS, head)))
+    rng = np.random.default_rng(seed)
+    shapes = [(4, d), (5, d), (2 * d, d), (1, d), (d, 1), (1, 1)]
+    _assert_fused_matches_unfused(fused, reference, [rng.normal(size=s) for s in shapes],
+                                  seed)
 
 
 def _assert_close_to_scale(got, want):

@@ -271,6 +271,35 @@ class TestAdam:
         store.adam_step(lr=0.5)
         np.testing.assert_allclose(store["w"].data, before)
 
+    def test_steps_equal_out_of_place_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        shapes = {"a": (6, 3), "b": (1, 4), "c": (1, 1)}
+        store = _store_with(**{k: rng.normal(size=s) for k, s in shapes.items()})
+        want = store.state_arrays()
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        b1, b2, eps = tg.ADAM_BETA1, tg.ADAM_BETA2, tg.ADAM_EPS
+        for t in range(1, 41):
+            lr = 10.0 ** rng.uniform(-4, -1)
+            for k, s in shapes.items():
+                # grads from 1e-9 (below eps) to 1e3; slot c has none every third step
+                g = rng.normal(size=s) * 10.0 ** rng.uniform(-9, 3, size=s)
+                if k == "c" and t % 3 == 0:
+                    g = np.zeros(s)
+                else:
+                    store[k].accumulate_grad(g)
+                # the out-of-place reference
+                m[k] *= b1
+                m[k] += (1.0 - b1) * g
+                v[k] *= b2
+                v[k] += (1.0 - b2) * g * g
+                m_hat = m[k] / (1.0 - b1 ** t)
+                v_hat = v[k] / (1.0 - b2 ** t)
+                want[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            store.adam_step(lr)
+            for k in shapes:
+                assert store[k].data.tobytes() == want[k].tobytes(), (t, k)
+
 
 class TestParameterStore:
     def test_duplicate_slot_rejected(self):

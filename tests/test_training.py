@@ -155,10 +155,11 @@ def test_truncated_cascade_gives_same_loss_and_grads(n):
 def test_nan_before_relu_raises_naming_its_op():
     # relu maps a NaN input to 0 and gives that entry a zero grad, so a NaN an op
     # produces just before a relu can leave the loss and leaf grads finite; the
-    # per-op check still names the op. Here it is the add of head_bh.
+    # per-op check still names the op. Here it is the fused auxiliary head,
+    # which checks its first-layer sum (the add of head_bh) before its relu.
     split, model = _small_model(epochs=0)
     model.store["head_bh"].data[0, 0] = np.nan  # written directly, not by adam_step
-    with pytest.raises(tg.NonFiniteError, match="'add'"):
+    with pytest.raises(tg.NonFiniteError, match="'auxiliary_head'"):
         model.batch_loss(_leading_batch(split, 1), model.cascade(1), None)
 
 
@@ -230,6 +231,21 @@ class TestTrainLoop:
             ops.clear()
             model.cascade(n)
             assert len(ops) == 2 * (1 + 5 * n)
+
+    def test_views_only_batch_loss_records_one_head_op(self, monkeypatch):
+        split, model = _small_model(epochs=0)
+        cascade = model.cascade(1)
+        ops = []
+        record = tg.record
+        monkeypatch.setattr(tg, "record", lambda data, op, inputs, vjp: ops.append(op)
+                            or record(data, op, inputs, vjp))
+        model.batch_loss(_leading_batch(split, 1), cascade, None)
+        # the fused head over positives and negatives, a slice of each, BPR; then
+        # L2: a norm per slot, the adds of the norms, the weight and the add to BPR
+        slots = len(model.store.names())
+        assert ops[:6] == ["auxiliary_head", "slice_rows", "slice_rows",
+                           "sub", "softplus", "sum_all"]
+        assert len(ops) == 6 + 2 * slots + 1
 
     def test_views_only_step_propagates_unified_and_view(self, monkeypatch):
         split, model = _small_model(epochs=1, batch_size=8)
