@@ -8,10 +8,12 @@ reasoning trace into a lossless, line-serializable record; counterfactual
 edits perturb the chain observation only, never the parameters.
 
 Every read path (``rank_items``, ``evaluate``, ``explain`` and
-``counterfactual``) scores pairs with ``reason_batch(tape=False)``, the
-tape-free scorer of ``reasoning``, on one snapshot: a cascade and its
-retrieval indices, given by the caller or built fresh. The only tape ops
-of a call are the cascade's, when it builds one.
+``counterfactual``) scores pairs with ``CnreModel.score(tape=False)``:
+``reasoning.reason_batch`` runs the same group scorers that training runs
+on the tape, with no tape op, and gives the same logits bit for bit. It
+scores on one snapshot: a cascade and its retrieval indices, given by the
+caller or built fresh. The only tape ops of a call are the cascade's, when
+it builds one.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _ranked(model, users, items, cascade, indices, codes=None):
     in float once logits are large, which would collapse well-separated
     pairs into ties.
     """
-    logits, traces = model.reason_batch(users, items, cascade, indices, codes=codes, tape=False)
+    logits, traces = model.score(users, items, cascade, indices, codes=codes, tape=False)
     return np.lexsort((items, -logits)), tg._sigmoid(logits), traces
 
 
@@ -184,8 +186,8 @@ def evaluate(model, split, ks=(10, 50)):
     results = {}
     for batch, cands in _user_batches(ds, test_users):
         users = np.repeat(batch, [c.shape[0] for c in cands])
-        logits, traces = model.reason_batch(users, np.concatenate(cands), cascade, indices,
-                                            tape=False)
+        logits, traces = model.score(users, np.concatenate(cands), cascade, indices,
+                                     tape=False)
         labels = traces.path_labels()
         start = 0
         for u, items in zip(batch, cands):

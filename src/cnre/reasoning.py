@@ -16,15 +16,17 @@ Every path emits a width-2d mediator for the shared prediction head and
 a trace recording each step of the dispatch.
 
 ``reason_batch`` runs this process on a batch, routing pairs with
-``route``, in one of two modes. On the tape it records the mediators;
-training reads that mode, and it is the reference. With ``tape=False``
-(inference) it gives the head's logits with no tape op: the head's and
-the logic operators' first layers split into a user part and an item
-part, the item parts are per-snapshot tables (``InferenceTables``), and
-a pair costs a few width-d gathers and adds, plus the second operator
-layer on retrieval pairs. A retrieval pair's pooled neighbor term is an
-item table too, filled lazily per item, so no sparse matrix is built for
-an item already seen; only the tape builds a pooling matrix per group.
+``route`` and scoring each (operator, behavior) group with one function:
+``concat_scores`` for a concatenation, ``logic_scores`` for a conjunction
+or disjunction. Each takes the head's and the operator's first layers
+split into a user part and an item part; the item parts are tables of
+the cascade's items (``ItemTables``), so a pair costs a few width-d
+gathers and adds, plus the second operator layer on retrieval pairs. A
+retrieval pair's pooled neighbor term is an item table too, filled
+lazily per item. Training runs these functions on the tape, one op per
+group with a hand-written vjp; inference runs the same functions with no
+tape and gets the same bits. The op-by-op composition they replace is
+the reference in the tests (``tests/unfused.py``).
 """
 
 from __future__ import annotations
@@ -49,15 +51,6 @@ class PreferenceStrength(Enum):
     MEDIUM = "medium"
     WEAK = "weak"
     DEFAULT = "default"
-
-
-# ordering used by the counterfactual monotonicity checks
-STRENGTH_RANK = {
-    PreferenceStrength.DEFAULT: 0,
-    PreferenceStrength.WEAK: 1,
-    PreferenceStrength.MEDIUM: 2,
-    PreferenceStrength.STRONG: 3,
-}
 
 
 @dataclass
@@ -100,26 +93,6 @@ def chain_behavior(flags):
 def confidence_score(vec_u, vec_i):
     """Purchase confidence: logistic of the user-item dot product."""
     return float(tg._sigmoid(np.array(float(np.dot(np.ravel(vec_u), np.ravel(vec_i))))))
-
-
-def strong_mediator(e_u_rows, e_i_rows):
-    """f_strong is plain concatenation (width 2d)."""
-    return tg.concat_cols([e_u_rows, e_i_rows])
-
-
-def _logic_mlp(x, params, prefix):
-    h = tg.relu(tg.add(tg.matmul(x, params[f"{prefix}_w1"]), params[f"{prefix}_b1"]))
-    return tg.add(tg.matmul(h, params[f"{prefix}_w2"]), params[f"{prefix}_b2"])
-
-
-def conjunction_mediator(e_u_rows, e_i_col_rows, s_col_rows, params):
-    """Neural conjunction over (e_u ++ e_i_col ++ S_col)."""
-    return _logic_mlp(tg.concat_cols([e_u_rows, e_i_col_rows, s_col_rows]), params, "conj")
-
-
-def disjunction_mediator(e_u_rows, e_i_sem_rows, s_sem_rows, params):
-    """Neural disjunction, structurally identical but independent parameters."""
-    return _logic_mlp(tg.concat_cols([e_u_rows, e_i_sem_rows, s_sem_rows]), params, "disj")
 
 
 def _gate_arrays(bundle):
@@ -292,20 +265,20 @@ class TraceSequence(Sequence):
 def reason_batch(users, items, train, cascade, indices, params, tau,
                  n_c=10, disable_rea=False, disable_cnj=False,
                  disable_dsj=False, codes=None, gate=None, tape=True):
-    """Route a batch of (u, i) pairs through the reasoner.
+    """Route a batch of (u, i) pairs through the reasoner; returns (logits, traces).
 
     Each pair is dispatched by ``route``; when a GateSnapshot is given,
     confidence scores read it instead of the live cascade values. Pairs are
     then grouped by (operator, behavior), each group keeping batch order,
     and retrieval asks the indices for the neighbors of each retrieval
-    group's items.
+    group's items. Each group is scored by ``concat_scores`` or
+    ``logic_scores``, and its logits are put back in batch order.
 
-    On the tape (training, and the reference) returns (mediators, traces):
-    the mediators are an (n x 2d) tensor in batch order, each group's
-    computed in one batched call. With ``tape=False`` (inference) returns
-    (logits, traces): the head's logits as a plain array, computed from the
-    snapshot's ``InferenceTables`` with no tape op. Either way traces is a
-    TraceSequence of ReasoningTrace, built lazily.
+    On the tape (training) the logits are an (n x 1) tensor: one op per
+    group, and one op that puts the rows in batch order. With ``tape=False``
+    (inference) the same functions give the same bits as a plain (n,)
+    array, with no tape op. Either way traces is a TraceSequence of
+    ReasoningTrace, built lazily.
     """
     gate_arrays = (gate.per_behavior if gate is not None
                    else [_gate_arrays(b) for b in cascade.per_behavior])
@@ -317,49 +290,45 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     group_key = r.kinds * n_b + r.behaviors
     order = np.argsort(group_key, kind="stable")
     bounds = np.flatnonzero(np.diff(group_key[order])) + 1
-    groups, neighbors = [], {}
-    for pos in np.split(order, bounds) if len(order) else []:
+    positions = np.split(order, bounds) if len(order) else []
+    parts, neighbors, retrieved = [], {}, {}
+    for pos in positions:
         kind, b = int(r.kinds[pos[0]]), int(r.behaviors[pos[0]])
-        index = hoods = None
-        if kind != _CONCAT:
-            index = indices[(b, _SPACE_KEYS[kind])]
-            hoods = retrieval.neighbors(index, items[pos], n_c)
-            neighbors.update(zip(pos.tolist(), hoods))
-        groups.append((kind, b, pos, index, hoods))
-
-    if not tape:
-        logits, mediator = _table_logits(users, items, r, groups, cascade, params, n_c)
-        return logits, TraceSequence(r, neighbors, n_b, tau, mediator)
-    parts = []
-    for kind, b, pos, _, hoods in groups:
-        bundle = cascade.per_behavior[b]
-        e_u_rows = tg.index_rows(bundle.e_u, users[pos])
-        its = items[pos]
         if kind == _CONCAT:
-            parts.append(strong_mediator(e_u_rows, tg.index_rows(bundle.e_i, its)))
-        else:
-            e_space = getattr(bundle, _SPACE_ATTRS[kind])
-            mediator_fn = conjunction_mediator if kind == _CONJ else disjunction_mediator
-            pool = _pooling_matrix(hoods, train.num_items)
-            parts.append(mediator_fn(e_u_rows, tg.index_rows(e_space, its),
-                                     tg.spmm(pool, e_space), params))
-    if not parts:  # an empty batch
-        width = 2 * cascade.per_behavior[0].e_u.data.shape[1]
-        mediators = tg.Tensor(np.empty((0, width)))
-        return mediators, TraceSequence(r, neighbors, n_b, tau, mediators.data.__getitem__)
-    stacked = tg.concat_rows(parts) if len(parts) > 1 else parts[0]
-    inv = np.empty(users.shape[0], dtype=np.int64)
-    inv[order] = np.arange(users.shape[0])
-    mediators = tg.index_rows(stacked, inv)
-    return mediators, TraceSequence(r, neighbors, n_b, tau, mediators.data.__getitem__)
+            parts.append(concat_scores(users[pos], items[pos], b, cascade, params, tape))
+            continue
+        index = indices[(b, _SPACE_KEYS[kind])]
+        hoods = retrieval.neighbors(index, items[pos], n_c)
+        neighbors.update(zip(pos.tolist(), hoods))
+        logits, med = logic_scores(users[pos], items[pos], kind, b, cascade, params,
+                                   index, hoods, n_c, tape)
+        parts.append(logits)
+        retrieved.update(zip(pos.tolist(), med))
+    tables = item_tables(cascade, params)
+
+    def mediator(k):  # retrieval rows as computed; a concatenation is built on read
+        row = retrieved.get(k)
+        if row is None:
+            b = r.behaviors[k]
+            row = np.concatenate([tables.user_rows[b][users[k]], tables.item_rows[b][items[k]]])
+        return row
+    traces = TraceSequence(r, neighbors, n_b, tau, mediator)
+
+    logits = np.empty((users.shape[0], 1))
+    for pos, part in zip(positions, parts):
+        logits[pos] = part.data if tape else part
+    if not tape:
+        return logits[:, 0], traces
+    return tg.record(logits, "batch_order", tuple(parts),
+                     lambda g: [g[pos] for pos in positions]), traces
 
 
 def _relu(x):
-    """In-place relu that keeps NaN, so the finiteness checks still see it."""
+    """In-place relu that keeps NaN, so the output checks still see it."""
     return np.maximum(x, 0.0, out=x)
 
 
-class InferenceTables:
+class ItemTables:
     """Item tables of one snapshot: a cascade, and the parameters at one version.
 
     The head's first layer on a concatenation [e_u, e_i] splits into the
@@ -370,8 +339,9 @@ class InferenceTables:
     where P_i averages item i's neighbor rows (so P_i @ e_space is S). The
     neighbors are the item's own, so the pooled rows form one N x 2d table
     per (operator, behavior, index, n_c), filled an item at a time on first
-    use. Each table, and each block of pooled rows, is checked for
-    finiteness once.
+    use. A training step builds the tables once for its cascade; inference
+    memoizes them per snapshot. No table is checked for finiteness: every
+    row a group reads reaches the group's output, which is checked.
     """
 
     def __init__(self, cascade, params):
@@ -391,7 +361,6 @@ class InferenceTables:
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = build()
-            tg._check_finite(table, f"inference table {key}")
         return table
 
     def head_items(self, b):
@@ -426,92 +395,135 @@ class InferenceTables:
         if missing.size:
             new, first = np.unique(items[missing], return_index=True)
             pool = _pooling_matrix([hoods[k] for k in missing[first].tolist()], rows.shape[0])
-            block = pool @ pool_table
-            tg._check_finite(block, f"inference pooled rows {(_PREFIXES[kind], b)}")
-            rows[new] = block
+            rows[new] = pool @ pool_table
             filled[new] = True
         return rows
 
 
-def inference_tables(cascade, params):
-    """The snapshot's InferenceTables, memoized on the cascade until a parameter write."""
-    tables = cascade.memo.get("inference")
+def item_tables(cascade, params):
+    """The snapshot's ItemTables, memoized on the cascade until a parameter write."""
+    tables = cascade.memo.get("item_tables")
     if tables is None or tables.params is not params or tables.version != params.version:
-        tables = cascade.memo["inference"] = InferenceTables(cascade, params)
+        tables = cascade.memo["item_tables"] = ItemTables(cascade, params)
     return tables
 
 
-def _user_rows(rows, users, weight, where):
-    """rows[users] @ weight, computed once per distinct user and checked once."""
-    uniq, inv = np.unique(users, return_inverse=True)
-    out = rows[uniq] @ weight
-    tg._check_finite(out, where)
-    return out, inv
+_HEAD_SLOTS = ("head_wh", "head_bh", "head_wo", "head_bo")
 
 
-def split_head(rows, inv, item_rows, items, params, where=None):
-    """The concatenation head in split-first-layer form: (n x 1 logits, hidden layer).
+def _output(data, op, inputs, vjp, tape):
+    """A group's output: the tape op ``op``, or with no tape the array, checked under that name."""
+    if tape:
+        return tg.record(data, op, inputs, vjp)
+    tg._check_finite(data, op)
+    return data
 
-    The first layer of [e_u, e_i] @ W_h + b_h is (rows + b_h)[inv] +
-    item_rows[items], summed in that order: rows holds e_u @ Wh[:d] once
-    per distinct user and inv maps each pair to its row, and item_rows
-    holds e_i @ Wh[d:]. The logits are relu(.) @ w_o + b_o, and the hidden
-    layer is the relu's output. When ``where`` is given, the first layer
-    is checked for finiteness before the relu, under that name.
+
+def _head_vjp(g, hidden, wo):
+    """(grad of the head's first layer, of w_o, of b_o), given the relu's output hidden."""
+    g_first = g @ wo.T
+    g_first *= hidden > 0.0
+    return g_first, hidden.T @ g, g.sum(axis=0, keepdims=True)
+
+
+def _scatter_rows(g_rows, ids, weight, like):
+    """The grad of a table whose rows ids fed first-layer rows through weight."""
+    g_table = np.zeros_like(like)
+    g_table[ids] = g_rows @ weight.T
+    return g_table
+
+
+def concat_scores(users, items, b, cascade, params, tape=True):
+    """Head logits (g x 1) of concatenations [e_u[u], e_i[i]] of behavior b's embeddings.
+
+    The first layer of [e_u, e_i] @ W_h + b_h is (e_u[u] @ Wh[:d] + b_h) +
+    (e_i @ Wh[d:])[i], summed in that order: the user part is computed
+    once per distinct user, and the item part is the ``ItemTables`` row.
+    The logits are relu(.) @ w_o + b_o. On the tape this is one op; its
+    vjp returns the grads of the behavior's e_u and e_i, each scattered
+    once, and of the four head slots.
     """
-    bh, wo, bo = (params[f"head_{k}"].data for k in ("bh", "wo", "bo"))
-    hidden = (rows + bh)[inv]
-    hidden += item_rows[items]
-    if where is not None:
-        tg._check_finite(hidden, where)
-    return _relu(hidden) @ wo + bo, hidden
-
-
-def _table_logits(users, items, r, groups, cascade, params, n_c):
-    """The head's logits of routed groups, from the tables: (logits, mediator of a position).
-
-    A concatenation pair's logit is ``split_head`` of one head row per
-    distinct user of the group and the behavior's item table. A retrieval
-    pair's first layer sums its user row, item table row and pooled row, in
-    that order; relu(.) @ W2 + b2 is its mediator, which goes through the
-    head. The user rows, the retrieval mediators and the logits are checked
-    for finiteness once.
-    """
-    tables = inference_tables(cascade, params)
+    tables = item_tables(cascade, params)
+    bundle = cascade.per_behavior[b]
+    wh, bh, wo, bo = (params[k] for k in _HEAD_SLOTS)
     d = tables.d
-    wh, bh, wo, bo = (params[f"head_{k}"].data for k in ("wh", "bh", "wo", "bo"))
-    logits = np.empty(users.shape[0])
-    retrieved = {}
-    for kind, b, pos, index, hoods in groups:
-        its = items[pos]
-        if kind == _CONCAT:
-            rows, inv = _user_rows(tables.user_rows[b], users[pos], wh[:d], "head user rows")
-            logits[pos] = split_head(rows, inv, tables.head_items(b), its, params)[0][:, 0]
-        else:
-            prefix = _PREFIXES[kind]
-            item_table = tables.logic_items(kind, b)[0]
-            rows, inv = _user_rows(tables.user_rows[b], users[pos],
-                                   params[f"{prefix}_w1"].data[:d], f"{prefix} user rows")
-            first = rows[inv]
-            first += item_table[its]
-            first += tables.pooled_rows(kind, b, index, n_c, its, hoods)[its]
-            med = _relu(first) @ params[f"{prefix}_w2"].data + params[f"{prefix}_b2"].data
-            tg._check_finite(med, f"{prefix} mediators")
-            retrieved.update(zip(pos.tolist(), med))
-            logits[pos] = (_relu(med @ wh + bh) @ wo)[:, 0] + bo[0, 0]
-    tg._check_finite(logits, "logits")
+    w_user, w_item = wh.data[:d], wh.data[d:]
+    user_ids, user_of = np.unique(users, return_inverse=True)
+    user_in = tables.user_rows[b][user_ids]
+    hidden = (user_in @ w_user + bh.data)[user_of]
+    hidden += tables.head_items(b)[items]
+    logits = _relu(hidden) @ wo.data + bo.data
 
-    def mediator(k):  # retrieval rows as computed; a concatenation is built on read
-        row = retrieved.get(k)
-        if row is None:
-            b = r.behaviors[k]
-            row = np.concatenate([tables.user_rows[b][users[k]], tables.item_rows[b][items[k]]])
-        return row
-    return logits, mediator
+    def vjp(g):
+        g_first, g_wo, g_bo = _head_vjp(g, hidden, wo.data)
+        item_ids, item_of = np.unique(items, return_inverse=True)
+        g_users = tg.scatter_add_rows(g_first, user_of, len(user_ids))
+        g_items = tg.scatter_add_rows(g_first, item_of, len(item_ids))
+        item_in = tables.item_rows[b][item_ids]
+        return (_scatter_rows(g_users, user_ids, w_user, tables.user_rows[b]),
+                _scatter_rows(g_items, item_ids, w_item, tables.item_rows[b]),
+                np.concatenate([user_in.T @ g_users, item_in.T @ g_items]),
+                g_first.sum(axis=0, keepdims=True), g_wo, g_bo)
+    return _output(logits, "concatenation", (bundle.e_u, bundle.e_i, wh, bh, wo, bo), vjp, tape)
+
+
+_OPS = {_CONJ: "conjunction", _DISJ: "disjunction"}
+
+
+def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape=True):
+    """Head logits (g x 1) and mediators (g x 2d) of one logic operator on behavior b.
+
+    The operator's first layer on [e_u, e_space, S] sums the user row
+    e_u[u] @ W1[:d], once per distinct user, and the item and pooled rows
+    of ``ItemTables``, in that order (hoods[p] holds the neighbor ids of
+    items[p] in index). relu(.) @ W2 + b2 is the mediator, and the logits
+    are relu(mediator @ W_h + b_h) @ w_o + b_o. On the tape this is one op;
+    its vjp returns the grads of the behavior's e_u, of the operator's item
+    space (the items' own rows and their neighbors'), and of the operator's
+    and the head's four slots.
+    """
+    tables = item_tables(cascade, params)
+    bundle = cascade.per_behavior[b]
+    prefix = _PREFIXES[kind]
+    space = getattr(bundle, _SPACE_ATTRS[kind])
+    w1, b1, w2, b2 = (params[f"{prefix}_{k}"] for k in ("w1", "b1", "w2", "b2"))
+    wh, bh, wo, bo = (params[k] for k in _HEAD_SLOTS)
+    d = tables.d
+    w_user, w_item, w_pool = w1.data[:d], w1.data[d:2 * d], w1.data[2 * d:]
+    user_ids, user_of = np.unique(users, return_inverse=True)
+    user_in = tables.user_rows[b][user_ids]
+    first = (user_in @ w_user)[user_of]
+    first += tables.logic_items(kind, b)[0][items]
+    first += tables.pooled_rows(kind, b, index, n_c, items, hoods)[items]
+    med = _relu(first) @ w2.data + b2.data
+    hidden = med @ wh.data + bh.data
+    logits = _relu(hidden) @ wo.data + bo.data
+
+    def vjp(g):
+        g_hidden, g_wo, g_bo = _head_vjp(g, hidden, wo.data)
+        g_med = g_hidden @ wh.data.T
+        g_first = g_med @ w2.data.T
+        g_first *= first > 0.0
+        item_ids, item_first, item_of = np.unique(items, return_index=True, return_inverse=True)
+        g_users = tg.scatter_add_rows(g_first, user_of, len(user_ids))
+        g_items = tg.scatter_add_rows(g_first, item_of, len(item_ids))
+        space_in = space.data[item_ids]
+        pool = _pooling_matrix([hoods[k] for k in item_first.tolist()], space.data.shape[0])
+        g_space = pool.T @ (g_items @ w_pool.T)
+        g_space[item_ids] += g_items @ w_item.T
+        g_w1 = np.concatenate([user_in.T @ g_users, space_in.T @ g_items,
+                               (pool @ space.data).T @ g_items])
+        return (_scatter_rows(g_users, user_ids, w_user, tables.user_rows[b]), g_space,
+                g_w1, g_first.sum(axis=0, keepdims=True), first.T @ g_med,
+                g_med.sum(axis=0, keepdims=True), med.T @ g_hidden,
+                g_hidden.sum(axis=0, keepdims=True), g_wo, g_bo)
+    out = _output(logits, _OPS[kind], (bundle.e_u, space, w1, b1, w2, b2, wh, bh, wo, bo),
+                  vjp, tape)
+    return out, med
 
 
 def reason(u, i, train, cascade, indices, params, tau, n_c=10, **flags):
-    """Single-pair wrapper around reason_batch."""
-    mediators, traces = reason_batch([u], [i], train, cascade, indices, params,
-                                     tau, n_c=n_c, **flags)
-    return mediators, traces[0]
+    """Single-pair wrapper around reason_batch: (1 x 2d mediator tensor, trace)."""
+    _, traces = reason_batch([u], [i], train, cascade, indices, params, tau, n_c=n_c,
+                             tape=False, **flags)
+    return tg.Tensor(traces[0].mediator[None, :]), traces[0]

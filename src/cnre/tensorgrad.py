@@ -4,10 +4,10 @@ Tensors wrap float64 numpy arrays. Every op output is made by ``record``,
 which keeps its inputs and one vector-Jacobian product returning a grad per
 input, so that ``backward`` can run exact reverse-mode gradients over the
 tape, freeing it as it goes. The op set is the fixed vocabulary the rest of
-the model needs (matmul, sparse @ dense, elementwise arithmetic with
-broadcasting, relu/softplus, row gather/slice/concat, reductions); the
-propagation stack records its multi-input kernels the same way. Every op
-output is checked for NaN/Inf and fails hard on the first non-finite value.
+the model needs (matmul, elementwise arithmetic with broadcasting,
+relu/softplus, row slices, reductions); the propagation stack and the
+reasoner record their multi-input kernels the same way. Every op output is
+checked for NaN/Inf and fails hard on the first non-finite value.
 """
 
 from __future__ import annotations
@@ -159,17 +159,6 @@ def matmul(a, b):
     return record(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def spmm(s, d):
-    """Sparse (CSR, non-trainable) times dense. Backward: s.T @ grad."""
-    d = as_tensor(d)
-    if not sp.issparse(s):
-        raise ShapeError("spmm: left operand must be a scipy sparse matrix")
-    if s.shape[1] != d.data.shape[0]:
-        raise ShapeError(f"spmm: {s.shape} @ {d.data.shape}")
-    s = s.tocsr()
-    return record(s @ d.data, "spmm", (d,), lambda g: (s.T @ g,))
-
-
 def relu(a):
     a = as_tensor(a)
     mask = a.data > 0.0  # subgradient at 0 is 0
@@ -192,25 +181,6 @@ def softplus(a):
                   lambda g: (g * _sigmoid(a.data),))
 
 
-def _concat(tensors, axis, op):
-    ts = tuple(as_tensor(t) for t in tensors)
-    other = 1 - axis
-    for t in ts:
-        if t.data.shape[other] != ts[0].data.shape[other]:
-            raise ShapeError(f"{op}: {'row' if axis else 'column'} counts differ")
-    cuts = np.cumsum([t.data.shape[axis] for t in ts[:-1]])
-    return record(np.concatenate([t.data for t in ts], axis=axis), op, ts,
-                  lambda g: np.split(g, cuts, axis=axis))
-
-
-def concat_cols(tensors):
-    return _concat(tensors, 1, "concat_cols")
-
-
-def concat_rows(tensors):
-    return _concat(tensors, 0, "concat_rows")
-
-
 def scatter_add_rows(g, idx, rows):
     """A rows-row array whose row r sums the rows of g that idx maps to r.
 
@@ -222,14 +192,6 @@ def scatter_add_rows(g, idx, rows):
     n = len(idx)
     gather = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, rows))
     return gather.T @ g
-
-
-def index_rows(a, idx):
-    """Gather rows; backward scatters the grad back with scatter_add_rows."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    return record(a.data[idx], "index_rows", (a,),
-                  lambda g: (scatter_add_rows(g, idx, len(a.data)),))
 
 
 def slice_rows(a, start, stop):

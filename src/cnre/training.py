@@ -111,40 +111,6 @@ def multi_task_loss(per_behavior_bpr, l2_weight, store):
     return total
 
 
-def auxiliary_task_score(users, items, behavior, cascade, params):
-    """Head logits of auxiliary pairs on a strong-style mediator, as one op.
-
-    predict_logit of [e_u[u], e_i[i]], in the split form of
-    ``reasoning.split_head``: one first-layer row per distinct user and
-    one per distinct item. The vjp returns the grads of the behavior's e_u
-    and e_i, each scattered once, and of the four head slots.
-    """
-    bundle = cascade.per_behavior[behavior]
-    e_u, e_i = bundle.e_u, bundle.e_i
-    wh, bh, wo, bo = (params[f"head_{k}"] for k in ("wh", "bh", "wo", "bo"))
-    d = e_u.data.shape[1]
-    w_user, w_item = wh.data[:d], wh.data[d:]
-    user_ids, user_of = np.unique(np.asarray(users, dtype=np.int64), return_inverse=True)
-    item_ids, item_of = np.unique(np.asarray(items, dtype=np.int64), return_inverse=True)
-    user_in, item_in = e_u.data[user_ids], e_i.data[item_ids]
-    logits, hidden = reasoning.split_head(user_in @ w_user, user_of, item_in @ w_item,
-                                          item_of, params, "auxiliary_head")
-
-    def vjp(g):
-        g_first = g @ wo.data.T
-        g_first *= hidden > 0.0
-        g_users = tg.scatter_add_rows(g_first, user_of, len(user_ids))
-        g_items = tg.scatter_add_rows(g_first, item_of, len(item_ids))
-        g_eu = np.zeros_like(e_u.data)
-        g_eu[user_ids] = g_users @ w_user.T
-        g_ei = np.zeros_like(e_i.data)
-        g_ei[item_ids] = g_items @ w_item.T
-        g_wh = np.concatenate([user_in.T @ g_users, item_in.T @ g_items])
-        return (g_eu, g_ei, g_wh, g_first.sum(axis=0, keepdims=True), hidden.T @ g,
-                g.sum(axis=0, keepdims=True))
-    return tg.record(logits, "auxiliary_head", (e_u, e_i, wh, bh, wo, bo), vjp)
-
-
 class CnreModel:
     """All trainable state plus the graphs needed to run the architecture."""
 
@@ -207,7 +173,8 @@ class CnreModel:
                 bundle.e_sem_i.data, mode=cfg.index_mode, seed=cfg.seed)
         return indices
 
-    def reason_batch(self, users, items, cascade, indices, gate=None, codes=None, tape=True):
+    def score(self, users, items, cascade, indices, gate=None, codes=None, tape=True):
+        """Head logits and traces of a batch of pairs: ``reasoning.reason_batch``."""
         cfg = self.config
         return reasoning.reason_batch(
             users, items, self.train_dataset, cascade, indices, self.store,
@@ -215,8 +182,23 @@ class CnreModel:
             disable_cnj=cfg.disable_cnj, disable_dsj=cfg.disable_dsj,
             codes=codes, gate=gate, tape=tape)
 
+    def reason_batch(self, users, items, cascade, indices, gate=None, codes=None):
+        """(n x 2d mediators, traces) of a batch: the traces' mediators, stacked, as a tensor."""
+        _, traces = self.score(users, items, cascade, indices, gate=gate, codes=codes,
+                               tape=False)
+        rows = [t.mediator for t in traces]
+        return tg.Tensor(np.array(rows).reshape(len(rows), 2 * self.config.embedding_dim)), traces
+
     def batch_loss(self, per_behavior_triples, cascade, indices, gate=None):
-        """Multi-task loss over one step's triples; returns (loss, n_pairs)."""
+        """Multi-task loss over one step's triples; returns (loss, n_pairs).
+
+        Each task scores its positives and negatives in one call, so each
+        user's first-layer rows and their grads are computed once: the
+        target task through the reasoner, an auxiliary task through the
+        concatenation head on its own behavior's embeddings. BPR margins use
+        the head logits; the logistic squash would cap the achievable margin
+        at 1 and stall the pairwise objective.
+        """
         terms = []
         n_pairs = 0
         t_idx = len(self.behavior_names) - 1
@@ -224,20 +206,12 @@ class CnreModel:
             if not len(triples):
                 continue
             users, pos, neg = np.asarray(triples, dtype=np.int64).T
-            # BPR margins use the head logits; the logistic squash would cap
-            # the achievable margin at 1 and stall the pairwise objective
-            if b == t_idx:
-                med_pos, _ = self.reason_batch(users, pos, cascade, indices, gate=gate)
-                med_neg, _ = self.reason_batch(users, neg, cascade, indices, gate=gate)
-                y_pos = predict_logit(med_pos, self.store)
-                y_neg = predict_logit(med_neg, self.store)
-            else:  # one call, so each user's head row and its grad are computed once
-                y = auxiliary_task_score(np.concatenate([users, users]),
-                                         np.concatenate([pos, neg]), b, cascade, self.store)
-                n = len(users)
-                y_pos, y_neg = tg.slice_rows(y, 0, n), tg.slice_rows(y, n, 2 * n)
-            terms.append(bpr_loss(y_pos, y_neg))
-            n_pairs += len(triples)
+            users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
+            y = (self.score(users, items, cascade, indices, gate=gate)[0] if b == t_idx
+                 else reasoning.concat_scores(users, items, b, cascade, self.store))
+            n = len(triples)
+            terms.append(bpr_loss(tg.slice_rows(y, 0, n), tg.slice_rows(y, n, 2 * n)))
+            n_pairs += n
         loss = multi_task_loss(terms, self.config.l2, self.store)
         return loss, n_pairs
 

@@ -19,6 +19,8 @@ from cnre import (dataio, evalexplain, propagation, reasoning, retrieval,
 from cnre.reasoning import PreferenceStrength as P
 from cnre.synthetic import make_planted_dataset
 
+from test_reasoning import STRENGTH_RANK
+
 
 def test_criterion_1_gradient_suite():
     """Full-loss finite differences: max rel err < 1e-4 in under 60 s."""
@@ -61,7 +63,7 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_dispatch_truth_table():
     """Exhaustive dispatch + single-flag monotonicity + chain-edit cases."""
     t0 = time.perf_counter()
-    rank = reasoning.STRENGTH_RANK
+    rank = STRENGTH_RANK
     for n in (3, 4):
         for flags in itertools.product((0, 1), repeat=n):
             path = reasoning.dispatch(flags)

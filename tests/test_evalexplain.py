@@ -106,13 +106,12 @@ class TestRankItems:
         with pytest.raises(IndexError, match="index out of range"):
             evalexplain.rank_items(user, model, candidates=candidates)
 
-    @pytest.mark.parametrize("half, message", [(0, "head user rows"),
-                                               (1, r"inference table \('head'")])
-    def test_nan_in_head_weight_raises(self, half, message):
-        """A NaN in the user half or the item half of W_h fails the scorer, naming where."""
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_nan_in_head_weight_raises(self, half):
+        """A NaN in the user half or the item half of W_h fails the scorer, naming its op."""
         model, _ = _quick_model()
         model.store["head_wh"].data[half * model.config.embedding_dim, 0] = np.nan
-        with pytest.raises(tg.NonFiniteError, match=message):
+        with pytest.raises(tg.NonFiniteError, match="'concatenation'"):
             evalexplain.rank_items(0, model)
 
 

@@ -2,11 +2,11 @@
 
 Random small datasets drive the edge matrices and every helper derived
 from them, the chain-code lookup and dispatch, the batched reasoner, the
-memoized item neighbors and the pooled-row tables; each is compared with a set-based or per-pair reference
-written out here, or with the uncached path it replaces. The fused
-propagation kernels are compared with their unfused tape composition
-(``unfused.py``), forward and grads, and the fused auxiliary head with the
-op-by-op head.
+memoized item neighbors and the pooled-row tables; each is compared with
+a set-based or per-pair reference written out here, or with the uncached
+path it replaces. The fused propagation kernels and the reasoner's group
+scorers are compared with their op-by-op tape composition
+(``unfused.py``), forward and grads.
 """
 
 import warnings
@@ -282,7 +282,7 @@ def test_pooled_rows_equal_one_batch_pooling_product(ds, data):
     n_c = data.draw(st.integers(1, 4))
     index = indices[(b, reasoning._SPACE_KEYS[kind])]
     n = ds.num_items
-    tables = reasoning.InferenceTables(cascade, model.store)
+    tables = reasoning.ItemTables(cascade, model.store)
     pool_table = tables.logic_items(kind, b)[1]
     want = reasoning._pooling_matrix(retrieval.neighbors(index, range(n), n_c), n) @ pool_table
     # batches in any order, with repeats; the last one covers every item
@@ -356,24 +356,24 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
     gate_arrays = (gate.per_behavior if gate else
                    [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior])
 
-    med, traces = reasoning.reason_batch(users, items, ds, cascade, indices,
-                                         model.store, tau, codes=codes, **kw)
-    logits = training.predict_logit(med, model.store).data[:, 0]
+    logits, traces = reasoning.reason_batch(users, items, ds, cascade, indices,
+                                            model.store, tau, codes=codes, tape=False, **kw)
     assert len(traces) == n and len(list(traces)) == n
     assert not any(isinstance(v, tg.Tensor) for v in vars(traces).values())
     for p in range(n):
         u, i = int(users[p]), int(items[p])
-        med1, trace = reasoning.reason(u, i, ds, cascade, indices, model.store, tau,
-                                       codes=pair_codes[p], **kw)
-        logit1 = training.predict_logit(med1, model.store).data[0, 0]
-        assert abs(logits[p] - logit1) <= 1e-12
-        assert _trace_fields(traces[p]) == _trace_fields(trace)
+        logit1, traces1 = reasoning.reason_batch([u], [i], ds, cascade, indices, model.store,
+                                                 tau, codes=pair_codes[p], tape=False, **kw)
+        assert abs(logits[p] - logit1[0]) <= 1e-12
+        assert _trace_fields(traces[p]) == _trace_fields(traces1[0])
         want = _reference_trace(u, i, ds, gate_arrays, cascade, indices, tau, cfg.n_c,
                                 code=pair_codes[p], **ablation)
         assert _trace_fields(traces[p]) == _trace_fields(want)
-        # each trace holds a copy of its row of the batch mediators
-        np.testing.assert_array_equal(traces[p].mediator, med.data[p])
-        assert not np.shares_memory(traces[p].mediator, med.data)
+        np.testing.assert_allclose(traces[p].mediator, traces1[0].mediator, rtol=0, atol=1e-12)
+        # a copy: a caller may write into it
+        bundle = cascade.per_behavior[traces[p].behavior]
+        assert not any(np.shares_memory(traces[p].mediator, a)
+                       for a in (bundle.e_u.data, bundle.e_i.data))
 
 
 @SETTINGS
@@ -402,8 +402,8 @@ def _outputs_and_grads(op, arrays, seed):
     for o in outs:
         loss = tg.add(loss, tg.sum_all(tg.mul(o, tg.Tensor(rng.normal(size=o.shape)))))
     datas = [o.data.copy() for o in outs]
-    loss.backward()
-    return datas + [t.grad for t in leaves]
+    loss.backward()  # a leaf that no output reads gets no grad: zero
+    return datas + [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
 
 
 def _assert_fused_matches_unfused(fused, reference, arrays, seed):
@@ -469,13 +469,38 @@ def test_index_rows_backward_equals_add_at_bit_for_bit(rows, d, data, seed):
     rng = np.random.default_rng(seed)
     a = tg.Tensor(rng.normal(size=(rows, d)), requires_grad=True)
     g = rng.normal(size=(len(idx), d))
-    tg.sum_all(tg.mul(tg.index_rows(a, idx), tg.Tensor(g))).backward()  # index_rows gets g
+    tg.sum_all(tg.mul(unfused.index_rows(a, idx), tg.Tensor(g))).backward()  # index_rows gets g
     want = np.zeros((rows, d))
     np.add.at(want, np.asarray(idx, dtype=np.int64), g)
     assert a.grad.tobytes() == want.tobytes()
 
 
 HEAD_SLOTS = ("head_wh", "head_bh", "head_wo", "head_bo")
+SLOTS = tuple(f"{p}_{k}" for p in ("conj", "disj") for k in ("w1", "b1", "w2", "b2")) + HEAD_SLOTS
+SPACES = ("e_u", "e_i", "e_col_i", "e_sem_i")
+
+
+class _Params(dict):
+    """Parameter tensors by slot name, read as the reasoner reads a ParameterStore."""
+
+    version = 0
+
+
+def _leaf_cascade(leaves, n_b):
+    """A cascade whose bundles hold the given tensors, SPACES per behavior."""
+    return SimpleNamespace(memo={}, per_behavior=[
+        SimpleNamespace(**dict(zip(SPACES, leaves[4 * b:4 * b + 4]))) for b in range(n_b)])
+
+
+def _leaf_arrays(rng, m, n, n_b, d):
+    """Random arrays for every cascade space of n_b behaviors, then every slot."""
+    spaces = [rng.normal(size=(m if name == "e_u" else n, d))
+              for _ in range(n_b) for name in SPACES]
+    h = 2 * d
+    slots = [rng.normal(size=s) for _ in ("conj", "disj")
+             for s in ((3 * d, h), (1, h), (h, 2 * d), (1, 2 * d))]
+    slots += [rng.normal(size=s) for s in ((2 * d, d), (1, d), (d, 1), (1, 1))]
+    return spaces + slots
 
 
 @SETTINGS
@@ -486,7 +511,7 @@ HEAD_SLOTS = ("head_wh", "head_bh", "head_wo", "head_bo")
 @example(d=1, triples=[(2, 1, 3)], shared=False, seed=0)  # a single pair
 @example(d=1, triples=[(0, 1, 1), (0, 1, 2), (3, 1, 1)], shared=True, seed=1)
 def test_fused_auxiliary_head_matches_op_by_op_head(d, triples, shared, seed):
-    """auxiliary_task_score against strong_mediator of two gathers, then predict_logit.
+    """concat_scores against strong_mediator of two gathers, then predict_logit.
 
     With ``shared``, each triple's user scores its positive and its
     negative in one call, as batch_loss scores an auxiliary task.
@@ -497,17 +522,84 @@ def test_fused_auxiliary_head_matches_op_by_op_head(d, triples, shared, seed):
         users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
 
     def fused(e_u, e_i, *head):
-        cascade = SimpleNamespace(per_behavior=[SimpleNamespace(e_u=e_u, e_i=e_i)])
-        return training.auxiliary_task_score(users, items, 0, cascade,
-                                             dict(zip(HEAD_SLOTS, head)))
+        cascade = _leaf_cascade([e_u, e_i, e_i, e_i], 1)
+        return reasoning.concat_scores(users, items, 0, cascade, _Params(zip(HEAD_SLOTS, head)))
 
     def reference(e_u, e_i, *head):
-        med = reasoning.strong_mediator(tg.index_rows(e_u, users), tg.index_rows(e_i, items))
+        med = unfused.strong_mediator(unfused.index_rows(e_u, users),
+                                      unfused.index_rows(e_i, items))
         return training.predict_logit(med, dict(zip(HEAD_SLOTS, head)))
     rng = np.random.default_rng(seed)
     shapes = [(4, d), (5, d), (2 * d, d), (1, d), (d, 1), (1, 1)]
     _assert_fused_matches_unfused(fused, reference, [rng.normal(size=s) for s in shapes],
                                   seed)
+
+
+ABLATIONS = [{}, {"disable_rea": True}, {"disable_cnj": True}, {"disable_dsj": True}]
+
+
+def _check_reasoner_against_reference(ds, d, n_c, tau, ablation, codes, gated, triples,
+                                      seed):
+    """reason_batch on the tape against unfused.reason_batch: logits and every grad.
+
+    The batch scores each triple's positive and negative for its user, as
+    batch_loss scores the target task. Every cascade space and slot is a
+    random leaf; the gate, when used, holds other random arrays.
+    """
+    n_b = len(ds.spec)
+    rng = np.random.default_rng(seed)
+    arrays = _leaf_arrays(rng, ds.num_users, ds.num_items, n_b, d)
+    gate = (reasoning.GateSnapshot([{"e_u": rng.normal(size=(ds.num_users, d)),
+                                     "e_i": rng.normal(size=(ds.num_items, d))}
+                                    for _ in range(n_b)]) if gated else None)
+    indices = {(b, key): retrieval.build_index(arrays[4 * b + 2 + k], mode="exact", seed=0)
+               for b in range(n_b - 1) for k, key in enumerate(("col", "sem"))}
+    users, pos, neg = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
+    kw = dict(n_c=n_c, codes=codes, gate=gate, **ablation)
+
+    def fused(*leaves):
+        params = _Params(zip(SLOTS, leaves[4 * n_b:]))
+        return reasoning.reason_batch(users, items, ds, _leaf_cascade(leaves, n_b), indices,
+                                      params, tau, **kw)[0]
+
+    def reference(*leaves):
+        params = dict(zip(SLOTS, leaves[4 * n_b:]))
+        return unfused.reason_batch(users, items, ds, _leaf_cascade(leaves, n_b), indices,
+                                    params, tau, **kw)[0]
+    _assert_fused_matches_unfused(fused, reference, arrays, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets(), data=st.data())
+def test_reasoner_on_the_tape_matches_unfused_reasoner_and_grads(ds, data):
+    n_pairs = 2 * len(ds.spec)  # room for every operator on every behavior
+    triple = st.tuples(st.integers(0, ds.num_users - 1), st.integers(0, ds.num_items - 1),
+                       st.integers(0, ds.num_items - 1))
+    triples = data.draw(st.lists(triple, max_size=n_pairs))
+    triples += data.draw(st.lists(st.sampled_from(triples), max_size=3)) if triples else []
+    code = st.integers(0, (1 << len(ds.spec)) - 1)
+    codes = data.draw(st.one_of(st.none(), code, st.lists(
+        code, min_size=2 * len(triples), max_size=2 * len(triples)).map(np.array)))
+    _check_reasoner_against_reference(
+        ds, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)),
+        data.draw(st.sampled_from([0.0, 0.5, 1.0])), data.draw(st.sampled_from(ABLATIONS)),
+        codes, data.draw(st.booleans()), triples, data.draw(st.integers(0, 2**16)))
+
+
+@pytest.mark.parametrize("triples", [
+    [],                                            # an empty batch
+    [(0, 1, 2), (0, 1, 2), (1, 2, 1), (0, 2, 0)],  # repeated pairs, shared users
+])
+@pytest.mark.parametrize("codes", [None, 0b011, [0, 1, 2, 3, 4, 5, 6, 7]])
+def test_reasoner_on_the_tape_matches_unfused_reasoner_at_width_one(triples, codes):
+    ds = _dataset(3, 4, [{(0, 1), (1, 2), (2, 0)}, {(0, 1), (1, 1)}, {(0, 2)}])
+    if isinstance(codes, list):
+        codes = np.array(codes[:2 * len(triples)])
+    for tau in (0.0, 0.5, 1.0):
+        for ablation in ABLATIONS:
+            _check_reasoner_against_reference(ds, 1, 2, tau, ablation, codes, False,
+                                              triples, 7)
 
 
 def _assert_close_to_scale(got, want):
@@ -516,12 +608,9 @@ def _assert_close_to_scale(got, want):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
 
 
-@settings(max_examples=100, deadline=None)
-@given(ds=datasets(), data=st.data())
-def test_scorer_matches_tape_reasoner_and_head(ds, data):
-    """reason_batch with no tape against reason_batch + predict_logit on the tape."""
-    ablation = data.draw(st.sampled_from(
-        [{}, {"disable_rea": True}, {"disable_cnj": True}, {"disable_dsj": True}]))
+def _scored_model(ds, data):
+    """A model on ds, with drawn width, n_c, seed and ablation, and non-zero biases."""
+    ablation = data.draw(st.sampled_from(ABLATIONS))
     cfg = training.TrainConfig(embedding_dim=data.draw(st.integers(1, 5)), hyperedges=2,
                                epochs=0, n_c=data.draw(st.integers(1, 4)),
                                seed=data.draw(st.integers(0, 2**16)), **ablation)
@@ -529,29 +618,61 @@ def test_scorer_matches_tape_reasoner_and_head(ds, data):
     rng = np.random.default_rng(cfg.seed)  # biases start at 0: give them values to check
     model.store.load_arrays({name: rng.normal(size=model.store[name].shape) for name in (
         "conj_b1", "conj_b2", "disj_b1", "disj_b2", "head_bh", "head_bo")})
-    cascade = model.cascade()
-    indices = model.build_indices(cascade)
-    tau = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+    return model, ablation
+
+
+def _drawn_batch(ds, data):
+    """(users, items, codes): drawn pairs with repeats, and observed or drawn codes."""
     n_pairs = ds.num_users * ds.num_items
     pairs = data.draw(st.lists(st.integers(0, n_pairs - 1), min_size=1, max_size=40))
     users, items = np.divmod(np.array(pairs), ds.num_items)
     code = st.integers(0, (1 << len(ds.spec)) - 1)
     codes = data.draw(st.one_of(st.none(), code, st.lists(
         code, min_size=len(pairs), max_size=len(pairs)).map(np.array)))
-    kw = dict(n_c=cfg.n_c, codes=codes, **ablation)
+    return users, items, codes
 
-    med, want = reasoning.reason_batch(users, items, ds, cascade, indices, model.store, tau,
-                                       **kw)
-    want_logits = training.predict_logit(med, model.store).data[:, 0]
+
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets(), data=st.data())
+def test_scorer_matches_tape_reasoner_and_head(ds, data):
+    """reason_batch with no tape against the op-by-op reasoner and predict_logit."""
+    model, ablation = _scored_model(ds, data)
+    cascade = model.cascade()
+    indices = model.build_indices(cascade)
+    tau = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+    users, items, codes = _drawn_batch(ds, data)
+    kw = dict(n_c=model.config.n_c, codes=codes, **ablation)
+
+    want_logits, med = unfused.reason_batch(users, items, ds, cascade, indices, model.store,
+                                            tau, **kw)
+    want_logits = want_logits.data[:, 0]
     logits, got = reasoning.reason_batch(users, items, ds, cascade, indices, model.store, tau,
                                          tape=False, **kw)
     _assert_close_to_scale(logits, want_logits)
     np.testing.assert_array_equal(np.lexsort((items, -logits)),
                                   np.lexsort((items, -want_logits)))
-    np.testing.assert_array_equal(got.path_labels(), want.path_labels())
-    for p in range(len(pairs)):
-        assert _trace_fields(got[p]) == _trace_fields(want[p])
+    for p in range(len(users)):
         if got[p].space is None:  # a concatenation: the same rows, bit for bit
-            np.testing.assert_array_equal(got[p].mediator, want[p].mediator)
+            np.testing.assert_array_equal(got[p].mediator, med.data[p])
         else:
-            _assert_close_to_scale(got[p].mediator, want[p].mediator)
+            _assert_close_to_scale(got[p].mediator, med.data[p])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets(), data=st.data())
+def test_tape_and_no_tape_logits_are_the_same_bits(ds, data):
+    model, ablation = _scored_model(ds, data)
+    cascade = model.cascade()
+    indices = model.build_indices(cascade)
+    tau = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    users, items, codes = _drawn_batch(ds, data)
+    kw = dict(n_c=model.config.n_c, codes=codes, **ablation)
+    taped, taped_traces = reasoning.reason_batch(users, items, ds, cascade, indices,
+                                                 model.store, tau, **kw)
+    plain, traces = reasoning.reason_batch(users, items, ds, cascade, indices, model.store,
+                                           tau, tape=False, **kw)
+    assert taped.data.shape == (len(users), 1)
+    assert taped.data[:, 0].tobytes() == plain.tobytes()
+    for p in range(len(users)):
+        assert _trace_fields(taped_traces[p]) == _trace_fields(traces[p])
+        assert taped_traces[p].mediator.tobytes() == traces[p].mediator.tobytes()

@@ -11,6 +11,11 @@ from cnre import dataio, reasoning, retrieval, tensorgrad as tg, training
 from cnre.reasoning import PreferenceStrength as P
 from cnre.synthetic import make_planted_dataset
 
+import unfused
+
+# the order of the paths, weakest first, that the monotonicity checks use
+STRENGTH_RANK = {P.DEFAULT: 0, P.WEAK: 1, P.MEDIUM: 2, P.STRONG: 3}
+
 
 class TestDispatch:
     @pytest.mark.parametrize("n_behaviors", [3, 4])
@@ -31,7 +36,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("n_behaviors", [3, 4])
     def test_single_flag_edit_monotonicity(self, n_behaviors):
-        rank = reasoning.STRENGTH_RANK
+        rank = STRENGTH_RANK
         for flags in itertools.product((0, 1), repeat=n_behaviors):
             base = rank[reasoning.dispatch(flags)]
             for k in range(n_behaviors):
@@ -79,6 +84,8 @@ def test_confidence_is_logistic_of_dot():
 
 
 class TestMediators:
+    """The op-by-op mediators of the reference reasoner against loop oracles."""
+
     def _params(self, d=3, seed=0):
         rng = np.random.default_rng(seed)
         store = tg.ParameterStore()
@@ -94,7 +101,7 @@ class TestMediators:
         rng = np.random.default_rng(1)
         eu = rng.normal(size=(4, 3))
         ei = rng.normal(size=(4, 3))
-        out = reasoning.strong_mediator(tg.Tensor(eu), tg.Tensor(ei))
+        out = unfused.strong_mediator(tg.Tensor(eu), tg.Tensor(ei))
         np.testing.assert_array_equal(out.data, np.hstack([eu, ei]))
 
     def test_logic_mlps_match_loop_oracle(self):
@@ -102,9 +109,9 @@ class TestMediators:
         eu = rng.normal(size=(5, 3))
         ei = rng.normal(size=(5, 3))
         s = rng.normal(size=(5, 3))
-        conj = reasoning.conjunction_mediator(tg.Tensor(eu), tg.Tensor(ei),
+        conj = unfused.conjunction_mediator(tg.Tensor(eu), tg.Tensor(ei),
                                               tg.Tensor(s), store).data
-        disj = reasoning.disjunction_mediator(tg.Tensor(eu), tg.Tensor(ei),
+        disj = unfused.disjunction_mediator(tg.Tensor(eu), tg.Tensor(ei),
                                               tg.Tensor(s), store).data
         for prefix, got in (("conj", conj), ("disj", disj)):
             w1, b1 = store[f"{prefix}_w1"].data, store[f"{prefix}_b1"].data
@@ -118,17 +125,17 @@ class TestMediators:
     def test_operators_have_independent_parameters(self):
         store, rng = self._params(d=3, seed=2)
         x = rng.normal(size=(3, 3))
-        conj = reasoning.conjunction_mediator(tg.Tensor(x), tg.Tensor(x),
+        conj = unfused.conjunction_mediator(tg.Tensor(x), tg.Tensor(x),
                                               tg.Tensor(x), store).data
-        disj = reasoning.disjunction_mediator(tg.Tensor(x), tg.Tensor(x),
+        disj = unfused.disjunction_mediator(tg.Tensor(x), tg.Tensor(x),
                                               tg.Tensor(x), store).data
         assert np.max(np.abs(conj - disj)) > 1e-3
 
     def test_mediator_width_is_twice_dim(self):
         store, rng = self._params(d=3)
         x = tg.Tensor(rng.normal(size=(2, 3)))
-        assert reasoning.conjunction_mediator(x, x, x, store).shape == (2, 6)
-        assert reasoning.strong_mediator(x, x).shape == (2, 6)
+        assert unfused.conjunction_mediator(x, x, x, store).shape == (2, 6)
+        assert unfused.strong_mediator(x, x).shape == (2, 6)
 
 
 def _trained_bits(seed=0, **cfg_kw):
@@ -163,9 +170,10 @@ class TestReasonBatch:
         med, traces = model.reason_batch(none, none, cascade, indices)
         assert med.data.shape == (0, 2 * model.config.embedding_dim)
         assert len(traces) == 0 and list(traces) == []
-        logits, traces = model.reason_batch(none, none, cascade, indices, tape=False)
-        assert logits.shape == (0,)
-        assert len(traces) == 0 and list(traces) == []
+        for tape, shape in ((True, (0, 1)), (False, (0,))):
+            logits, traces = model.score(none, none, cascade, indices, tape=tape)
+            assert (logits.data if tape else logits).shape == shape
+            assert len(traces) == 0 and list(traces) == []
 
     def test_trace_contracts(self):
         train, model, cascade, indices = _trained_bits()
@@ -259,35 +267,35 @@ class TestReasonBatch:
             if weak:
                 break
         assert weak is not None
-        med, trace = reasoning.reason(weak[0], weak[1], train, cascade, indices,
-                                      model.store, model.config.tau, n_c=3)
+        logits, traces = model.score([weak[0]], [weak[1]], cascade, indices)
+        assert traces[0].neighbor_ids
         model.store.zero_grad()
-        tg.sum_all(med).backward()
+        tg.sum_all(logits).backward()
         base_grad = model.store["base_item"].grad
         assert base_grad is not None
-        assert any(np.any(base_grad[j]) for j in trace.neighbor_ids)
+        assert any(np.any(base_grad[j]) for j in traces[0].neighbor_ids)
 
 
 def _retrieval_mediators_match_operators(train, model, cascade, indices, tau):
     """Each retrieval pair's mediator is its operator on (e_u, e_space row, neighbor mean)."""
     users, items = np.divmod(np.arange(train.num_users * train.num_items), train.num_items)
-    med, traces = reasoning.reason_batch(users, items, train, cascade, indices,
-                                         model.store, tau, n_c=model.config.n_c)
+    _, traces = reasoning.reason_batch(users, items, train, cascade, indices,
+                                       model.store, tau, n_c=model.config.n_c, tape=False)
     checked = set()
     for p, trace in enumerate(traces):
         if trace.neighbor_ids is None:
             continue
         bundle = cascade.per_behavior[trace.behavior]
         if trace.space == "collaborative":
-            space, operator = bundle.e_col_i.data, reasoning.conjunction_mediator
+            space, operator = bundle.e_col_i.data, unfused.conjunction_mediator
         else:
-            space, operator = bundle.e_sem_i.data, reasoning.disjunction_mediator
+            space, operator = bundle.e_sem_i.data, unfused.disjunction_mediator
         ids = trace.neighbor_ids
         pooled = (space[ids].mean(axis=0, keepdims=True) if ids
                   else np.zeros((1, space.shape[1])))
         want = operator(tg.Tensor(bundle.e_u.data[[users[p]]]),
                         tg.Tensor(space[[items[p]]]), tg.Tensor(pooled), model.store)
-        np.testing.assert_allclose(med.data[p], want.data[0], atol=1e-12)
+        np.testing.assert_allclose(trace.mediator, want.data[0], atol=1e-12)
         checked.add((trace.space, len(ids) > 0))
     return checked
 
@@ -357,13 +365,13 @@ def test_scorer_tables_follow_parameter_writes():
         return training.predict_logit(med, model.store).data[:, 0]
 
     def scored():
-        return model.reason_batch(users, items, cascade, indices, tape=False)[0]
+        return model.score(users, items, cascade, indices, tape=False)[0]
 
     before = scored()
-    tables = cascade.memo["inference"]
+    tables = cascade.memo["item_tables"]
     np.testing.assert_allclose(before, tape_logits(), rtol=1e-12, atol=1e-15)
     np.testing.assert_array_equal(scored(), before)
-    assert cascade.memo["inference"] is tables  # no write, so the memo is kept
+    assert cascade.memo["item_tables"] is tables  # no write, so the memo is kept
 
     saved = model.store.state_arrays()
     loss = None
@@ -373,7 +381,7 @@ def test_scorer_tables_follow_parameter_writes():
     loss.backward()
     model.store.adam_step(0.05)
     after_step = scored()
-    assert cascade.memo["inference"] is not tables
+    assert cascade.memo["item_tables"] is not tables
     assert np.max(np.abs(after_step - before)) > 1e-6
     np.testing.assert_allclose(after_step, tape_logits(), rtol=1e-12, atol=1e-15)
 
@@ -399,11 +407,11 @@ def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
 
     runs = [(indices, n_c), (other, n_c), (indices, n_c - 1), (other, n_c - 1)]
     got = [scored(idx, k) for idx, k in runs]
-    tables = cascade.memo["inference"]
+    tables = cascade.memo["item_tables"]
     groups = {(kind, b) for kind, b, _, _ in tables._pooled}
     assert len(tables._pooled) == len(groups) * len(runs)  # one table per run and group
     for (idx, k), (logits, traces) in zip(runs, got):
-        del cascade.memo["inference"]  # fresh tables hold only this run's rows
+        del cascade.memo["item_tables"]  # fresh tables hold only this run's rows
         fresh, fresh_traces = scored(idx, k)
         np.testing.assert_array_equal(logits, fresh)
         assert [t.neighbor_ids for t in traces] == [t.neighbor_ids for t in fresh_traces]

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from cnre import dataio, propagation, reasoning, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
+import unfused
+
 
 def _head_store(d=4, seed=0, zero=False):
     rng = np.random.default_rng(seed)
@@ -110,10 +112,10 @@ def test_auxiliary_score_compositional_identity():
     model, _ = training.train(split, cfg)
     cascade = model.cascade()
     users, items = np.array([0, 3, 7]), np.array([1, 4, 2])
-    got = training.auxiliary_task_score(users, items, 0, cascade, model.store).data
+    got = reasoning.concat_scores(users, items, 0, cascade, model.store).data
     bundle = cascade.per_behavior[0]
-    med = reasoning.strong_mediator(tg.index_rows(bundle.e_u, users),
-                                    tg.index_rows(bundle.e_i, items))
+    med = unfused.strong_mediator(unfused.index_rows(bundle.e_u, users),
+                                  unfused.index_rows(bundle.e_i, items))
     want = training.predict_logit(med, model.store).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -153,14 +155,30 @@ def test_truncated_cascade_gives_same_loss_and_grads(n):
 
 
 def test_nan_before_relu_raises_naming_its_op():
-    # relu maps a NaN input to 0 and gives that entry a zero grad, so a NaN an op
-    # produces just before a relu can leave the loss and leaf grads finite; the
-    # per-op check still names the op. Here it is the fused auxiliary head,
-    # which checks its first-layer sum (the add of head_bh) before its relu.
+    # tg.relu maps a NaN input to 0 and gives that entry a zero grad, so a NaN an
+    # op produces just before a relu can leave the loss and leaf grads finite.
+    # The group scorers' relu keeps NaN, so the NaN in the first-layer sum (the
+    # add of head_bh) reaches the output, whose check names the views' head op.
     split, model = _small_model(epochs=0)
     model.store["head_bh"].data[0, 0] = np.nan  # written directly, not by adam_step
-    with pytest.raises(tg.NonFiniteError, match="'auxiliary_head'"):
+    with pytest.raises(tg.NonFiniteError, match="'concatenation'"):
         model.batch_loss(_leading_batch(split, 1), model.cascade(1), None)
+
+
+@pytest.mark.parametrize("tape", [True, False])
+@pytest.mark.parametrize("slot, code, op", [
+    ("head_bh", 0b100, "concatenation"),  # a strong pair
+    ("conj_b1", 0b011, "conjunction"),    # a medium pair below tau = 1
+    ("disj_b1", 0b001, "disjunction"),    # a weak pair
+])
+def test_nan_in_a_group_slot_raises_naming_the_group_op(slot, code, op, tape):
+    """A NaN in a first-layer bias reaches the group's output in both modes."""
+    _, model = _small_model(epochs=0, tau=1.0)
+    cascade = model.cascade()
+    indices = model.build_indices(cascade)
+    model.store[slot].data[0, 0] = np.nan
+    with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
+        model.score(np.arange(4), np.arange(4), cascade, indices, codes=code, tape=tape)
 
 
 class TestTrainLoop:
@@ -240,12 +258,39 @@ class TestTrainLoop:
         monkeypatch.setattr(tg, "record", lambda data, op, inputs, vjp: ops.append(op)
                             or record(data, op, inputs, vjp))
         model.batch_loss(_leading_batch(split, 1), cascade, None)
-        # the fused head over positives and negatives, a slice of each, BPR; then
-        # L2: a norm per slot, the adds of the norms, the weight and the add to BPR
+        # the concatenation head over positives and negatives, a slice of each,
+        # BPR; then L2: a norm per slot, the adds of the norms, the weight and
+        # the add to BPR
         slots = len(model.store.names())
-        assert ops[:6] == ["auxiliary_head", "slice_rows", "slice_rows",
+        assert ops[:6] == ["concatenation", "slice_rows", "slice_rows",
                            "sub", "softplus", "sum_all"]
         assert len(ops) == 6 + 2 * slots + 1
+
+    def test_target_only_batch_loss_records_one_op_per_group(self, monkeypatch):
+        split, model = _small_model(epochs=0, tau=1.0)
+        cascade = model.cascade()
+        indices = model.build_indices(cascade)
+        triples = dataio.sample_bpr_triples(split.train, 2, 40, np.random.default_rng(1))
+        batch = [np.empty((0, 3), dtype=np.int64)] * 2 + [triples]
+        users, pos, neg = triples.T
+        _, traces = model.score(np.concatenate([users, users]), np.concatenate([pos, neg]),
+                                cascade, indices, tape=False)
+        groups = {(t.space, t.behavior) for t in traces}
+        assert len({space for space, _ in groups}) == 3  # every operator runs
+        ops = []
+        record = tg.record
+        monkeypatch.setattr(tg, "record", lambda data, op, inputs, vjp: ops.append(op)
+                            or record(data, op, inputs, vjp))
+        model.batch_loss(batch, cascade, indices)
+        # one op per (operator, behavior) group over positives and negatives, the
+        # op that puts their rows in batch order, a slice of each side and BPR;
+        # then the L2 ops
+        n = len(groups)
+        assert sorted(ops[:n]) == sorted({None: "concatenation", "collaborative": "conjunction",
+                                          "semantic": "disjunction"}[space] for space, _ in groups)
+        assert ops[n:n + 6] == ["batch_order", "slice_rows", "slice_rows",
+                                "sub", "softplus", "sum_all"]
+        assert len(ops) == n + 6 + 2 * len(model.store.names()) + 1
 
     def test_views_only_step_propagates_unified_and_view(self, monkeypatch):
         split, model = _small_model(epochs=1, batch_size=8)
