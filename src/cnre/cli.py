@@ -112,10 +112,19 @@ def _load_model(checkpoint_path, manifest):
     return model, split
 
 
+def _output_dir(args, manifest):
+    """--out, or the manifest's output_dir, created now, before any data is loaded."""
+    out_dir = args.out or manifest["output_dir"]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a path under a file, a file, no permission
+        raise dataio.InputError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def cmd_train(args):
     manifest = load_manifest(args.manifest)
-    out_dir = args.out or manifest["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(args, manifest)
     split = build_split(manifest)
     log_path = os.path.join(out_dir, "train_log.txt")
     with open(log_path, "w", encoding="utf-8") as log_fh:
@@ -131,13 +140,12 @@ def cmd_train(args):
 
 def cmd_eval(args):
     manifest = load_manifest(args.manifest)
+    out_dir = _output_dir(args, manifest)
     model, split = _load_model(args.checkpoint, manifest)
     ks = args.ks or manifest["ks"]
     report = evalexplain.evaluate(model, split, ks=ks)
     line = report.to_json_line()
     print(line)
-    out_dir = args.out or manifest["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
     return 0
@@ -176,6 +184,7 @@ def cmd_sweep(args):
         except dataio.InputError as exc:
             raise ManifestError(f"{what} field 'grid' entry {counts}: {exc}") from exc
     ks = sweep_spec.get("ks", [10])
+    out_dir = _output_dir(args, manifest)
     split = build_split(manifest)
     if needs == "grid":
         rows = evalexplain.layer_sweep(split, manifest["train"],
@@ -186,8 +195,6 @@ def cmd_sweep(args):
             user_fraction=sweep_spec.get("user_fraction", 0.5))
     tsv = evalexplain.rows_to_tsv(rows)
     print(tsv, end="")
-    out_dir = args.out or manifest["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "sweep.tsv"), "w", encoding="utf-8") as fh:
         fh.write(tsv)
     return 0

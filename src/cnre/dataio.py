@@ -139,7 +139,7 @@ class InteractionDataset:
 
     Each behavior's edges are one canonical M x N 0/1 CSR matrix (see
     ``edge_matrix``) whose arrays are read-only, so everything derived from
-    them (the chain-code matrix, the set views) can be cached.
+    them (the chain-code matrix, the edge-set view) can be cached.
     """
 
     spec: BehaviorSpec
@@ -188,10 +188,7 @@ class InteractionDataset:
         """
         users = np.asarray(users, dtype=np.int64).reshape(-1)
         items = np.asarray(items, dtype=np.int64).reshape(-1)
-        for ids, bound, what in ((users, self.num_users, "user"),
-                                 (items, self.num_items, "item")):
-            if ids.size and (ids.min() < 0 or ids.max() >= bound):
-                raise IndexError(f"{what} index out of range [0, {bound})")
+        self.check_ids(users, items)
         keys, codes = self._chain_keys
         wanted = users * self.num_items + items
         if not keys.size:
@@ -199,13 +196,16 @@ class InteractionDataset:
         at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
         return np.where(keys[at] == wanted, codes[at], 0)
 
-    def behavior_index(self, behavior):
-        """Index of a behavior given by index or label."""
-        return self.spec.index_of(behavior) if isinstance(behavior, str) else behavior
+    def check_ids(self, users, items):
+        """Raise IndexError for a user outside [0, M) or an item outside [0, N) (int arrays)."""
+        for ids, bound, what in ((users, self.num_users, "user"),
+                                 (items, self.num_items, "item")):
+            if ids.size and (ids.min() < 0 or ids.max() >= bound):
+                raise IndexError(f"{what} index out of range [0, {bound})")
 
-    def items_of(self, behavior, u):
-        """Ascending items user u has under a behavior (a read-only row slice)."""
-        m = self.matrices[self.behavior_index(behavior)]
+    def items_of(self, b, u):
+        """Ascending items user u has under behavior b (a read-only row slice)."""
+        m = self.matrices[b]
         return m.indices[m.indptr[u]:m.indptr[u + 1]]
 
     def encode_user(self, raw):
@@ -230,16 +230,9 @@ class InteractionDataset:
         return tuple(frozenset(zip(entry_rows(m).tolist(), m.indices.tolist()))
                      for m in self.matrices)
 
-    def edges(self, behavior):
-        """Edge set view for a behavior given by index or label."""
-        return self.per_behavior_edges[self.behavior_index(behavior)]
-
-    def target_edges(self):
-        return self.per_behavior_edges[self.spec.target_index]
-
-    def user_items(self, behavior):
-        """Per-user item sets under one behavior (fresh sets on every call)."""
-        return [set(self.items_of(behavior, u).tolist()) for u in range(self.num_users)]
+    def user_items(self, b):
+        """Per-user item sets under behavior b (fresh sets on every call)."""
+        return [set(self.items_of(b, u).tolist()) for u in range(self.num_users)]
 
 
 @dataclass
@@ -348,17 +341,16 @@ def leave_one_out_split(dataset, seed):
         zip(users.tolist(), target.indices[picked].tolist())))
 
 
-def sample_bpr_triples(train, behavior, count, rng):
+def sample_bpr_triples(train, b, count, rng):
     """(count, 3) int64 array of (user, positive item, negative item) rows.
 
-    Positives are uniform over the behavior's edges whose user still has an
+    Positives are uniform over behavior b's edges whose user still has an
     unobserved item; each negative is uniform over that user's unobserved
     items, rejection-sampled in vectorized rounds.
     """
-    behavior = train.behavior_index(behavior)
-    m = train.matrices[behavior]
+    m = train.matrices[b]
     if not m.nnz:
-        raise InputError(f"behavior index {behavior} has no edges")
+        raise InputError(f"behavior index {b} has no edges")
     n_items = train.num_items
     if n_items < 2:
         raise InputError("negative sampling needs at least 2 items")

@@ -294,22 +294,21 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     return base, edited, diff
 
 
-def layer_sweep(split, config, grids, ks=(10,), log=None):
+def layer_sweep(split, config, grids, ks=(10,)):
     """Train and evaluate one run per layer-count combination."""
     if not grids:
         raise dataio.InputError("layer-count grid is empty")
     rows = []
     for counts in grids:
         cfg = dataclasses.replace(config, layer_counts=list(counts))
-        model, _ = training.train(split, cfg, log=log)
+        model, _ = training.train(split, cfg)
         report = evaluate(model, split, ks=ks)
         rows.append({"layer_counts": list(counts),
                      "hr": dict(report.hr), "ndcg": dict(report.ndcg)})
     return rows
 
 
-def robustness_sweep(split, config, drop_fractions, ks=(10,), user_fraction=0.5,
-                     log=None):
+def robustness_sweep(split, config, drop_fractions, ks=(10,), user_fraction=0.5):
     """Retrain and evaluate after dropping history at each fraction."""
     rows = []
     for frac in drop_fractions:
@@ -317,7 +316,7 @@ def robustness_sweep(split, config, drop_fractions, ks=(10,), user_fraction=0.5,
                                       seed=config.seed)
         sub_split = dataio.SplitDataset(train=dropped,
                                         test_positives=dict(split.test_positives))
-        model, _ = training.train(sub_split, config, log=log)
+        model, _ = training.train(sub_split, config)
         report = evaluate(model, sub_split, ks=ks)
         rows.append({"drop_fraction": frac,
                      "hr": dict(report.hr), "ndcg": dict(report.ndcg)})

@@ -104,27 +104,25 @@ def hypergraph_incidence(e_col, w_hyp):
     return tg.matmul(e_col, w_hyp)
 
 
-def hypergraph_convolve(h, e_col, normalize=False):
-    """e_sem = H (H^T e_col); never materializes the rows x rows affinity.
+def hypergraph_convolve(h, e_col):
+    """e_sem = H (H^T e_col) / ||H||_F^2; never materializes the rows x rows affinity.
 
-    With normalize=True the affinity is divided by ||H||_F^2, which caps
-    its spectral norm at 1; the raw form grows multiplicatively with the
-    row count and blows up through a cascade. One op: its grads
-    share H^T e_col and H^T dS, and each is computed once.
+    The division caps the affinity's spectral norm at 1: the raw form grows
+    multiplicatively with the row count and blows up through a cascade.
+    One op: its grads share H^T e_col and H^T dS, each computed once.
     """
     hd, ed = h.data, e_col.data
     if len(hd) != len(ed):
         raise tg.ShapeError(f"hypergraph_convolve: {hd.shape} incidence, {ed.shape} rows")
     ht_e = hd.T @ ed
-    energy = np.sum(hd * hd) + 1e-12 if normalize else 1.0
+    energy = np.sum(hd * hd) + 1e-12
     out = hd @ ht_e / energy
 
     def vjp(g):
         ds = g / energy
         ht_ds = hd.T @ ds
         grad_h = ds @ ht_e.T + ed @ ht_ds.T
-        if normalize:
-            grad_h -= (2.0 * np.sum(g * out) / energy) * hd
+        grad_h -= (2.0 * np.sum(g * out) / energy) * hd
         return grad_h, hd @ ht_ds
     return tg.record(out, "hypergraph_convolve", (h, e_col), vjp)
 
@@ -192,8 +190,8 @@ def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_coun
         else:
             h_u = hypergraph_incidence(e_col_u, params[f"hyp_u_{name}"])
             h_i = hypergraph_incidence(e_col_i, params[f"hyp_i_{name}"])
-            e_sem_u = hypergraph_convolve(h_u, e_col_u, normalize=True)
-            e_sem_i = hypergraph_convolve(h_i, e_col_i, normalize=True)
+            e_sem_u = hypergraph_convolve(h_u, e_col_u)
+            e_sem_i = hypergraph_convolve(h_i, e_col_i)
             if disable_prj:
                 e_hat_u, e_hat_i = e_sem_u, e_sem_i
             else:

@@ -90,11 +90,6 @@ def chain_behavior(flags):
     return max(aux) if aux else None
 
 
-def confidence_score(vec_u, vec_i):
-    """Purchase confidence: logistic of the user-item dot product."""
-    return float(tg._sigmoid(np.array(float(np.dot(np.ravel(vec_u), np.ravel(vec_i))))))
-
-
 def _gate_arrays(bundle):
     return {"e_u": bundle.e_u.data, "e_i": bundle.e_i.data}
 
@@ -186,13 +181,18 @@ def route(users, items, train, gate_arrays, tau, codes=None,
     disable_rea); ``codes``, one code or one per pair, replaces the observed
     codes. Medium pairs whose confidence (read from ``gate_arrays``) is
     below tau take the conjunction, weak pairs the disjunction, and every
-    other pair concatenation.
+    other pair concatenation. Raises IndexError, before any table is read,
+    for an id outside the dataset or a code outside [0, 2^B).
     """
     n = users.shape[0]
     if codes is None:
         codes = train.chain_codes(users, items)
     else:
+        train.check_ids(users, items)
         codes = np.broadcast_to(np.asarray(codes, dtype=np.int64), (n,))
+        n_codes = 1 << len(train.spec)
+        if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
+            raise IndexError(f"chain code out of range [0, {n_codes})")
     path_table, behavior_table = dispatch_table(len(train.spec))
     routed = np.zeros_like(codes) if disable_rea else codes
     paths = path_table[routed]
@@ -205,7 +205,7 @@ def route(users, items, train, gate_arrays, tau, codes=None,
         for b in np.unique(behaviors[medium]):
             pos = medium[behaviors[medium] == b]
             g = gate_arrays[b]
-            # stacked vector @ vector products: bitwise equal to confidence_score's np.dot
+            # bitwise equal to the np.dot of the tests' oracle, test_reasoning.confidence_score
             dots = np.matmul(g["e_u"][users[pos], None, :], g["e_i"][items[pos], :, None])
             confidence[pos] = tg._sigmoid(dots.reshape(-1))
         kinds[medium[confidence[medium] < tau]] = _CONJ

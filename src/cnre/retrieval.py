@@ -12,10 +12,7 @@ O(N·d) numpy work per insert, O(N²·d) flops in total. The rest of a build
 is the graph search in Python. It keeps its ef best in a bounded max-heap
 (one push or push-pop per accepted neighbor, no sort per expansion) and
 marks visited nodes in a stamp list, and a full neighbor list that was
-pruned before takes a new link by a sorted insert. Minimum process CPU
-time of a build, one BLAS thread, on a shared 2-core x86 host, in two
-alternating rounds: 500 × 64, 0.29–0.33 s with a sort per expansion and
-0.15–0.17 s with the heap; 3000 × 64, 3.8–4.2 s and 2.7 s.
+pruned before takes a new link by a sorted insert.
 
 Each row's differences go into one scratch array per index, and each
 search stamps one visited list per index, so two threads must not search

@@ -1,4 +1,4 @@
-"""Minimal dense/sparse autodiff kernel with an Adam optimizer.
+"""Minimal dense autodiff kernel with an Adam optimizer.
 
 Tensors wrap float64 numpy arrays. Every op output is made by ``record``,
 which keeps its inputs and one vector-Jacobian product returning a grad per
@@ -7,7 +7,9 @@ tape, freeing it as it goes. The op set is the fixed vocabulary the rest of
 the model needs (matmul, elementwise arithmetic with broadcasting,
 relu/softplus, row slices, reductions); the propagation stack and the
 reasoner record their multi-input kernels the same way. Every op output is
-checked for NaN/Inf and fails hard on the first non-finite value.
+checked for NaN/Inf and fails hard on the first non-finite value. The
+central-difference gradient check and the op-by-op reference ops live in
+the tests (``tests/gradcheck.py``, ``tests/unfused.py``).
 """
 
 from __future__ import annotations
@@ -244,9 +246,6 @@ class ParameterStore:
     def __getitem__(self, name):
         return self._slots[name]
 
-    def __contains__(self, name):
-        return name in self._slots
-
     def names(self):
         return list(self._slots.keys())
 
@@ -293,62 +292,6 @@ class ParameterStore:
             if t.data.shape != arr.shape:
                 raise ShapeError(f"slot '{name}': shape {arr.shape} != {t.data.shape}")
             t.data = np.asarray(arr, dtype=np.float64).copy()
-
-
-def finite_difference_check(loss_fn, store, h=1e-5, max_coords=256, rng=None):
-    """Central-difference gradient check over sampled coordinates.
-
-    loss_fn must be a deterministic zero-argument callable returning a
-    scalar Tensor built from the store's current parameter values. Returns
-    the max relative error over the sampled coordinates (at least
-    min(max_coords, total) coordinates, spread across every slot).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    base = loss_fn()
-    again = loss_fn()
-    if base.item() != again.item():
-        raise ValueError("loss_fn is not deterministic; cannot check gradients")
-
-    store.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    grads = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-             for name, t in store.items()}
-
-    names = store.names()
-    total = sum(store[n].data.size for n in names)
-    n_sample = min(max_coords, total)
-    # at least one coordinate per slot, remainder spread by slot size
-    picks = []
-    for name in names:
-        size = store[name].data.size
-        k = max(1, int(round(n_sample * size / total)))
-        k = min(k, size)
-        idx = rng.choice(size, size=k, replace=False)
-        picks.extend((name, int(i)) for i in idx)
-
-    # scale floor: central differences carry ~eps*|f|/h round-off noise, so
-    # near-zero gradients are compared against that noise level, not zero
-    floor = max(1e-6, 1e-10 * max(1.0, abs(base.item())) / h)
-    max_rel = 0.0
-    for name, flat_i in picks:
-        p = store[name]
-        orig = p.data.reshape(-1)[flat_i]
-        p.data.reshape(-1)[flat_i] = orig + h
-        f_plus = loss_fn().item()
-        p.data.reshape(-1)[flat_i] = orig - h
-        f_minus = loss_fn().item()
-        p.data.reshape(-1)[flat_i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        analytic = grads[name].reshape(-1)[flat_i]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
-        max_rel = max(max_rel, rel)
-    store.zero_grad()
-    return max_rel
 
 
 def xavier_uniform(rng, rows, cols):

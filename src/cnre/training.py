@@ -216,7 +216,11 @@ class CnreModel:
         return loss, n_pairs
 
     def fit(self, log=None):
-        """Run the configured number of epochs; returns per-epoch mean BPR.
+        """Run the configured number of epochs; returns one loss per epoch.
+
+        An epoch's loss is the sum of its steps' ``multi_task_loss`` (each
+        task's summed BPR plus one L2 term) over its number of BPR pairs.
+        ``log`` gets a line per epoch: index, that sum undivided, seconds.
 
         A step propagates the cascade only through the last behavior that
         has triples in its batch: no loss term reads a later behavior. Step
@@ -392,7 +396,7 @@ def load_checkpoint(path):
 
 
 def train(split, config, log=None):
-    """Build a model on the train split and fit it; returns (model, history)."""
+    """Build a model on the train split and fit it; returns (model, ``fit``'s losses)."""
     model = CnreModel(split.train, config)
     history = model.fit(log=log)
     return model, history

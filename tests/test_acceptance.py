@@ -19,6 +19,7 @@ from cnre import (dataio, evalexplain, propagation, reasoning, retrieval,
 from cnre.reasoning import PreferenceStrength as P
 from cnre.synthetic import make_planted_dataset
 
+from gradcheck import finite_difference_check
 from test_reasoning import STRENGTH_RANK
 
 
@@ -52,9 +53,9 @@ def test_criterion_1_gradient_suite():
                                    gate=gate)
         return loss
 
-    err = tg.finite_difference_check(loss_fn, model.store, h=1e-5,
-                                     max_coords=256,
-                                     rng=np.random.default_rng(2))
+    err = finite_difference_check(loss_fn, model.store, h=1e-5,
+                                  max_coords=256,
+                                  rng=np.random.default_rng(2))
     elapsed = time.perf_counter() - t0
     assert err < 1e-4, f"max relative error {err:.3e}"
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
@@ -204,7 +205,8 @@ def test_criterion_7_propagation_oracles():
     conv = propagation.hypergraph_convolve(
         propagation.hypergraph_incidence(tg.Tensor(e_col), tg.Tensor(w)),
         tg.Tensor(e_col))
-    np.testing.assert_allclose(conv.data, (h @ h.T) @ e_col, atol=1e-10)
+    energy = np.sum(h * h) + 1e-12  # the affinity is divided by ||H||_F^2
+    np.testing.assert_allclose(conv.data, (h @ h.T) @ e_col / energy, atol=1e-10 / energy)
 
     c = rng.normal(size=(10_000, 6))
     s = rng.normal(size=(10_000, 6))

@@ -379,6 +379,25 @@ class TestExitCodes:
         assert str(folder) in capsys.readouterr().err
         assert not os.path.exists(os.path.join(manifest["output_dir"], "checkpoint.cnre"))
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_file_as_output_dir_exits_2_before_any_data_is_loaded(self, workspace, capsys,
+                                                                  monkeypatch, command):
+        tmp_path, mpath, _, _ = workspace
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"type": "layers", "grid": [[1, 1, 1]]}), encoding="utf-8")
+        extra = {"train": [], "eval": ["--checkpoint", str(tmp_path / "none.cnre")],
+                 "sweep": ["--sweep", str(sweep)]}[command]
+
+        def no_data(manifest):
+            raise AssertionError("data loaded before the output directory was made")
+        monkeypatch.setattr(cli, "build_split", no_data)
+        for out in (afile, afile / "sub"):  # a file, and a path under a file
+            assert cli.main([command, "--manifest", str(mpath), "--out", str(out),
+                             *extra]) == 2
+            assert f"cannot create output directory {out}" in capsys.readouterr().err
+
     def _edited_checkpoint(self, workspace, edit):
         """Train, then save the model's checkpoint after edit(model); return (path, train)."""
         tmp_path, mpath, manifest, _ = workspace

@@ -128,7 +128,7 @@ class TestBuildDataset:
         with pytest.raises(AttributeError):
             ds.per_behavior_edges[0].add((2, 0))
         with pytest.raises(AttributeError):
-            ds.target_edges().discard((0, 0))
+            ds.per_behavior_edges[2].discard((0, 0))
         with pytest.raises(TypeError):
             ds.per_behavior_edges[0] = set()
         with pytest.raises(AttributeError):
@@ -164,7 +164,7 @@ class TestBuildDataset:
             files[name] = str(p)
         ds = dataio.build_dataset(files, dataio.BehaviorSpec(("view", "buy")))
         assert ds.num_users == 1 and ds.num_items == 2
-        assert len(ds.edges("view")) == 2 and len(ds.target_edges()) == 1
+        assert [len(e) for e in ds.per_behavior_edges] == [2, 1]
 
     def test_byte_order_mark_leaves_ids_unchanged(self, tmp_path):
         rows = {"view": "u1\ti1\nu2\ti2\n", "buy": "u1\ti2\nu2\ti1\n"}
@@ -217,8 +217,9 @@ class TestReorder:
         ds = _toy_dataset()
         out = dataio.reorder_behaviors(ds, ["cart", "view", "buy"])
         assert out.spec.names == ("cart", "view", "buy")
-        assert out.edges("cart") == ds.edges("cart")
-        assert out.edges("view") == ds.edges("view")
+        assert out.per_behavior_edges[0] == ds.per_behavior_edges[1]
+        assert out.per_behavior_edges[1] == ds.per_behavior_edges[0]
+        assert out.per_behavior_edges[2] == ds.per_behavior_edges[2]
 
     def test_target_must_stay_last(self):
         ds = _toy_dataset()
@@ -236,9 +237,9 @@ class TestLeaveOneOut:
         ds = make_planted_dataset()
         split = dataio.leave_one_out_split(ds, seed=0)
         held = {(u, i) for u, i in split.test_positives.items()}
-        train_t = split.train.target_edges()
+        train_t = split.train.per_behavior_edges[-1]
         assert held.isdisjoint(train_t)
-        assert held | train_t == ds.target_edges()
+        assert held | train_t == ds.per_behavior_edges[-1]
 
     def test_only_multi_interaction_users_held_out(self):
         edges = [{(0, 0), (1, 0), (1, 1)}, {(0, 0), (1, 0), (1, 1)}]
@@ -265,11 +266,11 @@ class TestBprSampling:
     def test_negatives_never_observed(self):
         ds = make_planted_dataset()
         rng = np.random.default_rng(0)
-        triples = dataio.sample_bpr_triples(ds, "buy", 500, rng)
+        triples = dataio.sample_bpr_triples(ds, ds.spec.target_index, 500, rng)
         seen = ds.user_items(ds.spec.target_index)
         assert triples.shape == (500, 3) and triples.dtype == np.int64
         for u, pos, neg in triples.tolist():
-            assert (u, pos) in ds.target_edges()
+            assert (u, pos) in ds.per_behavior_edges[-1]
             assert neg not in seen[u]
 
     def test_negative_distribution_roughly_uniform(self):
@@ -279,7 +280,7 @@ class TestBprSampling:
             per_behavior_edges=edges, user_ids=["u"],
             item_ids=[f"i{k}" for k in range(12)])
         rng = np.random.default_rng(1)
-        triples = dataio.sample_bpr_triples(ds, "buy", 5000, rng)
+        triples = dataio.sample_bpr_triples(ds, 1, 5000, rng)
         counts = np.bincount(triples[:, 2], minlength=12)
         assert counts[0] == 0 and counts[1] == 0
         # 10 candidate negatives, expect 500 each; chi-square df=9 at p~1e-6 is ~47
@@ -294,7 +295,7 @@ class TestBprSampling:
             spec=dataio.BehaviorSpec(("view", "buy")), num_users=2, num_items=2,
             per_behavior_edges=edges, user_ids=["a", "b"], item_ids=["x", "y"])
         with pytest.warns(UserWarning, match="skipped"):
-            triples = dataio.sample_bpr_triples(ds, "view", 20,
+            triples = dataio.sample_bpr_triples(ds, 0, 20,
                                                 np.random.default_rng(0))
         assert (triples[:, 0] == 1).all() and (triples[:, 2] == 1).all()
 
@@ -304,7 +305,7 @@ class TestBprSampling:
             spec=dataio.BehaviorSpec(("view", "buy")), num_users=1, num_items=2,
             per_behavior_edges=edges, user_ids=["a"], item_ids=["x", "y"])
         with pytest.raises(ValueError, match="no negatives"):
-            dataio.sample_bpr_triples(ds, "view", 4, np.random.default_rng(0))
+            dataio.sample_bpr_triples(ds, 0, 4, np.random.default_rng(0))
 
     def test_empty_behavior_rejected(self):
         edges = [set(), {(0, 0)}]
@@ -312,7 +313,7 @@ class TestBprSampling:
             spec=dataio.BehaviorSpec(("view", "buy")), num_users=1, num_items=2,
             per_behavior_edges=edges, user_ids=["u"], item_ids=["a", "b"])
         with pytest.raises(ValueError):
-            dataio.sample_bpr_triples(ds, "view", 4, np.random.default_rng(0))
+            dataio.sample_bpr_triples(ds, 0, 4, np.random.default_rng(0))
 
 
 class TestSparsityGroups:

@@ -65,7 +65,7 @@ class TestRankItems:
         model, split = _quick_model()
         ds = model.train_dataset
         u = next(iter(split.test_positives))
-        owned = {i for (uu, i) in ds.target_edges() if uu == u}
+        owned = {i for (uu, i) in ds.per_behavior_edges[-1] if uu == u}
         ranked = evalexplain.rank_items(u, model)
         items = [it for it, _, _ in ranked]
         assert set(items) == set(range(ds.num_items)) - owned
@@ -304,6 +304,14 @@ class TestExplain:
         a = evalexplain.explain(ds.decode_user(u), ds.decode_item(i), model)
         b = evalexplain.explain(ds.decode_user(u), ds.decode_item(i), model)
         assert a.to_json_line() == b.to_json_line()
+
+    @pytest.mark.parametrize("code", [-1, 8])
+    def test_chain_code_out_of_range_raises(self, code):
+        """-1 would be reported as the all-flags chain, 8 fail on a bare numpy index."""
+        model, _ = _quick_model(epochs=0)
+        ds = model.train_dataset
+        with pytest.raises(IndexError, match=r"chain code out of range \[0, 8\)"):
+            evalexplain.explain(ds.decode_user(0), ds.decode_item(0), model, code=code)
 
     def test_json_roundtrip(self):
         model, split = _quick_model()

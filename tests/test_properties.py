@@ -22,6 +22,7 @@ from cnre.reasoning import PreferenceStrength as P
 
 import unfused
 from test_dataio import total_interactions
+from test_reasoning import confidence_score
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -81,7 +82,7 @@ def test_edge_matrices_are_canonical_read_only_and_match_the_sets(case):
         assert _entries(mat) == sorted(want)
         assert mat.data.tolist() == [1] * len(want)
         assert not any(a.flags.writeable for a in (mat.data, mat.indices, mat.indptr))
-        assert ds.per_behavior_edges[b] == want == ds.edges(f"b{b}")
+        assert ds.per_behavior_edges[b] == want
         assert ds.user_items(b) == [{i for uu, i in want if uu == u} for u in range(m)]
         for u in range(m):
             assert ds.items_of(b, u).tolist() == sorted(i for uu, i in want if uu == u)
@@ -317,7 +318,7 @@ def _reference_trace(u, i, ds, gate, cascade, indices, tau, n_c, code=None,
         t.behavior = b = reasoning.chain_behavior(flags)
         g, bundle = gate[b], cascade.per_behavior[b]
         if path is P.MEDIUM and not disable_cnj:
-            t.confidence = reasoning.confidence_score(g["e_u"][u], g["e_i"][i])
+            t.confidence = confidence_score(g["e_u"][u], g["e_i"][i])
             if t.confidence < tau:
                 t.space = "collaborative"
                 t.neighbor_ids = retrieval.query(indices[(b, "col")], bundle.e_col_i.data[i],
@@ -439,13 +440,11 @@ def test_fused_lightgcn_matches_unfused_tape(case, isolate, layers, d, seed):
 
 
 @SETTINGS
-@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 4), st.booleans(),
-       st.integers(0, 2**16))
-def test_fused_hypergraph_convolve_matches_unfused_tape(rows, k, d, normalize, seed):
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**16))
+def test_fused_hypergraph_convolve_matches_unfused_tape(rows, k, d, seed):
     rng = np.random.default_rng(seed)  # k > rows in about half the cases
     _assert_fused_matches_unfused(
-        lambda h, e: propagation.hypergraph_convolve(h, e, normalize=normalize),
-        lambda h, e: unfused.hypergraph_convolve(h, e, normalize=normalize),
+        propagation.hypergraph_convolve, unfused.hypergraph_convolve,
         [rng.normal(size=(rows, k)), rng.normal(size=(rows, d))], seed)
 
 

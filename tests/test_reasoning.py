@@ -17,6 +17,11 @@ import unfused
 STRENGTH_RANK = {P.DEFAULT: 0, P.WEAK: 1, P.MEDIUM: 2, P.STRONG: 3}
 
 
+def confidence_score(vec_u, vec_i):
+    """Purchase confidence: logistic of the user-item dot product (the gate's scalar oracle)."""
+    return float(tg._sigmoid(np.array(float(np.dot(np.ravel(vec_u), np.ravel(vec_i))))))
+
+
 class TestDispatch:
     @pytest.mark.parametrize("n_behaviors", [3, 4])
     def test_total_and_exclusive(self, n_behaviors):
@@ -69,7 +74,7 @@ class TestDispatch:
 
 def test_observe_chain_reads_train_edges():
     ds = make_planted_dataset(num_users=10, num_items=8)
-    for u, i in sorted(ds.target_edges())[:5]:
+    for u, i in sorted(ds.per_behavior_edges[-1])[:5]:
         flags = reasoning.observe_chain(ds, u, i)
         assert flags[-1] == 1
         for b, f in enumerate(flags):
@@ -79,8 +84,8 @@ def test_observe_chain_reads_train_edges():
 def test_confidence_is_logistic_of_dot():
     u = np.array([1.0, 1.0])
     i = np.array([1.0, 1.0])
-    assert abs(reasoning.confidence_score(u, i) - 0.8807970779778823) < 1e-12
-    assert reasoning.confidence_score(np.zeros(3), np.ones(3)) == 0.5
+    assert abs(confidence_score(u, i) - 0.8807970779778823) < 1e-12
+    assert confidence_score(np.zeros(3), np.ones(3)) == 0.5
 
 
 class TestMediators:
@@ -218,6 +223,34 @@ class TestReasonBatch:
             flags = tuple(code >> k & 1 for k in range(3))
             assert trace.flags == flags
             assert trace.path is reasoning.dispatch(flags)
+
+    @pytest.mark.parametrize("users, items, codes", [
+        ([-1], [0], 0),            # would score user M - 1
+        ([15], [0], 0),            # user M
+        ([0], [-1], 1),            # a weak item -1 would search row N - 1
+        ([0], [10], 1),            # item N
+        ([0], [0], -1),            # would read the last row of the dispatch table
+        ([0], [0], 8),             # code 2^B
+        ([0, 1], [0, 1], [3, 8]),  # one pair's code out of range
+    ], ids=["user -1", "user M", "item -1", "item N", "code -1", "code 2^B", "one code of two"])
+    def test_explicit_codes_reject_out_of_range_input(self, users, items, codes):
+        train, model, cascade, indices = _trained_bits()
+        assert (train.num_users, train.num_items, len(train.spec)) == (15, 10, 3)
+        for tape in (True, False):
+            with pytest.raises(IndexError, match="out of range"):
+                model.score(users, items, cascade, indices, codes=codes, tape=tape)
+
+    def test_rejected_item_fills_no_pooled_row(self):
+        """Item -1 on the weak path is rejected before it can fill item N - 1's pooled row."""
+        last = 9
+        _, model, cascade, indices = _trained_bits()
+        want, _ = model.score([0], [last], cascade, indices, codes=1, tape=False)
+        _, model, cascade, indices = _trained_bits()  # the same snapshot, built again
+        with pytest.raises(IndexError, match="item index out of range"):
+            model.score([0], [-1], cascade, indices, codes=1, tape=False)
+        got, traces = model.score([0], [last], cascade, indices, codes=1, tape=False)
+        assert traces[0].path is P.WEAK and last not in traces[0].neighbor_ids
+        assert got.tobytes() == want.tobytes()
 
     def test_disable_rea_forces_default(self):
         train, model, cascade, indices = _trained_bits()

@@ -11,10 +11,11 @@ from cnre import dataio, propagation, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 import unfused
+from gradcheck import finite_difference_check
 
 
 def _fd_scalar(loss_fn, store, **kw):
-    return tg.finite_difference_check(loss_fn, store, **kw)
+    return finite_difference_check(loss_fn, store, **kw)
 
 
 def _store_with(**arrays):
@@ -329,7 +330,7 @@ def test_finite_difference_check_flags_wrong_gradient():
         out = tg.mul(store["w"], store["w"])
         return tg.sum_all(out)
 
-    ok = tg.finite_difference_check(loss, store)
+    ok = finite_difference_check(loss, store)
     assert ok < 1e-6
 
     def bad_loss():
@@ -337,7 +338,7 @@ def test_finite_difference_check_flags_wrong_gradient():
         out = tg.record(w.data * w.data, "bad", (w,), lambda g: (g * 3.0 * w.data,))  # wrong: 3x
         return tg.sum_all(out)
 
-    assert tg.finite_difference_check(bad_loss, store) > 0.1
+    assert finite_difference_check(bad_loss, store) > 0.1
 
 
 def test_finite_difference_rejects_nondeterministic_loss():
@@ -349,7 +350,7 @@ def test_finite_difference_rejects_nondeterministic_loss():
         return tg.mul(store["w"], tg.Tensor(np.array(state["n"])))
 
     with pytest.raises(ValueError):
-        tg.finite_difference_check(loss, store)
+        finite_difference_check(loss, store)
 
 
 def test_xavier_uniform_bounds_and_determinism():

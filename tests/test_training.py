@@ -11,6 +11,7 @@ from cnre import dataio, propagation, reasoning, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 import unfused
+from gradcheck import finite_difference_check
 
 
 def _head_store(d=4, seed=0, zero=False):
@@ -535,6 +536,6 @@ def test_full_loss_gradients_finite_difference():
         loss, _ = model.batch_loss(per_behavior, cascade, indices, gate=gate)
         return loss
 
-    err = tg.finite_difference_check(loss_fn, model.store, max_coords=96,
-                                     rng=np.random.default_rng(3))
+    err = finite_difference_check(loss_fn, model.store, max_coords=96,
+                                  rng=np.random.default_rng(3))
     assert err < 1e-4

@@ -85,12 +85,10 @@ def lightgcn_propagate(adj, e0_u, e0_i, layers):
     return sum_u, sum_i
 
 
-def hypergraph_convolve(h, e_col, normalize=False):
+def hypergraph_convolve(h, e_col):
     e_sem = tg.matmul(h, tg.matmul(transpose(h), e_col))
-    if normalize:
-        energy = tg.add(tg.l2_norm_sq(h), tg.Tensor(np.array(1e-12)))
-        e_sem = div(e_sem, energy)
-    return e_sem
+    energy = tg.add(tg.l2_norm_sq(h), tg.Tensor(np.array(1e-12)))
+    return div(e_sem, energy)
 
 
 def adaptive_project(e_col, e_sem, eps=1e-8):
