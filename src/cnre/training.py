@@ -167,10 +167,8 @@ class CnreModel:
         indices = {}
         for b in range(len(self.behavior_names) - 1):
             bundle = cascade.per_behavior[b]
-            indices[(b, "col")] = retrieval.build_index(
-                bundle.e_col_i.data, mode=cfg.index_mode, seed=cfg.seed)
-            indices[(b, "sem")] = retrieval.build_index(
-                bundle.e_sem_i.data, mode=cfg.index_mode, seed=cfg.seed)
+            indices[(b, "col")] = retrieval.build_index(bundle.e_col_i.data, mode=cfg.index_mode)
+            indices[(b, "sem")] = retrieval.build_index(bundle.e_sem_i.data, mode=cfg.index_mode)
         return indices
 
     def score(self, users, items, cascade, indices, gate=None, codes=None, tape=True):

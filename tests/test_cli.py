@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from cnre import cli, tensorgrad as tg, training
+from cnre import cli, evalexplain, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 
@@ -139,6 +139,39 @@ class TestCommands:
                          "--drop", "cart"]) == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert {"base", "edited", "diff"} <= set(payload)
+
+    def test_approximate_index_mode_loads_and_matches_exact(self, workspace):
+        """A manifest and a checkpoint that say "approximate" still load and run;
+        both modes build the same exact index, so the outputs match bit for bit."""
+        tmp_path, mpath, manifest, _ = workspace
+        manifest["train"]["index_mode"] = "approximate"
+        mpath.write_text(json.dumps(manifest), encoding="utf-8")
+        assert cli.main(["train", "--manifest", str(mpath)]) == 0
+        ckpt = os.path.join(manifest["output_dir"], "checkpoint.cnre")
+        assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(mpath)]) == 0
+        split = cli.build_split(cli.load_manifest(str(mpath)))
+        approx = training.CnreModel.from_checkpoint(ckpt, split.train)
+        header = approx.checkpoint_header()
+        assert header["config"]["index_mode"] == "approximate"
+        header["config"]["index_mode"] = "exact"
+        exact_ckpt = str(tmp_path / "exact.cnre")
+        training.save_checkpoint(exact_ckpt, approx.store, header)
+        exact = training.CnreModel.from_checkpoint(exact_ckpt, split.train)
+
+        def outputs(model):
+            cascade = model.cascade()
+            indices = model.build_indices(cascade)
+            tr = model.train_dataset
+            ranks = [evalexplain.rank_items(u, model, cascade=cascade, indices=indices)
+                     for u in range(tr.num_users)]
+            records = [evalexplain.explain(tr.decode_user(u), tr.decode_item(i), model,
+                                           cascade=cascade, indices=indices).to_json_line()
+                       for u in range(tr.num_users) for i in range(tr.num_items)]
+            return ranks, evalexplain.evaluate(model, split, ks=(5, 10)), records
+
+        got, want = outputs(approx), outputs(exact)
+        assert got == want
+        assert any('"retrieve"' in r for r in got[2])  # the retrieval paths ran
 
     def test_sweep_layers(self, workspace, capsys):
         tmp_path, mpath, manifest, _ = workspace

@@ -1,7 +1,6 @@
-"""Nearest-neighbor index tests: exact-mode oracle, recall, neighbor rules.
-
-The HNSW graph is compared with its per-call-distance build in
-``hnsw_reference.py``: the same graph, and the same query answers.
+"""Nearest-neighbor index tests: the exact scan against a linear-scan
+oracle, ties, self-exclusion, the neighbor memo and input checks. Both
+``index_mode`` values build the same exact index.
 """
 
 import numpy as np
@@ -9,8 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnre import retrieval
-
-import hnsw_reference
 
 
 def _linear_scan(space, q, n_c, exclude_id=None):
@@ -110,6 +107,11 @@ def test_validation_errors():
         retrieval.query(index, np.ones(3), 1)
     with pytest.raises(ValueError):
         retrieval.neighbors(index, [0], 0)
+    index = retrieval.build_index(np.random.default_rng(9).normal(size=(6, 3)))
+    for bad in ([-1], [6], [0, 6]):
+        with pytest.raises(IndexError, match=r"item index out of range \[0, 6\)"):
+            retrieval.neighbors(index, bad, 3)
+    assert index._neighbors == {}  # nothing searched, nothing memoized
     for bad in (np.nan, np.inf, -np.inf):
         space = np.random.default_rng(7).normal(size=(50, 4))
         space[7, 2] = bad
@@ -155,79 +157,3 @@ def test_neighbors_are_self_excluded_queries_of_index_rows():
         assert got[0] is got[2]  # the repeated item is answered from the memo
     single = retrieval.build_index(np.array([[1.0, 2.0]]))
     assert retrieval.neighbors(single, [0], 3) == [()]
-
-
-def _assert_graph_matches_reference(space, seed, queries, n_c):
-    """Same levels, links, entry and top level as the reference build, and the same answers."""
-    index = retrieval.build_index(space, mode="approximate", seed=seed)
-    got = index._graph
-    want = hnsw_reference._HnswGraph(index.space, np.random.default_rng(seed))
-    assert got.levels == want.levels
-    assert got.links == want.links
-    assert (got.entry, got.max_level) == (want.entry, want.max_level)
-    for q, excl in queries:
-        assert got.search(q, retrieval.HNSW_EF_SEARCH) == want.search(q, retrieval.HNSW_EF_SEARCH)
-        assert retrieval.query(index, q, n_c, exclude_id=excl) == hnsw_reference.query(
-            want, q, n_c, exclude_id=excl)
-    items = range(0, space.shape[0], -(-space.shape[0] // 60))  # at most 60 items
-    assert retrieval.neighbors(index, items, n_c) == [
-        tuple(hnsw_reference.query(want, index.space[i], n_c, exclude_id=i)) for i in items]
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), n_rows=st.integers(1, 60), width=st.integers(1, 3),
-       seed=st.integers(0, 2**64 - 1), ints=st.booleans())
-def test_hnsw_graph_matches_reference(data, n_rows, width, seed, ints):
-    """Random spaces, and small integer spaces where equal distances are common."""
-    if ints:
-        rows = st.lists(st.integers(-2, 2), min_size=width, max_size=width)
-        space = np.array(data.draw(st.lists(rows, min_size=n_rows + 3, max_size=n_rows + 3)),
-                         dtype=float)
-    else:
-        space = np.random.default_rng(seed).normal(size=(n_rows + 3, width))
-    space, probes = space[:n_rows], space[n_rows:]  # probes: queries drawn like the rows
-    excl = data.draw(st.lists(st.none() | st.integers(0, n_rows - 1), min_size=3, max_size=3))
-    n_c = data.draw(st.integers(1, n_rows + 2))
-    _assert_graph_matches_reference(space, seed, list(zip(probes, excl)), n_c)
-
-
-def test_hnsw_graph_matches_reference_at_explain_shape():
-    """500 items at d=64, the shape of each index ``cnre explain`` builds."""
-    rng = np.random.default_rng(8)
-    space = rng.normal(size=(500, 64))
-    queries = [(rng.normal(size=64), None), (space[3], 3), (space[499], None)]
-    _assert_graph_matches_reference(space, 3, queries, 10)
-
-
-@pytest.mark.parametrize("shape, seed", [((400, 2), 0), ((300, 3), 1), ((250, 1), 2)])
-def test_hnsw_graph_matches_reference_on_tied_grid(shape, seed):
-    """More rows than the candidate lists hold, on a small integer grid: the
-    bounds, prunes and greedy steps meet equal distances."""
-    rng = np.random.default_rng(seed)
-    space = rng.integers(-3, 4, size=shape).astype(float)
-    queries = [(rng.integers(-3, 4, size=shape[1]).astype(float), None), (space[5], 5)]
-    _assert_graph_matches_reference(space, seed, queries, 12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), n_rows=st.integers(1, 60), width=st.integers(1, 3),
-       seed=st.integers(0, 2**64 - 1), ints=st.booleans())
-def test_search_layer_matches_reference_at_small_ef(data, n_rows, width, seed, ints):
-    """The bounded best list: every level, ef from 1 to 8 and above the node
-    count, on random spaces and on small integer spaces full of ties."""
-    if ints:
-        space = np.array(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=width,
-                                                     max_size=width),
-                                            min_size=n_rows + 1, max_size=n_rows + 1)),
-                         dtype=float)
-    else:
-        space = np.random.default_rng(seed).normal(size=(n_rows + 1, width))
-    space, q = space[:n_rows], space[n_rows]
-    got = retrieval.build_index(space, mode="approximate", seed=seed)._graph
-    want = hnsw_reference._HnswGraph(got.space, np.random.default_rng(seed))
-    assert got.links == want.links
-    dist = retrieval._sq_dist(got.space, q, got._scratch).tolist()
-    for lvl in range(got.max_level + 1):
-        ep = data.draw(st.sampled_from([n for n in range(n_rows) if got.levels[n] >= lvl]))
-        for ef in [*range(1, 9), n_rows + 1]:
-            assert got._search_layer(dist, ep, lvl, ef) == want._search_layer(q, [ep], lvl, ef)
