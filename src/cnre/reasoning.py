@@ -32,7 +32,6 @@ the reference in the tests (``tests/unfused.py``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -146,21 +145,15 @@ def dispatch_table(n_behaviors):
     return np.array(paths, dtype=np.int64), np.array(behaviors, dtype=np.int64)
 
 
-def _pooling_matrix(id_lists, n_items):
-    """g x N averaging matrix: row p puts 1/len(ids) on each neighbor id.
+def _pooling_matrix(hoods, n_items):
+    """g x N averaging matrix: row p puts 1/k on each id of row p of the g x k hoods.
 
-    Built as CSR from its row pointers, then each row's columns are sorted,
-    so a product adds a row's neighbors in id order.
+    Built as CSR with each row's columns sorted, so a product adds a row's
+    neighbors in id order. At k = 0 every row is empty.
     """
-    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
-    indptr = np.zeros(len(id_lists) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    cols = np.fromiter(itertools.chain.from_iterable(id_lists), dtype=np.int64,
-                       count=int(indptr[-1]))
-    vals = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
-    pool = sp.csr_matrix((vals, cols, indptr), shape=(len(id_lists), n_items))
-    pool.sort_indices()
-    return pool
+    g, k = hoods.shape
+    return sp.csr_matrix((np.full(g * k, 1.0 / max(k, 1)), np.sort(hoods, axis=1).ravel(),
+                          np.arange(g + 1) * k), shape=(g, n_items))
 
 
 class Route(NamedTuple):
@@ -225,7 +218,7 @@ class TraceSequence(Sequence):
 
     def __init__(self, r, neighbors, n_behaviors, tau, mediator):
         self._route = r
-        self._neighbors = neighbors    # position -> neighbor ids (retrieval pairs)
+        self._neighbors = neighbors    # row k: pair k's neighbor ids (read for retrieval pairs)
         self._flags = flag_table(n_behaviors)
         self._tau = tau
         self._mediator = mediator      # position -> mediator row; rows are copied on read
@@ -252,12 +245,11 @@ class TraceSequence(Sequence):
     def _build(self, k):
         r = self._route
         conf = float(r.confidence[k])
-        ids = self._neighbors.get(k)
         return ReasoningTrace(
             flags=self._flags[r.codes[k]], path=PATHS[r.paths[k]],
             threshold=self._tau, behavior=int(r.behaviors[k]),
             confidence=None if math.isnan(conf) else conf,
-            neighbor_ids=None if ids is None else list(ids),
+            neighbor_ids=None if r.kinds[k] == _CONCAT else self._neighbors[k].tolist(),
             space=self._SPACES.get(r.kinds[k]),
             mediator=np.array(self._mediator(k)))
 
@@ -291,7 +283,7 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     order = np.argsort(group_key, kind="stable")
     bounds = np.flatnonzero(np.diff(group_key[order])) + 1
     positions = np.split(order, bounds) if len(order) else []
-    parts, neighbors, retrieved = [], {}, {}
+    parts, neighbors, retrieved = [], None, {}
     for pos in positions:
         kind, b = int(r.kinds[pos[0]]), int(r.behaviors[pos[0]])
         if kind == _CONCAT:
@@ -299,7 +291,9 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
             continue
         index = indices[(b, _SPACE_KEYS[kind])]
         hoods = retrieval.neighbors(index, items[pos], n_c)
-        neighbors.update(zip(pos.tolist(), hoods))
+        if neighbors is None:  # every index of a snapshot has the same rows: one width
+            neighbors = np.empty((len(items), hoods.shape[1]), dtype=np.int64)
+        neighbors[pos] = hoods
         logits, med = logic_scores(users[pos], items[pos], kind, b, cascade, params,
                                    index, hoods, n_c, tape)
         parts.append(logits)
@@ -337,11 +331,12 @@ class ItemTables:
     splits into the user row e_u @ W1[:d], the item table
     e_space @ W1[d:2d] + b1 and the pooled row P_i @ (e_space @ W1[2d:]),
     where P_i averages item i's neighbor rows (so P_i @ e_space is S). The
-    neighbors are the item's own, so the pooled rows form one N x 2d table
-    per (operator, behavior, index, n_c), filled an item at a time on first
-    use. A training step builds the tables once for its cascade; inference
-    memoizes them per snapshot. No table is checked for finiteness: every
-    row a group reads reaches the group's output, which is checked.
+    pooled rows depend on the parameters as well as on the index's id table
+    (``retrieval.neighbors``): one N x 2d table per (operator, behavior,
+    index, n_c), filled an item at a time on first use. A training step
+    builds the tables once for its cascade; inference memoizes them per
+    snapshot. No table is checked for finiteness: every row a group reads
+    reaches the group's output, which is checked.
     """
 
     def __init__(self, cascade, params):
@@ -379,10 +374,10 @@ class ItemTables:
     def pooled_rows(self, kind, b, index, n_c, items, hoods):
         """The pooled-row table of one operator, behavior, index and n_c, filled for items.
 
-        hoods[p] holds the neighbor ids of items[p] in index. Rows not yet
-        filled are computed in one product of their pooling matrix with the
-        operator's pool table: a CSR row's product reads that row alone, so
-        a row is the same bits whichever batch fills it.
+        Row p of the array hoods holds the neighbor ids of items[p] in index.
+        Rows not yet filled are computed in one product of their pooling
+        matrix with the operator's pool table: a CSR row's product reads
+        that row alone, so a row is the same bits whichever batch fills it.
         """
         pool_table = self.logic_items(kind, b)[1]
         key = (kind, b, index, n_c)
@@ -394,7 +389,7 @@ class ItemTables:
         missing = np.flatnonzero(~filled[items])
         if missing.size:
             new, first = np.unique(items[missing], return_index=True)
-            pool = _pooling_matrix([hoods[k] for k in missing[first].tolist()], rows.shape[0])
+            pool = _pooling_matrix(hoods[missing[first]], rows.shape[0])
             rows[new] = pool @ pool_table
             filled[new] = True
         return rows
@@ -475,12 +470,12 @@ def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape
 
     The operator's first layer on [e_u, e_space, S] sums the user row
     e_u[u] @ W1[:d], once per distinct user, and the item and pooled rows
-    of ``ItemTables``, in that order (hoods[p] holds the neighbor ids of
-    items[p] in index). relu(.) @ W2 + b2 is the mediator, and the logits
-    are relu(mediator @ W_h + b_h) @ w_o + b_o. On the tape this is one op;
-    its vjp returns the grads of the behavior's e_u, of the operator's item
-    space (the items' own rows and their neighbors'), and of the operator's
-    and the head's four slots.
+    of ``ItemTables``, in that order (row p of the array hoods holds the
+    neighbor ids of items[p]). relu(.) @ W2 + b2 is the mediator, and the
+    logits are relu(mediator @ W_h + b_h) @ w_o + b_o. On the tape this is
+    one op; its vjp returns the grads of the behavior's e_u, of the
+    operator's item space (the items' own rows and their neighbors'), and
+    of the operator's and the head's four slots.
     """
     tables = item_tables(cascade, params)
     bundle = cascade.per_behavior[b]
@@ -508,7 +503,7 @@ def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape
         g_users = tg.scatter_add_rows(g_first, user_of, len(user_ids))
         g_items = tg.scatter_add_rows(g_first, item_of, len(item_ids))
         space_in = space.data[item_ids]
-        pool = _pooling_matrix([hoods[k] for k in item_first.tolist()], space.data.shape[0])
+        pool = _pooling_matrix(hoods[item_first], space.data.shape[0])
         g_space = pool.T @ (g_items @ w_pool.T)
         g_space[item_ids] += g_items @ w_item.T
         g_w1 = np.concatenate([user_in.T @ g_users, space_in.T @ g_items,

@@ -3,7 +3,8 @@
 One search, an exact scan: a query computes its vectorized row of squared
 Euclidean distances over all N rows (``_sq_dist``, O(N·d)), and a partial
 sort picks the nearest, ties broken by id. ``query`` searches for a
-vector; ``neighbors`` gives items of the index their nearest other rows.
+vector; ``neighbors`` gives items of the index their nearest other rows,
+from one id table per n_c whose rows are searched on first use.
 
 Each row's differences go into one scratch array per index, so two
 threads must not search one index at once. A space with a NaN or
@@ -38,7 +39,7 @@ class NNIndex:
             raise ValueError("index space must be finite")
         self.space = space.copy()
         self._scratch = np.empty_like(self.space)
-        self._neighbors = {}  # (item, n_c) -> tuple of neighbor ids
+        self._neighbors = {}  # n_c -> (N x min(n_c, N - 1) neighbor ids, filled mask)
 
     @property
     def size(self):
@@ -68,25 +69,26 @@ def query(index, vector, n_c, exclude_id=None):
 
 
 def neighbors(index, items, n_c):
-    """Per item i, the tuple query(index, index.space[i], n_c, exclude_id=i).
+    """Row p is query(index, index.space[items[p]], n_c, exclude_id=items[p]).
 
-    Searched on first use and memoized on the index by (i, n_c): the space is
-    a private copy and the search is deterministic. An item outside [0, N)
-    raises IndexError before any search.
+    A len(items) x min(n_c, N - 1) int64 array, gathered from the index's id
+    table for n_c; an item's row is searched on first use (the space is a
+    private copy, the search deterministic). An item outside [0, N) raises
+    IndexError before any search.
     """
     if n_c < 1:
         raise ValueError("n_c must be >= 1")
-    items = np.asarray(items, dtype=np.int64)
-    if items.size and (items.min() < 0 or items.max() >= index.size):
-        raise IndexError(f"item index out of range [0, {index.size})")
-    memo = index._neighbors
-    out = []
-    for i in items.tolist():
-        ids = memo.get((i, n_c))
-        if ids is None:
-            ids = memo[(i, n_c)] = tuple(_search(index, index.space[i], n_c, i))
-        out.append(ids)
-    return out
+    items, n = np.asarray(items, dtype=np.int64), index.size
+    if items.size and (items.min() < 0 or items.max() >= n):
+        raise IndexError(f"item index out of range [0, {n})")
+    if n_c not in index._neighbors:
+        index._neighbors[n_c] = np.empty((n, min(n_c, n - 1)), np.int64), np.zeros(n, bool)
+    ids, filled = index._neighbors[n_c]
+    if not filled[items].all():
+        for i in np.unique(items[~filled[items]]).tolist():
+            ids[i] = _search(index, index.space[i], n_c, i)
+            filled[i] = True
+    return ids[items]
 
 
 def _search(index, q, n_c, exclude_id):

@@ -288,9 +288,12 @@ class CnreModel:
             raise CheckpointError("checkpoint behavior chain does not match the dataset")
         try:
             config = TrainConfig.from_json(h["config"])
-            config.resolved_layer_counts(len(h["behaviors"]))
+            layer_counts = config.resolved_layer_counts(len(h["behaviors"]))
         except dataio.InputError as exc:
             raise CheckpointError(f"checkpoint config does not fit TrainConfig: {exc}") from exc
+        if h["layer_counts"] != layer_counts:
+            raise CheckpointError(f"checkpoint layer_counts {h['layer_counts']} differ from "
+                                  f"its config's {layer_counts}")
         model = cls(train_dataset, config)
         want = {s["name"]: s["shape"] for s in model.checkpoint_header()["slots"]}
         got = {s["name"]: s["shape"] for s in h["slots"]}

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,8 +122,7 @@ class TestCommands:
 
         assert cli.main(["eval", "--checkpoint", ckpt,
                          "--manifest", str(mpath)]) == 0
-        metrics = json.loads(
-            open(os.path.join(out, "metrics.jsonl"), encoding="utf-8").read())
+        metrics = json.loads(Path(out, "metrics.jsonl").read_text(encoding="utf-8"))
         assert set(metrics["hr"]) == {"5", "10"}
 
         # pick a pair that exists in the data for explain/counterfactual
@@ -181,8 +181,7 @@ class TestCommands:
                                      "ks": [5]}), encoding="utf-8")
         assert cli.main(["sweep", "--manifest", str(mpath),
                          "--sweep", str(sweep)]) == 0
-        tsv = open(os.path.join(manifest["output_dir"], "sweep.tsv"),
-                   encoding="utf-8").read()
+        tsv = Path(manifest["output_dir"], "sweep.tsv").read_text(encoding="utf-8")
         assert tsv.splitlines()[0] == "layer_counts\thr\tndcg"
         assert len(tsv.strip().splitlines()) == 3
 
@@ -518,6 +517,19 @@ class TestExitCodes:
         with pytest.raises(training.CheckpointError, match=match):
             training.CnreModel.from_checkpoint(bad, train)
         assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(workspace[1])]) == 2
+
+    @pytest.mark.parametrize("counts", [[7, 7, 7], [1, 1]])
+    def test_header_layer_counts_differing_from_config_exit_2(self, workspace, counts):
+        """The model is built from the config, so a header that says otherwise is rejected."""
+        def edit(header):
+            assert header["layer_counts"] == [1, 1, 3] and header["config"]["layer_counts"] is None
+            header["layer_counts"] = counts
+            return header
+        bad = self._raw_checkpoint(workspace, edit_header=edit)
+        self._assert_rejected(
+            workspace, bad,
+            rf"checkpoint layer_counts \[{', '.join(map(str, counts))}\] differ from "
+            r"its config's \[1, 1, 3\]")
 
     @pytest.mark.parametrize("key, value", MISTYPED_CONFIG)
     def test_mistyped_manifest_train_value_exits_2(self, workspace, key, value):

@@ -388,9 +388,9 @@ def test_memoized_query_matches_uncached(mode, seed, n_rows, n_c):
     # the repeats of each (item, n_c) key are answered from the memo
     for k in (n_c, n_c + 1, n_c, n_c + 1):
         fresh = retrieval.build_index(space, mode=mode, seed=1)
-        want = [tuple(retrieval.query(fresh, space[i], k, exclude_id=i))
-                for i in items.tolist()]
-        assert retrieval.neighbors(memo, items, k) == want
+        want = [retrieval.query(fresh, space[i], k, exclude_id=i) for i in items.tolist()]
+        got = retrieval.neighbors(memo, items, k)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def _outputs_and_grads(op, arrays, seed):

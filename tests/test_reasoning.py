@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from cnre import dataio, reasoning, retrieval, tensorgrad as tg, training
@@ -356,15 +355,13 @@ def test_retrieval_mediator_without_neighbors_pools_zeros():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n_items=st.integers(1, 30))
 def test_pooling_matrix_equals_coo_build(data, n_items):
-    """The directly built CSR has the COO-built matrix's arrays, empty rows included."""
-    hood = st.lists(st.integers(0, n_items - 1), unique=True).map(tuple)
+    """The directly built CSR has the arrays of the reference's COO build, at k = 0 too."""
+    k = data.draw(st.integers(0, min(n_items, 6)))
+    hood = st.lists(st.integers(0, n_items - 1), min_size=k, max_size=k, unique=True)
     id_lists = data.draw(st.lists(hood, max_size=12))
-    lengths = np.array([len(ids) for ids in id_lists], dtype=np.int64)
-    rows = np.repeat(np.arange(len(id_lists)), lengths)
-    cols = np.array([i for ids in id_lists for i in ids], dtype=np.int64)
-    vals = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
-    want = sp.csr_matrix((vals, (rows, cols)), shape=(len(id_lists), n_items))
-    got = reasoning._pooling_matrix(id_lists, n_items)
+    hoods = np.array(id_lists, dtype=np.int64).reshape(len(id_lists), k)
+    want = unfused.pooling_matrix(hoods, n_items)
+    got = reasoning._pooling_matrix(hoods, n_items)
     assert got.shape == want.shape
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

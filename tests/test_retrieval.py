@@ -1,7 +1,9 @@
 """Nearest-neighbor index tests: the exact scan against a linear-scan
-oracle, ties, self-exclusion, the neighbor memo and input checks. Both
+oracle, ties, self-exclusion, the neighbor-id table and input checks. Both
 ``index_mode`` values build the same exact index.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,12 +150,41 @@ def test_exact_matches_linear_scan_with_ties(data, n_rows, width, n_c):
 def test_neighbors_are_self_excluded_queries_of_index_rows():
     rng = np.random.default_rng(6)
     space = rng.normal(size=(30, 4))
+    items = [3, 0, 3, 29]
     for mode in ("exact", "approximate"):
         index = retrieval.build_index(space, mode=mode, seed=2)
-        items = [3, 0, 3, 29]
-        got = retrieval.neighbors(index, np.array(items), 5)
-        assert got == [tuple(retrieval.query(index, space[i], 5, exclude_id=i))
-                       for i in items]
-        assert got[0] is got[2]  # the repeated item is answered from the memo
+        want = [retrieval.query(index, space[i], 5, exclude_id=i) for i in items]
+        with mock.patch.object(retrieval, "_search", wraps=retrieval._search) as search:
+            got = retrieval.neighbors(index, np.array(items), 5)
+            again = retrieval.neighbors(index, [29, 3], 5)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert again.tolist() == [want[3], want[0]]
+        # the repeated item, and the second call's items, are answered from the table
+        assert sorted(c.args[3] for c in search.call_args_list) == [0, 3, 29]
     single = retrieval.build_index(np.array([[1.0, 2.0]]))
-    assert retrieval.neighbors(single, [0], 3) == [()]
+    assert retrieval.neighbors(single, [0], 3).shape == (1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 12), width=st.integers(1, 2))
+def test_neighbor_table_searches_each_item_once_per_n_c(data, n_rows, width):
+    """Overlapping, repeated batches at several n_c, one of them >= N, on spaces with
+    duplicate rows: each row is the self-excluded query, and each (item, n_c) is
+    searched once."""
+    cells = st.integers(-1, 1)
+    distinct = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                                  min_size=1, max_size=n_rows))
+    picks = data.draw(st.lists(st.sampled_from(distinct), min_size=n_rows, max_size=n_rows))
+    space = np.array(picks, dtype=float)
+    n_cs = data.draw(st.lists(st.integers(1, n_rows + 2), min_size=1, max_size=3)) + [n_rows]
+    batch = st.lists(st.integers(0, n_rows - 1), max_size=2 * n_rows)
+    batches = data.draw(st.lists(st.tuples(st.sampled_from(n_cs), batch), max_size=8))
+    index, fresh = retrieval.build_index(space), retrieval.build_index(space)
+    with mock.patch.object(retrieval, "_search", wraps=retrieval._search) as search:
+        for n_c, items in batches:
+            got = retrieval.neighbors(index, items, n_c)
+            assert got.dtype == np.int64 and got.shape == (len(items), min(n_c, n_rows - 1))
+            assert got.tolist() == [retrieval.query(fresh, space[i], n_c, exclude_id=i)
+                                    for i in items]
+    searched = [(c.args[3], c.args[2]) for c in search.call_args_list if c.args[0] is index]
+    assert sorted(searched) == sorted({(i, n_c) for n_c, items in batches for i in items})

@@ -121,6 +121,14 @@ def disjunction_mediator(e_u_rows, e_i_sem_rows, s_sem_rows, params):
     return logic_mlp(concat_cols([e_u_rows, e_i_sem_rows, s_sem_rows]), params, "disj")
 
 
+def pooling_matrix(hoods, n_items):
+    """g x N averaging matrix of the g x k neighbor ids, built from COO triplets."""
+    g, k = hoods.shape
+    rows = np.repeat(np.arange(g), k)
+    vals = np.full(g * k, 1.0 / max(k, 1))
+    return sp.csr_matrix((vals, (rows, hoods.ravel())), shape=(g, n_items))
+
+
 def reason_batch(users, items, train, cascade, indices, params, tau, n_c=10, codes=None,
                  gate=None, **ablations):
     """The reasoner op by op: (n x 1 head logits, n x 2d mediators), both tensors.
@@ -128,8 +136,9 @@ def reason_batch(users, items, train, cascade, indices, params, tau, n_c=10, cod
     Pairs are routed with ``reasoning.route`` and retrieved with
     ``retrieval.neighbors``, as the model does. Each (operator, behavior)
     group's mediators are row gathers and a concatenation; a retrieval
-    group's also pool its neighbors with a sparse product and run the
-    operator's MLP. The head is ``training.predict_logit``.
+    group's also pool its neighbors with a sparse product (``pooling_matrix``,
+    built here, not the model's) and run the operator's MLP. The head is
+    ``training.predict_logit``.
     """
     gate_arrays = (gate.per_behavior if gate is not None else
                    [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior])
@@ -147,7 +156,7 @@ def reason_batch(users, items, train, cascade, indices, params, tau, n_c=10, cod
             space = getattr(bundle, reasoning._SPACE_ATTRS[kind])
             hoods = retrieval.neighbors(indices[(b, reasoning._SPACE_KEYS[kind])],
                                         items[pos], n_c)
-            pooled = spmm(reasoning._pooling_matrix(hoods, train.num_items), space)
+            pooled = spmm(pooling_matrix(hoods, train.num_items), space)
             mediator = conjunction_mediator if kind == reasoning._CONJ else disjunction_mediator
             parts.append(mediator(e_u_rows, index_rows(space, items[pos]), pooled, params))
         order.append(pos)
