@@ -10,10 +10,11 @@ edits perturb the chain observation only, never the parameters.
 Every read path (``rank_items``, ``evaluate``, ``explain`` and
 ``counterfactual``) scores pairs with ``CnreModel.score(tape=False)``:
 ``reasoning.reason_batch`` runs the same group scorers that training runs
-on the tape, with no tape op, and gives the same logits bit for bit. It
-scores on one snapshot: a cascade and its retrieval indices, given by the
-caller or built fresh. The only tape ops of a call are the cascade's, when
-it builds one.
+on the tape, with no tape op, and on the same slots gives the same logits
+bit for bit. It reads the float64 store (a training step reads float32
+casts of it). It scores on one snapshot: a cascade and its retrieval
+indices, given by the caller or built fresh. The only tape ops of a call
+are the cascade's, when it builds one.
 """
 
 from __future__ import annotations

@@ -25,8 +25,11 @@ gathers and adds, plus the second operator layer on retrieval pairs. A
 retrieval pair's pooled neighbor term is an item table too, filled
 lazily per item. Training runs these functions on the tape, one op per
 group with a hand-written vjp; inference runs the same functions with no
-tape and gets the same bits. The op-by-op composition they replace is
-the reference in the tests (``tests/unfused.py``).
+tape and, on the same slots, gets the same bits. They compute in the
+dtype of the slots and cascade they are given: a training step's float32
+casts (``tensorgrad.SlotCasts``) or the float64 store. The op-by-op
+composition they replace is the reference in the tests
+(``tests/unfused.py``).
 """
 
 from __future__ import annotations
@@ -145,14 +148,15 @@ def dispatch_table(n_behaviors):
     return np.array(paths, dtype=np.int64), np.array(behaviors, dtype=np.int64)
 
 
-def _pooling_matrix(hoods, n_items):
-    """g x N averaging matrix: row p puts 1/k on each id of row p of the g x k hoods.
+def _pooling_matrix(hoods, n_items, dtype):
+    """g x N averaging matrix of dtype: row p puts 1/k on each id of row p of the g x k hoods.
 
     Built as CSR with each row's columns sorted, so a product adds a row's
     neighbors in id order. At k = 0 every row is empty.
     """
     g, k = hoods.shape
-    return sp.csr_matrix((np.full(g * k, 1.0 / max(k, 1)), np.sort(hoods, axis=1).ravel(),
+    return sp.csr_matrix((np.full(g * k, 1.0 / max(k, 1), dtype=dtype),
+                          np.sort(hoods, axis=1).ravel(),
                           np.arange(g + 1) * k), shape=(g, n_items))
 
 
@@ -308,9 +312,10 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
         return row
     traces = TraceSequence(r, neighbors, n_b, tau, mediator)
 
-    logits = np.empty((users.shape[0], 1))
-    for pos, part in zip(positions, parts):
-        logits[pos] = part.data if tape else part
+    arrays = [part.data for part in parts] if tape else parts
+    logits = np.empty((users.shape[0], 1), dtype=arrays[0].dtype if arrays else np.float64)
+    for pos, part in zip(positions, arrays):
+        logits[pos] = part
     if not tape:
         return logits[:, 0], traces
     return tg.record(logits, "batch_order", tuple(parts),
@@ -383,13 +388,13 @@ class ItemTables:
         key = (kind, b, index, n_c)
         entry = self._pooled.get(key)
         if entry is None:
-            entry = self._pooled[key] = (np.empty(pool_table.shape),
+            entry = self._pooled[key] = (np.empty_like(pool_table),
                                          np.zeros(pool_table.shape[0], dtype=bool))
         rows, filled = entry
         missing = np.flatnonzero(~filled[items])
         if missing.size:
             new, first = np.unique(items[missing], return_index=True)
-            pool = _pooling_matrix(hoods[missing[first]], rows.shape[0])
+            pool = _pooling_matrix(hoods[missing[first]], rows.shape[0], rows.dtype)
             rows[new] = pool @ pool_table
             filled[new] = True
         return rows
@@ -503,7 +508,7 @@ def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape
         g_users = tg.scatter_add_rows(g_first, user_of, len(user_ids))
         g_items = tg.scatter_add_rows(g_first, item_of, len(item_ids))
         space_in = space.data[item_ids]
-        pool = _pooling_matrix(hoods[item_first], space.data.shape[0])
+        pool = _pooling_matrix(hoods[item_first], space.data.shape[0], space.data.dtype)
         g_space = pool.T @ (g_items @ w_pool.T)
         g_space[item_ids] += g_items @ w_item.T
         g_w1 = np.concatenate([user_in.T @ g_users, space_in.T @ g_items,

@@ -1,6 +1,9 @@
 """Minimal dense autodiff kernel with an Adam optimizer.
 
-Tensors wrap float64 numpy arrays. Every op output is made by ``record``,
+Tensors wrap float64 numpy arrays, or float32 ones: a training step runs
+in float32 on ``cast:<slot>`` reads of the float64 parameters (``SlotCasts``),
+whose vjps hand float64 grads back to them, and each op follows its
+inputs' dtype. Every op output is made by ``record``,
 which keeps its inputs and one vector-Jacobian product returning a grad per
 input, so that ``backward`` can run exact reverse-mode gradients over the
 tape, freeing it as it goes. The op set is the fixed vocabulary the rest of
@@ -32,7 +35,9 @@ def _check_finite(arr, where):
 
 
 class Tensor:
-    """A float64 array plus gradient slot, and an op output's inputs and vjp.
+    """A float64 or float32 array plus gradient slot, and an op output's inputs and vjp.
+
+    A float32 array is kept as it is; any other array is cast to float64.
 
     ``_vjp`` maps this tensor's grad to one grad per entry of ``_inputs``.
     No vjp refers to the tensor it belongs to, so a tape is a DAG that
@@ -43,7 +48,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op", "_inputs", "_vjp")
 
     def __init__(self, data, requires_grad=False, op="leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         _check_finite(self.data, op)
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -192,7 +198,7 @@ def scatter_add_rows(g, idx, rows):
     them.
     """
     n = len(idx)
-    gather = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, rows))
+    gather = sp.csr_matrix((np.ones(n, dtype=g.dtype), idx, np.arange(n + 1)), shape=(n, rows))
     return gather.T @ g
 
 
@@ -292,6 +298,27 @@ class ParameterStore:
             if t.data.shape != arr.shape:
                 raise ShapeError(f"slot '{name}': shape {arr.shape} != {t.data.shape}")
             t.data = np.asarray(arr, dtype=np.float64).copy()
+
+
+class SlotCasts(dict):
+    """Every slot of a store read through its own ``cast:<slot>`` op, keyed by slot name.
+
+    A cast's output is the slot's data as dtype, and its vjp hands the grad
+    back as float64. The mapping stands in for the store wherever slots are
+    read by name, so one training step runs in dtype while the store keeps
+    its float64 values and gets float64 grads. A value beyond dtype's range
+    becomes inf, so it fails the cast's output check, as a NaN does.
+    ``version`` is the store's at the cast; each mapping is a new object,
+    so nothing memoized for an earlier step's mapping is reused
+    (``reasoning.item_tables``).
+    """
+
+    def __init__(self, store, dtype):
+        with np.errstate(over="ignore"):
+            super().__init__((name, record(p.data.astype(dtype), f"cast:{name}", (p,),
+                                           lambda g: (g.astype(np.float64),)))
+                             for name, p in store.items())
+        self.version = store.version
 
 
 def xavier_uniform(rng, rows, cols):

@@ -149,15 +149,19 @@ class CnreModel:
         add("head_wo", tg.xavier_uniform(rng, d, 1))
         add("head_bo", np.zeros((1, 1)))
 
-    def cascade(self, n=None):
+    def cascade(self, n=None, params=None, graphs=None):
         """Cascade over the first n behaviors (all by default).
 
         A behavior's bundle feeds only the behaviors after it, so the first
-        n bundles are the same as those of the full cascade.
+        n bundles are the same as those of the full cascade. It reads the
+        slots of params (the store by default) and runs over graphs, a
+        (per-behavior adjacencies, unified adjacency) pair (the model's own
+        float64 graphs by default).
         """
         cfg = self.config
+        adjacencies, unified_adj = graphs or (self.adjacencies, self.unified_adj)
         return propagation.cascade_forward(
-            self.adjacencies[:n], self.unified_adj, self.store,
+            adjacencies[:n], unified_adj, self.store if params is None else params,
             self.behavior_names[:n], self.layer_counts[:n], disable_hpp=cfg.disable_hpp,
             disable_par=cfg.disable_par, disable_prj=cfg.disable_prj)
 
@@ -171,11 +175,16 @@ class CnreModel:
             indices[(b, "sem")] = retrieval.build_index(bundle.e_sem_i.data, mode=cfg.index_mode)
         return indices
 
-    def score(self, users, items, cascade, indices, gate=None, codes=None, tape=True):
-        """Head logits and traces of a batch of pairs: ``reasoning.reason_batch``."""
+    def score(self, users, items, cascade, indices, gate=None, codes=None, tape=True,
+              params=None):
+        """Head logits and traces of a batch of pairs: ``reasoning.reason_batch``.
+
+        The scorers read the slots of params, the store by default.
+        """
         cfg = self.config
         return reasoning.reason_batch(
-            users, items, self.train_dataset, cascade, indices, self.store,
+            users, items, self.train_dataset, cascade, indices,
+            self.store if params is None else params,
             cfg.tau, n_c=cfg.n_c, disable_rea=cfg.disable_rea,
             disable_cnj=cfg.disable_cnj, disable_dsj=cfg.disable_dsj,
             codes=codes, gate=gate, tape=tape)
@@ -187,7 +196,7 @@ class CnreModel:
         rows = [t.mediator for t in traces]
         return tg.Tensor(np.array(rows).reshape(len(rows), 2 * self.config.embedding_dim)), traces
 
-    def batch_loss(self, per_behavior_triples, cascade, indices, gate=None):
+    def batch_loss(self, per_behavior_triples, cascade, indices, gate=None, params=None):
         """Multi-task loss over one step's triples; returns (loss, n_pairs).
 
         Each task scores its positives and negatives in one call, so each
@@ -195,8 +204,11 @@ class CnreModel:
         target task through the reasoner, an auxiliary task through the
         concatenation head on its own behavior's embeddings. BPR margins use
         the head logits; the logistic squash would cap the achievable margin
-        at 1 and stall the pairwise objective.
+        at 1 and stall the pairwise objective. The scorers read the slots of
+        params (the store by default), so the BPR terms follow their dtype;
+        the L2 term always reads the store.
         """
+        params = self.store if params is None else params
         terms = []
         n_pairs = 0
         t_idx = len(self.behavior_names) - 1
@@ -205,8 +217,8 @@ class CnreModel:
                 continue
             users, pos, neg = np.asarray(triples, dtype=np.int64).T
             users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
-            y = (self.score(users, items, cascade, indices, gate=gate)[0] if b == t_idx
-                 else reasoning.concat_scores(users, items, b, cascade, self.store))
+            y = (self.score(users, items, cascade, indices, gate=gate, params=params)[0]
+                 if b == t_idx else reasoning.concat_scores(users, items, b, cascade, params))
             n = len(triples)
             terms.append(bpr_loss(tg.slice_rows(y, 0, n), tg.slice_rows(y, n, 2 * n)))
             n_pairs += n
@@ -224,9 +236,17 @@ class CnreModel:
         has triples in its batch: no loss term reads a later behavior. Step
         0 runs the full cascade, because the epoch's retrieval indices and
         gate are built from it.
+
+        Each step runs in float32 (mixed precision): the cascade, the group
+        scorers and the BPR terms read every slot through one ``cast:<slot>``
+        op (``tg.SlotCasts``) and run over float32 copies of the graphs.
+        The L2 term, the leaf grads, Adam and its moments stay float64, as
+        do checkpoints and every inference path.
         """
         cfg = self.config
         ds = self.train_dataset
+        graphs = ([a.astype(np.float32) for a in self.adjacencies],
+                  self.unified_adj.astype(np.float32))
         history = []
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
@@ -243,17 +263,19 @@ class CnreModel:
                 if not any(len(t) for t in batch):
                     continue
                 last = max(b for b, t in enumerate(batch) if len(t))
-                cascade = self.cascade(None if step == 0 else last + 1)
+                params = tg.SlotCasts(self.store, np.float32)
+                cascade = self.cascade(None if step == 0 else last + 1, params, graphs)
                 if step == 0:  # the epoch's indices and gate: plain arrays of step 0's cascade
                     indices = self.build_indices(cascade)
                     gate = reasoning.GateSnapshot.from_cascade(cascade)
-                loss, n_pairs = self.batch_loss(batch, cascade, indices, gate=gate)
+                loss, n_pairs = self.batch_loss(batch, cascade, indices, gate=gate,
+                                                params=params)
                 self.store.zero_grad()
                 loss.backward()
                 self.store.adam_step(cfg.lr)
                 epoch_loss += loss.item()
                 epoch_pairs += n_pairs
-                del loss, cascade  # free this step's tape before the next cascade
+                del loss, cascade, params  # free this step's tape before the next cascade
             mean_bpr = epoch_loss / max(epoch_pairs, 1)
             history.append(mean_bpr)
             if log is not None:

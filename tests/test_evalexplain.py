@@ -154,16 +154,16 @@ class TestNoTape:
         builds = []
         real = reasoning._pooling_matrix
 
-        def counted(id_lists, n_items):
+        def counted(id_lists, n_items, dtype):
             builds.append(len(id_lists))
-            return real(id_lists, n_items)
+            return real(id_lists, n_items, dtype)
         monkeypatch.setattr(reasoning, "_pooling_matrix", counted)
         first = [evalexplain.rank_items(u, model, cascade=cascade, indices=indices)
                  for u in users]
         # each item's row is filled at most once per (operator, auxiliary behavior)
         assert builds and sum(builds) <= 2 * 2 * model.train_dataset.num_items
 
-        def fail(id_lists, n_items):
+        def fail(id_lists, n_items, dtype):
             raise AssertionError("pooling matrix built for a filled snapshot")
         monkeypatch.setattr(reasoning, "_pooling_matrix", fail)
         assert [evalexplain.rank_items(u, model, cascade=cascade, indices=indices)

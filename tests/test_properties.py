@@ -285,7 +285,8 @@ def test_pooled_rows_equal_one_batch_pooling_product(ds, data):
     n = ds.num_items
     tables = reasoning.ItemTables(cascade, model.store)
     pool_table = tables.logic_items(kind, b)[1]
-    want = reasoning._pooling_matrix(retrieval.neighbors(index, range(n), n_c), n) @ pool_table
+    hoods = retrieval.neighbors(index, range(n), n_c)
+    want = reasoning._pooling_matrix(hoods, n, pool_table.dtype) @ pool_table
     # batches in any order, with repeats; the last one covers every item
     batches = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n), max_size=4))
     batches.append(data.draw(st.permutations(range(n))))

@@ -353,17 +353,19 @@ def test_retrieval_mediator_without_neighbors_pools_zeros():
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n_items=st.integers(1, 30))
-def test_pooling_matrix_equals_coo_build(data, n_items):
+@given(data=st.data(), n_items=st.integers(1, 30),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_pooling_matrix_equals_coo_build(data, n_items, dtype):
     """The directly built CSR has the arrays of the reference's COO build, at k = 0 too."""
     k = data.draw(st.integers(0, min(n_items, 6)))
     hood = st.lists(st.integers(0, n_items - 1), min_size=k, max_size=k, unique=True)
     id_lists = data.draw(st.lists(hood, max_size=12))
     hoods = np.array(id_lists, dtype=np.int64).reshape(len(id_lists), k)
     want = unfused.pooling_matrix(hoods, n_items)
-    got = reasoning._pooling_matrix(hoods, n_items)
-    assert got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
+    got = reasoning._pooling_matrix(hoods, n_items, dtype)
+    assert got.shape == want.shape and got.dtype == dtype
+    np.testing.assert_array_equal(got.data, want.data.astype(dtype))
+    for name in ("indices", "indptr"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 

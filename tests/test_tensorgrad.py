@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,31 @@ def test_non_finite_input_rejected():
     planted.data[0] = np.nan
     with pytest.raises(tg.NonFiniteError, match="'mul'"):
         tg.mul(planted, tg.Tensor(np.ones(2)))
+
+
+def test_tensor_keeps_float32_and_casts_the_rest_to_float64():
+    assert tg.Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    for data in (np.ones(2, dtype=np.float16), np.arange(2), [1, 2], 3.0):
+        assert tg.Tensor(data).data.dtype == np.float64
+
+
+def test_slot_casts_read_float32_and_return_float64_grads():
+    store = tg.ParameterStore()
+    store.add("w", np.array([[0.1, 2.0]]))
+    store.add("b", np.array([[-3.0]]))
+    store.version = 5
+    casts = tg.SlotCasts(store, np.float32)
+    assert list(casts) == ["w", "b"] and casts.version == 5
+    assert tg.SlotCasts(store, np.float32) is not casts
+    assert casts["w"].data.dtype == np.float32 and casts["w"].op == "cast:w"
+    np.testing.assert_array_equal(casts["w"].data, store["w"].data.astype(np.float32))
+    tg.sum_all(tg.mul(casts["w"], casts["w"])).backward()
+    assert store["w"].grad.dtype == np.float64
+    np.testing.assert_array_equal(store["w"].grad, 2 * casts["w"].data.astype(np.float64))
+    store["b"].data[0, 0] = 1e39  # finite in float64, not in float32
+    with warnings.catch_warnings(), pytest.raises(tg.NonFiniteError, match="'cast:b'"):
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow warning, only the error
+        tg.SlotCasts(store, np.float32)
 
 
 def test_sigmoid_softplus_stable_at_extremes():

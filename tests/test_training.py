@@ -166,12 +166,15 @@ def test_nan_before_relu_raises_naming_its_op():
         model.batch_loss(_leading_batch(split, 1), model.cascade(1), None)
 
 
-@pytest.mark.parametrize("tape", [True, False])
-@pytest.mark.parametrize("slot, code, op", [
+GROUP_SLOTS = pytest.mark.parametrize("slot, code, op", [
     ("head_bh", 0b100, "concatenation"),  # a strong pair
     ("conj_b1", 0b011, "conjunction"),    # a medium pair below tau = 1
     ("disj_b1", 0b001, "disjunction"),    # a weak pair
 ])
+
+
+@pytest.mark.parametrize("tape", [True, False])
+@GROUP_SLOTS
 def test_nan_in_a_group_slot_raises_naming_the_group_op(slot, code, op, tape):
     """A NaN in a first-layer bias reaches the group's output in both modes."""
     _, model = _small_model(epochs=0, tau=1.0)
@@ -180,6 +183,122 @@ def test_nan_in_a_group_slot_raises_naming_the_group_op(slot, code, op, tape):
     model.store[slot].data[0, 0] = np.nan
     with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
         model.score(np.arange(4), np.arange(4), cascade, indices, codes=code, tape=tape)
+
+
+def _float32_graphs(model):
+    """Float32 copies of the model's graphs, as ``fit`` builds them."""
+    return [a.astype(np.float32) for a in model.adjacencies], model.unified_adj.astype(np.float32)
+
+
+@pytest.mark.parametrize("tape", [True, False])
+@GROUP_SLOTS
+def test_nan_in_a_float32_cast_raises_naming_the_group_op(slot, code, op, tape):
+    """The same on a training step's float32 casts: the cast's NaN names the group op."""
+    _, model = _small_model(epochs=0, tau=1.0)
+    casts = tg.SlotCasts(model.store, np.float32)
+    cascade = model.cascade(None, casts, _float32_graphs(model))
+    indices = model.build_indices(cascade)
+    casts[slot].data[0, 0] = np.nan
+    with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
+        model.score(np.arange(4), np.arange(4), cascade, indices, codes=code, tape=tape,
+                    params=casts)
+
+
+def _mixed_model(**kw):
+    """A model whose one-step fit epoch scores every group kind: tau = 1 sends medium
+    pairs to the conjunction."""
+    ds = make_planted_dataset(num_users=30, num_items=20, n_groups=4)
+    split = dataio.leave_one_out_split(ds, 0)
+    cfg = training.TrainConfig(**{"embedding_dim": 4, "hyperedges": 2, "seed": 0, "n_c": 3,
+                                  "tau": 1.0, "batch_size": 4096, **kw})
+    return split, training.CnreModel(split.train, cfg)
+
+
+class TestMixedPrecision:
+    """``fit`` runs each step in float32 on casts of the float64 store."""
+
+    def test_fit_step_runs_in_float32_but_the_casts_and_the_l2_tail(self, monkeypatch):
+        _, model = _mixed_model(epochs=1)
+        outputs, grads = [], []
+        record = tg.record
+
+        def checked(data, op, inputs, vjp):
+            def vjp_checked(g):
+                got = vjp(g)
+                grads.append((op, [t.data.dtype for t in inputs], [x.dtype for x in got]))
+                return got
+            out = record(data, op, inputs, vjp_checked)
+            outputs.append((op, out.data.dtype))
+            return out
+        monkeypatch.setattr(tg, "record", checked)
+        pooled, fill = [], reasoning.ItemTables.pooled_rows
+
+        def pooled_rows(*a):  # its rows reach the logic ops through +=, which keeps float32
+            rows = fill(*a)
+            pooled.append(rows.dtype)
+            return rows
+        monkeypatch.setattr(reasoning.ItemTables, "pooled_rows", pooled_rows)
+        model.fit()
+        assert model.store.step_count == 1
+        assert pooled and set(pooled) == {np.dtype(np.float32)}
+        names = model.store.names()
+        f32 = {op for op, dtype in outputs if dtype == np.float32}
+        assert {f"cast:{n}" for n in names} | {"concatenation", "conjunction", "disjunction",
+                                                "lightgcn_propagate", "batch_order"} <= f32
+        # the L2 tail: a norm per slot, the adds of the norms and of BPR, the weight
+        tail = [op for op, dtype in outputs if dtype != np.float32]
+        assert sorted(tail) == sorted(["l2_norm_sq"] * len(names) + ["add"] * len(names)
+                                      + ["mul"])
+        assert {op for op, _, _ in grads} >= {f"cast:{n}" for n in names}
+        for op, inputs, got in grads:
+            if op.startswith("cast:"):
+                assert inputs == got == [np.float64], op
+            elif op not in tail:
+                assert inputs == got == [np.float32] * len(inputs), op
+
+    def test_float32_step_matches_float64_step(self):
+        split, model = _mixed_model(epochs=0)
+        batch = _leading_batch(split, 3, size=40)
+        cascade = model.cascade()
+        indices = model.build_indices(cascade)
+        gate = reasoning.GateSnapshot.from_cascade(cascade)  # both steps route alike
+        loss64, _ = model.batch_loss(batch, cascade, indices, gate=gate)
+        loss64.backward()
+        grads64 = {name: p.grad for name, p in model.store.items()}
+        model.store.zero_grad()
+        casts = tg.SlotCasts(model.store, np.float32)
+        loss32, _ = model.batch_loss(batch, model.cascade(None, casts, _float32_graphs(model)),
+                                     indices, gate=gate, params=casts)
+        loss32.backward()
+        assert loss64.data.dtype == loss32.data.dtype == np.float64  # the L2 term is float64
+        np.testing.assert_allclose(loss32.item(), loss64.item(), rtol=1e-6)
+        # float32 keeps ~7 digits: each slot within 1e-4 of its largest |grad|, plus 1e-6
+        # of the step's largest for head_bo, whose grad is 0 (b_o cancels in y_pos - y_neg)
+        scale = max(np.abs(g).max() for g in grads64.values())
+        for name, p in model.store.items():
+            want = grads64[name]
+            assert p.grad.dtype == np.float64, name
+            np.testing.assert_allclose(p.grad, want, rtol=0,
+                                       atol=1e-4 * np.abs(want).max() + 1e-6 * scale,
+                                       err_msg=name)
+
+    def test_float32_fit_history_matches_float64(self, monkeypatch):
+        """Float64 casts stand in for a float64 fit (its graphs' weights are float32 copies)."""
+        real = tg.SlotCasts
+        histories = []
+        for dtype in (np.float32, np.float64):
+            monkeypatch.setattr(tg, "SlotCasts", lambda store, _, dtype=dtype: real(store, dtype))
+            _, model = _mixed_model(epochs=3, lr=0.01, batch_size=64)
+            histories.append(model.fit())
+        np.testing.assert_allclose(histories[0], histories[1], rtol=0, atol=1e-3)
+
+    @pytest.mark.parametrize("value", [np.nan, 1e39])  # 1e39 is finite, but not in float32
+    @pytest.mark.parametrize("slot", ["base_user", "hyp_i_cart", "conj_w1", "head_bo"])
+    def test_bad_slot_value_raises_naming_its_cast(self, slot, value):
+        _, model = _small_model(epochs=1)
+        model.store[slot].data[0, 0] = value
+        with pytest.raises(tg.NonFiniteError, match=f"'cast:{slot}'"):
+            model.fit()
 
 
 class TestTrainLoop:
@@ -295,32 +414,39 @@ class TestTrainLoop:
 
     def test_views_only_step_propagates_unified_and_view(self, monkeypatch):
         split, model = _small_model(epochs=1, batch_size=8)
-        graphs, per_step = [], []
+        graphs, per_step, given = [], [], []
         lightgcn, forward = propagation.lightgcn_propagate, propagation.cascade_forward
         monkeypatch.setattr(propagation, "lightgcn_propagate",
                             lambda adj, *a: graphs.append(adj) or lightgcn(adj, *a))
 
-        def counted(*a, **k):
+        def counted(adjacencies, unified_adj, *a, **k):
             graphs.clear()
-            state = forward(*a, **k)
+            state = forward(adjacencies, unified_adj, *a, **k)
             per_step.append(list(graphs))
+            given.append((adjacencies, unified_adj))
             return state
         monkeypatch.setattr(propagation, "cascade_forward", counted)
         model.fit()
+        # the epoch's float32 copies of the model's graphs, the same objects every step
+        adjacencies, unified_adj = given[0]
+        for got, want in zip([unified_adj, *adjacencies], [model.unified_adj,
+                                                          *model.adjacencies]):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got.toarray(), want.astype(np.float32).toarray())
         # steps holding triples of each behavior; step 0 runs every behavior
         steps = [-(-m.nnz // 8) for m in split.train.matrices]
         assert steps[0] > steps[1] > steps[2]
         want = [4] + [2 + max(b for b in range(3) if s < steps[b]) for s in range(1, steps[0])]
         assert [len(g) for g in per_step] == want
+        assert all(u is unified_adj and a[0] is adjacencies[0] for a, u in given)
         for s in range(steps[1], steps[0]):  # views only: the unified pass and view
-            assert [id(g) for g in per_step[s]] == [id(model.unified_adj),
-                                                    id(model.adjacencies[0])]
+            assert [id(g) for g in per_step[s]] == [id(unified_adj), id(adjacencies[0])]
 
     def test_fit_matches_full_cascade_fit_bitwise(self, monkeypatch):
         split, model = _small_model(epochs=2, batch_size=8)
         _, full = _small_model(epochs=2, batch_size=8)
         full_cascade = full.cascade
-        monkeypatch.setattr(full, "cascade", lambda n=None: full_cascade())
+        monkeypatch.setattr(full, "cascade", lambda n=None, *a: full_cascade(None, *a))
         steps = [-(-m.nnz // 8) for m in split.train.matrices]
         assert 2 * steps[2] < steps[0]  # most steps hold no target triple
         model.fit()
