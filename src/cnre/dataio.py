@@ -374,13 +374,17 @@ def sample_bpr_triples(train, b, count, rng):
     return np.stack([users, m.indices[picked], neg], axis=1)
 
 
-def group_users_by_sparsity(dataset, n_groups=4):
-    """Split users into equal-population quantile buckets by interaction count."""
-    if dataset.num_users < n_groups:
-        raise InputError(f"{dataset.num_users} users cannot form {n_groups} groups")
+# Sparsity groups evaluate reports (user quartiles by interaction count)
+SPARSITY_GROUPS = 4
+
+
+def group_users_by_sparsity(dataset):
+    """Split users into SPARSITY_GROUPS equal-population buckets by interaction count."""
+    if dataset.num_users < SPARSITY_GROUPS:
+        raise InputError(f"{dataset.num_users} users cannot form {SPARSITY_GROUPS} groups")
     counts = sum(np.diff(m.indptr) for m in dataset.matrices)
     order = np.argsort(counts, kind="stable")
-    return [chunk.tolist() for chunk in np.array_split(order, n_groups)]
+    return [chunk.tolist() for chunk in np.array_split(order, SPARSITY_GROUPS)]
 
 
 def drop_history(dataset, user_fraction, drop_fraction, seed):

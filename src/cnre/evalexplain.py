@@ -13,8 +13,8 @@ Every read path (``rank_items``, ``evaluate``, ``explain`` and
 on the tape, with no tape op, and on the same slots gives the same logits
 bit for bit. It reads the float64 store (a training step reads float32
 casts of it). It scores on one snapshot: a cascade and its retrieval
-indices, given by the caller or built fresh. The only tape ops of a call
-are the cascade's, when it builds one.
+indices, given by the caller or built fresh. A fresh cascade runs on a
+no-grad view of the slots, so a call records no tape op.
 """
 
 from __future__ import annotations
@@ -103,10 +103,24 @@ def ndcg_at_k(rank, k):
     return 1.0 / math.log2(rank + 1) if rank <= k else 0.0
 
 
+class _NoGradSlots(dict):
+    """The store's slots as no-grad tensors over the same arrays, so a cascade
+    over them records no tape. A slot is wrapped (and checked) when first read:
+    the scorers read the store, so their output checks still name their op."""
+
+    def __init__(self, store):
+        super().__init__()
+        self.store = store
+
+    def __missing__(self, name):
+        self[name] = slot = tg.Tensor(self.store[name].data, op=f"param:{name}")
+        return slot
+
+
 def _snapshot(model, cascade, indices):
     """The given cascade and retrieval indices, or fresh ones from the model."""
     if cascade is None:
-        cascade = model.cascade()
+        cascade = model.cascade(params=_NoGradSlots(model.store))
     if indices is None:
         indices = model.build_indices(cascade)
     return cascade, indices

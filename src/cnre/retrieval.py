@@ -1,6 +1,7 @@
 """Nearest-neighbor retrieval over frozen item embedding snapshots.
 
-One search, an exact scan: a query computes its vectorized row of squared
+One search, an exact scan over a float64 copy of a space, taken once by
+``build_index``: a query computes its vectorized row of squared
 Euclidean distances over all N rows (``_sq_dist``, O(N·d)), and a partial
 sort picks the nearest, ties broken by id. ``query`` searches for a
 vector; ``neighbors`` gives items of the index their nearest other rows,
@@ -32,12 +33,12 @@ class NNIndex:
     """Frozen snapshot of an embedding space, searched by an exact scan."""
 
     def __init__(self, space):
-        space = np.asarray(space, dtype=np.float64)
+        space = np.array(space, dtype=np.float64)  # a private copy
         if space.ndim != 2 or space.shape[0] < 1:
             raise ValueError("index space must be a non-empty 2-D array")
         if not np.isfinite(space).all():
             raise ValueError("index space must be finite")
-        self.space = space.copy()
+        self.space = space
         self._scratch = np.empty_like(self.space)
         self._neighbors = {}  # n_c -> (N x min(n_c, N - 1) neighbor ids, filled mask)
 
@@ -46,15 +47,8 @@ class NNIndex:
         return self.space.shape[0]
 
 
-def build_index(space, mode="exact", seed=0):
-    """An exact index over space, for either mode.
-
-    "approximate" allows an approximate answer but does not require one, so
-    it runs the exact scan too; both names are kept because manifests and
-    checkpoints store them. ``seed`` is unused: the exact scan draws nothing.
-    """
-    if mode not in ("exact", "approximate"):
-        raise ValueError(f"unknown index mode {mode!r}")
+def build_index(space):
+    """An index over a private copy of space."""
     return NNIndex(space)
 
 

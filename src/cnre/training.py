@@ -28,7 +28,7 @@ _POSITIVE = (lambda v: dataio.is_int(v, 1), "an int of at least 1")
 _WIDTH = (lambda v: dataio.is_int(v, 1, MAX_WIDTH), f"an int between 1 and {MAX_WIDTH}")
 _FLAG = (lambda v: isinstance(v, bool), "true or false")
 
-# TrainConfig field -> (check, description); values may come from JSON
+# TrainConfig field (or legacy key) -> (check, description); values may come from JSON
 _CONFIG_FIELDS = {
     "embedding_dim": _WIDTH,
     "hyperedges": _WIDTH,
@@ -41,6 +41,8 @@ _CONFIG_FIELDS = {
     "batch_size": _POSITIVE,
     "epochs": _COUNT,
     "seed": _COUNT,
+    # legacy key, checked and dropped by from_json: older manifests and
+    # checkpoints name an index kind, but the one index is the exact scan
     "index_mode": (lambda v: v in ("exact", "approximate"), '"exact" or "approximate"'),
     **dict.fromkeys(("disable_hpp", "disable_par", "disable_prj", "disable_rea",
                      "disable_cnj", "disable_dsj"), _FLAG),
@@ -59,7 +61,6 @@ class TrainConfig:
     batch_size: int = 1024
     epochs: int = 10
     seed: int = 0
-    index_mode: str = "exact"
     disable_hpp: bool = False
     disable_par: bool = False
     disable_prj: bool = False
@@ -74,7 +75,7 @@ class TrainConfig:
     def from_json(cls, raw):
         """The config a JSON object gives; every unknown key is named, as InputError."""
         dataio.check_fields(raw, _CONFIG_FIELDS, "config", dataio.InputError)
-        return cls(**raw)
+        return cls(**{k: v for k, v in raw.items() if k != "index_mode"})
 
     def resolved_layer_counts(self, n_behaviors):
         if self.layer_counts is not None:
@@ -167,12 +168,11 @@ class CnreModel:
 
     def build_indices(self, cascade):
         """Fresh retrieval indices over the auxiliary item embedding spaces."""
-        cfg = self.config
         indices = {}
         for b in range(len(self.behavior_names) - 1):
             bundle = cascade.per_behavior[b]
-            indices[(b, "col")] = retrieval.build_index(bundle.e_col_i.data, mode=cfg.index_mode)
-            indices[(b, "sem")] = retrieval.build_index(bundle.e_sem_i.data, mode=cfg.index_mode)
+            indices[(b, "col")] = retrieval.build_index(bundle.e_col_i.data)
+            indices[(b, "sem")] = retrieval.build_index(bundle.e_sem_i.data)
         return indices
 
     def score(self, users, items, cascade, indices, gate=None, codes=None, tape=True,

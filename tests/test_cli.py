@@ -1,7 +1,9 @@
 """Manifest validation, exit codes, and the full command round trip."""
 
+import dataclasses
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -45,6 +47,22 @@ def _workspace(tmp_path, ds):
 
 
 class TestManifest:
+    def test_readme_train_table_matches_config_fields(self):
+        """The README's train table names every TrainConfig field once, its
+        count is the field count, and its one legacy row is the one key
+        TrainConfig checks without holding."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        intro = re.search(r"accepts any of the (\d+) `TrainConfig` fields", readme)
+        rows = [line.split("|")[1] for line in
+                readme[intro.end():].split("\n\n")[1].splitlines() if line.startswith("| `")]
+        fields = [f.name for f in dataclasses.fields(training.TrainConfig)]
+        keys = [(k, "(legacy)" in cell) for cell in rows for k in re.findall(r"`(\w+)`", cell)]
+        listed = [k for k, is_legacy in keys if not is_legacy]
+        legacy = [k for k, is_legacy in keys if is_legacy]
+        assert int(intro.group(1)) == len(fields)
+        assert sorted(listed) == sorted(fields)
+        assert legacy == ["index_mode"] == sorted(set(training._CONFIG_FIELDS) - set(fields))
+
     def test_loads_and_validates(self, workspace):
         _, mpath, manifest, _ = workspace
         loaded = cli.load_manifest(str(mpath))
@@ -140,23 +158,21 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out.strip())
         assert {"base", "edited", "diff"} <= set(payload)
 
-    def test_approximate_index_mode_loads_and_matches_exact(self, workspace):
-        """A manifest and a checkpoint that say "approximate" still load and run;
-        both modes build the same exact index, so the outputs match bit for bit."""
-        tmp_path, mpath, manifest, _ = workspace
+    def test_legacy_index_mode_key_is_checked_and_dropped(self, workspace):
+        """Manifests and checkpoints written when the config had an index_mode
+        field still load. The key is dropped, so a new checkpoint has none,
+        and a legacy checkpoint gives the key-less one's outputs."""
+        tmp_path, mpath, manifest, ds = workspace
         manifest["train"]["index_mode"] = "approximate"
         mpath.write_text(json.dumps(manifest), encoding="utf-8")
         assert cli.main(["train", "--manifest", str(mpath)]) == 0
         ckpt = os.path.join(manifest["output_dir"], "checkpoint.cnre")
-        assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(mpath)]) == 0
+        header = training.load_checkpoint(ckpt).header
+        assert "index_mode" not in header["config"]
         split = cli.build_split(cli.load_manifest(str(mpath)))
-        approx = training.CnreModel.from_checkpoint(ckpt, split.train)
-        header = approx.checkpoint_header()
-        assert header["config"]["index_mode"] == "approximate"
-        header["config"]["index_mode"] = "exact"
-        exact_ckpt = str(tmp_path / "exact.cnre")
-        training.save_checkpoint(exact_ckpt, approx.store, header)
-        exact = training.CnreModel.from_checkpoint(exact_ckpt, split.train)
+        model = training.CnreModel.from_checkpoint(ckpt, split.train)
+        carted = sorted(ds.per_behavior_edges[1])
+        drop_cart = evalexplain.CounterfactualEdit(drop="cart")
 
         def outputs(model):
             cascade = model.cascade()
@@ -167,11 +183,20 @@ class TestCommands:
             records = [evalexplain.explain(tr.decode_user(u), tr.decode_item(i), model,
                                            cascade=cascade, indices=indices).to_json_line()
                        for u in range(tr.num_users) for i in range(tr.num_items)]
-            return ranks, evalexplain.evaluate(model, split, ks=(5, 10)), records
+            edits = [evalexplain.counterfactual(tr.decode_user(u), tr.decode_item(i), drop_cart,
+                                                model, cascade=cascade, indices=indices)
+                     for u, i in carted]
+            report = evalexplain.evaluate(model, split, ks=(5, 10)).to_json_line()
+            return ranks, records, edits, report
 
-        got, want = outputs(approx), outputs(exact)
-        assert got == want
-        assert any('"retrieve"' in r for r in got[2])  # the retrieval paths ran
+        want = outputs(model)
+        assert any('"retrieve"' in r for r in want[1])  # the retrieval paths ran
+        for mode in ("approximate", "exact"):
+            legacy = str(tmp_path / f"{mode}.cnre")
+            training.save_checkpoint(legacy, model.store, dict(
+                header, config=dict(header["config"], index_mode=mode)))
+            assert cli.main(["eval", "--checkpoint", legacy, "--manifest", str(mpath)]) == 0
+            assert outputs(training.CnreModel.from_checkpoint(legacy, split.train)) == want
 
     def test_sweep_layers(self, workspace, capsys):
         tmp_path, mpath, manifest, _ = workspace

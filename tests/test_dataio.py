@@ -319,7 +319,8 @@ class TestBprSampling:
 class TestSparsityGroups:
     def test_partition_and_ordering(self):
         ds = make_planted_dataset()
-        groups = dataio.group_users_by_sparsity(ds, n_groups=4)
+        groups = dataio.group_users_by_sparsity(ds)
+        assert len(groups) == dataio.SPARSITY_GROUPS
         flat = [u for g in groups for u in g]
         assert sorted(flat) == list(range(ds.num_users))
         counts = np.zeros(ds.num_users)
@@ -333,8 +334,8 @@ class TestSparsityGroups:
 
     def test_too_many_groups_rejected(self):
         ds = _toy_dataset()
-        with pytest.raises(ValueError):
-            dataio.group_users_by_sparsity(ds, n_groups=10)
+        with pytest.raises(ValueError, match="3 users cannot form 4 groups"):
+            dataio.group_users_by_sparsity(ds)
 
 
 class TestDropHistory:

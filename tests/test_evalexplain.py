@@ -183,6 +183,38 @@ class TestNoTape:
             evalexplain.evaluate(model, sub)
             assert calls == one_cascade
 
+    def test_fresh_snapshot_records_no_tape(self, monkeypatch):
+        """Given no cascade, a read path builds one on a no-grad view of the
+        store: its ops run, but no output requires grad, and the results are
+        those of a snapshot built on the store itself."""
+        model, split = _quick_model()
+        pair = _find_pair_with_flags(model, (1, 1, 0))
+        edit = evalexplain.CounterfactualEdit(drop="cart")
+        cascade = model.cascade()
+        indices = model.build_indices(cascade)
+        want = (evalexplain.explain(*pair, model, cascade=cascade, indices=indices),
+                evalexplain.counterfactual(*pair, edit, model, cascade=cascade,
+                                           indices=indices))
+        ops, taped = [], []
+        real = tg.record
+
+        def record(data, op, inputs, vjp):
+            out = real(data, op, inputs, vjp)
+            (taped if out.requires_grad else ops).append(op)
+            return out
+        monkeypatch.setattr(tg, "record", record)
+        evalexplain.evaluate(model, split)
+        got = (evalexplain.explain(*pair, model),
+               evalexplain.counterfactual(*pair, edit, model))
+        assert ops and taped == []
+        assert got == want
+
+    def test_nan_in_a_cascade_slot_names_the_slot(self):
+        model, _ = _quick_model(epochs=0)
+        model.store["base_item"].data[0, 0] = np.nan
+        with pytest.raises(tg.NonFiniteError, match="'param:base_item'"):
+            evalexplain.rank_items(0, model)
+
 
 class TestEvaluate:
     def test_report_shape_and_ranges(self):

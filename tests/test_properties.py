@@ -186,17 +186,18 @@ def test_drop_history_matches_reference(case, user_fraction, drop_fraction, seed
 
 
 @SETTINGS
-@given(edge_sets(), st.integers(1, 4))
-def test_groups_and_conversion_order_match_set_references(case, n_groups):
+@given(edge_sets())
+def test_groups_and_conversion_order_match_set_references(case):
     m, n, edges = case
     ds = _dataset(m, n, edges)
+    n_groups = dataio.SPARSITY_GROUPS
     if m >= n_groups:
         counts = np.zeros(m, dtype=np.int64)
         for e in edges:
             for u, _ in e:
                 counts[u] += 1
         order = np.argsort(counts, kind="stable")
-        assert dataio.group_users_by_sparsity(ds, n_groups) == [
+        assert dataio.group_users_by_sparsity(ds) == [
             list(map(int, chunk)) for chunk in np.array_split(order, n_groups)]
     rates = [(len(e & edges[-1]) / len(e) if e else -1.0, k)
              for k, e in enumerate(edges[:-1])]
@@ -379,16 +380,15 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
 
 
 @SETTINGS
-@given(mode=st.sampled_from(["exact", "approximate"]), seed=st.integers(0, 2**16),
-       n_rows=st.integers(1, 40), n_c=st.integers(1, 6))
-def test_memoized_query_matches_uncached(mode, seed, n_rows, n_c):
+@given(seed=st.integers(0, 2**16), n_rows=st.integers(1, 40), n_c=st.integers(1, 6))
+def test_memoized_query_matches_uncached(seed, n_rows, n_c):
     rng = np.random.default_rng(seed)
     space = rng.normal(size=(n_rows, 3))
-    memo = retrieval.build_index(space, mode=mode, seed=1)
+    memo = retrieval.build_index(space)
     items = rng.integers(n_rows, size=6)
     # the repeats of each (item, n_c) key are answered from the memo
     for k in (n_c, n_c + 1, n_c, n_c + 1):
-        fresh = retrieval.build_index(space, mode=mode, seed=1)
+        fresh = retrieval.build_index(space)
         want = [retrieval.query(fresh, space[i], k, exclude_id=i) for i in items.tolist()]
         got = retrieval.neighbors(memo, items, k)
         assert got.dtype == np.int64 and got.tolist() == want
@@ -552,7 +552,7 @@ def _check_reasoner_against_reference(ds, d, n_c, tau, ablation, codes, gated, t
     gate = (reasoning.GateSnapshot([{"e_u": rng.normal(size=(ds.num_users, d)),
                                      "e_i": rng.normal(size=(ds.num_items, d))}
                                     for _ in range(n_b)]) if gated else None)
-    indices = {(b, key): retrieval.build_index(arrays[4 * b + 2 + k], mode="exact", seed=0)
+    indices = {(b, key): retrieval.build_index(arrays[4 * b + 2 + k])
                for b in range(n_b - 1) for k, key in enumerate(("col", "sem"))}
     users, pos, neg = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     users, items = np.concatenate([users, users]), np.concatenate([pos, neg])

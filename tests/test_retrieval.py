@@ -1,6 +1,5 @@
 """Nearest-neighbor index tests: the exact scan against a linear-scan
-oracle, ties, self-exclusion, the neighbor-id table and input checks. Both
-``index_mode`` values build the same exact index.
+oracle, ties, self-exclusion, the neighbor-id table and input checks.
 """
 
 from unittest import mock
@@ -28,7 +27,7 @@ def test_three_point_example():
 def test_exact_matches_linear_scan():
     rng = np.random.default_rng(0)
     space = rng.normal(size=(300, 8))
-    index = retrieval.build_index(space, mode="exact")
+    index = retrieval.build_index(space)
     for _ in range(1000):
         q = rng.normal(size=8)
         excl = int(rng.integers(300)) if rng.random() < 0.5 else None
@@ -43,30 +42,14 @@ def test_exact_ties_break_by_index():
     assert ids == [0, 1, 2]
 
 
-def test_approximate_recall_small():
-    rng = np.random.default_rng(1)
-    space = rng.normal(size=(600, 12))
-    exact = retrieval.build_index(space, mode="exact")
-    approx = retrieval.build_index(space, mode="approximate", seed=0)
-    hits = total = 0
-    for _ in range(200):
-        q = rng.normal(size=12)
-        want = set(retrieval.query(exact, q, 10))
-        got = set(retrieval.query(approx, q, 10))
-        hits += len(want & got)
-        total += len(want)
-    assert hits / total >= 0.95
-
-
 def test_self_exclusion():
     rng = np.random.default_rng(2)
     space = rng.normal(size=(50, 4))
-    for mode in ("exact", "approximate"):
-        index = retrieval.build_index(space, mode=mode, seed=3)
-        for i in (0, 17, 49):
-            ids = retrieval.query(index, space[i], 5, exclude_id=i)
-            assert i not in ids
-            assert len(ids) == 5
+    index = retrieval.build_index(space)
+    for i in (0, 17, 49):
+        ids = retrieval.query(index, space[i], 5, exclude_id=i)
+        assert i not in ids
+        assert len(ids) == 5
 
 
 def test_neighbor_count_monotone_in_n_c():
@@ -90,16 +73,16 @@ def test_fewer_rows_than_n_c():
 
 
 def test_index_snapshot_is_frozen():
-    space = np.eye(2)
-    index = retrieval.build_index(space)
-    space[0, 0] = 99.0  # mutating the source must not affect the index
-    ids = retrieval.query(index, np.array([1.0, 0.0]), 1)
-    assert ids == [0]
+    for dtype in (np.float64, np.float32):
+        space = np.eye(2, dtype=dtype)
+        index = retrieval.build_index(space)
+        assert index.space.dtype == np.float64
+        space[0, 0] = 99.0  # mutating the source must not affect the index
+        ids = retrieval.query(index, np.array([1.0, 0.0]), 1)
+        assert ids == [0]
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        retrieval.build_index(np.ones((2, 2)), mode="fuzzy")
     with pytest.raises(ValueError):
         retrieval.build_index(np.ones(3))
     index = retrieval.build_index(np.ones((2, 2)))
@@ -117,19 +100,8 @@ def test_validation_errors():
     for bad in (np.nan, np.inf, -np.inf):
         space = np.random.default_rng(7).normal(size=(50, 4))
         space[7, 2] = bad
-        for mode in ("exact", "approximate"):
-            with pytest.raises(ValueError, match="finite"):
-                retrieval.build_index(space, mode=mode)
-
-
-def test_approximate_deterministic_given_seed():
-    rng = np.random.default_rng(5)
-    space = rng.normal(size=(200, 6))
-    a = retrieval.build_index(space, mode="approximate", seed=11)
-    b = retrieval.build_index(space, mode="approximate", seed=11)
-    for _ in range(20):
-        q = rng.normal(size=6)
-        assert retrieval.query(a, q, 8) == retrieval.query(b, q, 8)
+        with pytest.raises(ValueError, match="finite"):
+            retrieval.build_index(space)
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,16 +123,15 @@ def test_neighbors_are_self_excluded_queries_of_index_rows():
     rng = np.random.default_rng(6)
     space = rng.normal(size=(30, 4))
     items = [3, 0, 3, 29]
-    for mode in ("exact", "approximate"):
-        index = retrieval.build_index(space, mode=mode, seed=2)
-        want = [retrieval.query(index, space[i], 5, exclude_id=i) for i in items]
-        with mock.patch.object(retrieval, "_search", wraps=retrieval._search) as search:
-            got = retrieval.neighbors(index, np.array(items), 5)
-            again = retrieval.neighbors(index, [29, 3], 5)
-        assert got.dtype == np.int64 and got.tolist() == want
-        assert again.tolist() == [want[3], want[0]]
-        # the repeated item, and the second call's items, are answered from the table
-        assert sorted(c.args[3] for c in search.call_args_list) == [0, 3, 29]
+    index = retrieval.build_index(space)
+    want = [retrieval.query(index, space[i], 5, exclude_id=i) for i in items]
+    with mock.patch.object(retrieval, "_search", wraps=retrieval._search) as search:
+        got = retrieval.neighbors(index, np.array(items), 5)
+        again = retrieval.neighbors(index, [29, 3], 5)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert again.tolist() == [want[3], want[0]]
+    # the repeated item, and the second call's items, are answered from the table
+    assert sorted(c.args[3] for c in search.call_args_list) == [0, 3, 29]
     single = retrieval.build_index(np.array([[1.0, 2.0]]))
     assert retrieval.neighbors(single, [0], 3).shape == (1, 0)
 
