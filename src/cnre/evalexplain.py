@@ -12,8 +12,9 @@ Every read path (``rank_items``, ``evaluate``, ``explain`` and
 ``reasoning.reason_batch`` runs the same group scorers that training runs
 on the tape, with no tape op, and on the same slots gives the same logits
 bit for bit. It reads the float64 store (a training step reads float32
-casts of it). It scores on one snapshot: a cascade and its retrieval
-indices, given by the caller or built fresh. A fresh cascade runs on a
+casts of it). It scores on one snapshot: a cascade and its indices (the
+retrieval indices and confidence gate ``CnreModel.build_indices`` reads
+from it), given by the caller or built fresh. A fresh cascade runs on a
 no-grad view of the slots, so a call records no tape op.
 """
 
@@ -309,33 +310,32 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     return base, edited, diff
 
 
+def _sweep(runs, ks):
+    """Train and evaluate each (row fields, split, config) of runs, in order; one row each."""
+    rows = []
+    for fields, split, config in runs:
+        model, _ = training.train(split, config)
+        report = evaluate(model, split, ks=ks)
+        rows.append({**fields, "hr": dict(report.hr), "ndcg": dict(report.ndcg)})
+    return rows
+
+
 def layer_sweep(split, config, grids, ks=(10,)):
     """Train and evaluate one run per layer-count combination."""
     if not grids:
         raise dataio.InputError("layer-count grid is empty")
-    rows = []
-    for counts in grids:
-        cfg = dataclasses.replace(config, layer_counts=list(counts))
-        model, _ = training.train(split, cfg)
-        report = evaluate(model, split, ks=ks)
-        rows.append({"layer_counts": list(counts),
-                     "hr": dict(report.hr), "ndcg": dict(report.ndcg)})
-    return rows
+    runs = (({"layer_counts": list(counts)}, split,
+             dataclasses.replace(config, layer_counts=list(counts))) for counts in grids)
+    return _sweep(runs, ks)
 
 
 def robustness_sweep(split, config, drop_fractions, ks=(10,), user_fraction=0.5):
     """Retrain and evaluate after dropping history at each fraction."""
-    rows = []
-    for frac in drop_fractions:
-        dropped = dataio.drop_history(split.train, user_fraction, frac,
-                                      seed=config.seed)
-        sub_split = dataio.SplitDataset(train=dropped,
-                                        test_positives=dict(split.test_positives))
-        model, _ = training.train(sub_split, config)
-        report = evaluate(model, sub_split, ks=ks)
-        rows.append({"drop_fraction": frac,
-                     "hr": dict(report.hr), "ndcg": dict(report.ndcg)})
-    return rows
+    def dropped(frac):
+        train = dataio.drop_history(split.train, user_fraction, frac, seed=config.seed)
+        return dataio.SplitDataset(train=train, test_positives=dict(split.test_positives))
+    runs = (({"drop_fraction": frac}, dropped(frac), config) for frac in drop_fractions)
+    return _sweep(runs, ks)
 
 
 def rows_to_tsv(rows):

@@ -5,8 +5,9 @@ train edges only) is dispatched to exactly one preference strength:
 
   - Strong: the target flag is set (complete or skip chains) -> direct
     concatenation of target-behavior user/item embeddings.
-  - Medium: >= 2 auxiliary flags -> purchase-confidence gate; below the
-    threshold, collaborative retrieval feeds a neural conjunction MLP.
+  - Medium: >= 2 auxiliary flags -> purchase-confidence gate, read from
+    the cascade the retrieval indices were built from (``GateSnapshot``);
+    below the threshold, collaborative retrieval feeds a neural conjunction MLP.
   - Weak: exactly 1 auxiliary flag -> semantic (hypergraph) retrieval
     feeds a neural disjunction MLP, no confidence computed.
   - Default: empty chain -> concatenation of the final cascaded
@@ -92,26 +93,27 @@ def chain_behavior(flags):
     return max(aux) if aux else None
 
 
-def _gate_arrays(bundle):
-    return {"e_u": bundle.e_u.data, "e_i": bundle.e_i.data}
-
-
 @dataclass
 class GateSnapshot:
     """Frozen user/item embedding arrays for the confidence gate only.
 
-    Confidence scores are evaluated on this snapshot (taken from the same
-    cascade the epoch's indices were built from) so that dispatch decisions
-    are piecewise constant within an epoch; gradients still flow
-    through the live cascade tensors.
+    ``CnreModel.build_indices`` takes one from the cascade it builds the
+    retrieval indices from and keeps it with them, as ``indices["gate"]``.
+    So within an epoch dispatch decisions are piecewise constant, while
+    gradients still flow through the live cascade tensors.
     """
 
     per_behavior: list  # dicts with 'e_u' and 'e_i' arrays
 
     @classmethod
     def from_cascade(cls, cascade):
-        return cls(per_behavior=[{k: v.copy() for k, v in _gate_arrays(b).items()}
-                                 for b in cascade.per_behavior])
+        """Read-only views of each behavior's e_u and e_i: no op writes a cascade array."""
+        per_behavior = [{"e_u": b.e_u.data.view(), "e_i": b.e_i.data.view()}
+                        for b in cascade.per_behavior]
+        for arrays in per_behavior:
+            for view in arrays.values():
+                view.flags.writeable = False
+        return cls(per_behavior=per_behavior)
 
 
 PATHS = tuple(PreferenceStrength)  # path index -> strength
@@ -260,15 +262,15 @@ class TraceSequence(Sequence):
 
 def reason_batch(users, items, train, cascade, indices, params, tau,
                  n_c=10, disable_rea=False, disable_cnj=False,
-                 disable_dsj=False, codes=None, gate=None, tape=True):
+                 disable_dsj=False, codes=None, tape=True):
     """Route a batch of (u, i) pairs through the reasoner; returns (logits, traces).
 
-    Each pair is dispatched by ``route``; when a GateSnapshot is given,
-    confidence scores read it instead of the live cascade values. Pairs are
-    then grouped by (operator, behavior), each group keeping batch order,
-    and retrieval asks the indices for the neighbors of each retrieval
-    group's items. Each group is scored by ``concat_scores`` or
-    ``logic_scores``, and its logits are put back in batch order.
+    Each pair is dispatched by ``route``, whose confidence scores read the
+    gate kept in indices (``CnreModel.build_indices``). Pairs are then
+    grouped by (operator, behavior), each group keeping batch order, and
+    retrieval asks the indices for the neighbors of each retrieval group's
+    items. Each group is scored by ``concat_scores`` or ``logic_scores``,
+    and its logits are put back in batch order.
 
     On the tape (training) the logits are an (n x 1) tensor: one op per
     group, and one op that puts the rows in batch order. With ``tape=False``
@@ -276,13 +278,11 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     array, with no tape op. Either way traces is a TraceSequence of
     ReasoningTrace, built lazily.
     """
-    gate_arrays = (gate.per_behavior if gate is not None
-                   else [_gate_arrays(b) for b in cascade.per_behavior])
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     n_b = len(train.spec)
-    r = route(users, items, train, gate_arrays, tau, codes=codes, disable_rea=disable_rea,
-              disable_cnj=disable_cnj, disable_dsj=disable_dsj)
+    r = route(users, items, train, indices["gate"].per_behavior, tau, codes=codes,
+              disable_rea=disable_rea, disable_cnj=disable_cnj, disable_dsj=disable_dsj)
     group_key = r.kinds * n_b + r.behaviors
     order = np.argsort(group_key, kind="stable")
     bounds = np.flatnonzero(np.diff(group_key[order])) + 1

@@ -167,19 +167,20 @@ class CnreModel:
             disable_par=cfg.disable_par, disable_prj=cfg.disable_prj)
 
     def build_indices(self, cascade):
-        """Fresh retrieval indices over the auxiliary item embedding spaces."""
-        indices = {}
+        """A fresh retrieval index per auxiliary item space, keyed (behavior, "col" or
+        "sem"), and under "gate" the confidence gate's ``reasoning.GateSnapshot``."""
+        indices = {"gate": reasoning.GateSnapshot.from_cascade(cascade)}
         for b in range(len(self.behavior_names) - 1):
             bundle = cascade.per_behavior[b]
             indices[(b, "col")] = retrieval.build_index(bundle.e_col_i.data)
             indices[(b, "sem")] = retrieval.build_index(bundle.e_sem_i.data)
         return indices
 
-    def score(self, users, items, cascade, indices, gate=None, codes=None, tape=True,
-              params=None):
+    def score(self, users, items, cascade, indices, codes=None, tape=True, params=None):
         """Head logits and traces of a batch of pairs: ``reasoning.reason_batch``.
 
-        The scorers read the slots of params, the store by default.
+        The scorers read the slots of params, the store by default, and the
+        confidence gate reads the snapshot in indices (``build_indices``).
         """
         cfg = self.config
         return reasoning.reason_batch(
@@ -187,16 +188,15 @@ class CnreModel:
             self.store if params is None else params,
             cfg.tau, n_c=cfg.n_c, disable_rea=cfg.disable_rea,
             disable_cnj=cfg.disable_cnj, disable_dsj=cfg.disable_dsj,
-            codes=codes, gate=gate, tape=tape)
+            codes=codes, tape=tape)
 
-    def reason_batch(self, users, items, cascade, indices, gate=None, codes=None):
+    def reason_batch(self, users, items, cascade, indices, codes=None):
         """(n x 2d mediators, traces) of a batch: the traces' mediators, stacked, as a tensor."""
-        _, traces = self.score(users, items, cascade, indices, gate=gate, codes=codes,
-                               tape=False)
+        _, traces = self.score(users, items, cascade, indices, codes=codes, tape=False)
         rows = [t.mediator for t in traces]
         return tg.Tensor(np.array(rows).reshape(len(rows), 2 * self.config.embedding_dim)), traces
 
-    def batch_loss(self, per_behavior_triples, cascade, indices, gate=None, params=None):
+    def batch_loss(self, per_behavior_triples, cascade, indices, params=None):
         """Multi-task loss over one step's triples; returns (loss, n_pairs).
 
         Each task scores its positives and negatives in one call, so each
@@ -204,9 +204,10 @@ class CnreModel:
         target task through the reasoner, an auxiliary task through the
         concatenation head on its own behavior's embeddings. BPR margins use
         the head logits; the logistic squash would cap the achievable margin
-        at 1 and stall the pairwise objective. The scorers read the slots of
-        params (the store by default), so the BPR terms follow their dtype;
-        the L2 term always reads the store.
+        at 1 and stall the pairwise objective. The target task routes with
+        the gate in indices. The scorers read the slots of params (the store
+        by default), so the BPR terms follow their dtype; the L2 term always
+        reads the store.
         """
         params = self.store if params is None else params
         terms = []
@@ -217,7 +218,7 @@ class CnreModel:
                 continue
             users, pos, neg = np.asarray(triples, dtype=np.int64).T
             users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
-            y = (self.score(users, items, cascade, indices, gate=gate, params=params)[0]
+            y = (self.score(users, items, cascade, indices, params=params)[0]
                  if b == t_idx else reasoning.concat_scores(users, items, b, cascade, params))
             n = len(triples)
             terms.append(bpr_loss(tg.slice_rows(y, 0, n), tg.slice_rows(y, n, 2 * n)))
@@ -234,8 +235,8 @@ class CnreModel:
 
         A step propagates the cascade only through the last behavior that
         has triples in its batch: no loss term reads a later behavior. Step
-        0 runs the full cascade, because the epoch's retrieval indices and
-        gate are built from it.
+        0 runs the full cascade, because ``build_indices`` takes the epoch's
+        one frozen snapshot from it: the retrieval indices and the gate.
 
         Each step runs in float32 (mixed precision): the cascade, the group
         scorers and the BPR terms read every slot through one ``cast:<slot>``
@@ -265,11 +266,9 @@ class CnreModel:
                 last = max(b for b, t in enumerate(batch) if len(t))
                 params = tg.SlotCasts(self.store, np.float32)
                 cascade = self.cascade(None if step == 0 else last + 1, params, graphs)
-                if step == 0:  # the epoch's indices and gate: plain arrays of step 0's cascade
+                if step == 0:  # the epoch's indices and gate, read from step 0's cascade
                     indices = self.build_indices(cascade)
-                    gate = reasoning.GateSnapshot.from_cascade(cascade)
-                loss, n_pairs = self.batch_loss(batch, cascade, indices, gate=gate,
-                                                params=params)
+                loss, n_pairs = self.batch_loss(batch, cascade, indices, params=params)
                 self.store.zero_grad()
                 loss.backward()
                 self.store.adam_step(cfg.lr)

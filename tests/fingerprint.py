@@ -1,0 +1,102 @@
+"""Output fingerprint: sha256 digests of what cnre trains, evaluates and serves.
+
+    python tests/fingerprint.py --seed 3
+    python tests/fingerprint.py --size tiny --seed 3
+
+A change meant to keep behaviour bit-identical prints the same digests as
+its parent. The inputs are the benchmark's: bench/ is imported, never
+written. The digests cover:
+
+- ``fit``: the history and every slot's bytes (``store.state_arrays()``,
+  in sorted slot order) after EPOCHS fit epochs on the train workload's
+  data;
+- ``evaluate``: the ``evaluate(..., ks=(10,))`` JSON line on the train
+  workload's eval users, after those epochs;
+- ``explain``: REQUESTS explain-workload requests, each a ``rank_items``
+  list (scores as ``float.hex``), an ``explain`` record and a
+  ``counterfactual`` base, edited record and diff.
+
+``--size bench`` runs the bench's own sizes (train 8000 x 1000, explain
+4000 x 500); ``--size tiny`` runs a 60 x 40 funnel in about half a
+second. The explain workload's files go to a temporary directory. The
+history is printed too, as a readable check. pytest does not collect
+this file.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+if __name__ == "__main__":
+    # fit's parameters are bit-reproducible only for a fixed BLAS thread
+    # count; set before numpy is first imported
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import funnel  # noqa: E402
+import workloads  # noqa: E402
+from cnre import evalexplain  # noqa: E402
+
+TINY = workloads.Size(funnel.FunnelShape(60, 40, 6, 3, 2, 0.2), dim=8, hyperedges=4,
+                      batch_size=64, eval_users=10)
+SIZES = {"bench": None, "tiny": TINY}  # None: each workload's own bench size
+EPOCHS = 2
+REQUESTS = 300
+
+
+def _line(h, payload):
+    h.update(payload.encode("utf-8") + b"\n")
+
+
+def train_digests(size, seed, workdir):
+    """(history, fit digest, evaluate digest) on the train workload's data."""
+    w = workloads.make("train", seed, workdir, size)
+    w.setup()  # a model configured for one epoch per fit call, as the bench runs it
+    history = [loss for _ in range(EPOCHS) for loss in w.model.fit()]
+    fit = hashlib.sha256()
+    _line(fit, json.dumps([float.hex(loss) for loss in history]))
+    arrays = w.model.store.state_arrays()
+    for name in sorted(arrays):
+        _line(fit, name)
+        fit.update(arrays[name].tobytes())
+    report = evalexplain.evaluate(w.model, w.split, ks=(10,))
+    return history, fit.hexdigest(), hashlib.sha256(report.to_json_line().encode()).hexdigest()
+
+
+def explain_digest(size, seed, workdir):
+    """Digest of the explain workload's first REQUESTS requests, in plan order."""
+    w = workloads.make("explain", seed, workdir, size)
+    w.setup()
+    h = hashlib.sha256()
+    for k in range(REQUESTS):
+        ranked, _, record, (base, edited, diff) = w._request(*w.plan[k % len(w.plan)])
+        _line(h, json.dumps([[i, float.hex(score), path] for i, score, path in ranked]))
+        for rec in (record, base, edited):
+            _line(h, rec.to_json_line())
+        _line(h, json.dumps(diff, sort_keys=True))
+    return h.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", choices=sorted(SIZES), default="bench")
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+    size = SIZES[args.size]
+    with tempfile.TemporaryDirectory() as workdir:
+        history, fit, report = train_digests(size, args.seed, workdir)
+        explain = explain_digest(size, args.seed, workdir)
+    print("history", *history)
+    print("fit", fit)
+    print("evaluate", report)
+    print("explain", explain)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,13 +44,10 @@ def test_criterion_1_gradient_suite():
     model, _ = training.train(split, cfg)
 
     per_behavior = [dataio.sample_bpr_triples(ds, b, 10, rng) for b in range(3)]
-    cascade0 = model.cascade()
-    indices = model.build_indices(cascade0)
-    gate = reasoning.GateSnapshot.from_cascade(cascade0)
+    indices = model.build_indices(model.cascade())  # and the gate: dispatch stays fixed
 
     def loss_fn():
-        loss, _ = model.batch_loss(per_behavior, model.cascade(), indices,
-                                   gate=gate)
+        loss, _ = model.batch_loss(per_behavior, model.cascade(), indices)
         return loss
 
     err = finite_difference_check(loss_fn, model.store, h=1e-5,

@@ -1,5 +1,6 @@
 """Metric oracles, evaluation analytics, explanations and counterfactuals."""
 
+import dataclasses
 import json
 import math
 
@@ -480,6 +481,23 @@ class TestSweeps:
         split, cfg = self._split_cfg()
         rows = evalexplain.robustness_sweep(split, cfg, [0.0, 0.4], ks=(5,))
         assert [r["drop_fraction"] for r in rows] == [0.0, 0.4]
+
+    def test_sweep_rows_are_each_runs_train_and_evaluate(self):
+        split, cfg = self._split_cfg()
+        counts, frac = [1, 1, 2], 0.4
+        dropped = dataio.SplitDataset(
+            train=dataio.drop_history(split.train, 0.5, frac, seed=cfg.seed),
+            test_positives=dict(split.test_positives))
+        runs = [(evalexplain.layer_sweep(split, cfg, [counts], ks=(5,)),
+                 {"layer_counts": counts}, split, dataclasses.replace(cfg, layer_counts=counts)),
+                (evalexplain.robustness_sweep(split, cfg, [frac], ks=(5,)),
+                 {"drop_fraction": frac}, dropped, cfg)]
+        for rows, fields, run_split, run_cfg in runs:
+            model, _ = training.train(run_split, run_cfg)
+            report = evalexplain.evaluate(model, run_split, ks=(5,))
+            assert report.hr != report.ndcg  # so a row with the two swapped fails
+            assert rows == [{**fields, "hr": report.hr, "ndcg": report.ndcg}]
+            assert list(rows[0]) == [*fields, "hr", "ndcg"]
 
     def test_sweep_deterministic(self):
         split, cfg = self._split_cfg()

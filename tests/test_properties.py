@@ -342,7 +342,6 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
     model = training.CnreModel(ds, cfg)
     cascade = model.cascade()
     indices = model.build_indices(cascade)
-    gate = reasoning.GateSnapshot.from_cascade(cascade) if data.draw(st.booleans()) else None
     tau = data.draw(st.sampled_from([0.3, 0.5, 0.7]))
     n_pairs = ds.num_users * ds.num_items
     # every pair of the dataset in a drawn order, then some repeats
@@ -355,9 +354,9 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
     codes = data.draw(st.one_of(st.none(), code,
                                 st.lists(code, min_size=n, max_size=n).map(np.array)))
     pair_codes = [None] * n if codes is None else np.broadcast_to(codes, (n,)).tolist()
-    kw = dict(n_c=cfg.n_c, gate=gate, **ablation)
-    gate_arrays = (gate.per_behavior if gate else
-                   [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior])
+    kw = dict(n_c=cfg.n_c, **ablation)
+    # the gate the indices hold must read the cascade they were built from
+    gate_arrays = [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior]
 
     logits, traces = reasoning.reason_batch(users, items, ds, cascade, indices,
                                             model.store, tau, codes=codes, tape=False, **kw)
@@ -544,19 +543,23 @@ def _check_reasoner_against_reference(ds, d, n_c, tau, ablation, codes, gated, t
 
     The batch scores each triple's positive and negative for its user, as
     batch_loss scores the target task. Every cascade space and slot is a
-    random leaf; the gate, when used, holds other random arrays.
+    random leaf. The indices' gate reads the cascade's e_u and e_i, or when
+    gated, other random arrays.
     """
     n_b = len(ds.spec)
     rng = np.random.default_rng(seed)
     arrays = _leaf_arrays(rng, ds.num_users, ds.num_items, n_b, d)
     gate = (reasoning.GateSnapshot([{"e_u": rng.normal(size=(ds.num_users, d)),
                                      "e_i": rng.normal(size=(ds.num_items, d))}
-                                    for _ in range(n_b)]) if gated else None)
+                                    for _ in range(n_b)]) if gated else
+            reasoning.GateSnapshot.from_cascade(_leaf_cascade(
+                [tg.Tensor(a) for a in arrays], n_b)))
     indices = {(b, key): retrieval.build_index(arrays[4 * b + 2 + k])
                for b in range(n_b - 1) for k, key in enumerate(("col", "sem"))}
+    indices["gate"] = gate
     users, pos, neg = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
-    kw = dict(n_c=n_c, codes=codes, gate=gate, **ablation)
+    kw = dict(n_c=n_c, codes=codes, **ablation)
 
     def fused(*leaves):
         params = _Params(zip(SLOTS, leaves[4 * n_b:]))

@@ -370,20 +370,37 @@ def test_pooling_matrix_equals_coo_build(data, n_items, dtype):
 
 
 def test_gate_snapshot_freezes_dispatch_inputs():
-    train, model, cascade, indices = _trained_bits()
-    gate = reasoning.GateSnapshot.from_cascade(cascade)
-    users = np.arange(train.num_users)
-    items = np.arange(train.num_users) % train.num_items
-    _, before = model.reason_batch(users, items, cascade, indices, gate=gate)
-    # perturb the live parameters: with the gate pinned, confidences and
-    # retrieval queries must not move
+    train, model, cascade, indices = _trained_bits()  # the indices hold cascade's gate
+    users = np.repeat(np.arange(train.num_users), train.num_items)  # every pair
+    items = np.tile(np.arange(train.num_items), train.num_users)
+    _, before = model.reason_batch(users, items, cascade, indices)
+    # perturb the live parameters: with the gate pinned in the indices,
+    # confidences and retrieval queries must not move
     model.store["base_user"].data += 0.5
     cascade2 = model.cascade()
-    _, after = model.reason_batch(users, items, cascade2, indices, gate=gate)
+    _, after = model.reason_batch(users, items, cascade2, indices)
     for t1, t2 in zip(before, after):
         assert t1.path == t2.path
         assert t1.confidence == t2.confidence
         assert t1.neighbor_ids == t2.neighbor_ids
+    # a snapshot of the perturbed cascade does move them
+    _, fresh = model.reason_batch(users, items, cascade2, model.build_indices(cascade2))
+    assert any(t1.confidence != t2.confidence for t1, t2 in zip(before, fresh))
+
+
+def test_gate_arrays_are_read_only_views_of_the_cascade():
+    _, _, cascade, indices = _trained_bits()
+    gate = indices["gate"].per_behavior
+    assert len(gate) == len(cascade.per_behavior)
+    for arrays, bundle in zip(gate, cascade.per_behavior):
+        assert arrays.keys() == {"e_u", "e_i"}
+        for name, view in arrays.items():
+            source = getattr(bundle, name).data
+            assert np.shares_memory(view, source) and view.shape == source.shape
+            assert source.flags.writeable and not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 1.0
+            np.testing.assert_array_equal(view, source)
 
 
 def test_scorer_tables_follow_parameter_writes():

@@ -139,12 +139,10 @@ def _leading_batch(split, n, size=6, seed=4):
 def test_truncated_cascade_gives_same_loss_and_grads(n):
     split, model = _small_model(epochs=0)
     batch = _leading_batch(split, n)
-    cascade0 = model.cascade()
-    indices = model.build_indices(cascade0)
-    gate = reasoning.GateSnapshot.from_cascade(cascade0)
+    indices = model.build_indices(model.cascade())
     runs = []
     for cascade in (model.cascade(n), model.cascade()):
-        loss, _ = model.batch_loss(batch, cascade, indices, gate=gate)
+        loss, _ = model.batch_loss(batch, cascade, indices)
         model.store.zero_grad()
         loss.backward()
         runs.append((loss.data, {name: p.grad for name, p in model.store.items()}))
@@ -260,15 +258,14 @@ class TestMixedPrecision:
         split, model = _mixed_model(epochs=0)
         batch = _leading_batch(split, 3, size=40)
         cascade = model.cascade()
-        indices = model.build_indices(cascade)
-        gate = reasoning.GateSnapshot.from_cascade(cascade)  # both steps route alike
-        loss64, _ = model.batch_loss(batch, cascade, indices, gate=gate)
+        indices = model.build_indices(cascade)  # with its gate: both steps route alike
+        loss64, _ = model.batch_loss(batch, cascade, indices)
         loss64.backward()
         grads64 = {name: p.grad for name, p in model.store.items()}
         model.store.zero_grad()
         casts = tg.SlotCasts(model.store, np.float32)
         loss32, _ = model.batch_loss(batch, model.cascade(None, casts, _float32_graphs(model)),
-                                     indices, gate=gate, params=casts)
+                                     indices, params=casts)
         loss32.backward()
         assert loss64.data.dtype == loss32.data.dtype == np.float64  # the L2 term is float64
         np.testing.assert_allclose(loss32.item(), loss64.item(), rtol=1e-6)
@@ -352,6 +349,28 @@ class TestTrainLoop:
         assert model.store.step_count == cfg.epochs * steps
         assert len(calls) == cfg.epochs * steps
         assert len(snapshots) == cfg.epochs  # the epoch's indices come from its first step
+
+    def test_one_gate_snapshot_per_epoch_through_build_indices(self, monkeypatch):
+        ds = make_planted_dataset(num_users=15, num_items=10, n_groups=3)
+        cfg = training.TrainConfig(embedding_dim=4, hyperedges=2, epochs=3, seed=0,
+                                   batch_size=8, n_c=3)
+        model = training.CnreModel(dataio.leave_one_out_split(ds, 0).train, cfg)
+        building, snapshots = [], []
+        from_cascade = reasoning.GateSnapshot.from_cascade
+        monkeypatch.setattr(reasoning.GateSnapshot, "from_cascade", lambda cascade: (
+            snapshots.append(bool(building)) or from_cascade(cascade)))
+        build_indices = model.build_indices
+
+        def traced(cascade):
+            building.append(1)
+            try:
+                return build_indices(cascade)
+            finally:
+                building.pop()
+        monkeypatch.setattr(model, "build_indices", traced)
+        model.fit()
+        assert model.store.step_count > cfg.epochs  # several steps per epoch
+        assert snapshots == [True] * cfg.epochs  # each made inside build_indices
 
     def test_cascade_records_32_op_outputs(self, monkeypatch):
         ds = make_planted_dataset(num_users=15, num_items=10, n_groups=3)
@@ -653,13 +672,11 @@ def test_full_loss_gradients_finite_difference():
     rng = np.random.default_rng(9)
     per_behavior = [dataio.sample_bpr_triples(split.train, b, 6, rng)
                     for b in range(3)]
-    cascade0 = model.cascade()
-    indices = model.build_indices(cascade0)
-    gate = reasoning.GateSnapshot.from_cascade(cascade0)
+    indices = model.build_indices(model.cascade())  # and the gate: dispatch stays fixed
 
     def loss_fn():
         cascade = model.cascade()
-        loss, _ = model.batch_loss(per_behavior, cascade, indices, gate=gate)
+        loss, _ = model.batch_loss(per_behavior, cascade, indices)
         return loss
 
     err = finite_difference_check(loss_fn, model.store, max_coords=96,

@@ -130,21 +130,20 @@ def pooling_matrix(hoods, n_items):
 
 
 def reason_batch(users, items, train, cascade, indices, params, tau, n_c=10, codes=None,
-                 gate=None, **ablations):
+                 **ablations):
     """The reasoner op by op: (n x 1 head logits, n x 2d mediators), both tensors.
 
-    Pairs are routed with ``reasoning.route`` and retrieved with
-    ``retrieval.neighbors``, as the model does. Each (operator, behavior)
-    group's mediators are row gathers and a concatenation; a retrieval
-    group's also pool its neighbors with a sparse product (``pooling_matrix``,
-    built here, not the model's) and run the operator's MLP. The head is
-    ``training.predict_logit``.
+    Pairs are routed with ``reasoning.route`` on the gate in indices and
+    retrieved with ``retrieval.neighbors``, as the model does. Each
+    (operator, behavior) group's mediators are row gathers and a
+    concatenation; a retrieval group's also pool its neighbors with a sparse
+    product (``pooling_matrix``, built here, not the model's) and run the
+    operator's MLP. The head is ``training.predict_logit``.
     """
-    gate_arrays = (gate.per_behavior if gate is not None else
-                   [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior])
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    r = reasoning.route(users, items, train, gate_arrays, tau, codes=codes, **ablations)
+    r = reasoning.route(users, items, train, indices["gate"].per_behavior, tau, codes=codes,
+                        **ablations)
     parts, order = [], []
     for kind, b in sorted(set(zip(r.kinds.tolist(), r.behaviors.tolist()))):
         pos = np.flatnonzero((r.kinds == kind) & (r.behaviors == b))
