@@ -162,22 +162,25 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
                     traces.path_labels()[order].tolist()))
 
 
-# Pairs per evaluate batch: many users share one scorer call, and the
-# batch's temporaries (a few width-d rows per pair) stay a few MB.
-EVAL_BATCH_PAIRS = 1 << 14
+# Pairs per evaluate batch: many users share one scorer call, and each of the
+# batch's width-d row gathers (2 MiB at d = 64) fits in a 4 MiB L2 cache.
+# Larger gathers (8 MiB at 16k pairs) grow the heap and are trimmed again on
+# free, a run of page faults in every batch.
+EVAL_BATCH_PAIRS = 1 << 12
 
 
 def _user_batches(ds, users):
-    """(users, candidate arrays) in batches of about EVAL_BATCH_PAIRS pairs."""
+    """(users, candidate arrays) in order, each user once, in batches of at most
+    EVAL_BATCH_PAIRS pairs; a user with more candidates than that is a batch alone."""
     batch, cands, size = [], [], 0
     for u in users:
         items = _unowned_items(ds, u)
+        if batch and size + items.shape[0] > EVAL_BATCH_PAIRS:
+            yield batch, cands
+            batch, cands, size = [], [], 0
         batch.append(u)
         cands.append(items)
         size += items.shape[0]
-        if size >= EVAL_BATCH_PAIRS:
-            yield batch, cands
-            batch, cands, size = [], [], 0
     if batch:
         yield batch, cands
 

@@ -12,6 +12,9 @@ written. The digests cover:
   data;
 - ``evaluate``: the ``evaluate(..., ks=(10,))`` JSON line on the train
   workload's eval users, after those epochs;
+- ``neighbors``: the full neighbor-id table of every retrieval index at the
+  config's ``n_c`` (``retrieval.neighbors`` over all items, indices in
+  sorted key order), on ``evaluate``'s snapshot after those epochs;
 - ``explain``: REQUESTS explain-workload requests, each a ``rank_items``
   list (scores as ``float.hex``), an ``explain`` record and a
   ``counterfactual`` base, edited record and diff.
@@ -40,7 +43,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import funnel  # noqa: E402
 import workloads  # noqa: E402
-from cnre import evalexplain  # noqa: E402
+from cnre import evalexplain, retrieval  # noqa: E402
 
 TINY = workloads.Size(funnel.FunnelShape(60, 40, 6, 3, 2, 0.2), dim=8, hyperedges=4,
                       batch_size=64, eval_users=10)
@@ -54,7 +57,7 @@ def _line(h, payload):
 
 
 def train_digests(size, seed, workdir):
-    """(history, fit digest, evaluate digest) on the train workload's data."""
+    """(history, fit, evaluate and neighbors digests) on the train workload's data."""
     w = workloads.make("train", seed, workdir, size)
     w.setup()  # a model configured for one epoch per fit call, as the bench runs it
     history = [loss for _ in range(EPOCHS) for loss in w.model.fit()]
@@ -65,7 +68,14 @@ def train_digests(size, seed, workdir):
         _line(fit, name)
         fit.update(arrays[name].tobytes())
     report = evalexplain.evaluate(w.model, w.split, ks=(10,))
-    return history, fit.hexdigest(), hashlib.sha256(report.to_json_line().encode()).hexdigest()
+    _, indices = evalexplain._snapshot(w.model, None, None)  # evaluate's snapshot
+    neighbors = hashlib.sha256()
+    for key in sorted(k for k in indices if k != "gate"):
+        _line(neighbors, json.dumps(key))
+        index = indices[key]
+        neighbors.update(retrieval.neighbors(index, range(index.size), w.model.config.n_c))
+    return (history, fit.hexdigest(),
+            hashlib.sha256(report.to_json_line().encode()).hexdigest(), neighbors.hexdigest())
 
 
 def explain_digest(size, seed, workdir):
@@ -89,11 +99,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     size = SIZES[args.size]
     with tempfile.TemporaryDirectory() as workdir:
-        history, fit, report = train_digests(size, args.seed, workdir)
+        history, fit, report, neighbors = train_digests(size, args.seed, workdir)
         explain = explain_digest(size, args.seed, workdir)
     print("history", *history)
     print("fit", fit)
     print("evaluate", report)
+    print("neighbors", neighbors)
     print("explain", explain)
     return 0
 

@@ -294,6 +294,20 @@ class TestEvaluate:
         report = evalexplain.evaluate(model, split)
         assert sum(g["users"] for g in report.group_metrics) == report.user_count
 
+    @pytest.mark.parametrize("limit", [1, 7, 12, 30, evalexplain.EVAL_BATCH_PAIRS])
+    def test_batches_hold_at_most_the_pair_bound(self, monkeypatch, limit):
+        """Users come in order, each once with its candidates; a batch exceeds
+        EVAL_BATCH_PAIRS pairs only when one user alone does."""
+        ds = make_planted_dataset(num_users=20, num_items=12, n_groups=3, seed=0)
+        users = np.random.default_rng(limit).permutation(ds.num_users).tolist()
+        monkeypatch.setattr(evalexplain, "EVAL_BATCH_PAIRS", limit)
+        batches = list(evalexplain._user_batches(ds, users))
+        assert [u for batch, _ in batches for u in batch] == users
+        for batch, cands in batches:
+            assert len(batch) == 1 or sum(c.shape[0] for c in cands) <= limit
+            for u, items in zip(batch, cands):
+                np.testing.assert_array_equal(items, evalexplain._unowned_items(ds, u))
+
 
 class TestExplain:
     def test_record_structure(self):

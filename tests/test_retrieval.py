@@ -1,5 +1,6 @@
-"""Nearest-neighbor index tests: the exact scan against a linear-scan
-oracle, ties, self-exclusion, the neighbor-id table and input checks.
+"""Nearest-neighbor index tests: the blocked exact search against a
+linear-scan oracle, ties, self-exclusion, the neighbor-id table and input
+checks.
 """
 
 from unittest import mock
@@ -96,7 +97,21 @@ def test_validation_errors():
     for bad in ([-1], [6], [0, 6]):
         with pytest.raises(IndexError, match=r"item index out of range \[0, 6\)"):
             retrieval.neighbors(index, bad, 3)
+    for bad in ([1.7, 2.2], [1.0], np.zeros(2), [True, False]):
+        with pytest.raises(ValueError, match="integer ids"):
+            retrieval.neighbors(index, bad, 3)
     assert index._neighbors == {}  # nothing searched, nothing memoized
+    for bad in (np.nan, np.inf, -np.inf):
+        q = np.zeros(3)
+        q[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            retrieval.query(index, q, 2)
+    for bad in (True, np.True_, 1.0, "1"):
+        with pytest.raises(ValueError, match="integer id"):
+            retrieval.query(index, np.zeros(3), 2, exclude_id=bad)
+    for bad in (-1, 6, 99, np.int64(6)):
+        with pytest.raises(IndexError, match=r"exclude_id out of range \[0, 6\)"):
+            retrieval.query(index, np.zeros(3), 2, exclude_id=bad)
     for bad in (np.nan, np.inf, -np.inf):
         space = np.random.default_rng(7).normal(size=(50, 4))
         space[7, 2] = bad
@@ -125,13 +140,14 @@ def test_neighbors_are_self_excluded_queries_of_index_rows():
     items = [3, 0, 3, 29]
     index = retrieval.build_index(space)
     want = [retrieval.query(index, space[i], 5, exclude_id=i) for i in items]
-    with mock.patch.object(retrieval, "_search", wraps=retrieval._search) as search:
+    with mock.patch.object(retrieval, "_nearest", wraps=retrieval._nearest) as search:
         got = retrieval.neighbors(index, np.array(items), 5)
         again = retrieval.neighbors(index, [29, 3], 5)
     assert got.dtype == np.int64 and got.tolist() == want
     assert again.tolist() == [want[3], want[0]]
-    # the repeated item, and the second call's items, are answered from the table
-    assert sorted(c.args[3] for c in search.call_args_list) == [0, 3, 29]
+    # the repeated item, and the second call's items, are answered from the table;
+    # a search's exclude ids are the items whose rows it searches
+    assert sorted(i for c in search.call_args_list for i in c.args[3].tolist()) == [0, 3, 29]
     single = retrieval.build_index(np.array([[1.0, 2.0]]))
     assert retrieval.neighbors(single, [0], 3).shape == (1, 0)
 
@@ -151,11 +167,42 @@ def test_neighbor_table_searches_each_item_once_per_n_c(data, n_rows, width):
     batch = st.lists(st.integers(0, n_rows - 1), max_size=2 * n_rows)
     batches = data.draw(st.lists(st.tuples(st.sampled_from(n_cs), batch), max_size=8))
     index, fresh = retrieval.build_index(space), retrieval.build_index(space)
-    with mock.patch.object(retrieval, "_search", wraps=retrieval._search) as search:
+    with mock.patch.object(retrieval, "_nearest", wraps=retrieval._nearest) as search:
         for n_c, items in batches:
             got = retrieval.neighbors(index, items, n_c)
             assert got.dtype == np.int64 and got.shape == (len(items), min(n_c, n_rows - 1))
             assert got.tolist() == [retrieval.query(fresh, space[i], n_c, exclude_id=i)
                                     for i in items]
-    searched = [(c.args[3], c.args[2]) for c in search.call_args_list if c.args[0] is index]
+    searched = [(i, c.args[2]) for c in search.call_args_list if c.args[0] is index
+                for i in c.args[3].tolist()]
     assert sorted(searched) == sorted({(i, n_c) for n_c, items in batches for i in items})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 30), width=st.integers(1, 4),
+       offset=st.sampled_from([0.0, 1e6, 3.7e7, 1e8]), scale=st.sampled_from([1e-3, 1.0, 1e5]),
+       block=st.sampled_from([1, 5, 64, retrieval._BLOCK]))
+def test_blocked_search_matches_linear_scan_on_adversarial_spaces(
+        data, n_rows, width, offset, scale, block):
+    """Spaces where the Gram-matrix distances round worst: a large common offset
+    over unit gaps, duplicate rows and +-1 integer ties; n_c up to past N, one
+    row, and blocks (and re-rank chunks) of a few rows. Every id must be the
+    exact scan's, ties included, for neighbors and for query with and without
+    an excluded id."""
+    cells = st.integers(-1, 1)
+    distinct = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                                  min_size=1, max_size=n_rows))
+    picks = data.draw(st.lists(st.sampled_from(distinct), min_size=n_rows, max_size=n_rows))
+    space = offset + scale * np.array(picks, dtype=float)
+    q = offset + scale * np.array(data.draw(st.lists(cells, min_size=width, max_size=width)),
+                                  dtype=float)
+    n_c = data.draw(st.integers(1, n_rows + 2))
+    excl = data.draw(st.integers(0, n_rows - 1))
+    index = retrieval.build_index(space)
+    with mock.patch.object(retrieval, "_BLOCK", block):
+        got = retrieval.neighbors(index, range(n_rows), n_c)
+        assert got.tolist() == [_linear_scan(space, space[i], n_c, exclude_id=i)
+                                for i in range(n_rows)]
+        for exclude_id in (None, excl):
+            assert retrieval.query(index, q, n_c, exclude_id=exclude_id) == _linear_scan(
+                space, q, n_c, exclude_id=exclude_id)
