@@ -1,9 +1,18 @@
 """Ingestion of per-behavior interaction logs and dataset utilities.
 
 Raw logs are tab-separated "<user>\t<item>" lines, one file per behavior.
-Datasets carry dense indices (first-seen order across behaviors), a
-leave-one-out split on the target behavior, BPR triple sampling, and the
-analysis groupings (sparsity quantiles, history dropping).
+Datasets carry dense indices, a leave-one-out split on the target
+behavior, BPR triple sampling, and the analysis groupings (sparsity
+quantiles, history dropping).
+
+Dense ids are first-seen order: the behaviors are read in spec order and
+each behavior's pairs in ascending (str(user), str(item)) order, so a
+user's id follows (its first behavior, its str) and an item's id follows
+(the earliest (behavior, user str) of its pairs, its str). Two distinct
+raw users (or items) with the same str() have no order and raise
+InputError. ``build_dataset_from_pairs`` gives these ids without sorting
+the pairs: it ranks the distinct raw ids by str and orders them with
+numpy.
 """
 
 from __future__ import annotations
@@ -110,7 +119,11 @@ def edge_matrix(users, items, num_users, num_items):
     if users.size and (users.min() < 0 or users.max() >= num_users
                        or items.min() < 0 or items.max() >= num_items):
         raise ValueError("edge indices out of range")
-    rows, cols = np.divmod(np.unique(users * num_items + items), max(num_items, 1))
+    # sort and drop repeats: numpy 2's np.unique hashes int keys, ~15x slower at 72k
+    keys = np.sort(users * num_items + items)
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    rows, cols = np.divmod(keys[fresh], max(num_items, 1))
     indptr = np.zeros(num_users + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_users), out=indptr[1:])
     return _frozen(sp.csr_matrix((np.ones(cols.size, dtype=np.int64), cols, indptr),
@@ -267,17 +280,59 @@ def load_interactions(path, behavior):
     return pairs
 
 
+def _str_ranks(raw_ids, what):
+    """(ids sorted by str, raw id -> rank); InputError for two ids with one str()."""
+    ordered = sorted(raw_ids, key=str)
+    keys = list(map(str, ordered))
+    if len(set(keys)) < len(keys):  # equal strs sort next to each other
+        k = next(k for k in range(1, len(keys)) if keys[k] == keys[k - 1])
+        raise InputError(f"raw {what} ids {ordered[k - 1]!r} and {ordered[k]!r} "
+                         f"have the same str() {keys[k]!r}")
+    return ordered, {raw: r for r, raw in enumerate(ordered)}
+
+
+def _ranks_of(raw, rank):
+    """int64 array of rank[r] for each r in the list raw."""
+    return np.fromiter(map(rank.__getitem__, raw), dtype=np.int64, count=len(raw))
+
+
 def build_dataset_from_pairs(per_behavior_pairs, spec):
-    """Assign dense ids (first-seen order across behaviors in spec order)."""
+    """Dataset from one collection (set or list) of raw (user, item) pairs per behavior.
+
+    Dense ids are first-seen order: the behaviors are read in spec order,
+    each one's pairs in ascending (str(user), str(item)) order. So a user's
+    id follows (the first behavior it appears in, the rank of its str), and
+    an item's id follows (the earliest behavior, and within it the smallest
+    user str, of the pairs it appears in, then the rank of its own str).
+    Raises InputError for two distinct raw users (or items) with the same
+    str(), as their order would be undefined.
+    """
     if len(per_behavior_pairs) != len(spec):
         raise ValueError("one pair set per behavior required")
-    user_index, item_index = {}, {}  # raw id -> dense id, in first-seen order
-    dense = [[(user_index.setdefault(u, len(user_index)),
-               item_index.setdefault(i, len(item_index)))
-              for u, i in sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))]
-             for pairs in per_behavior_pairs]
-    return InteractionDataset.from_edges(spec, len(user_index), len(item_index), dense,
-                                         list(user_index), list(item_index))
+    raw_users = [[u for u, _ in pairs] for pairs in per_behavior_pairs]
+    raw_items = [[i for _, i in pairs] for pairs in per_behavior_pairs]
+    user_ids, user_rank = _str_ranks(set().union(*raw_users), "user")
+    item_ids, item_rank = _str_ranks(set().union(*raw_items), "item")
+    m, n = len(user_ids), len(item_ids)
+    users = [_ranks_of(raw, user_rank) for raw in raw_users]
+    items = [_ranks_of(raw, item_rank) for raw in raw_items]
+    # a pair's reading position is (b, user rank, item rank): a user is first
+    # seen at its first behavior, an item at its smallest b * m + user rank
+    user_first = np.full(m, len(spec), dtype=np.int64)
+    item_first = np.full(n, len(spec) * m, dtype=np.int64)
+    for b in reversed(range(len(spec))):
+        user_first[users[b]] = b
+        np.minimum.at(item_first, items[b], b * m + users[b])
+    user_order = np.argsort(user_first, kind="stable")  # ties: str rank
+    item_order = np.argsort(item_first, kind="stable")
+    user_dense, item_dense = np.empty(m, dtype=np.int64), np.empty(n, dtype=np.int64)
+    user_dense[user_order] = np.arange(m)
+    item_dense[item_order] = np.arange(n)
+    matrices = [edge_matrix(user_dense[us], item_dense[its], m, n)
+                for us, its in zip(users, items)]
+    return InteractionDataset(spec, m, n, matrices,
+                              [user_ids[r] for r in user_order.tolist()],
+                              [item_ids[r] for r in item_order.tolist()])
 
 
 def build_dataset(per_behavior_files, spec):

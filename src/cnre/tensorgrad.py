@@ -174,12 +174,10 @@ def relu(a):
 
 
 def _sigmoid(x):
-    pos = x >= 0
-    z = np.empty_like(x)
-    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    z[~pos] = e / (1.0 + e)
-    return z
+    """1 / (1 + exp(-x)) for x >= 0, else exp(x) / (1 + exp(x)); exp never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softplus(a):

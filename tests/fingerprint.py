@@ -17,7 +17,11 @@ written. The digests cover:
   sorted key order), on ``evaluate``'s snapshot after those epochs;
 - ``explain``: REQUESTS explain-workload requests, each a ``rank_items``
   list (scores as ``float.hex``), an ``explain`` record and a
-  ``counterfactual`` base, edited record and diff.
+  ``counterfactual`` base, edited record and diff;
+- ``dataset``: the raw ids and every edge matrix's ``indptr`` and
+  ``indices`` of the train workload's ``build_dataset_from_pairs`` dataset
+  and of the explain workload's train split, read from its TSV files by
+  ``cli.build_split``.
 
 ``--size bench`` runs the bench's own sizes (train 8000 x 1000, explain
 4000 x 500); ``--size tiny`` runs a 60 x 40 funnel in about half a
@@ -43,7 +47,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import funnel  # noqa: E402
 import workloads  # noqa: E402
-from cnre import evalexplain, retrieval  # noqa: E402
+from cnre import dataio, evalexplain, retrieval  # noqa: E402
 
 TINY = workloads.Size(funnel.FunnelShape(60, 40, 6, 3, 2, 0.2), dim=8, hyperedges=4,
                       batch_size=64, eval_users=10)
@@ -56,9 +60,21 @@ def _line(h, payload):
     h.update(payload.encode("utf-8") + b"\n")
 
 
+def dataset_digest(datasets):
+    """Digest of each dataset's raw ids and its matrices' indptr and indices."""
+    h = hashlib.sha256()
+    for ds in datasets:
+        _line(h, json.dumps([ds.user_ids, ds.item_ids]))
+        for m in ds.matrices:
+            h.update(m.indptr.tobytes())
+            h.update(m.indices.tobytes())
+    return h.hexdigest()
+
+
 def train_digests(size, seed, workdir):
-    """(history, fit, evaluate and neighbors digests) on the train workload's data."""
+    """(the built dataset, history, fit, evaluate and neighbors digests) on the train workload."""
     w = workloads.make("train", seed, workdir, size)
+    dataset = dataio.build_dataset_from_pairs(w.pairs, dataio.BehaviorSpec(funnel.BEHAVIORS))
     w.setup()  # a model configured for one epoch per fit call, as the bench runs it
     history = [loss for _ in range(EPOCHS) for loss in w.model.fit()]
     fit = hashlib.sha256()
@@ -74,12 +90,12 @@ def train_digests(size, seed, workdir):
         _line(neighbors, json.dumps(key))
         index = indices[key]
         neighbors.update(retrieval.neighbors(index, range(index.size), w.model.config.n_c))
-    return (history, fit.hexdigest(),
+    return (dataset, history, fit.hexdigest(),
             hashlib.sha256(report.to_json_line().encode()).hexdigest(), neighbors.hexdigest())
 
 
 def explain_digest(size, seed, workdir):
-    """Digest of the explain workload's first REQUESTS requests, in plan order."""
+    """(train split's dataset, digest of the first REQUESTS requests in plan order)."""
     w = workloads.make("explain", seed, workdir, size)
     w.setup()
     h = hashlib.sha256()
@@ -89,7 +105,7 @@ def explain_digest(size, seed, workdir):
         for rec in (record, base, edited):
             _line(h, rec.to_json_line())
         _line(h, json.dumps(diff, sort_keys=True))
-    return h.hexdigest()
+    return w.model.train_dataset, h.hexdigest()
 
 
 def main(argv=None):
@@ -99,13 +115,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     size = SIZES[args.size]
     with tempfile.TemporaryDirectory() as workdir:
-        history, fit, report, neighbors = train_digests(size, args.seed, workdir)
-        explain = explain_digest(size, args.seed, workdir)
+        train, history, fit, report, neighbors = train_digests(size, args.seed, workdir)
+        explain_train, explain = explain_digest(size, args.seed, workdir)
     print("history", *history)
     print("fit", fit)
     print("evaluate", report)
     print("neighbors", neighbors)
     print("explain", explain)
+    print("dataset", dataset_digest([train, explain_train]))
     return 0
 
 

@@ -7,7 +7,7 @@ def _digests(capsys, seed):
     assert fingerprint.main(["--size", "tiny", "--seed", str(seed)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["history", "fit", "evaluate", "neighbors",
-                                                    "explain"]
+                                                    "explain", "dataset"]
     assert len(lines[0].split()) == 1 + fingerprint.EPOCHS
     assert all(len(line.split()[1]) == 64 for line in lines[1:])
     return lines

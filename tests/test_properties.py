@@ -4,9 +4,10 @@ Random small datasets drive the edge matrices and every helper derived
 from them, the chain-code lookup and dispatch, the batched reasoner, the
 memoized item neighbors and the pooled-row tables; each is compared with
 a set-based or per-pair reference written out here, or with the uncached
-path it replaces. The fused propagation kernels and the reasoner's group
-scorers are compared with their op-by-op tape composition
-(``unfused.py``), forward and grads.
+path it replaces. The dense ids of raw pairs are compared with the
+sorted-pair builder, and the sigmoid with its boolean-mask form. The
+fused propagation kernels and the reasoner's group scorers are compared
+with their op-by-op tape composition (``unfused.py``), forward and grads.
 """
 
 import warnings
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cnre import dataio, propagation, reasoning, retrieval, tensorgrad as tg, training
 from cnre.reasoning import PreferenceStrength as P
@@ -91,6 +93,58 @@ def test_edge_matrices_are_canonical_read_only_and_match_the_sets(case):
     for mat, want in zip(ds.matrices, edges):
         pairs = np.array(sorted(want) * 2, dtype=np.int64).reshape(-1, 2)[::-1]
         _assert_same_csr(dataio.edge_matrix(pairs[:, 0], pairs[:, 1], m, n), mat)
+
+
+def _reference_build(per_behavior_pairs, spec):
+    """First-seen ids by the definition: each behavior's pairs sorted by (str(u), str(i))."""
+    user_index, item_index = {}, {}
+    dense = [[(user_index.setdefault(u, len(user_index)),
+               item_index.setdefault(i, len(item_index)))
+              for u, i in sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))]
+             for pairs in per_behavior_pairs]
+    return dataio.InteractionDataset.from_edges(spec, len(user_index), len(item_index), dense,
+                                                list(user_index), list(item_index))
+
+
+# int ids past one digit (str order puts 10 before 2), str ids, and both mixed
+RAW_IDS = st.sampled_from([st.integers(0, 120), st.text("ab12", max_size=3),
+                           st.integers(0, 120) | st.text("ab12", max_size=3)])
+
+
+@st.composite
+def raw_pair_collections(draw):
+    """Raw pairs per behavior: lists (repeats allowed) or sets, any of them empty."""
+    ids = draw(RAW_IDS)
+    users = draw(st.lists(ids, min_size=1, max_size=8, unique_by=str))
+    items = draw(st.lists(ids, min_size=1, max_size=8, unique_by=str))
+    pair = st.tuples(st.sampled_from(users), st.sampled_from(items))
+    behaviors = draw(st.lists(st.lists(pair, max_size=12), min_size=2, max_size=4))
+    return [set(b) if draw(st.booleans()) else b for b in behaviors]
+
+
+@SETTINGS
+@given(raw_pair_collections())
+@example([[], [], []])
+@example([[(2, 10), (10, 2)], [(3, "x"), (2, 10), (2, 10)]])  # later users, repeats
+def test_first_seen_ids_match_the_sorted_pair_reference(per_behavior_pairs):
+    spec = dataio.BehaviorSpec(tuple(f"b{k}" for k in range(len(per_behavior_pairs))))
+    got = dataio.build_dataset_from_pairs(per_behavior_pairs, spec)
+    want = _reference_build(per_behavior_pairs, spec)
+    assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+    assert got.user_ids == want.user_ids and got.item_ids == want.item_ids
+    for g, w in zip(got.matrices, want.matrices):
+        _assert_same_csr(g, w)
+        assert not any(a.flags.writeable for a in (g.data, g.indices, g.indptr))
+
+
+def test_raw_ids_with_the_same_str_raise():
+    spec = dataio.BehaviorSpec(("view", "buy"))
+    users = [{(1, "a"), ("1", "a"), ("x", "b"), ("2", "c"), (2, "c")}, {(1, "a"), ("1", "a")}]
+    with pytest.raises(dataio.InputError, match=r"user ids (1 and '1'|'1' and 1) .* '1'"):
+        dataio.build_dataset_from_pairs(users, spec)
+    items = [{("u", 7), ("v", "7")}, {("u", 7)}]
+    with pytest.raises(dataio.InputError, match=r"item ids (7 and '7'|'7' and 7) .* '7'"):
+        dataio.build_dataset_from_pairs(items, spec)
 
 
 @SETTINGS
@@ -472,6 +526,45 @@ def test_index_rows_backward_equals_add_at_bit_for_bit(rows, d, data, seed):
     want = np.zeros((rows, d))
     np.add.at(want, np.asarray(idx, dtype=np.int64), g)
     assert a.grad.tobytes() == want.tobytes()
+
+
+def _masked_sigmoid(x):
+    """The sigmoid by boolean masks: each sign's branch on its own elements."""
+    pos = x >= 0
+    z = np.empty_like(x)
+    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    z[~pos] = e / (1.0 + e)
+    return z
+
+
+def _float_arrays(dtype):
+    bits = np.finfo(dtype).bits
+    elements = (st.floats(width=bits) | st.floats(-40.0, 40.0, width=bits)
+                | st.sampled_from([800.0, -800.0]))
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, max_side=8),
+                      elements=elements)
+
+
+def _special_floats(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, tiny, -tiny], dtype=dtype)
+
+
+@SETTINGS
+@given(st.sampled_from([np.float32, np.float64]).flatmap(_float_arrays))
+@example(_special_floats(np.float32))
+@example(_special_floats(np.float64))
+def test_sigmoid_equals_the_masked_form_bit_for_bit(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow, no invalid value
+        got = tg._sigmoid(x)
+    want = _masked_sigmoid(x)
+    assert got.dtype == x.dtype and got.shape == x.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    uint = np.uint32 if x.dtype == np.float32 else np.uint64
+    keep = ~np.isnan(want)
+    assert np.array_equal(got[keep].view(uint), want[keep].view(uint))
 
 
 HEAD_SLOTS = ("head_wh", "head_bh", "head_wo", "head_bo")
