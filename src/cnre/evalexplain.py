@@ -41,14 +41,8 @@ class MetricsReport:
     user_count: int
 
     def to_json_line(self):
-        payload = {
-            "ks": self.ks,
-            "hr": {str(k): v for k, v in self.hr.items()},
-            "ndcg": {str(k): v for k, v in self.ndcg.items()},
-            "group_metrics": self.group_metrics,
-            "path_fractions": self.path_fractions,
-            "user_count": self.user_count,
-        }
+        payload = {**vars(self), "hr": {str(k): v for k, v in self.hr.items()},
+                   "ndcg": {str(k): v for k, v in self.ndcg.items()}}
         return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
@@ -62,15 +56,8 @@ class ExplanationRecord:
     score: float
 
     def to_json_line(self):
-        payload = {
-            "user": self.user,
-            "item": self.item,
-            "flags": list(self.flags),
-            "path": self.path,
-            "steps": self.steps,
-            "score": self.score,
-        }
-        return json.dumps(payload, sort_keys=True, allow_nan=False)
+        # vars, not dataclasses.asdict: asdict deep-copies the steps first (4-6x slower)
+        return json.dumps(vars(self), sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_json_line(line):
@@ -240,10 +227,8 @@ def evaluate(model, split, ks=(10, 50)):
 
 def _trace_to_record(model, trace, u, i, score):
     ds = model.train_dataset
-    steps = [
-        {"step": "observe_chain", "flags": list(trace.flags)},
-        {"step": "dispatch", "path": trace.path.value},
-    ]
+    steps = [{"step": "observe_chain", "flags": list(trace.flags)},
+             {"step": "dispatch", "path": trace.path.value}]
     if trace.confidence is not None:
         steps.append({"step": "confidence", "value": trace.confidence,
                       "threshold": trace.threshold,
@@ -251,9 +236,7 @@ def _trace_to_record(model, trace, u, i, score):
     if trace.neighbor_ids is not None:
         steps.append({"step": "retrieve", "space": trace.space,
                       "neighbor_ids": [ds.decode_item(j) for j in trace.neighbor_ids]})
-    operator = {"collaborative": "neural_conjunction",
-                "semantic": "neural_disjunction"}.get(trace.space, "concatenation")
-    steps.append({"step": "operator", "name": operator,
+    steps.append({"step": "operator", "name": trace.operator_name,
                   "behavior": ds.spec.names[trace.behavior]})
     steps.append({"step": "predict", "score": score})
     return ExplanationRecord(user=ds.decode_user(u), item=ds.decode_item(i),
@@ -264,8 +247,7 @@ def _trace_to_record(model, trace, u, i, score):
 def explain(user_raw, item_raw, model, cascade=None, indices=None, code=None):
     """Reason once over a raw (user, item) pair, with chain code ``code`` if given."""
     ds = model.train_dataset
-    u = ds.encode_user(user_raw)
-    i = ds.encode_item(item_raw)
+    u, i = ds.encode_user(user_raw), ds.encode_item(item_raw)
     cascade, indices = _snapshot(model, cascade, indices)
     _, probs, traces = _ranked(model, np.array([u]), np.array([i]), cascade, indices,
                                codes=code)
@@ -279,10 +261,7 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     edges are untouched, only the code seen by the dispatcher changes.
     """
     ds = model.train_dataset
-    u = ds.encode_user(user_raw)
-    i = ds.encode_item(item_raw)
-    cascade, indices = _snapshot(model, cascade, indices)
-
+    u, i = ds.encode_user(user_raw), ds.encode_item(item_raw)
     code = int(ds.chain_codes([u], [i])[0])
     label = edit.drop if edit.drop is not None else edit.add
     if label not in ds.spec.names:
@@ -293,15 +272,13 @@ def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):
     if edit.add is not None and code & bit:
         raise dataio.InputError(f"cannot add already-present behavior '{label}'")
 
+    cascade, indices = _snapshot(model, cascade, indices)  # once the edit is known valid
     base = explain(user_raw, item_raw, model, cascade=cascade, indices=indices, code=code)
     edited = explain(user_raw, item_raw, model, cascade=cascade, indices=indices,
                      code=code ^ bit)
 
     def neighbors(rec):
-        for step in rec.steps:
-            if step["step"] == "retrieve":
-                return step["neighbor_ids"]
-        return None
+        return next((s["neighbor_ids"] for s in rec.steps if s["step"] == "retrieve"), None)
 
     diff = {
         "path_before": base.path,
@@ -345,10 +322,7 @@ def rows_to_tsv(rows):
     """Tab-separated rendering of sweep rows (plot-ready)."""
     if not rows:
         return ""
-    lines = []
-    keys = list(rows[0].keys())
-    lines.append("\t".join(keys))
-    for row in rows:
-        lines.append("\t".join(json.dumps(row[k]) if isinstance(row[k], (dict, list))
-                               else str(row[k]) for k in keys))
-    return "\n".join(lines) + "\n"
+    keys = list(rows[0])
+    lines = ("\t".join(json.dumps(row[k]) if isinstance(row[k], (dict, list)) else str(row[k])
+                       for k in keys) for row in rows)
+    return "\n".join(["\t".join(keys), *lines]) + "\n"

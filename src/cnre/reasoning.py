@@ -14,7 +14,11 @@ train edges only) is dispatched to exactly one preference strength:
     embeddings (needed to rank never-touched items).
 
 Every path emits a width-2d mediator for the shared prediction head and
-a trace recording each step of the dispatch.
+a trace recording each step of the dispatch. Each logic operator is one
+row of ``OPERATORS``, and ``index_keys`` reads off the dispatch table the
+retrieval indices a snapshot needs: at B behaviors, the disjunction's on
+behaviors 0 ... B-2 (weak pairs) and the conjunction's on 1 ... B-2
+(medium pairs, whose chain behavior is the highest of >= 2 set flags).
 
 ``reason_batch`` runs this process on a batch, routing pairs with
 ``route`` and scoring each (operator, behavior) group with one function:
@@ -66,8 +70,14 @@ class ReasoningTrace:
     behavior: int | None = None          # chain behavior whose embeddings were used
     confidence: float | None = None      # medium path only
     neighbor_ids: list | None = None     # retrieval paths only
-    space: str | None = None             # 'collaborative' | 'semantic'
+    space: str | None = None             # the retrieval operator's Operator.space
     mediator: np.ndarray | None = None
+
+    @property
+    def operator_name(self):
+        """The explanation's name of the operator that scored the pair."""
+        return next((op.explanation for op in OPERATORS.values() if op.space == self.space),
+                    "concatenation")
 
 
 def observe_chain(train, u, i):
@@ -120,9 +130,25 @@ PATHS = tuple(PreferenceStrength)  # path index -> strength
 _MEDIUM = PATHS.index(PreferenceStrength.MEDIUM)
 _WEAK = PATHS.index(PreferenceStrength.WEAK)
 _CONCAT, _CONJ, _DISJ = 0, 1, 2   # operator codes, in the order groups are stacked
-_SPACE_KEYS = {_CONJ: "col", _DISJ: "sem"}            # retrieval index per operator
-_SPACE_ATTRS = {_CONJ: "e_col_i", _DISJ: "e_sem_i"}   # its item space in a bundle
-_PREFIXES = {_CONJ: "conj", _DISJ: "disj"}            # its parameter slots
+
+
+class Operator(NamedTuple):
+    """What the reasoner, the model and the explanations read of one logic operator."""
+
+    name: str         # group (tape) op name
+    path: int         # index into PATHS of the pairs it scores
+    index_key: str    # its retrieval indices' key, beside the behavior
+    item_space: str   # its item space: a bundle attribute
+    prefix: str       # prefix of its four parameter slots
+    space: str        # ReasoningTrace.space of its pairs
+    explanation: str  # its name in an explanation record
+
+
+# operator code -> Operator, conjunction first (the order its slots are made in)
+OPERATORS = {_CONJ: Operator("conjunction", _MEDIUM, "col", "e_col_i", "conj", "collaborative",
+                             "neural_conjunction"),
+             _DISJ: Operator("disjunction", _WEAK, "sem", "e_sem_i", "disj", "semantic",
+                             "neural_disjunction")}
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,15 +165,25 @@ def dispatch_table(n_behaviors):
     Strong and default pairs use the target behavior's embeddings; medium
     and weak pairs use their chain behavior's.
     """
-    t_idx = n_behaviors - 1
-    paths, behaviors = [], []
-    for flags in flag_table(n_behaviors):
-        path = dispatch(flags)
-        paths.append(PATHS.index(path))
-        behaviors.append(chain_behavior(flags)
-                         if path in (PreferenceStrength.MEDIUM, PreferenceStrength.WEAK)
-                         else t_idx)
+    flags = flag_table(n_behaviors)
+    paths = [PATHS.index(dispatch(f)) for f in flags]
+    behaviors = [chain_behavior(f) if p in (_MEDIUM, _WEAK) else n_behaviors - 1
+                 for f, p in zip(flags, paths)]
     return np.array(paths, dtype=np.int64), np.array(behaviors, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _path_behaviors(n_behaviors, path):
+    """The sorted behaviors that the dispatch table gives some code of path."""
+    paths, behaviors = dispatch_table(n_behaviors)
+    return tuple(sorted(set(behaviors[paths == path].tolist())))
+
+
+def index_keys(n_behaviors):
+    """{(behavior, index key): operator code} of every index ``route`` can read: an
+    operator's behaviors are those the dispatch table gives the pairs of its path."""
+    return dict(sorted(((b, op.index_key), kind) for kind, op in OPERATORS.items()
+                       for b in _path_behaviors(n_behaviors, op.path)))
 
 
 def _pooling_matrix(hoods, n_items, dtype):
@@ -201,8 +237,10 @@ def route(users, items, train, gate_arrays, tau, codes=None,
     confidence = np.full(n, np.nan)
     if not disable_cnj:
         medium = np.flatnonzero(paths == _MEDIUM)
-        for b in np.unique(behaviors[medium]):
+        for b in _path_behaviors(len(train.spec), _MEDIUM):
             pos = medium[behaviors[medium] == b]
+            if not pos.size:
+                continue
             g = gate_arrays[b]
             # bitwise equal to the np.dot of the tests' oracle, test_reasoning.confidence_score
             dots = np.matmul(g["e_u"][users[pos], None, :], g["e_i"][items[pos], :, None])
@@ -219,8 +257,6 @@ class TraceSequence(Sequence):
     Holds plain arrays only (never a tensor), so keeping the sequence does
     not keep the batch's autodiff tape alive.
     """
-
-    _SPACES = {_CONJ: "collaborative", _DISJ: "semantic"}
 
     def __init__(self, r, neighbors, n_behaviors, tau, mediator):
         self._route = r
@@ -250,13 +286,13 @@ class TraceSequence(Sequence):
 
     def _build(self, k):
         r = self._route
-        conf = float(r.confidence[k])
+        conf, op = float(r.confidence[k]), OPERATORS.get(r.kinds[k])
         return ReasoningTrace(
             flags=self._flags[r.codes[k]], path=PATHS[r.paths[k]],
             threshold=self._tau, behavior=int(r.behaviors[k]),
             confidence=None if math.isnan(conf) else conf,
-            neighbor_ids=None if r.kinds[k] == _CONCAT else self._neighbors[k].tolist(),
-            space=self._SPACES.get(r.kinds[k]),
+            neighbor_ids=None if op is None else self._neighbors[k].tolist(),
+            space=None if op is None else op.space,
             mediator=np.array(self._mediator(k)))
 
 
@@ -278,8 +314,7 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     array, with no tape op. Either way traces is a TraceSequence of
     ReasoningTrace, built lazily.
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     n_b = len(train.spec)
     r = route(users, items, train, indices["gate"].per_behavior, tau, codes=codes,
               disable_rea=disable_rea, disable_cnj=disable_cnj, disable_dsj=disable_dsj)
@@ -293,7 +328,7 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
         if kind == _CONCAT:
             parts.append(concat_scores(users[pos], items[pos], b, cascade, params, tape))
             continue
-        index = indices[(b, _SPACE_KEYS[kind])]
+        index = indices[(b, OPERATORS[kind].index_key)]
         hoods = retrieval.neighbors(index, items[pos], n_c)
         if neighbors is None:  # every index of a snapshot has the same rows: one width
             neighbors = np.empty((len(items), hoods.shape[1]), dtype=np.int64)
@@ -350,9 +385,9 @@ class ItemTables:
         # plain arrays only: the tables never keep the cascade's tape alive
         self.user_rows = [b.e_u.data for b in cascade.per_behavior]
         self.item_rows = [b.e_i.data for b in cascade.per_behavior]
-        self.spaces = {(b, kind): getattr(bundle, attr).data
+        self.spaces = {(b, kind): getattr(bundle, op.item_space).data
                        for b, bundle in enumerate(cascade.per_behavior)
-                       for kind, attr in _SPACE_ATTRS.items()}
+                       for kind, op in OPERATORS.items()}
         self.d = self.user_rows[0].shape[1]
         self._tables = {}
         self._pooled = {}  # (kind, b, index, n_c) -> (rows, filled); holds the index itself
@@ -370,9 +405,8 @@ class ItemTables:
 
     def logic_items(self, kind, b):
         """(e_space @ W1[d:2d] + b1, e_space @ W1[2d:]) for one operator and behavior."""
-        prefix, space, d = _PREFIXES[kind], self.spaces[(b, kind)], self.d
-        w1 = self.params[f"{prefix}_w1"].data
-        b1 = self.params[f"{prefix}_b1"].data
+        prefix, space, d = OPERATORS[kind].prefix, self.spaces[(b, kind)], self.d
+        w1, b1 = (self.params[f"{prefix}_{k}"].data for k in ("w1", "b1"))
         return (self._table((prefix, b, "item"), lambda: space @ w1[d:2 * d] + b1),
                 self._table((prefix, b, "pool"), lambda: space @ w1[2 * d:]))
 
@@ -467,9 +501,6 @@ def concat_scores(users, items, b, cascade, params, tape=True):
     return _output(logits, "concatenation", (bundle.e_u, bundle.e_i, wh, bh, wo, bo), vjp, tape)
 
 
-_OPS = {_CONJ: "conjunction", _DISJ: "disjunction"}
-
-
 def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape=True):
     """Head logits (g x 1) and mediators (g x 2d) of one logic operator on behavior b.
 
@@ -484,9 +515,9 @@ def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape
     """
     tables = item_tables(cascade, params)
     bundle = cascade.per_behavior[b]
-    prefix = _PREFIXES[kind]
-    space = getattr(bundle, _SPACE_ATTRS[kind])
-    w1, b1, w2, b2 = (params[f"{prefix}_{k}"] for k in ("w1", "b1", "w2", "b2"))
+    op = OPERATORS[kind]
+    space = getattr(bundle, op.item_space)
+    w1, b1, w2, b2 = (params[f"{op.prefix}_{k}"] for k in ("w1", "b1", "w2", "b2"))
     wh, bh, wo, bo = (params[k] for k in _HEAD_SLOTS)
     d = tables.d
     w_user, w_item, w_pool = w1.data[:d], w1.data[d:2 * d], w1.data[2 * d:]
@@ -517,7 +548,7 @@ def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape
                 g_w1, g_first.sum(axis=0, keepdims=True), first.T @ g_med,
                 g_med.sum(axis=0, keepdims=True), med.T @ g_hidden,
                 g_hidden.sum(axis=0, keepdims=True), g_wo, g_bo)
-    out = _output(logits, _OPS[kind], (bundle.e_u, space, w1, b1, w2, b2, wh, bh, wo, bo),
+    out = _output(logits, op.name, (bundle.e_u, space, w1, b1, w2, b2, wh, bh, wo, bo),
                   vjp, tape)
     return out, med
 

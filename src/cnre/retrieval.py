@@ -116,7 +116,9 @@ def neighbors(index, items, n_c):
     if n_c not in index._neighbors:
         index._neighbors[n_c] = np.empty((n, min(n_c, n - 1)), np.int64), np.zeros(n, bool)
     ids, filled = index._neighbors[n_c]
-    todo = np.unique(items[~filled[items]])
+    todo = np.zeros(n, bool)  # sorted, distinct ids; numpy 2.4's np.unique hashes int keys
+    todo[items[~filled[items]]] = True
+    todo = np.flatnonzero(todo)
     if todo.size:
         ids[todo] = _nearest(index, index.space[todo], n_c, todo)
         filled[todo] = True

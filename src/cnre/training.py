@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -100,14 +101,9 @@ def multi_task_loss(per_behavior_bpr, l2_weight, store):
     """Sum of the per-behavior BPR terms plus L2 over every parameter slot."""
     if not per_behavior_bpr:
         raise ValueError("at least one BPR term required")
-    total = per_behavior_bpr[0]
-    for term in per_behavior_bpr[1:]:
-        total = tg.add(total, term)
+    total = functools.reduce(tg.add, per_behavior_bpr)
     if l2_weight > 0.0:
-        reg = None
-        for _, p in store.items():
-            sq = tg.l2_norm_sq(p)
-            reg = sq if reg is None else tg.add(reg, sq)
+        reg = functools.reduce(tg.add, (tg.l2_norm_sq(p) for _, p in store.items()))
         total = tg.add(total, tg.mul(tg.Tensor(np.array(l2_weight)), reg))
     return total
 
@@ -140,11 +136,11 @@ class CnreModel:
         for name in self.behavior_names:
             add(f"hyp_u_{name}", tg.xavier_uniform(rng, d, k))
             add(f"hyp_i_{name}", tg.xavier_uniform(rng, d, k))
-        for prefix in ("conj", "disj"):
-            add(f"{prefix}_w1", tg.xavier_uniform(rng, 3 * d, h))
-            add(f"{prefix}_b1", np.zeros((1, h)))
-            add(f"{prefix}_w2", tg.xavier_uniform(rng, h, 2 * d))
-            add(f"{prefix}_b2", np.zeros((1, 2 * d)))
+        for op in reasoning.OPERATORS.values():
+            add(f"{op.prefix}_w1", tg.xavier_uniform(rng, 3 * d, h))
+            add(f"{op.prefix}_b1", np.zeros((1, h)))
+            add(f"{op.prefix}_w2", tg.xavier_uniform(rng, h, 2 * d))
+            add(f"{op.prefix}_b2", np.zeros((1, 2 * d)))
         add("head_wh", tg.xavier_uniform(rng, 2 * d, d))
         add("head_bh", np.zeros((1, d)))
         add("head_wo", tg.xavier_uniform(rng, d, 1))
@@ -167,13 +163,14 @@ class CnreModel:
             disable_par=cfg.disable_par, disable_prj=cfg.disable_prj)
 
     def build_indices(self, cascade):
-        """A fresh retrieval index per auxiliary item space, keyed (behavior, "col" or
-        "sem"), and under "gate" the confidence gate's ``reasoning.GateSnapshot``."""
+        """Under "gate" cascade's ``reasoning.GateSnapshot``, and a fresh index over each
+        item space ``route`` can send a pair to, keyed as ``reasoning.index_keys``: the
+        conjunction's of behaviors 1 ... B-2 (medium pairs) and the disjunction's of
+        0 ... B-2 (weak pairs). Behavior 0's conjunction space is never read."""
         indices = {"gate": reasoning.GateSnapshot.from_cascade(cascade)}
-        for b in range(len(self.behavior_names) - 1):
-            bundle = cascade.per_behavior[b]
-            indices[(b, "col")] = retrieval.build_index(bundle.e_col_i.data)
-            indices[(b, "sem")] = retrieval.build_index(bundle.e_sem_i.data)
+        for (b, key), kind in reasoning.index_keys(len(self.behavior_names)).items():
+            space = getattr(cascade.per_behavior[b], reasoning.OPERATORS[kind].item_space)
+            indices[(b, key)] = retrieval.build_index(space.data)
         return indices
 
     def score(self, users, items, cascade, indices, codes=None, tape=True, params=None):
@@ -210,8 +207,7 @@ class CnreModel:
         reads the store.
         """
         params = self.store if params is None else params
-        terms = []
-        n_pairs = 0
+        terms, n_pairs = [], 0
         t_idx = len(self.behavior_names) - 1
         for b, triples in enumerate(per_behavior_triples):
             if not len(triples):
@@ -256,8 +252,7 @@ class CnreModel:
                 if m.nnz else np.empty((0, 3), dtype=np.int64)
                 for b, m in enumerate(ds.matrices)]
             n_steps = max(1, -(-max(len(t) for t in per_behavior) // cfg.batch_size))
-            epoch_loss = 0.0
-            epoch_pairs = 0
+            epoch_loss, epoch_pairs = 0.0, 0
             for step in range(n_steps):
                 lo, hi = step * cfg.batch_size, (step + 1) * cfg.batch_size
                 batch = [t[lo:hi] for t in per_behavior]
@@ -275,8 +270,7 @@ class CnreModel:
                 epoch_loss += loss.item()
                 epoch_pairs += n_pairs
                 del loss, cascade, params  # free this step's tape before the next cascade
-            mean_bpr = epoch_loss / max(epoch_pairs, 1)
-            history.append(mean_bpr)
+            history.append(epoch_loss / max(epoch_pairs, 1))
             if log is not None:
                 log(f"{epoch}\t{epoch_loss:.6f}\t{time.perf_counter() - t0:.3f}")
         return history
@@ -420,5 +414,4 @@ def load_checkpoint(path):
 def train(split, config, log=None):
     """Build a model on the train split and fit it; returns (model, ``fit``'s losses)."""
     model = CnreModel(split.train, config)
-    history = model.fit(log=log)
-    return model, history
+    return model, model.fit(log=log)

@@ -463,6 +463,18 @@ class TestCounterfactual:
                                        evalexplain.CounterfactualEdit(drop="buy"),
                                        model)
 
+    def test_invalid_edit_raises_before_any_snapshot(self, monkeypatch):
+        model, _ = _quick_model(epochs=0)
+        pair = _find_pair_with_flags(model, (1, 1, 0))
+
+        def cascade(*args, **kwargs):
+            raise AssertionError("a snapshot was built for an invalid edit")
+        monkeypatch.setattr(model, "cascade", cascade)
+        for edit in ({"drop": "wish"}, {"drop": "buy"}, {"add": "cart"}):
+            with pytest.raises(dataio.InputError):
+                evalexplain.counterfactual(pair[0], pair[1],
+                                           evalexplain.CounterfactualEdit(**edit), model)
+
     def test_disable_rea_reports_default_on_both_sides(self):
         model, _ = _quick_model(disable_rea=True)
         pair = _find_pair_with_flags(model, (1, 1, 0))

@@ -333,10 +333,10 @@ def test_pooled_rows_equal_one_batch_pooling_product(ds, data):
     model = training.CnreModel(ds, cfg)
     cascade = model.cascade()
     indices = model.build_indices(cascade)
-    kind = data.draw(st.sampled_from([reasoning._CONJ, reasoning._DISJ]))
-    b = data.draw(st.integers(0, len(ds.spec) - 2))
+    b, key = data.draw(st.sampled_from(sorted(k for k in indices if k != "gate")))
+    kind = reasoning.index_keys(len(ds.spec))[(b, key)]  # the operator that reads the index
     n_c = data.draw(st.integers(1, 4))
-    index = indices[(b, reasoning._SPACE_KEYS[kind])]
+    index = indices[(b, key)]
     n = ds.num_items
     tables = reasoning.ItemTables(cascade, model.store)
     pool_table = tables.logic_items(kind, b)[1]
@@ -373,15 +373,17 @@ def _reference_trace(u, i, ds, gate, cascade, indices, tau, n_c, code=None,
     if path in (P.MEDIUM, P.WEAK):
         t.behavior = b = reasoning.chain_behavior(flags)
         g, bundle = gate[b], cascade.per_behavior[b]
+        kind = None
         if path is P.MEDIUM and not disable_cnj:
             t.confidence = confidence_score(g["e_u"][u], g["e_i"][i])
             if t.confidence < tau:
-                t.space = "collaborative"
-                t.neighbor_ids = retrieval.query(indices[(b, "col")], bundle.e_col_i.data[i],
-                                                 n_c, exclude_id=i)
+                kind, t.space = reasoning._CONJ, "collaborative"
         elif path is P.WEAK and not disable_dsj:
-            t.space = "semantic"
-            t.neighbor_ids = retrieval.query(indices[(b, "sem")], bundle.e_sem_i.data[i],
+            kind, t.space = reasoning._DISJ, "semantic"
+        if kind is not None:  # the operator's index and item space, as build_indices keys them
+            op = reasoning.OPERATORS[kind]
+            t.neighbor_ids = retrieval.query(indices[(b, op.index_key)],
+                                             getattr(bundle, op.item_space).data[i],
                                              n_c, exclude_id=i)
     return t
 
@@ -647,8 +649,9 @@ def _check_reasoner_against_reference(ds, d, n_c, tau, ablation, codes, gated, t
                                     for _ in range(n_b)]) if gated else
             reasoning.GateSnapshot.from_cascade(_leaf_cascade(
                 [tg.Tensor(a) for a in arrays], n_b)))
-    indices = {(b, key): retrieval.build_index(arrays[4 * b + 2 + k])
-               for b in range(n_b - 1) for k, key in enumerate(("col", "sem"))}
+    indices = {(b, key): retrieval.build_index(
+        arrays[4 * b + SPACES.index(reasoning.OPERATORS[kind].item_space)])
+        for (b, key), kind in reasoning.index_keys(n_b).items()}
     indices["gate"] = gate
     users, pos, neg = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     users, items = np.concatenate([users, users]), np.concatenate([pos, neg])

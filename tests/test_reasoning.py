@@ -466,3 +466,41 @@ def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
         assert [t.neighbor_ids for t in traces] == [t.neighbor_ids for t in fresh_traces]
     hoods = [[t.neighbor_ids for t in traces] for _, traces in got]
     assert hoods[0] != hoods[1] and hoods[0] != hoods[2]
+
+
+def _chain_dataset(n_behaviors):
+    """3 users x 4 items under n_behaviors behaviors named b0, b1, ..., a few edges each."""
+    edges = [{(u, (u + k) % 4) for u in range(3)} for k in range(n_behaviors)]
+    return dataio.InteractionDataset.from_edges(
+        spec=dataio.BehaviorSpec(tuple(f"b{k}" for k in range(n_behaviors))),
+        num_users=3, num_items=4, per_behavior_edges=edges,
+        user_ids=[f"u{k}" for k in range(3)], item_ids=[f"i{k}" for k in range(4)])
+
+
+@pytest.mark.parametrize("n_behaviors", [2, 3, 4, 5])
+def test_built_indices_are_the_indices_route_reaches(n_behaviors):
+    """Every (behavior, index key) route gives a retrieval pair is built, and each built
+    index is reached by some chain code, ablation and gate outcome."""
+    ds = _chain_dataset(n_behaviors)
+    model = training.CnreModel(ds, training.TrainConfig(embedding_dim=4, hyperedges=2,
+                                                        epochs=0))
+    indices = model.build_indices(model.cascade())
+    built = set(indices) - {"gate"}
+    n_pairs = ds.num_users * ds.num_items
+    codes = np.repeat(np.arange(1 << n_behaviors), n_pairs)  # every code on every pair
+    users, items = np.divmod(np.tile(np.arange(n_pairs), 1 << n_behaviors), ds.num_items)
+    # a zero gate scores every medium pair 0.5: tau 0 sends them all to concatenation,
+    # tau 1 all to the conjunction (the cascade's own gate may saturate at 1.0)
+    gate = [{k: np.zeros_like(v) for k, v in g.items()} for g in indices["gate"].per_behavior]
+    reached = set()
+    for ablation in ({}, {"disable_rea": True}, {"disable_cnj": True}, {"disable_dsj": True}):
+        for tau in (0.0, 1.0):
+            r = reasoning.route(users, items, ds, gate, tau, codes=codes, **ablation)
+            logic = r.kinds != reasoning._CONCAT
+            keys = {(b, reasoning.OPERATORS[kind].index_key)
+                    for kind, b in zip(r.kinds[logic].tolist(), r.behaviors[logic].tolist())}
+            assert keys <= built
+            reached |= keys
+    assert reached == built
+    if n_behaviors == 3:
+        assert set(indices) == {"gate", (0, "sem"), (1, "col"), (1, "sem")}

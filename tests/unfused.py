@@ -152,9 +152,9 @@ def reason_batch(users, items, train, cascade, indices, params, tau, n_c=10, cod
         if kind == reasoning._CONCAT:
             parts.append(strong_mediator(e_u_rows, index_rows(bundle.e_i, items[pos])))
         else:
-            space = getattr(bundle, reasoning._SPACE_ATTRS[kind])
-            hoods = retrieval.neighbors(indices[(b, reasoning._SPACE_KEYS[kind])],
-                                        items[pos], n_c)
+            op = reasoning.OPERATORS[kind]
+            space = getattr(bundle, op.item_space)
+            hoods = retrieval.neighbors(indices[(b, op.index_key)], items[pos], n_c)
             pooled = spmm(pooling_matrix(hoods, train.num_items), space)
             mediator = conjunction_mediator if kind == reasoning._CONJ else disjunction_mediator
             parts.append(mediator(e_u_rows, index_rows(space, items[pos]), pooled, params))
