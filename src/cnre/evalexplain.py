@@ -11,11 +11,12 @@ Every read path (``rank_items``, ``evaluate``, ``explain`` and
 ``counterfactual``) scores pairs with ``CnreModel.score(tape=False)``:
 ``reasoning.reason_batch`` runs the same group scorers that training runs
 on the tape, with no tape op, and on the same slots gives the same logits
-bit for bit. It reads the float64 store (a training step reads float32
-casts of it). It scores on one snapshot: a cascade and its indices (the
+bit for bit. It scores on one snapshot: a cascade and its indices (the
 retrieval indices and confidence gate ``CnreModel.build_indices`` reads
-from it), given by the caller or built fresh. A fresh cascade runs on a
-no-grad view of the slots, so a call records no tape op.
+from it), given by the caller or built fresh. The scorers read the slots
+the cascade keeps: the float64 store's (a training step's are float32
+casts). A fresh cascade runs on, and keeps, a no-grad view of the store,
+so a call records no tape op.
 """
 
 from __future__ import annotations
@@ -92,13 +93,14 @@ def ndcg_at_k(rank, k):
 
 
 class _NoGradSlots(dict):
-    """The store's slots as no-grad tensors over the same arrays, so a cascade
-    over them records no tape. A slot is wrapped (and checked) when first read:
-    the scorers read the store, so their output checks still name their op."""
+    """The store's slots as no-grad tensors over the same arrays, with the store's
+    ``version``, so a cascade over them, and the scorers that read them from it,
+    record no tape. A slot is wrapped (and checked) when first read."""
 
     def __init__(self, store):
         super().__init__()
         self.store = store
+        self.version = store.version
 
     def __missing__(self, name):
         self[name] = slot = tg.Tensor(self.store[name].data, op=f"param:{name}")

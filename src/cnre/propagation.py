@@ -6,6 +6,8 @@ adaptive projection that calibrates semantic against collaborative
 signals, and the cascading aggregation that chains behaviors in order.
 Each graph is one weighted M x N CSR; its item side is the ``.T`` view.
 Every kernel is one ``tensorgrad.record`` op with a hand-written vjp.
+A cascade keeps per behavior only what the reasoner reads, and the slots
+it was computed from; other intermediates live on the tape, if there is one.
 """
 
 from __future__ import annotations
@@ -20,25 +22,21 @@ from . import tensorgrad as tg
 
 @dataclass
 class BehaviorEmbeddings:
-    """Per-behavior embedding bundle (users and items, width d)."""
+    """What the reasoner reads of one behavior: the aggregated users and items
+    (width d) and the item space of each logic operator (``reasoning.OPERATORS``)."""
 
-    e_col_u: tg.Tensor
-    e_col_i: tg.Tensor
-    e_sem_u: tg.Tensor
-    e_sem_i: tg.Tensor
-    e_hat_sem_u: tg.Tensor
-    e_hat_sem_i: tg.Tensor
     e_u: tg.Tensor
     e_i: tg.Tensor
+    e_col_i: tg.Tensor  # the conjunction's item space
+    e_sem_i: tg.Tensor  # the disjunction's item space
 
 
 @dataclass
 class CascadeState:
-    """All embedding bundles produced by one cascade forward pass."""
+    """The bundles of one cascade forward pass and the slots it was computed from."""
 
-    e_p_u: tg.Tensor
-    e_p_i: tg.Tensor
     per_behavior: list  # list[BehaviorEmbeddings], in cascade order
+    params: object      # the slot mapping the pass read; the scorers read theirs here too
     memo: dict = field(default_factory=dict, repr=False, compare=False)  # readers' derived arrays
 
 
@@ -143,24 +141,29 @@ def adaptive_project(e_col, e_sem, eps=1e-8):
     return tg.record(coef * c, "adaptive_project", (e_col, e_sem), vjp)
 
 
-def aggregate_behavior(e_prev, e_col, e_hat_sem):
-    """Elementwise sum of the upstream, collaborative and calibrated parts (one op)."""
-    return tg.record(e_prev.data + e_col.data + e_hat_sem.data, "aggregate_behavior",
-                     (e_prev, e_col, e_hat_sem), lambda g: (g, g, g))
+def aggregate_behavior(*parts):
+    """Elementwise sum of the parts, in order (one op): of the upstream, collaborative
+    and calibrated parts, those the ablation keeps."""
+    data = parts[0].data.copy()
+    for part in parts[1:]:
+        data += part.data
+    return tg.record(data, "aggregate_behavior", parts, lambda g: (g,) * len(parts))
 
 
 def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_counts,
                     disable_hpp=False, disable_par=False, disable_prj=False):
-    """Run the full propagation cascade and record every bundle.
+    """Run the full propagation cascade; returns its bundles with params.
 
     adjacencies: per-behavior normalized M x N CSR graphs in cascade order.
-    params: ParameterStore with 'base_user', 'base_item' and per-behavior
+    params: ParameterStore, or a mapping of its tensors by slot name with
+    its ``version``, with 'base_user', 'base_item' and per-behavior
     'hyp_u_<name>' / 'hyp_i_<name>' slots.
 
     Ablations: disable_hpp drops the intrinsic pass and cascading
     initialization (plain parallel encoders); disable_par drops the
-    hypergraph semantic branch; disable_prj feeds raw semantic embeddings
-    into the aggregation instead of projected ones.
+    hypergraph semantic branch (the disjunction then reads zero items);
+    disable_prj feeds raw semantic embeddings into the aggregation instead
+    of projected ones.
     """
     if len(adjacencies) != len(behavior_names) or len(layer_counts) != len(behavior_names):
         raise ValueError("adjacencies / layer_counts must align with behaviors")
@@ -168,47 +171,33 @@ def cascade_forward(adjacencies, unified_adj, params, behavior_names, layer_coun
     base_i = params["base_item"]
 
     if disable_hpp:
-        e_p_u, e_p_i = base_u, base_i
+        prev_u, prev_i = base_u, base_i
     else:
         # intrinsic pass over the union-of-behaviors graph reuses behavior 1's
         # layer count
-        e_p_u, e_p_i = lightgcn_propagate(unified_adj, base_u, base_i, layer_counts[0])
-
-    zeros_u = tg.Tensor(np.zeros_like(base_u.data))
-    zeros_i = tg.Tensor(np.zeros_like(base_i.data))
+        prev_u, prev_i = lightgcn_propagate(unified_adj, base_u, base_i, layer_counts[0])
+    if disable_par:
+        zeros_i = tg.Tensor(np.zeros_like(base_i.data))
 
     bundles = []
-    prev_u, prev_i = e_p_u, e_p_i
     for k, name in enumerate(behavior_names):
-        init_u = base_u if disable_hpp else prev_u
-        init_i = base_i if disable_hpp else prev_i
-        e_col_u, e_col_i = lightgcn_propagate(adjacencies[k], init_u, init_i, layer_counts[k])
-
+        e_col_u, e_col_i = lightgcn_propagate(adjacencies[k], prev_u, prev_i, layer_counts[k])
+        parts_u, parts_i = [e_col_u], [e_col_i]
         if disable_par:
-            e_sem_u, e_sem_i = zeros_u, zeros_i
-            e_hat_u, e_hat_i = zeros_u, zeros_i
+            e_sem_i = zeros_i
         else:
             h_u = hypergraph_incidence(e_col_u, params[f"hyp_u_{name}"])
             h_i = hypergraph_incidence(e_col_i, params[f"hyp_i_{name}"])
             e_sem_u = hypergraph_convolve(h_u, e_col_u)
             e_sem_i = hypergraph_convolve(h_i, e_col_i)
-            if disable_prj:
-                e_hat_u, e_hat_i = e_sem_u, e_sem_i
-            else:
-                e_hat_u = adaptive_project(e_col_u, e_sem_u)
-                e_hat_i = adaptive_project(e_col_i, e_sem_i)
+            parts_u.append(e_sem_u if disable_prj else adaptive_project(e_col_u, e_sem_u))
+            parts_i.append(e_sem_i if disable_prj else adaptive_project(e_col_i, e_sem_i))
 
-        up_u = zeros_u if disable_hpp else prev_u
-        up_i = zeros_i if disable_hpp else prev_i
-        e_u = aggregate_behavior(up_u, e_col_u, e_hat_u)
-        e_i = aggregate_behavior(up_i, e_col_i, e_hat_i)
+        if disable_hpp:
+            e_u, e_i = aggregate_behavior(*parts_u), aggregate_behavior(*parts_i)
+        else:  # cascading: the upstream part comes first, and the sum feeds the next behavior
+            e_u = prev_u = aggregate_behavior(prev_u, *parts_u)
+            e_i = prev_i = aggregate_behavior(prev_i, *parts_i)
+        bundles.append(BehaviorEmbeddings(e_u=e_u, e_i=e_i, e_col_i=e_col_i, e_sem_i=e_sem_i))
 
-        bundles.append(BehaviorEmbeddings(
-            e_col_u=e_col_u, e_col_i=e_col_i,
-            e_sem_u=e_sem_u, e_sem_i=e_sem_i,
-            e_hat_sem_u=e_hat_u, e_hat_sem_i=e_hat_i,
-            e_u=e_u, e_i=e_i,
-        ))
-        prev_u, prev_i = e_u, e_i
-
-    return CascadeState(e_p_u=e_p_u, e_p_i=e_p_i, per_behavior=bundles)
+    return CascadeState(per_behavior=bundles, params=params)

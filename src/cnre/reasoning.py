@@ -30,9 +30,10 @@ gathers and adds, plus the second operator layer on retrieval pairs. A
 retrieval pair's pooled neighbor term is an item table too, filled
 lazily per item. Training runs these functions on the tape, one op per
 group with a hand-written vjp; inference runs the same functions with no
-tape and, on the same slots, gets the same bits. They compute in the
-dtype of the slots and cascade they are given: a training step's float32
-casts (``tensorgrad.SlotCasts``) or the float64 store. The op-by-op
+tape and, on the same slots, gets the same bits. They read their slots
+where the cascade keeps the ones it was computed from, ``cascade.params``,
+so cascade and slots share one dtype: a training step's float32 casts
+(``tensorgrad.SlotCasts``), or the float64 store's values. The op-by-op
 composition they replace is the reference in the tests
 (``tests/unfused.py``).
 """
@@ -296,9 +297,8 @@ class TraceSequence(Sequence):
             mediator=np.array(self._mediator(k)))
 
 
-def reason_batch(users, items, train, cascade, indices, params, tau,
-                 n_c=10, disable_rea=False, disable_cnj=False,
-                 disable_dsj=False, codes=None, tape=True):
+def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea=False,
+                 disable_cnj=False, disable_dsj=False, codes=None, tape=True):
     """Route a batch of (u, i) pairs through the reasoner; returns (logits, traces).
 
     Each pair is dispatched by ``route``, whose confidence scores read the
@@ -326,18 +326,18 @@ def reason_batch(users, items, train, cascade, indices, params, tau,
     for pos in positions:
         kind, b = int(r.kinds[pos[0]]), int(r.behaviors[pos[0]])
         if kind == _CONCAT:
-            parts.append(concat_scores(users[pos], items[pos], b, cascade, params, tape))
+            parts.append(concat_scores(users[pos], items[pos], b, cascade, tape))
             continue
         index = indices[(b, OPERATORS[kind].index_key)]
         hoods = retrieval.neighbors(index, items[pos], n_c)
         if neighbors is None:  # every index of a snapshot has the same rows: one width
             neighbors = np.empty((len(items), hoods.shape[1]), dtype=np.int64)
         neighbors[pos] = hoods
-        logits, med = logic_scores(users[pos], items[pos], kind, b, cascade, params,
-                                   index, hoods, n_c, tape)
+        logits, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, hoods,
+                                   n_c, tape)
         parts.append(logits)
         retrieved.update(zip(pos.tolist(), med))
-    tables = item_tables(cascade, params)
+    tables = item_tables(cascade)
 
     def mediator(k):  # retrieval rows as computed; a concatenation is built on read
         row = retrieved.get(k)
@@ -363,7 +363,7 @@ def _relu(x):
 
 
 class ItemTables:
-    """Item tables of one snapshot: a cascade, and the parameters at one version.
+    """Item tables of one snapshot: a cascade, and its slots at one version.
 
     The head's first layer on a concatenation [e_u, e_i] splits into the
     user row e_u @ Wh[:d] + b_h, computed per scored user, and the item
@@ -379,9 +379,9 @@ class ItemTables:
     reaches the group's output, which is checked.
     """
 
-    def __init__(self, cascade, params):
-        self.params = params
-        self.version = params.version
+    def __init__(self, cascade):
+        self.params = cascade.params
+        self.version = self.params.version
         # plain arrays only: the tables never keep the cascade's tape alive
         self.user_rows = [b.e_u.data for b in cascade.per_behavior]
         self.item_rows = [b.e_i.data for b in cascade.per_behavior]
@@ -434,11 +434,11 @@ class ItemTables:
         return rows
 
 
-def item_tables(cascade, params):
-    """The snapshot's ItemTables, memoized on the cascade until a parameter write."""
+def item_tables(cascade):
+    """The snapshot's ItemTables, memoized on the cascade until a write to its slots."""
     tables = cascade.memo.get("item_tables")
-    if tables is None or tables.params is not params or tables.version != params.version:
-        tables = cascade.memo["item_tables"] = ItemTables(cascade, params)
+    if tables is None or tables.version != cascade.params.version:
+        tables = cascade.memo["item_tables"] = ItemTables(cascade)
     return tables
 
 
@@ -467,7 +467,7 @@ def _scatter_rows(g_rows, ids, weight, like):
     return g_table
 
 
-def concat_scores(users, items, b, cascade, params, tape=True):
+def concat_scores(users, items, b, cascade, tape=True):
     """Head logits (g x 1) of concatenations [e_u[u], e_i[i]] of behavior b's embeddings.
 
     The first layer of [e_u, e_i] @ W_h + b_h is (e_u[u] @ Wh[:d] + b_h) +
@@ -477,9 +477,9 @@ def concat_scores(users, items, b, cascade, params, tape=True):
     vjp returns the grads of the behavior's e_u and e_i, each scattered
     once, and of the four head slots.
     """
-    tables = item_tables(cascade, params)
+    tables = item_tables(cascade)
     bundle = cascade.per_behavior[b]
-    wh, bh, wo, bo = (params[k] for k in _HEAD_SLOTS)
+    wh, bh, wo, bo = (cascade.params[k] for k in _HEAD_SLOTS)
     d = tables.d
     w_user, w_item = wh.data[:d], wh.data[d:]
     user_ids, user_of = np.unique(users, return_inverse=True)
@@ -501,7 +501,7 @@ def concat_scores(users, items, b, cascade, params, tape=True):
     return _output(logits, "concatenation", (bundle.e_u, bundle.e_i, wh, bh, wo, bo), vjp, tape)
 
 
-def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape=True):
+def logic_scores(users, items, kind, b, cascade, index, hoods, n_c, tape=True):
     """Head logits (g x 1) and mediators (g x 2d) of one logic operator on behavior b.
 
     The operator's first layer on [e_u, e_space, S] sums the user row
@@ -513,7 +513,8 @@ def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape
     operator's item space (the items' own rows and their neighbors'), and
     of the operator's and the head's four slots.
     """
-    tables = item_tables(cascade, params)
+    tables = item_tables(cascade)
+    params = cascade.params
     bundle = cascade.per_behavior[b]
     op = OPERATORS[kind]
     space = getattr(bundle, op.item_space)
@@ -554,7 +555,10 @@ def logic_scores(users, items, kind, b, cascade, params, index, hoods, n_c, tape
 
 
 def reason(u, i, train, cascade, indices, params, tau, n_c=10, **flags):
-    """Single-pair wrapper around reason_batch: (1 x 2d mediator tensor, trace)."""
-    _, traces = reason_batch([u], [i], train, cascade, indices, params, tau, n_c=n_c,
-                             tape=False, **flags)
+    """Single-pair wrapper around reason_batch: (1 x 2d mediator tensor, trace).
+    The scorers read ``cascade.params``, so other params raise ValueError."""
+    if params is not cascade.params:
+        raise ValueError("params are not the slots the cascade was computed from")
+    _, traces = reason_batch([u], [i], train, cascade, indices, tau, n_c=n_c, tape=False,
+                             **flags)
     return tg.Tensor(traces[0].mediator[None, :]), traces[0]

@@ -151,9 +151,10 @@ class CnreModel:
 
         A behavior's bundle feeds only the behaviors after it, so the first
         n bundles are the same as those of the full cascade. It reads the
-        slots of params (the store by default) and runs over graphs, a
-        (per-behavior adjacencies, unified adjacency) pair (the model's own
-        float64 graphs by default).
+        slots of params (the store by default) and keeps them, as
+        ``cascade.params``, for the scorers that read it. It runs over
+        graphs, a (per-behavior adjacencies, unified adjacency) pair (the
+        model's own float64 graphs by default).
         """
         cfg = self.config
         adjacencies, unified_adj = graphs or (self.adjacencies, self.unified_adj)
@@ -173,16 +174,16 @@ class CnreModel:
             indices[(b, key)] = retrieval.build_index(space.data)
         return indices
 
-    def score(self, users, items, cascade, indices, codes=None, tape=True, params=None):
+    def score(self, users, items, cascade, indices, codes=None, tape=True):
         """Head logits and traces of a batch of pairs: ``reasoning.reason_batch``.
 
-        The scorers read the slots of params, the store by default, and the
-        confidence gate reads the snapshot in indices (``build_indices``).
+        The scorers read the slots the cascade was computed from
+        (``cascade.params``), and the confidence gate reads the snapshot in
+        indices (``build_indices``).
         """
         cfg = self.config
         return reasoning.reason_batch(
             users, items, self.train_dataset, cascade, indices,
-            self.store if params is None else params,
             cfg.tau, n_c=cfg.n_c, disable_rea=cfg.disable_rea,
             disable_cnj=cfg.disable_cnj, disable_dsj=cfg.disable_dsj,
             codes=codes, tape=tape)
@@ -193,7 +194,7 @@ class CnreModel:
         rows = [t.mediator for t in traces]
         return tg.Tensor(np.array(rows).reshape(len(rows), 2 * self.config.embedding_dim)), traces
 
-    def batch_loss(self, per_behavior_triples, cascade, indices, params=None):
+    def batch_loss(self, per_behavior_triples, cascade, indices):
         """Multi-task loss over one step's triples; returns (loss, n_pairs).
 
         Each task scores its positives and negatives in one call, so each
@@ -202,11 +203,10 @@ class CnreModel:
         concatenation head on its own behavior's embeddings. BPR margins use
         the head logits; the logistic squash would cap the achievable margin
         at 1 and stall the pairwise objective. The target task routes with
-        the gate in indices. The scorers read the slots of params (the store
-        by default), so the BPR terms follow their dtype; the L2 term always
-        reads the store.
+        the gate in indices. The scorers read the cascade's slots
+        (``cascade.params``), so the BPR terms follow their dtype; the L2 term
+        always reads the store.
         """
-        params = self.store if params is None else params
         terms, n_pairs = [], 0
         t_idx = len(self.behavior_names) - 1
         for b, triples in enumerate(per_behavior_triples):
@@ -214,8 +214,8 @@ class CnreModel:
                 continue
             users, pos, neg = np.asarray(triples, dtype=np.int64).T
             users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
-            y = (self.score(users, items, cascade, indices, params=params)[0]
-                 if b == t_idx else reasoning.concat_scores(users, items, b, cascade, params))
+            y = (self.score(users, items, cascade, indices)[0]
+                 if b == t_idx else reasoning.concat_scores(users, items, b, cascade))
             n = len(triples)
             terms.append(bpr_loss(tg.slice_rows(y, 0, n), tg.slice_rows(y, n, 2 * n)))
             n_pairs += n
@@ -259,17 +259,17 @@ class CnreModel:
                 if not any(len(t) for t in batch):
                     continue
                 last = max(b for b, t in enumerate(batch) if len(t))
-                params = tg.SlotCasts(self.store, np.float32)
-                cascade = self.cascade(None if step == 0 else last + 1, params, graphs)
+                cascade = self.cascade(None if step == 0 else last + 1,
+                                       tg.SlotCasts(self.store, np.float32), graphs)
                 if step == 0:  # the epoch's indices and gate, read from step 0's cascade
                     indices = self.build_indices(cascade)
-                loss, n_pairs = self.batch_loss(batch, cascade, indices, params=params)
+                loss, n_pairs = self.batch_loss(batch, cascade, indices)
                 self.store.zero_grad()
                 loss.backward()
                 self.store.adam_step(cfg.lr)
                 epoch_loss += loss.item()
                 epoch_pairs += n_pairs
-                del loss, cascade, params  # free this step's tape before the next cascade
+                del loss, cascade  # free this step's tape before the next cascade
             history.append(epoch_loss / max(epoch_pairs, 1))
             if log is not None:
                 log(f"{epoch}\t{epoch_loss:.6f}\t{time.perf_counter() - t0:.3f}")

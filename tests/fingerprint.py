@@ -2,6 +2,7 @@
 
     python tests/fingerprint.py --seed 3
     python tests/fingerprint.py --size tiny --seed 3
+    python tests/fingerprint.py --disable par --seed 3
 
 A change meant to keep behaviour bit-identical prints the same digests as
 its parent. The inputs are the benchmark's: bench/ is imported, never
@@ -28,9 +29,16 @@ written. The digests cover:
 second. The explain workload's files go to a temporary directory. The
 history is printed too, as a readable check. pytest does not collect
 this file.
+
+``--disable NAME`` (one of ABLATIONS) rebuilds the train workload's model
+from its config with ``disable_<NAME>`` set, and prints only the train
+workload's digests: history, ``fit``, ``evaluate`` and ``neighbors``. The
+explain workload's checkpoint is trained by bench code at the default
+config, so it has no ablated digest.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,13 +55,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import funnel  # noqa: E402
 import workloads  # noqa: E402
-from cnre import dataio, evalexplain, retrieval  # noqa: E402
+from cnre import dataio, evalexplain, retrieval, training  # noqa: E402
 
 TINY = workloads.Size(funnel.FunnelShape(60, 40, 6, 3, 2, 0.2), dim=8, hyperedges=4,
                       batch_size=64, eval_users=10)
 SIZES = {"bench": None, "tiny": TINY}  # None: each workload's own bench size
 EPOCHS = 2
 REQUESTS = 300
+ABLATIONS = ("hpp", "par", "prj", "rea", "cnj", "dsj")  # TrainConfig's disable_<name> flags
 
 
 def _line(h, payload):
@@ -71,11 +80,15 @@ def dataset_digest(datasets):
     return h.hexdigest()
 
 
-def train_digests(size, seed, workdir):
-    """(the built dataset, history, fit, evaluate and neighbors digests) on the train workload."""
+def train_digests(size, seed, workdir, disable=None):
+    """(the built dataset, history, fit, evaluate and neighbors digests) on the train
+    workload, with the model's disable_<disable> flag set if disable is given."""
     w = workloads.make("train", seed, workdir, size)
     dataset = dataio.build_dataset_from_pairs(w.pairs, dataio.BehaviorSpec(funnel.BEHAVIORS))
     w.setup()  # a model configured for one epoch per fit call, as the bench runs it
+    if disable is not None:
+        config = dataclasses.replace(w.model.config, **{f"disable_{disable}": True})
+        w.model = training.CnreModel(w.model.train_dataset, config)
     history = [loss for _ in range(EPOCHS) for loss in w.model.fit()]
     fit = hashlib.sha256()
     _line(fit, json.dumps([float.hex(loss) for loss in history]))
@@ -112,17 +125,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", choices=sorted(SIZES), default="bench")
     parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--disable", choices=ABLATIONS)
     args = parser.parse_args(argv)
     size = SIZES[args.size]
     with tempfile.TemporaryDirectory() as workdir:
-        train, history, fit, report, neighbors = train_digests(size, args.seed, workdir)
-        explain_train, explain = explain_digest(size, args.seed, workdir)
-    print("history", *history)
-    print("fit", fit)
-    print("evaluate", report)
-    print("neighbors", neighbors)
-    print("explain", explain)
-    print("dataset", dataset_digest([train, explain_train]))
+        train, history, fit, report, neighbors = train_digests(size, args.seed, workdir,
+                                                               args.disable)
+        lines = [("history", *history), ("fit", fit), ("evaluate", report),
+                 ("neighbors", neighbors)]
+        if args.disable is None:
+            explain_train, explain = explain_digest(size, args.seed, workdir)
+            lines += [("explain", explain), ("dataset", dataset_digest([train, explain_train]))]
+    for line in lines:
+        print(*line)
     return 0
 
 

@@ -109,10 +109,18 @@ class TestRankItems:
 
     @pytest.mark.parametrize("half", [0, 1])
     def test_nan_in_head_weight_raises(self, half):
-        """A NaN in the user half or the item half of W_h fails the scorer, naming its op."""
+        """A NaN in the user half or the item half of W_h fails the scorer, naming its op.
+
+        A fresh snapshot's scorers read the slots through its no-grad view,
+        which checks a slot when it wraps it, and so names the slot.
+        """
         model, _ = _quick_model()
+        cascade = model.cascade()
+        indices = model.build_indices(cascade)
         model.store["head_wh"].data[half * model.config.embedding_dim, 0] = np.nan
         with pytest.raises(tg.NonFiniteError, match="'concatenation'"):
+            evalexplain.rank_items(0, model, cascade=cascade, indices=indices)
+        with pytest.raises(tg.NonFiniteError, match="'param:head_wh'"):
             evalexplain.rank_items(0, model)
 
 

@@ -2,12 +2,14 @@
 
 import fingerprint
 
+TRAIN_LINES = ["history", "fit", "evaluate", "neighbors"]
 
-def _digests(capsys, seed):
-    assert fingerprint.main(["--size", "tiny", "--seed", str(seed)]) == 0
+
+def _digests(capsys, seed, *args):
+    assert fingerprint.main(["--size", "tiny", "--seed", str(seed), *args]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["history", "fit", "evaluate", "neighbors",
-                                                    "explain", "dataset"]
+    names = TRAIN_LINES + ([] if args else ["explain", "dataset"])
+    assert [line.split()[0] for line in lines] == names
     assert len(lines[0].split()) == 1 + fingerprint.EPOCHS
     assert all(len(line.split()[1]) == 64 for line in lines[1:])
     return lines
@@ -18,3 +20,11 @@ def test_two_runs_print_the_same_digests(capsys):
     assert _digests(capsys, 3) == first
     other = _digests(capsys, 4)
     assert all(a != b for a, b in zip(first, other))  # each digest reads its outputs
+
+
+def test_an_ablation_prints_its_train_digests(capsys):
+    default = dict(line.split(maxsplit=1) for line in _digests(capsys, 3))
+    ablated = dict(line.split(maxsplit=1) for line in _digests(capsys, 3, "--disable", "par"))
+    # no semantic branch: other trained slots, and a zero space for the disjunction's index
+    assert ablated["fit"] != default["fit"]
+    assert ablated["neighbors"] != default["neighbors"]

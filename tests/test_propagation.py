@@ -209,8 +209,13 @@ def test_fused_ops_reject_mismatched_shapes():
         propagation.adaptive_project(two, three)
 
 
-def _numpy_cascade(edges_by_b, base_u, base_i, w_hyp_u, w_hyp_i, layer_counts):
-    """Straight-numpy reimplementation of the full cascade for comparison."""
+def _numpy_cascade(edges_by_b, base_u, base_i, w_hyp_u, w_hyp_i, layer_counts,
+                   disable_hpp=False, disable_par=False, disable_prj=False):
+    """Straight-numpy reimplementation of the cascade under the given ablations.
+
+    Returns, per behavior, a dict of the arrays its bundle keeps: e_u, e_i,
+    e_col_i and e_sem_i.
+    """
     num_users, num_items = base_u.shape[0], base_i.shape[0]
 
     def norm_adj(edges):
@@ -233,22 +238,38 @@ def _numpy_cascade(edges_by_b, base_u, base_i, w_hyp_u, w_hyp_i, layer_counts):
             si = si + ci
         return su, si
 
+    def semantic(col, w):
+        h = col @ w
+        return h @ (h.T @ col) / (np.sum(h * h) + 1e-12)
+
+    def calibrated(col, sem):
+        if disable_prj:
+            return sem
+        return np.sum(col * sem, axis=1, keepdims=True) / (
+            np.sum(col * col, axis=1, keepdims=True) + 1e-8) * col
+
     union = set()
     for e in edges_by_b:
         union |= e
-    prev_u, prev_i = lightgcn(norm_adj(union), base_u, base_i, layer_counts[0])
+    if disable_hpp:  # parallel encoders: every behavior starts from the bases
+        prev_u, prev_i = base_u, base_i
+    else:
+        prev_u, prev_i = lightgcn(norm_adj(union), base_u, base_i, layer_counts[0])
+    bundles = []
     for k, edges in enumerate(edges_by_b):
         col_u, col_i = lightgcn(norm_adj(edges), prev_u, prev_i, layer_counts[k])
-        h_u, h_i = col_u @ w_hyp_u[k], col_i @ w_hyp_i[k]
-        sem_u = h_u @ (h_u.T @ col_u) / (np.sum(h_u * h_u) + 1e-12)
-        sem_i = h_i @ (h_i.T @ col_i) / (np.sum(h_i * h_i) + 1e-12)
-        coef_u = np.sum(col_u * sem_u, axis=1, keepdims=True) / (
-            np.sum(col_u * col_u, axis=1, keepdims=True) + 1e-8)
-        coef_i = np.sum(col_i * sem_i, axis=1, keepdims=True) / (
-            np.sum(col_i * col_i, axis=1, keepdims=True) + 1e-8)
-        prev_u = prev_u + col_u + coef_u * col_u
-        prev_i = prev_i + col_i + coef_i * col_i
-    return prev_u, prev_i
+        if disable_par:
+            sem_i = np.zeros_like(col_i)
+            e_u, e_i = col_u, col_i
+        else:
+            sem_u, sem_i = semantic(col_u, w_hyp_u[k]), semantic(col_i, w_hyp_i[k])
+            e_u = col_u + calibrated(col_u, sem_u)
+            e_i = col_i + calibrated(col_i, sem_i)
+        if not disable_hpp:  # cascading: each behavior adds the one before it
+            e_u, e_i = prev_u + e_u, prev_i + e_i
+            prev_u, prev_i = e_u, e_i
+        bundles.append({"e_u": e_u, "e_i": e_i, "e_col_i": col_i, "e_sem_i": sem_i})
+    return bundles
 
 
 class TestCascade:
@@ -272,16 +293,21 @@ class TestCascade:
         uni = _adjacency(union, num_users, num_items)
         return edges, store, names, adjs, uni, w_u, w_i
 
-    def test_matches_numpy_reimplementation(self):
+    def _assert_matches_numpy(self, counts, **ablation):
+        """Every behavior's e_u, e_i, e_col_i and e_sem_i against _numpy_cascade."""
         edges, store, names, adjs, uni, w_u, w_i = self._setup()
-        counts = [1, 1, 2]
-        state = propagation.cascade_forward(adjs, uni, store, names, counts)
-        want_u, want_i = _numpy_cascade(
-            edges, store["base_user"].data, store["base_item"].data,
-            w_u, w_i, counts)
-        last = state.per_behavior[-1]
-        np.testing.assert_allclose(last.e_u.data, want_u, atol=1e-10)
-        np.testing.assert_allclose(last.e_i.data, want_i, atol=1e-10)
+        state = propagation.cascade_forward(adjs, uni, store, names, counts, **ablation)
+        want = _numpy_cascade(edges, store["base_user"].data, store["base_item"].data,
+                              w_u, w_i, counts, **ablation)
+        assert state.params is store
+        assert len(state.per_behavior) == len(want)
+        for got, arrays in zip(state.per_behavior, want):
+            assert [f.name for f in dataclasses.fields(got)] == list(arrays)
+            for name, array in arrays.items():
+                np.testing.assert_allclose(getattr(got, name).data, array, atol=1e-10)
+
+    def test_matches_numpy_reimplementation(self):
+        self._assert_matches_numpy([1, 1, 2])
 
     def test_bundles_recorded_per_behavior(self):
         _, store, names, adjs, uni, _, _ = self._setup()
@@ -292,30 +318,15 @@ class TestCascade:
             assert b.e_i.shape == store["base_item"].data.shape
 
     def test_disable_par_zeroes_semantic_branch(self):
-        _, store, names, adjs, uni, _, _ = self._setup()
-        state = propagation.cascade_forward(adjs, uni, store, names, [1, 1, 1],
-                                            disable_par=True)
-        for b in state.per_behavior:
-            assert not np.any(b.e_sem_u.data)
-            assert not np.any(b.e_hat_sem_i.data)
+        # no semantic part in the sum, and the disjunction's item space is zero
+        self._assert_matches_numpy([1, 1, 2], disable_par=True)
 
     def test_disable_hpp_uses_parallel_encoders(self):
-        _, store, names, adjs, uni, _, _ = self._setup()
-        state = propagation.cascade_forward(adjs, uni, store, names, [1, 1, 1],
-                                            disable_hpp=True)
-        # no intrinsic pass: the pre-cascade embeddings are the raw bases
-        np.testing.assert_array_equal(state.e_p_u.data, store["base_user"].data)
-        # each behavior's aggregation omits the upstream term
-        first = state.per_behavior[0]
-        np.testing.assert_allclose(
-            first.e_u.data, first.e_col_u.data + first.e_hat_sem_u.data, atol=1e-12)
+        # no intrinsic pass or upstream term: each behavior encodes the bases
+        self._assert_matches_numpy([1, 1, 2], disable_hpp=True)
 
     def test_disable_prj_feeds_raw_semantic(self):
-        _, store, names, adjs, uni, _, _ = self._setup()
-        state = propagation.cascade_forward(adjs, uni, store, names, [1, 1, 1],
-                                            disable_prj=True)
-        for b in state.per_behavior:
-            np.testing.assert_array_equal(b.e_hat_sem_u.data, b.e_sem_u.data)
+        self._assert_matches_numpy([1, 1, 2], disable_prj=True)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**16), st.integers(1, 3),
@@ -330,8 +341,6 @@ class TestCascade:
         part = propagation.cascade_forward(adjs[:n], uni, store, names[:n], counts[:n],
                                            **ablation)
         assert len(part.per_behavior) == n
-        np.testing.assert_array_equal(part.e_p_u.data, full.e_p_u.data)
-        np.testing.assert_array_equal(part.e_p_i.data, full.e_p_i.data)
         for got, want in zip(part.per_behavior, full.per_behavior):
             for f in dataclasses.fields(got):
                 np.testing.assert_array_equal(getattr(got, f.name).data,

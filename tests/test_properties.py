@@ -338,7 +338,7 @@ def test_pooled_rows_equal_one_batch_pooling_product(ds, data):
     n_c = data.draw(st.integers(1, 4))
     index = indices[(b, key)]
     n = ds.num_items
-    tables = reasoning.ItemTables(cascade, model.store)
+    tables = reasoning.ItemTables(cascade)
     pool_table = tables.logic_items(kind, b)[1]
     hoods = retrieval.neighbors(index, range(n), n_c)
     want = reasoning._pooling_matrix(hoods, n, pool_table.dtype) @ pool_table
@@ -414,14 +414,14 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
     # the gate the indices hold must read the cascade they were built from
     gate_arrays = [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior]
 
-    logits, traces = reasoning.reason_batch(users, items, ds, cascade, indices,
-                                            model.store, tau, codes=codes, tape=False, **kw)
+    logits, traces = reasoning.reason_batch(users, items, ds, cascade, indices, tau,
+                                            codes=codes, tape=False, **kw)
     assert len(traces) == n and len(list(traces)) == n
     assert not any(isinstance(v, tg.Tensor) for v in vars(traces).values())
     for p in range(n):
         u, i = int(users[p]), int(items[p])
-        logit1, traces1 = reasoning.reason_batch([u], [i], ds, cascade, indices, model.store,
-                                                 tau, codes=pair_codes[p], tape=False, **kw)
+        logit1, traces1 = reasoning.reason_batch([u], [i], ds, cascade, indices, tau,
+                                                 codes=pair_codes[p], tape=False, **kw)
         assert abs(logits[p] - logit1[0]) <= 1e-12
         assert _trace_fields(traces[p]) == _trace_fields(traces1[0])
         want = _reference_trace(u, i, ds, gate_arrays, cascade, indices, tau, cfg.n_c,
@@ -580,9 +580,9 @@ class _Params(dict):
     version = 0
 
 
-def _leaf_cascade(leaves, n_b):
-    """A cascade whose bundles hold the given tensors, SPACES per behavior."""
-    return SimpleNamespace(memo={}, per_behavior=[
+def _leaf_cascade(leaves, n_b, params=None):
+    """A cascade whose bundles hold the given tensors, SPACES per behavior, and params."""
+    return SimpleNamespace(memo={}, params=params, per_behavior=[
         SimpleNamespace(**dict(zip(SPACES, leaves[4 * b:4 * b + 4]))) for b in range(n_b)])
 
 
@@ -616,8 +616,8 @@ def test_fused_auxiliary_head_matches_op_by_op_head(d, triples, shared, seed):
         users, items = np.concatenate([users, users]), np.concatenate([pos, neg])
 
     def fused(e_u, e_i, *head):
-        cascade = _leaf_cascade([e_u, e_i, e_i, e_i], 1)
-        return reasoning.concat_scores(users, items, 0, cascade, _Params(zip(HEAD_SLOTS, head)))
+        cascade = _leaf_cascade([e_u, e_i, e_i, e_i], 1, _Params(zip(HEAD_SLOTS, head)))
+        return reasoning.concat_scores(users, items, 0, cascade)
 
     def reference(e_u, e_i, *head):
         med = unfused.strong_mediator(unfused.index_rows(e_u, users),
@@ -658,9 +658,8 @@ def _check_reasoner_against_reference(ds, d, n_c, tau, ablation, codes, gated, t
     kw = dict(n_c=n_c, codes=codes, **ablation)
 
     def fused(*leaves):
-        params = _Params(zip(SLOTS, leaves[4 * n_b:]))
-        return reasoning.reason_batch(users, items, ds, _leaf_cascade(leaves, n_b), indices,
-                                      params, tau, **kw)[0]
+        cascade = _leaf_cascade(leaves, n_b, _Params(zip(SLOTS, leaves[4 * n_b:])))
+        return reasoning.reason_batch(users, items, ds, cascade, indices, tau, **kw)[0]
 
     def reference(*leaves):
         params = dict(zip(SLOTS, leaves[4 * n_b:]))
@@ -745,8 +744,8 @@ def test_scorer_matches_tape_reasoner_and_head(ds, data):
     want_logits, med = unfused.reason_batch(users, items, ds, cascade, indices, model.store,
                                             tau, **kw)
     want_logits = want_logits.data[:, 0]
-    logits, got = reasoning.reason_batch(users, items, ds, cascade, indices, model.store, tau,
-                                         tape=False, **kw)
+    logits, got = reasoning.reason_batch(users, items, ds, cascade, indices, tau, tape=False,
+                                         **kw)
     _assert_close_to_scale(logits, want_logits)
     np.testing.assert_array_equal(np.lexsort((items, -logits)),
                                   np.lexsort((items, -want_logits)))
@@ -766,10 +765,10 @@ def test_tape_and_no_tape_logits_are_the_same_bits(ds, data):
     tau = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
     users, items, codes = _drawn_batch(ds, data)
     kw = dict(n_c=model.config.n_c, codes=codes, **ablation)
-    taped, taped_traces = reasoning.reason_batch(users, items, ds, cascade, indices,
-                                                 model.store, tau, **kw)
-    plain, traces = reasoning.reason_batch(users, items, ds, cascade, indices, model.store,
-                                           tau, tape=False, **kw)
+    taped, taped_traces = reasoning.reason_batch(users, items, ds, cascade, indices, tau,
+                                                 **kw)
+    plain, traces = reasoning.reason_batch(users, items, ds, cascade, indices, tau,
+                                           tape=False, **kw)
     assert taped.data.shape == (len(users), 1)
     assert taped.data[:, 0].tobytes() == plain.tobytes()
     for p in range(len(users)):

@@ -1,12 +1,14 @@
 """Dispatch, logic-operator and trace tests for the three-path reasoner."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnre import dataio, reasoning, retrieval, tensorgrad as tg, training
+from cnre import (dataio, evalexplain, propagation, reasoning, retrieval, tensorgrad as tg,
+                  training)
 from cnre.reasoning import PreferenceStrength as P
 from cnre.synthetic import make_planted_dataset
 
@@ -168,6 +170,15 @@ class TestReasonBatch:
             assert trace.path == traces[k].path
             assert trace.neighbor_ids == traces[k].neighbor_ids
 
+    def test_reason_rejects_slots_that_are_not_its_cascades(self):
+        """The scorers read cascade.params, so reason takes no other slots."""
+        train, model, cascade, indices = _trained_bits()
+        casts = tg.SlotCasts(model.store, np.float64)  # the same values, another mapping
+        for params in (casts, evalexplain._NoGradSlots(model.store), {}):
+            with pytest.raises(ValueError, match="not the slots the cascade"):
+                reasoning.reason(0, 0, train, cascade, indices, params, model.config.tau)
+        reasoning.reason(0, 0, train, cascade, indices, model.store, model.config.tau)
+
     def test_empty_batch_in_both_modes(self):
         train, model, cascade, indices = _trained_bits()
         none = np.array([], dtype=np.int64)
@@ -311,8 +322,8 @@ class TestReasonBatch:
 def _retrieval_mediators_match_operators(train, model, cascade, indices, tau):
     """Each retrieval pair's mediator is its operator on (e_u, e_space row, neighbor mean)."""
     users, items = np.divmod(np.arange(train.num_users * train.num_items), train.num_items)
-    _, traces = reasoning.reason_batch(users, items, train, cascade, indices,
-                                       model.store, tau, n_c=model.config.n_c, tape=False)
+    _, traces = reasoning.reason_batch(users, items, train, cascade, indices, tau,
+                                       n_c=model.config.n_c, tape=False)
     checked = set()
     for p, trace in enumerate(traces):
         if trace.neighbor_ids is None:
@@ -451,8 +462,8 @@ def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
     tau, n_c = 1.0, model.config.n_c  # tau = 1 sends every medium pair to the conjunction
 
     def scored(idx, n_c=n_c):
-        return reasoning.reason_batch(users, items, train, cascade, idx, model.store, tau,
-                                      n_c=n_c, tape=False)
+        return reasoning.reason_batch(users, items, train, cascade, idx, tau, n_c=n_c,
+                                      tape=False)
 
     runs = [(indices, n_c), (other, n_c), (indices, n_c - 1), (other, n_c - 1)]
     got = [scored(idx, k) for idx, k in runs]
@@ -466,6 +477,16 @@ def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
         assert [t.neighbor_ids for t in traces] == [t.neighbor_ids for t in fresh_traces]
     hoods = [[t.neighbor_ids for t in traces] for _, traces in got]
     assert hoods[0] != hoods[1] and hoods[0] != hoods[2]
+
+
+def test_a_cascade_keeps_what_the_reasoner_reads_and_its_slots():
+    """Each bundle holds e_u, e_i and each operator's item space; the cascade its slots."""
+    _, model, cascade, _ = _trained_bits()
+    spaces = ["e_u", "e_i", *(op.item_space for op in reasoning.OPERATORS.values())]
+    assert [f.name for f in dataclasses.fields(propagation.BehaviorEmbeddings)] == spaces
+    assert [f.name for f in dataclasses.fields(propagation.CascadeState)] == [
+        "per_behavior", "params", "memo"]
+    assert cascade.params is model.store
 
 
 def _chain_dataset(n_behaviors):

@@ -113,7 +113,7 @@ def test_auxiliary_score_compositional_identity():
     model, _ = training.train(split, cfg)
     cascade = model.cascade()
     users, items = np.array([0, 3, 7]), np.array([1, 4, 2])
-    got = reasoning.concat_scores(users, items, 0, cascade, model.store).data
+    got = reasoning.concat_scores(users, items, 0, cascade).data
     bundle = cascade.per_behavior[0]
     med = unfused.strong_mediator(unfused.index_rows(bundle.e_u, users),
                                   unfused.index_rows(bundle.e_i, items))
@@ -198,8 +198,7 @@ def test_nan_in_a_float32_cast_raises_naming_the_group_op(slot, code, op, tape):
     indices = model.build_indices(cascade)
     casts[slot].data[0, 0] = np.nan
     with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
-        model.score(np.arange(4), np.arange(4), cascade, indices, codes=code, tape=tape,
-                    params=casts)
+        model.score(np.arange(4), np.arange(4), cascade, indices, codes=code, tape=tape)
 
 
 def _mixed_model(**kw):
@@ -263,9 +262,9 @@ class TestMixedPrecision:
         loss64.backward()
         grads64 = {name: p.grad for name, p in model.store.items()}
         model.store.zero_grad()
-        casts = tg.SlotCasts(model.store, np.float32)
-        loss32, _ = model.batch_loss(batch, model.cascade(None, casts, _float32_graphs(model)),
-                                     indices, params=casts)
+        cascade32 = model.cascade(None, tg.SlotCasts(model.store, np.float32),
+                                  _float32_graphs(model))
+        loss32, _ = model.batch_loss(batch, cascade32, indices)
         loss32.backward()
         assert loss64.data.dtype == loss32.data.dtype == np.float64  # the L2 term is float64
         np.testing.assert_allclose(loss32.item(), loss64.item(), rtol=1e-6)
