@@ -116,18 +116,6 @@ def _snapshot(model, cascade, indices):
     return cascade, indices
 
 
-def _ranked(model, users, items, cascade, indices, codes=None):
-    """Score a batch of pairs with no tape; returns (order, probabilities, traces).
-
-    ``order`` sorts the pairs by descending logit, ties broken by ascending
-    item. Rankings sort on the logits: the logistic saturates to exactly 1.0
-    in float once logits are large, which would collapse well-separated
-    pairs into ties.
-    """
-    logits, traces = model.score(users, items, cascade, indices, codes=codes, tape=False)
-    return np.lexsort((items, -logits)), tg._sigmoid(logits), traces
-
-
 def _unowned_items(ds, u):
     """Ascending items that user u has no train-target edge with."""
     keep = np.ones(ds.num_items, dtype=bool)
@@ -138,16 +126,20 @@ def _unowned_items(ds, u):
 def rank_items(u, model, candidates=None, cascade=None, indices=None):
     """Score and sort candidates for one user.
 
-    Returns [(item, score, path_label)] sorted by descending score, ties
-    broken by ascending item index. Candidates default to all items minus
-    the user's train-target items.
+    Returns [(item, score, path_label)] sorted by descending logit, ties
+    broken by ascending item index; the score is the logit's probability.
+    The sort reads the logits: the logistic saturates to exactly 1.0 in
+    float once logits are large, which would collapse well-separated pairs
+    into ties. Candidates default to all items minus the user's
+    train-target items.
     """
     cascade, indices = _snapshot(model, cascade, indices)
     candidates = (_unowned_items(model.train_dataset, u) if candidates is None
                   else np.asarray(list(candidates), dtype=np.int64))
     users = np.full(candidates.shape[0], u, dtype=np.int64)
-    order, probs, traces = _ranked(model, users, candidates, cascade, indices)
-    return list(zip(candidates[order].tolist(), probs[order].tolist(),
+    logits, traces = model.score(users, candidates, cascade, indices, tape=False)
+    order = np.lexsort((candidates, -logits))
+    return list(zip(candidates[order].tolist(), tg._sigmoid(logits)[order].tolist(),
                     traces.path_labels()[order].tolist()))
 
 
@@ -200,7 +192,11 @@ def evaluate(model, split, ks=(10, 50)):
         start = 0
         for u, items in zip(batch, cands):
             seg = logits[start:start + items.shape[0]]
-            k = np.flatnonzero(items == split.test_positives[u])[0]  # IndexError if not a candidate
+            hit = np.flatnonzero(items == split.test_positives[u])
+            if not hit.size:
+                raise IndexError(f"user {u}'s held-out item {split.test_positives[u]} is not "
+                                 "a candidate (an item the user has no train-target edge with)")
+            k = hit[0]
             rank = 1 + np.count_nonzero(seg > seg[k]) + np.count_nonzero(seg[:k] == seg[k])
             results[u] = int(rank), str(labels[start + k])
             start += items.shape[0]
@@ -251,9 +247,9 @@ def explain(user_raw, item_raw, model, cascade=None, indices=None, code=None):
     ds = model.train_dataset
     u, i = ds.encode_user(user_raw), ds.encode_item(item_raw)
     cascade, indices = _snapshot(model, cascade, indices)
-    _, probs, traces = _ranked(model, np.array([u]), np.array([i]), cascade, indices,
-                               codes=code)
-    return _trace_to_record(model, traces[0], u, i, float(probs[0]))
+    logits, (trace,) = model.score(np.array([u]), np.array([i]), cascade, indices, codes=code,
+                                   tape=False)
+    return _trace_to_record(model, trace, u, i, float(tg._sigmoid(logits)[0]))
 
 
 def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):

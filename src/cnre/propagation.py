@@ -55,46 +55,44 @@ def lightgcn_propagate(adj, e0_u, e0_i, layers):
     """Alternating user<->item aggregation, layer-0 included in the sum.
 
     adj is the M x N graph and adj.T its item side. One op per side: the
-    layer sum is linear in (e0_u, e0_i) and the graph is symmetric, so a
-    side's vjp is the same alternating chain run from that side's grad:
-    ``layers`` spmm calls per side, as many as the forward pass makes.
+    layer sum is linear in (e0_u, e0_i) and its own adjoint (the graph is
+    symmetric), so a side's vjp is the same layer sum (``_layer_sums``) run
+    from that side's grad and zero on the other: ``layers`` spmm calls per
+    side, as many as the forward pass makes.
     """
     if layers < 0:
         raise ValueError("layer count must be >= 0")
     if layers == 0:
         return e0_u, e0_i
-    ui, iu = adj, adj.T
-    cur_u, cur_i = e0_u.data, e0_i.data
-    if ui.shape != (len(cur_u), len(cur_i)):
-        raise tg.ShapeError(f"lightgcn_propagate: {ui.shape} graph, {len(cur_u)} x "
-                            f"{len(cur_i)} embedding rows")
-    sum_u, sum_i = cur_u.copy(), cur_i.copy()
-    for _ in range(layers):
-        cur_u, cur_i = ui @ cur_i, iu @ cur_u
-        sum_u += cur_u
-        sum_i += cur_i
+    if adj.shape != (len(e0_u.data), len(e0_i.data)):
+        raise tg.ShapeError(f"lightgcn_propagate: {adj.shape} graph, {len(e0_u.data)} x "
+                            f"{len(e0_i.data)} embedding rows")
+    sum_u, sum_i = _layer_sums(adj, e0_u.data, e0_i.data, layers)
     inputs = (e0_u, e0_i)
     return (tg.record(sum_u, "lightgcn_propagate", inputs,
-                      lambda g: _layer_sum_vjp(g, iu, ui, layers)),
+                      lambda g: _layer_sums(adj, g, None, layers)),
             tg.record(sum_i, "lightgcn_propagate", inputs,
-                      lambda g: _layer_sum_vjp(g, ui, iu, layers)[::-1]))
+                      lambda g: _layer_sums(adj, None, g, layers)))
 
 
-def _layer_sum_vjp(g, first, second, layers):
-    """(own side, other side) grads of one side's layer sum, given its grad g.
+def _layer_sums(adj, x_u, x_i, layers):
+    """(user, item) sums of layers 0 ... layers of the alternating chain from (x_u, x_i).
 
-    The chain from (g, 0) alternates sides, so each step is one spmm that
-    adds to one grad: the 1st, 3rd, ... steps land on the other side, the
-    2nd, 4th, ... back on this side.
+    A side given as None is zero: it makes no spmm, and its sum is None until
+    the chain reaches it. Sums add out of place, so x_u and x_i are never written.
     """
-    own, other, cur = g, None, g
-    for k in range(layers):
-        cur = (second if k % 2 else first) @ cur
-        if k % 2:
-            own = own + cur
-        else:
-            other = cur if other is None else other + cur
-    return own, other
+    iu = adj.T
+    sum_u, sum_i, cur_u, cur_i = x_u, x_i, x_u, x_i
+    for _ in range(layers):
+        cur_u, cur_i = (None if cur_i is None else adj @ cur_i,
+                        None if cur_u is None else iu @ cur_u)
+        sum_u, sum_i = _plus(sum_u, cur_u), _plus(sum_i, cur_i)
+    return sum_u, sum_i
+
+
+def _plus(a, b):
+    """a + b, where None is zero."""
+    return a if b is None else b if a is None else a + b
 
 
 def hypergraph_incidence(e_col, w_hyp):

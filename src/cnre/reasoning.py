@@ -253,7 +253,7 @@ def route(users, items, train, gate_arrays, tau, codes=None,
 
 
 class TraceSequence(Sequence):
-    """The ReasoningTrace of each pair in a batch, built on first access.
+    """The ReasoningTrace of each pair in a batch, built each time it is read.
 
     Holds plain arrays only (never a tensor), so keeping the sequence does
     not keep the batch's autodiff tape alive.
@@ -265,7 +265,6 @@ class TraceSequence(Sequence):
         self._flags = flag_table(n_behaviors)
         self._tau = tau
         self._mediator = mediator      # position -> mediator row; rows are copied on read
-        self._cache = {}
 
     def __len__(self):
         return self._route.codes.shape[0]
@@ -280,12 +279,6 @@ class TraceSequence(Sequence):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError("trace index out of range")
-        trace = self._cache.get(k)
-        if trace is None:
-            trace = self._cache[k] = self._build(k)
-        return trace
-
-    def _build(self, k):
         r = self._route
         conf, op = float(r.confidence[k]), OPERATORS.get(r.kinds[k])
         return ReasoningTrace(
@@ -334,7 +327,7 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
             neighbors = np.empty((len(items), hoods.shape[1]), dtype=np.int64)
         neighbors[pos] = hoods
         logits, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, hoods,
-                                   n_c, tape)
+                                   tape)
         parts.append(logits)
         retrieved.update(zip(pos.tolist(), med))
     tables = item_tables(cascade)
@@ -373,10 +366,11 @@ class ItemTables:
     where P_i averages item i's neighbor rows (so P_i @ e_space is S). The
     pooled rows depend on the parameters as well as on the index's id table
     (``retrieval.neighbors``): one N x 2d table per (operator, behavior,
-    index, n_c), filled an item at a time on first use. A training step
-    builds the tables once for its cascade; inference memoizes them per
-    snapshot. No table is checked for finiteness: every row a group reads
-    reaches the group's output, which is checked.
+    index, neighbor width), filled an item at a time on first use; equal
+    widths give equal id rows. A training step builds the tables once for
+    its cascade; inference memoizes them per snapshot. No table is checked
+    for finiteness: every row a group reads reaches the group's output,
+    which is checked.
     """
 
     def __init__(self, cascade):
@@ -390,7 +384,7 @@ class ItemTables:
                        for kind, op in OPERATORS.items()}
         self.d = self.user_rows[0].shape[1]
         self._tables = {}
-        self._pooled = {}  # (kind, b, index, n_c) -> (rows, filled); holds the index itself
+        self._pooled = {}  # (kind, b, index, width) -> (rows, filled); holds the index itself
 
     def _table(self, key, build):
         table = self._tables.get(key)
@@ -410,16 +404,18 @@ class ItemTables:
         return (self._table((prefix, b, "item"), lambda: space @ w1[d:2 * d] + b1),
                 self._table((prefix, b, "pool"), lambda: space @ w1[2 * d:]))
 
-    def pooled_rows(self, kind, b, index, n_c, items, hoods):
-        """The pooled-row table of one operator, behavior, index and n_c, filled for items.
+    def pooled_rows(self, kind, b, index, items, hoods):
+        """The pooled-row table of one operator, behavior, index and neighbor width,
+        filled for items.
 
-        Row p of the array hoods holds the neighbor ids of items[p] in index.
+        Row p of the array hoods holds the neighbor ids of items[p] in index,
+        and its width, ``hoods.shape[1]``, keys the table.
         Rows not yet filled are computed in one product of their pooling
         matrix with the operator's pool table: a CSR row's product reads
         that row alone, so a row is the same bits whichever batch fills it.
         """
         pool_table = self.logic_items(kind, b)[1]
-        key = (kind, b, index, n_c)
+        key = (kind, b, index, hoods.shape[1])
         entry = self._pooled.get(key)
         if entry is None:
             entry = self._pooled[key] = (np.empty_like(pool_table),
@@ -501,7 +497,7 @@ def concat_scores(users, items, b, cascade, tape=True):
     return _output(logits, "concatenation", (bundle.e_u, bundle.e_i, wh, bh, wo, bo), vjp, tape)
 
 
-def logic_scores(users, items, kind, b, cascade, index, hoods, n_c, tape=True):
+def logic_scores(users, items, kind, b, cascade, index, hoods, tape=True):
     """Head logits (g x 1) and mediators (g x 2d) of one logic operator on behavior b.
 
     The operator's first layer on [e_u, e_space, S] sums the user row
@@ -526,7 +522,7 @@ def logic_scores(users, items, kind, b, cascade, index, hoods, n_c, tape=True):
     user_in = tables.user_rows[b][user_ids]
     first = (user_in @ w_user)[user_of]
     first += tables.logic_items(kind, b)[0][items]
-    first += tables.pooled_rows(kind, b, index, n_c, items, hoods)[items]
+    first += tables.pooled_rows(kind, b, index, items, hoods)[items]
     med = _relu(first) @ w2.data + b2.data
     hidden = med @ wh.data + bh.data
     logits = _relu(hidden) @ wo.data + bo.data
@@ -559,6 +555,6 @@ def reason(u, i, train, cascade, indices, params, tau, n_c=10, **flags):
     The scorers read ``cascade.params``, so other params raise ValueError."""
     if params is not cascade.params:
         raise ValueError("params are not the slots the cascade was computed from")
-    _, traces = reason_batch([u], [i], train, cascade, indices, tau, n_c=n_c, tape=False,
-                             **flags)
-    return tg.Tensor(traces[0].mediator[None, :]), traces[0]
+    _, (trace,) = reason_batch([u], [i], train, cascade, indices, tau, n_c=n_c, tape=False,
+                               **flags)
+    return tg.Tensor(trace.mediator[None, :]), trace

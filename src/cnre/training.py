@@ -123,6 +123,8 @@ class CnreModel:
                             for m in train_dataset.matrices]
         self.unified_adj = propagation.build_normalized_adjacency(
             train_dataset.chain_code_matrix)  # its pattern is the union of all behaviors
+        # weight dtype -> (per-behavior adjacencies, unified adjacency)
+        self._graphs = {np.dtype(np.float64): (self.adjacencies, self.unified_adj)}
 
     def _init_parameters(self):
         d = self.config.embedding_dim
@@ -146,21 +148,26 @@ class CnreModel:
         add("head_wo", tg.xavier_uniform(rng, d, 1))
         add("head_bo", np.zeros((1, 1)))
 
-    def cascade(self, n=None, params=None, graphs=None):
+    def cascade(self, n=None, params=None):
         """Cascade over the first n behaviors (all by default).
 
         A behavior's bundle feeds only the behaviors after it, so the first
         n bundles are the same as those of the full cascade. It reads the
         slots of params (the store by default) and keeps them, as
-        ``cascade.params``, for the scorers that read it. It runs over
-        graphs, a (per-behavior adjacencies, unified adjacency) pair (the
-        model's own float64 graphs by default).
+        ``cascade.params``, for the scorers that read it. It runs on the
+        model's graphs in the dtype of params' slots: the float64 graphs, or
+        float32 copies made on the first float32 pass and kept.
         """
         cfg = self.config
-        adjacencies, unified_adj = graphs or (self.adjacencies, self.unified_adj)
+        params = self.store if params is None else params
+        dtype = params["base_user"].data.dtype
+        if dtype not in self._graphs:
+            self._graphs[dtype] = ([a.astype(dtype) for a in self.adjacencies],
+                                   self.unified_adj.astype(dtype))
+        adjacencies, unified_adj = self._graphs[dtype]
         return propagation.cascade_forward(
-            adjacencies[:n], unified_adj, self.store if params is None else params,
-            self.behavior_names[:n], self.layer_counts[:n], disable_hpp=cfg.disable_hpp,
+            adjacencies[:n], unified_adj, params, self.behavior_names[:n],
+            self.layer_counts[:n], disable_hpp=cfg.disable_hpp,
             disable_par=cfg.disable_par, disable_prj=cfg.disable_prj)
 
     def build_indices(self, cascade):
@@ -236,14 +243,12 @@ class CnreModel:
 
         Each step runs in float32 (mixed precision): the cascade, the group
         scorers and the BPR terms read every slot through one ``cast:<slot>``
-        op (``tg.SlotCasts``) and run over float32 copies of the graphs.
-        The L2 term, the leaf grads, Adam and its moments stay float64, as
-        do checkpoints and every inference path.
+        op (``tg.SlotCasts``), so the cascade runs on the model's float32
+        graphs (``cascade``). The L2 term, the leaf grads, Adam and its
+        moments stay float64, as do checkpoints and every inference path.
         """
         cfg = self.config
         ds = self.train_dataset
-        graphs = ([a.astype(np.float32) for a in self.adjacencies],
-                  self.unified_adj.astype(np.float32))
         history = []
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
@@ -260,7 +265,7 @@ class CnreModel:
                     continue
                 last = max(b for b, t in enumerate(batch) if len(t))
                 cascade = self.cascade(None if step == 0 else last + 1,
-                                       tg.SlotCasts(self.store, np.float32), graphs)
+                                       tg.SlotCasts(self.store, np.float32))
                 if step == 0:  # the epoch's indices and gate, read from step 0's cascade
                     indices = self.build_indices(cascade)
                 loss, n_pairs = self.batch_loss(batch, cascade, indices)

@@ -11,8 +11,9 @@ written. The digests cover:
 - ``fit``: the history and every slot's bytes (``store.state_arrays()``,
   in sorted slot order) after EPOCHS fit epochs on the train workload's
   data;
-- ``evaluate``: the ``evaluate(..., ks=(10,))`` JSON line on the train
-  workload's eval users, after those epochs;
+- ``evaluate``: the ``evaluate(..., ks=(10, num_items))`` JSON line on
+  the train workload's eval users, after those epochs: NDCG@num_items sums
+  1 / log2(rank + 1) over every user, so it moves with any user's rank;
 - ``neighbors``: the full neighbor-id table of every retrieval index at the
   config's ``n_c`` (``retrieval.neighbors`` over all items, indices in
   sorted key order), on ``evaluate``'s snapshot after those epochs;
@@ -96,7 +97,7 @@ def train_digests(size, seed, workdir, disable=None):
     for name in sorted(arrays):
         _line(fit, name)
         fit.update(arrays[name].tobytes())
-    report = evalexplain.evaluate(w.model, w.split, ks=(10,))
+    report = evalexplain.evaluate(w.model, w.split, ks=(10, w.model.train_dataset.num_items))
     _, indices = evalexplain._snapshot(w.model, None, None)  # evaluate's snapshot
     neighbors = hashlib.sha256()
     for key in sorted(k for k in indices if k != "gate"):

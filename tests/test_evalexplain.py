@@ -279,7 +279,8 @@ class TestEvaluate:
         owned = int(ds.items_of(ds.spec.target_index, u)[0])
         bad = dataio.SplitDataset(train=split.train,
                                   test_positives={**split.test_positives, u: owned})
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=f"user {u}'s held-out item {owned} is not a "
+                                             "candidate"):
             evalexplain.evaluate(model, bad)
 
     def test_split_without_test_users_is_invalid_input(self):

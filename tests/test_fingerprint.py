@@ -25,6 +25,8 @@ def test_two_runs_print_the_same_digests(capsys):
 def test_an_ablation_prints_its_train_digests(capsys):
     default = dict(line.split(maxsplit=1) for line in _digests(capsys, 3))
     ablated = dict(line.split(maxsplit=1) for line in _digests(capsys, 3, "--disable", "par"))
-    # no semantic branch: other trained slots, and a zero space for the disjunction's index
+    # no semantic branch: other trained slots, other ranks, and a zero space for the
+    # disjunction's index
     assert ablated["fit"] != default["fit"]
+    assert ablated["evaluate"] != default["evaluate"]
     assert ablated["neighbors"] != default["neighbors"]

@@ -97,31 +97,37 @@ class TestLightGcn:
         np.testing.assert_allclose(out_u.data[1], [3.0, 4.0])
 
     def test_backward_makes_as_many_spmm_calls_as_forward(self):
+        """Each side's vjp makes ``layers`` products, as many as the forward makes per
+        side: it runs the chain from that side's grad alone, never from a zero side."""
         calls = []
 
         class Counting:
-            def __init__(self, m):
-                self.m, self.shape = m, m.shape
+            """The graph, naming each product by its side: "ui" for adj @, "iu" for adj.T @."""
+
+            def __init__(self, m, side="ui"):
+                self.m, self.shape, self.side = m, m.shape, side
 
             @property
             def T(self):
-                return Counting(self.m.T)
+                return Counting(self.m.T, "iu")
 
             def __matmul__(self, x):
-                calls.append(1)
+                calls.append(self.side)
                 return self.m @ x
 
         rng = np.random.default_rng(3)
-        adj = _adjacency(_random_edges(rng, 7, 5), 7, 5)
-        adj = Counting(adj)
+        adj = Counting(_adjacency(_random_edges(rng, 7, 5), 7, 5))
         for layers in (1, 2, 3):
-            calls.clear()
-            e_u = tg.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
-            e_i = tg.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-            out_u, out_i = propagation.lightgcn_propagate(adj, e_u, e_i, layers)
-            assert len(calls) == 2 * layers
-            tg.add(tg.sum_all(out_u), tg.sum_all(out_i)).backward()
-            assert len(calls) == 4 * layers
+            for side, chain in ((0, ["iu", "ui"]), (1, ["ui", "iu"])):
+                calls.clear()
+                e_u = tg.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+                e_i = tg.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+                outs = propagation.lightgcn_propagate(adj, e_u, e_i, layers)
+                assert sorted(calls) == sorted(["ui", "iu"] * layers)
+                calls.clear()
+                tg.sum_all(outs[side]).backward()
+                assert calls == (chain * layers)[:layers]
+                assert e_u.grad.shape == e_u.shape and e_i.grad.shape == e_i.shape
 
     def test_negative_layers_rejected(self):
         adj = _adjacency({(0, 0)}, 1, 1)

@@ -450,7 +450,8 @@ def test_scorer_tables_follow_parameter_writes():
 
 
 def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
-    """Pooled rows are keyed by the index object and n_c, not by the cascade alone."""
+    """Pooled rows are keyed by the index object and the neighbor width, not by the
+    cascade alone."""
     train, model, cascade, indices = _trained_bits()
     saved = model.store.state_arrays()
     model.store["base_item"].data += np.random.default_rng(1).normal(

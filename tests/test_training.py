@@ -1,13 +1,15 @@
 """Head/loss oracles, training-loop behavior and checkpoint persistence."""
 
+import dataclasses
 import json
+import operator
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnre import dataio, propagation, reasoning, tensorgrad as tg, training
+from cnre import dataio, evalexplain, propagation, reasoning, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 import unfused
@@ -183,18 +185,13 @@ def test_nan_in_a_group_slot_raises_naming_the_group_op(slot, code, op, tape):
         model.score(np.arange(4), np.arange(4), cascade, indices, codes=code, tape=tape)
 
 
-def _float32_graphs(model):
-    """Float32 copies of the model's graphs, as ``fit`` builds them."""
-    return [a.astype(np.float32) for a in model.adjacencies], model.unified_adj.astype(np.float32)
-
-
 @pytest.mark.parametrize("tape", [True, False])
 @GROUP_SLOTS
 def test_nan_in_a_float32_cast_raises_naming_the_group_op(slot, code, op, tape):
     """The same on a training step's float32 casts: the cast's NaN names the group op."""
     _, model = _small_model(epochs=0, tau=1.0)
     casts = tg.SlotCasts(model.store, np.float32)
-    cascade = model.cascade(None, casts, _float32_graphs(model))
+    cascade = model.cascade(None, casts)
     indices = model.build_indices(cascade)
     casts[slot].data[0, 0] = np.nan
     with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
@@ -262,8 +259,7 @@ class TestMixedPrecision:
         loss64.backward()
         grads64 = {name: p.grad for name, p in model.store.items()}
         model.store.zero_grad()
-        cascade32 = model.cascade(None, tg.SlotCasts(model.store, np.float32),
-                                  _float32_graphs(model))
+        cascade32 = model.cascade(None, tg.SlotCasts(model.store, np.float32))
         loss32, _ = model.batch_loss(batch, cascade32, indices)
         loss32.backward()
         assert loss64.data.dtype == loss32.data.dtype == np.float64  # the L2 term is float64
@@ -279,7 +275,7 @@ class TestMixedPrecision:
                                        err_msg=name)
 
     def test_float32_fit_history_matches_float64(self, monkeypatch):
-        """Float64 casts stand in for a float64 fit (its graphs' weights are float32 copies)."""
+        """Float64 casts stand in for a float64 fit: its cascades run on the float64 graphs."""
         real = tg.SlotCasts
         histories = []
         for dtype in (np.float32, np.float64):
@@ -287,6 +283,26 @@ class TestMixedPrecision:
             _, model = _mixed_model(epochs=3, lr=0.01, batch_size=64)
             histories.append(model.fit())
         np.testing.assert_allclose(histories[0], histories[1], rtol=0, atol=1e-3)
+
+    @pytest.mark.parametrize("slots, dtype", [
+        (lambda store: tg.SlotCasts(store, np.float32), np.float32),
+        (lambda store: tg.SlotCasts(store, np.float64), np.float64),
+        (lambda store: store, np.float64),
+        (evalexplain._NoGradSlots, np.float64)])
+    def test_a_cascade_runs_on_the_graphs_of_its_slots_dtype(self, monkeypatch, slots, dtype):
+        _, model = _mixed_model(epochs=0)
+        graphs, forward = [], propagation.cascade_forward
+
+        def recorded(adjacencies, unified_adj, *a, **k):
+            graphs.extend([unified_adj, *adjacencies])
+            return forward(adjacencies, unified_adj, *a, **k)
+        monkeypatch.setattr(propagation, "cascade_forward", recorded)
+        cascade = model.cascade(None, slots(model.store))
+        assert {g.dtype for g in graphs} == {np.dtype(dtype)}
+        assert {getattr(bundle, field.name).data.dtype for bundle in cascade.per_behavior
+                for field in dataclasses.fields(bundle)} == {np.dtype(dtype)}
+        if dtype == np.float64:  # the model's own graphs, not copies
+            assert all(map(operator.is_, graphs, [model.unified_adj, *model.adjacencies]))
 
     @pytest.mark.parametrize("value", [np.nan, 1e39])  # 1e39 is finite, but not in float32
     @pytest.mark.parametrize("slot", ["base_user", "hyp_i_cart", "conj_w1", "head_bo"])
@@ -445,7 +461,7 @@ class TestTrainLoop:
             return state
         monkeypatch.setattr(propagation, "cascade_forward", counted)
         model.fit()
-        # the epoch's float32 copies of the model's graphs, the same objects every step
+        # the model's float32 copies of its graphs, the same objects every step
         adjacencies, unified_adj = given[0]
         for got, want in zip([unified_adj, *adjacencies], [model.unified_adj,
                                                           *model.adjacencies]):
@@ -459,6 +475,10 @@ class TestTrainLoop:
         assert all(u is unified_adj and a[0] is adjacencies[0] for a, u in given)
         for s in range(steps[1], steps[0]):  # views only: the unified pass and view
             assert [id(g) for g in per_step[s]] == [id(unified_adj), id(adjacencies[0])]
+        given.clear()
+        model.fit()  # a second call runs on the same float32 graphs
+        assert given and all(u is unified_adj and all(map(operator.is_, a, adjacencies))
+                             for a, u in given)
 
     def test_fit_matches_full_cascade_fit_bitwise(self, monkeypatch):
         split, model = _small_model(epochs=2, batch_size=8)
