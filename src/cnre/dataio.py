@@ -1,18 +1,21 @@
 """Ingestion of per-behavior interaction logs and dataset utilities.
 
 Raw logs are tab-separated "<user>\t<item>" lines, one file per behavior.
-Datasets carry dense indices, a leave-one-out split on the target
-behavior, BPR triple sampling, and the analysis groupings (sparsity
-quantiles, history dropping).
+``load_interactions`` parses a file with whole-text string operations
+into two columns of raw ids, one entry per non-empty line in file order,
+repeats kept; ``edge_matrix`` drops repeated pairs. Datasets carry dense
+indices, a leave-one-out split on the target behavior, BPR triple
+sampling, and the analysis groupings (sparsity quantiles, history
+dropping).
 
 Dense ids are first-seen order: the behaviors are read in spec order and
 each behavior's pairs in ascending (str(user), str(item)) order, so a
 user's id follows (its first behavior, its str) and an item's id follows
 (the earliest (behavior, user str) of its pairs, its str). Two distinct
 raw users (or items) with the same str() have no order and raise
-InputError. ``build_dataset_from_pairs`` gives these ids without sorting
-the pairs: it ranks the distinct raw ids by str and orders them with
-numpy.
+InputError. ``build_dataset`` and ``build_dataset_from_pairs`` give these
+ids without sorting the pairs: they rank the distinct raw ids by str and
+order them with numpy.
 """
 
 from __future__ import annotations
@@ -257,27 +260,42 @@ class SplitDataset:
 
 
 def load_interactions(path, behavior):
-    """Read one behavior file into a set of raw (user, item) pairs."""
-    pairs = set()
+    """Read one behavior file into (users, items), two lists of raw ids.
+
+    Entry k of each list comes from the k-th non-empty line, in file order;
+    a repeated pair is kept, and ``edge_matrix`` drops it. The file is read
+    whole and parsed with whole-text string operations, so a bad UTF-8 byte
+    is reported even where a malformed line comes before it. Raises
+    ParseError naming the first line that is not '<user>\\t<item>' with both
+    ids non-empty and free of byte-order marks.
+    """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0] or not parts[1] or "\ufeff" in line:
-                    raise ParseError(
-                        f"{path}: line {lineno}: expected '<user>\\t<item>', got {line!r}"
-                    )
-                pairs.add((parts[0], parts[1]))
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read interaction file {path}: {exc}") from exc
-    if not pairs:
+    # "\n" only: str.splitlines would also split on \x0b, \x1c, \x85, \u2028 and more
+    rows = list(filter(None, text.split("\n")))
+    if not rows:
         warnings.warn(f"behavior '{behavior}' file {path} is empty")
-    return pairs
+        return [], []
+    fields = "\t".join(rows).split("\t")
+    # a tab in every row and 2 fields per row on average: exactly one tab in each
+    if (len(fields) != 2 * len(rows) or "" in fields or "\ufeff" in text
+            or not all(map(str.__contains__, rows, itertools.repeat("\t")))):
+        # only a file with a malformed line fails the check: name the first one
+        lineno, line = next((k, line) for k, line in enumerate(text.split("\n"), start=1)
+                            if line and _malformed(line))
+        raise ParseError(f"{path}: line {lineno}: expected '<user>\\t<item>', got {line!r}")
+    return fields[0::2], fields[1::2]
+
+
+def _malformed(line):
+    """True unless line is '<user>\\t<item>' with both ids non-empty and no byte-order mark."""
+    parts = line.split("\t")
+    return len(parts) != 2 or not parts[0] or not parts[1] or "\ufeff" in line
 
 
 def _str_ranks(raw_ids, what):
@@ -309,8 +327,12 @@ def build_dataset_from_pairs(per_behavior_pairs, spec):
     """
     if len(per_behavior_pairs) != len(spec):
         raise ValueError("one pair set per behavior required")
-    raw_users = [[u for u, _ in pairs] for pairs in per_behavior_pairs]
-    raw_items = [[i for _, i in pairs] for pairs in per_behavior_pairs]
+    return _dataset_from_columns([[u for u, _ in pairs] for pairs in per_behavior_pairs],
+                                 [[i for _, i in pairs] for pairs in per_behavior_pairs], spec)
+
+
+def _dataset_from_columns(raw_users, raw_items, spec):
+    """The ``build_dataset_from_pairs`` dataset of the pairs (raw_users[b][p], raw_items[b][p])."""
     user_ids, user_rank = _str_ranks(set().union(*raw_users), "user")
     item_ids, item_rank = _str_ranks(set().union(*raw_items), "item")
     m, n = len(user_ids), len(item_ids)
@@ -336,15 +358,19 @@ def build_dataset_from_pairs(per_behavior_pairs, spec):
 
 
 def build_dataset(per_behavior_files, spec):
-    """Load one file per behavior (dict label -> path) into a dataset."""
-    pair_sets = []
+    """Load one file per behavior (dict label -> path) into a dataset.
+
+    The dataset is the ``build_dataset_from_pairs`` dataset of the files'
+    pairs: a pair repeated in a file is one edge.
+    """
+    columns = []
     for name in spec.names:
         if name not in per_behavior_files:
             raise InputError(f"no file given for behavior '{name}'")
-        pair_sets.append(load_interactions(per_behavior_files[name], name))
-    if not pair_sets[-1]:
+        columns.append(load_interactions(per_behavior_files[name], name))
+    if not columns[-1][0]:
         raise InputError("target behavior file is empty")
-    return build_dataset_from_pairs(pair_sets, spec)
+    return _dataset_from_columns([us for us, _ in columns], [its for _, its in columns], spec)
 
 
 def compute_conversion_order(dataset):

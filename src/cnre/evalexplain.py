@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio, training, tensorgrad as tg
+from . import dataio, reasoning, training, tensorgrad as tg
 
 
 @dataclass
@@ -139,8 +139,9 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
     users = np.full(candidates.shape[0], u, dtype=np.int64)
     logits, traces = model.score(users, candidates, cascade, indices, tape=False)
     order = np.lexsort((candidates, -logits))
-    return list(zip(candidates[order].tolist(), tg._sigmoid(logits)[order].tolist(),
-                    traces.path_labels()[order].tolist()))
+    labels = reasoning.PATH_LABELS.tolist()
+    return list(zip(candidates[order].tolist(), tg._sigmoid(logits[order]).tolist(),
+                    map(labels.__getitem__, traces.paths[order].tolist())))
 
 
 # Pairs per evaluate batch: many users share one scorer call, and each of the

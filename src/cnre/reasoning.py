@@ -128,6 +128,7 @@ class GateSnapshot:
 
 
 PATHS = tuple(PreferenceStrength)  # path index -> strength
+PATH_LABELS = np.array([p.value for p in PATHS])  # path index -> label
 _MEDIUM = PATHS.index(PreferenceStrength.MEDIUM)
 _WEAK = PATHS.index(PreferenceStrength.WEAK)
 _CONCAT, _CONJ, _DISJ = 0, 1, 2   # operator codes, in the order groups are stacked
@@ -180,6 +181,20 @@ def _path_behaviors(n_behaviors, path):
     return tuple(sorted(set(behaviors[paths == path].tolist())))
 
 
+@functools.lru_cache(maxsize=None)
+def _kind_table(n_behaviors, disable_cnj, disable_dsj):
+    """Operator per chain code before the confidence gate: the conjunction on a medium
+    code, the disjunction on a weak one, concatenation otherwise and where disabled."""
+    paths, _ = dispatch_table(n_behaviors)
+    kinds = np.full(paths.shape, _CONCAT, dtype=np.int64)
+    if not disable_cnj:
+        kinds[paths == _MEDIUM] = _CONJ
+    if not disable_dsj:
+        kinds[paths == _WEAK] = _DISJ
+    kinds.flags.writeable = False
+    return kinds
+
+
 def index_keys(n_behaviors):
     """{(behavior, index key): operator code} of every index ``route`` can read: an
     operator's behaviors are those the dispatch table gives the pairs of its path."""
@@ -229,16 +244,16 @@ def route(users, items, train, gate_arrays, tau, codes=None,
         n_codes = 1 << len(train.spec)
         if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
             raise IndexError(f"chain code out of range [0, {n_codes})")
-    path_table, behavior_table = dispatch_table(len(train.spec))
+    n_b = len(train.spec)
+    path_table, behavior_table = dispatch_table(n_b)
     routed = np.zeros_like(codes) if disable_rea else codes
     paths = path_table[routed]
     behaviors = behavior_table[routed]
-
-    kinds = np.full(n, _CONCAT, dtype=np.int64)
+    kinds = _kind_table(n_b, disable_cnj, disable_dsj)[routed]
     confidence = np.full(n, np.nan)
-    if not disable_cnj:
-        medium = np.flatnonzero(paths == _MEDIUM)
-        for b in _path_behaviors(len(train.spec), _MEDIUM):
+    medium = np.flatnonzero(kinds == _CONJ)  # the gated pairs
+    if medium.size:
+        for b in _path_behaviors(n_b, _MEDIUM):
             pos = medium[behaviors[medium] == b]
             if not pos.size:
                 continue
@@ -246,9 +261,7 @@ def route(users, items, train, gate_arrays, tau, codes=None,
             # bitwise equal to the np.dot of the tests' oracle, test_reasoning.confidence_score
             dots = np.matmul(g["e_u"][users[pos], None, :], g["e_i"][items[pos], :, None])
             confidence[pos] = tg._sigmoid(dots.reshape(-1))
-        kinds[medium[confidence[medium] < tau]] = _CONJ
-    if not disable_dsj:
-        kinds[paths == _WEAK] = _DISJ
+        kinds[medium] = np.where(confidence[medium] < tau, _CONJ, _CONCAT)
     return Route(codes, paths, behaviors, kinds, confidence)
 
 
@@ -269,9 +282,16 @@ class TraceSequence(Sequence):
     def __len__(self):
         return self._route.codes.shape[0]
 
+    @property
+    def paths(self):
+        """Path index into PATHS of every pair (a read-only view)."""
+        paths = self._route.paths.view()
+        paths.flags.writeable = False
+        return paths
+
     def path_labels(self):
         """Path label of every pair, as a numpy string array."""
-        return np.array([p.value for p in PATHS])[self._route.paths]
+        return PATH_LABELS[self._route.paths]
 
     def __getitem__(self, k):
         k = operator.index(k)
@@ -313,11 +333,13 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
               disable_rea=disable_rea, disable_cnj=disable_cnj, disable_dsj=disable_dsj)
     group_key = r.kinds * n_b + r.behaviors
     order = np.argsort(group_key, kind="stable")
-    bounds = np.flatnonzero(np.diff(group_key[order])) + 1
-    positions = np.split(order, bounds) if len(order) else []
+    ends = np.cumsum(np.bincount(group_key)).tolist()  # group key -> end of its slice of order
+    groups = [(key, order[start:end])
+              for key, (start, end) in enumerate(zip([0] + ends, ends)) if end > start]
+    positions = [pos for _, pos in groups]
     parts, neighbors, retrieved = [], None, {}
-    for pos in positions:
-        kind, b = int(r.kinds[pos[0]]), int(r.behaviors[pos[0]])
+    for key, pos in groups:
+        kind, b = divmod(key, n_b)
         if kind == _CONCAT:
             parts.append(concat_scores(users[pos], items[pos], b, cascade, tape))
             continue

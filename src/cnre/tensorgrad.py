@@ -30,7 +30,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _check_finite(arr, where):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by '{where}'")
 
 

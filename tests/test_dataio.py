@@ -68,8 +68,12 @@ class TestLoadInteractions:
     def test_parses_and_dedups(self, tmp_path):
         p = tmp_path / "view.tsv"
         p.write_text("a\tx\nb\ty\na\tx\n\n", encoding="utf-8")
-        pairs = dataio.load_interactions(str(p), "view")
-        assert pairs == {("a", "x"), ("b", "y")}
+        assert dataio.load_interactions(str(p), "view") == (["a", "b", "a"], ["x", "y", "x"])
+        buy = tmp_path / "buy.tsv"
+        buy.write_text("a\tx\n", encoding="utf-8")
+        ds = dataio.build_dataset({"view": str(p), "buy": str(buy)},
+                                  dataio.BehaviorSpec(("view", "buy")))
+        assert [m.nnz for m in ds.matrices] == [2, 1]
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         p = tmp_path / "view.tsv"

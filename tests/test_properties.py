@@ -5,7 +5,8 @@ from them, the chain-code lookup and dispatch, the batched reasoner, the
 memoized item neighbors and the pooled-row tables; each is compared with
 a set-based or per-pair reference written out here, or with the uncached
 path it replaces. The dense ids of raw pairs are compared with the
-sorted-pair builder, and the sigmoid with its boolean-mask form. The
+sorted-pair builder, the columnar TSV reader with the line-by-line
+reader it replaced, and the sigmoid with its boolean-mask form. The
 fused propagation kernels and the reasoner's group scorers are compared
 with their op-by-op tape composition (``unfused.py``), forward and grads.
 """
@@ -145,6 +146,106 @@ def test_raw_ids_with_the_same_str_raise():
     items = [{("u", 7), ("v", "7")}, {("u", 7)}]
     with pytest.raises(dataio.InputError, match=r"item ids (7 and '7'|'7' and 7) .* '7'"):
         dataio.build_dataset_from_pairs(items, spec)
+
+
+def _reference_load(path, behavior):
+    """The line-by-line reader ``load_interactions`` replaces: a set of raw pairs."""
+    pairs = set()
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or not parts[0] or not parts[1] or "\ufeff" in line:
+                    raise dataio.ParseError(
+                        f"{path}: line {lineno}: expected '<user>\\t<item>', got {line!r}"
+                    )
+                pairs.add((parts[0], parts[1]))
+    except UnicodeDecodeError as exc:
+        raise dataio.ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise dataio.ParseError(f"cannot read interaction file {path}: {exc}") from exc
+    if not pairs:
+        warnings.warn(f"behavior '{behavior}' file {path} is empty")
+    return pairs
+
+
+# ids with spaces and with characters str.splitlines breaks lines at but file iteration does not
+RAW_ID_TEXT = st.text(st.sampled_from(["a", "1", " ", "\x0b", "\x1c", "\x85", "\u2028"]),
+                      min_size=1, max_size=3)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def tsv_texts(draw, malformed=True):
+    """A behavior file's text: lines over a few ids (so pairs repeat), any line ends, blank
+    lines, maybe a leading byte-order mark; with malformed, also bad lines and stray
+    pieces (empty fields, 0 or 2 tabs, byte-order marks later in the file)."""
+    users, items = (draw(st.lists(RAW_ID_TEXT, min_size=1, max_size=3)) for _ in "ui")
+    line = st.builds("\t".join, st.tuples(st.sampled_from(users), st.sampled_from(items)))
+    line |= st.just("")
+    if malformed:
+        line |= st.sampled_from(["u\t", "\ti", "\t", "u", "u\ti\tj", "\ufeffu\ti", "u\ti\ufeff"])
+    body = "".join(draw(st.lists(st.tuples(line, LINE_ENDS).map("".join), max_size=8)))
+    if malformed:
+        body += "".join(draw(st.lists(st.sampled_from(["\t", "\ufeff", "\r", "\x85", "u"]),
+                                      max_size=3)))
+    return ("\ufeff" if draw(st.booleans()) else "") + body
+
+
+def _read(reader, path):
+    """(result or ParseError message, warning messages) of one reader on one file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = reader(path, "view")
+        except dataio.ParseError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=tsv_texts())
+@example(text="")
+@example(text="u\ti\x1c1\nu\ti\x1c1\n")  # file iteration: 2 lines; splitlines: 4
+@example(text="\ufeffu\ti\r\n\r\nu\ti\ufeff\n")
+def test_columnar_reader_equals_the_line_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("tsv") / "view.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    got, got_warned = _read(dataio.load_interactions, str(path))
+    want, want_warned = _read(_reference_load, str(path))
+    assert got_warned == want_warned
+    if isinstance(want, str):
+        assert got == want  # the same ParseError: the same line, with its number
+        return
+    users, items = got
+    assert len(users) == len(items)
+    assert set(zip(users, items)) == want
+
+
+@SETTINGS
+@given(texts=st.lists(tsv_texts(malformed=False), min_size=2, max_size=4))
+def test_build_dataset_equals_the_pair_build_of_the_line_reader(tmp_path_factory, texts):
+    workdir = tmp_path_factory.mktemp("tsv")
+    spec = dataio.BehaviorSpec(tuple(f"b{k}" for k in range(len(texts))))
+    files = {}
+    for name, text in zip(spec.names, texts):
+        files[name] = str(workdir / f"{name}.tsv")
+        (workdir / f"{name}.tsv").write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # empty files
+        pairs = [_reference_load(files[name], name) for name in spec.names]
+        if not pairs[-1]:
+            with pytest.raises(dataio.InputError, match="target behavior file is empty"):
+                dataio.build_dataset(files, spec)
+            return
+        got = dataio.build_dataset(files, spec)
+    want = dataio.build_dataset_from_pairs(pairs, spec)
+    assert got.user_ids == want.user_ids and got.item_ids == want.item_ids
+    for g, w in zip(got.matrices, want.matrices):
+        _assert_same_csr(g, w)
 
 
 @SETTINGS
