@@ -15,8 +15,8 @@ bit for bit. It scores on one snapshot: a cascade and its indices (the
 retrieval indices and confidence gate ``CnreModel.build_indices`` reads
 from it), given by the caller or built fresh. The scorers read the slots
 the cascade keeps: the float64 store's (a training step's are float32
-casts). A fresh cascade runs on, and keeps, a no-grad view of the store,
-so a call records no tape op.
+casts). A fresh cascade is a bare ``model.cascade()``: it runs on, and
+keeps, the store's no-grad view, so a call records no tape op.
 """
 
 from __future__ import annotations
@@ -92,25 +92,10 @@ def ndcg_at_k(rank, k):
     return 1.0 / math.log2(rank + 1) if rank <= k else 0.0
 
 
-class _NoGradSlots(dict):
-    """The store's slots as no-grad tensors over the same arrays, with the store's
-    ``version``, so a cascade over them, and the scorers that read them from it,
-    record no tape. A slot is wrapped (and checked) when first read."""
-
-    def __init__(self, store):
-        super().__init__()
-        self.store = store
-        self.version = store.version
-
-    def __missing__(self, name):
-        self[name] = slot = tg.Tensor(self.store[name].data, op=f"param:{name}")
-        return slot
-
-
 def _snapshot(model, cascade, indices):
-    """The given cascade and retrieval indices, or fresh ones from the model."""
+    """The given cascade and retrieval indices, or fresh, tape-free ones from the model."""
     if cascade is None:
-        cascade = model.cascade(params=_NoGradSlots(model.store))
+        cascade = model.cascade()
     if indices is None:
         indices = model.build_indices(cascade)
     return cascade, indices

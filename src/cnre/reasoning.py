@@ -574,8 +574,9 @@ def logic_scores(users, items, kind, b, cascade, index, hoods, tape=True):
 
 def reason(u, i, train, cascade, indices, params, tau, n_c=10, **flags):
     """Single-pair wrapper around reason_batch: (1 x 2d mediator tensor, trace).
-    The scorers read ``cascade.params``, so other params raise ValueError."""
-    if params is not cascade.params:
+    The scorers read ``cascade.params``: params must be it, or the store it views."""
+    slots = cascade.params
+    if params is not slots and params is not getattr(slots, "store", slots):
         raise ValueError("params are not the slots the cascade was computed from")
     _, (trace,) = reason_batch([u], [i], train, cascade, indices, tau, n_c=n_c, tape=False,
                                **flags)

@@ -295,7 +295,20 @@ class ParameterStore:
             t = self._slots[name]
             if t.data.shape != arr.shape:
                 raise ShapeError(f"slot '{name}': shape {arr.shape} != {t.data.shape}")
-            t.data = np.asarray(arr, dtype=np.float64).copy()
+            t.data[...] = arr  # in place, so a SlotView over the store reads it
+
+
+class SlotView(dict):
+    """A store's slots as no-grad tensors over its arrays, keyed by slot name, with its
+    live ``version``: nothing that reads them records a tape, and they follow every
+    write (``adam_step`` and ``load_arrays`` write in place). A slot is checked when
+    the view is made, so a value written around those checks fails there."""
+
+    def __init__(self, store):
+        super().__init__((name, Tensor(p.data, op=f"param:{name}")) for name, p in store.items())
+        self.store = store
+
+    version = property(lambda self: self.store.version)
 
 
 class SlotCasts(dict):

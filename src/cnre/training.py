@@ -153,13 +153,14 @@ class CnreModel:
 
         A behavior's bundle feeds only the behaviors after it, so the first
         n bundles are the same as those of the full cascade. It reads the
-        slots of params (the store by default) and keeps them, as
+        slots of params (by default a ``tg.SlotView`` of the store, so no
+        tape; ``params=self.store`` records one) and keeps them, as
         ``cascade.params``, for the scorers that read it. It runs on the
         model's graphs in the dtype of params' slots: the float64 graphs, or
         float32 copies made on the first float32 pass and kept.
         """
         cfg = self.config
-        params = self.store if params is None else params
+        params = tg.SlotView(self.store) if params is None else params
         dtype = params["base_user"].data.dtype
         if dtype not in self._graphs:
             self._graphs[dtype] = ([a.astype(dtype) for a in self.adjacencies],

@@ -19,7 +19,9 @@ written. The digests cover:
   sorted key order), on ``evaluate``'s snapshot after those epochs;
 - ``explain``: REQUESTS explain-workload requests, each a ``rank_items``
   list (scores as ``float.hex``), an ``explain`` record and a
-  ``counterfactual`` base, edited record and diff;
+  ``counterfactual`` base, edited record and diff, all on the snapshot the
+  bench's set-up takes with a bare ``model.cascade()``, so the digest covers
+  that default;
 - ``dataset``: the raw ids and every edge matrix's ``indptr`` and
   ``indices`` of the train workload's ``build_dataset_from_pairs`` dataset
   and of the explain workload's train split, read from its TSV files by
@@ -98,7 +100,7 @@ def train_digests(size, seed, workdir, disable=None):
         _line(fit, name)
         fit.update(arrays[name].tobytes())
     report = evalexplain.evaluate(w.model, w.split, ks=(10, w.model.train_dataset.num_items))
-    _, indices = evalexplain._snapshot(w.model, None, None)  # evaluate's snapshot
+    indices = w.model.build_indices(w.model.cascade())  # evaluate's snapshot
     neighbors = hashlib.sha256()
     for key in sorted(k for k in indices if k != "gate"):
         _line(neighbors, json.dumps(key))

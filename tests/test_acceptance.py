@@ -47,7 +47,7 @@ def test_criterion_1_gradient_suite():
     indices = model.build_indices(model.cascade())  # and the gate: dispatch stays fixed
 
     def loss_fn():
-        loss, _ = model.batch_loss(per_behavior, model.cascade(), indices)
+        loss, _ = model.batch_loss(per_behavior, model.cascade(params=model.store), indices)
         return loss
 
     err = finite_difference_check(loss_fn, model.store, h=1e-5,

@@ -199,7 +199,7 @@ class TestNoTape:
         model, split = _quick_model()
         pair = _find_pair_with_flags(model, (1, 1, 0))
         edit = evalexplain.CounterfactualEdit(drop="cart")
-        cascade = model.cascade()
+        cascade = model.cascade(params=model.store)
         indices = model.build_indices(cascade)
         want = (evalexplain.explain(*pair, model, cascade=cascade, indices=indices),
                 evalexplain.counterfactual(*pair, edit, model, cascade=cascade,
@@ -217,6 +217,41 @@ class TestNoTape:
                evalexplain.counterfactual(*pair, edit, model))
         assert ops and taped == []
         assert got == want
+
+    @pytest.mark.parametrize("n", [None, 1])
+    def test_default_cascade_is_tape_free_with_the_store_cascades_bits(self, n):
+        """A bare cascade runs on a SlotView of the store: no bundle tensor keeps
+        recorded inputs, and each holds the bits of the cascade over the store."""
+        model, _ = _quick_model()
+        view, store = model.cascade(n), model.cascade(n, model.store)
+        assert len(view.per_behavior) == len(store.per_behavior) == (n or 3)
+        for got, want in zip(view.per_behavior, store.per_behavior):
+            for field in dataclasses.fields(got):
+                t, w = getattr(got, field.name), getattr(want, field.name)
+                assert not t.requires_grad and t._inputs == () and t._vjp is None, field.name
+                assert w.requires_grad and w._inputs, field.name  # the store's records a tape
+                assert t.data.tobytes() == w.data.tobytes(), field.name
+
+    def test_default_snapshot_serves_what_a_store_snapshot_serves(self):
+        """rank_items, explain and counterfactual give the same records on a default
+        snapshot as on one over the store, each with its own indices."""
+        model, _ = _quick_model()
+        ds = model.train_dataset
+        pairs = [(ds.decode_user(u), ds.decode_item(i))
+                 for u in range(ds.num_users) for i in range(ds.num_items)]
+        edits = [(_find_pair_with_flags(model, (1, 1, 0)), "cart"),
+                 (_find_pair_with_flags(model, (1, 0, 0)), "view")]
+
+        def served(cascade):
+            indices = model.build_indices(cascade)
+            snap = dict(cascade=cascade, indices=indices)
+            return ([evalexplain.rank_items(u, model, **snap) for u in range(ds.num_users)],
+                    [evalexplain.explain(*pair, model, **snap) for pair in pairs],
+                    [evalexplain.counterfactual(*pair, evalexplain.CounterfactualEdit(
+                        drop=label), model, **snap) for pair, label in edits])
+        got = served(model.cascade())
+        assert {rec.path for rec in got[1]} == {"strong", "medium", "weak", "default"}
+        assert got == served(model.cascade(params=model.store))
 
     def test_nan_in_a_cascade_slot_names_the_slot(self):
         model, _ = _quick_model(epochs=0)

@@ -860,7 +860,7 @@ def test_scorer_matches_tape_reasoner_and_head(ds, data):
 @given(ds=datasets(), data=st.data())
 def test_tape_and_no_tape_logits_are_the_same_bits(ds, data):
     model, ablation = _scored_model(ds, data)
-    cascade = model.cascade()
+    cascade = model.cascade(params=model.store)
     indices = model.build_indices(cascade)
     tau = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
     users, items, codes = _drawn_batch(ds, data)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnre import (dataio, evalexplain, propagation, reasoning, retrieval, tensorgrad as tg,
-                  training)
+from cnre import dataio, propagation, reasoning, retrieval, tensorgrad as tg, training
 from cnre.reasoning import PreferenceStrength as P
 from cnre.synthetic import make_planted_dataset
 
@@ -171,13 +170,20 @@ class TestReasonBatch:
             assert trace.neighbor_ids == traces[k].neighbor_ids
 
     def test_reason_rejects_slots_that_are_not_its_cascades(self):
-        """The scorers read cascade.params, so reason takes no other slots."""
-        train, model, cascade, indices = _trained_bits()
-        casts = tg.SlotCasts(model.store, np.float64)  # the same values, another mapping
-        for params in (casts, evalexplain._NoGradSlots(model.store), {}):
-            with pytest.raises(ValueError, match="not the slots the cascade"):
+        """The scorers read cascade.params, so reason takes no other slots, but the store
+        of a default cascade's view."""
+        train, model, view_cascade, indices = _trained_bits()
+        other = _trained_bits(seed=1)[1].store
+        store_cascade = model.cascade(params=model.store)
+        for cascade, accepted in ((view_cascade, (view_cascade.params, model.store)),
+                                  (store_cascade, (model.store,))):
+            for params in (tg.SlotCasts(model.store, np.float64),  # the same values
+                           tg.SlotCasts(model.store, np.float32),
+                           tg.SlotView(model.store), {}, other):
+                with pytest.raises(ValueError, match="not the slots the cascade"):
+                    reasoning.reason(0, 0, train, cascade, indices, params, model.config.tau)
+            for params in accepted:
                 reasoning.reason(0, 0, train, cascade, indices, params, model.config.tau)
-        reasoning.reason(0, 0, train, cascade, indices, model.store, model.config.tau)
 
     def test_empty_batch_in_both_modes(self):
         train, model, cascade, indices = _trained_bits()
@@ -310,7 +316,8 @@ class TestReasonBatch:
             if weak:
                 break
         assert weak is not None
-        logits, traces = model.score([weak[0]], [weak[1]], cascade, indices)
+        logits, traces = model.score([weak[0]], [weak[1]], model.cascade(params=model.store),
+                                     indices)
         assert traces[0].neighbor_ids
         model.store.zero_grad()
         tg.sum_all(logits).backward()
@@ -487,7 +494,8 @@ def test_a_cascade_keeps_what_the_reasoner_reads_and_its_slots():
     assert [f.name for f in dataclasses.fields(propagation.BehaviorEmbeddings)] == spaces
     assert [f.name for f in dataclasses.fields(propagation.CascadeState)] == [
         "per_behavior", "params", "memo"]
-    assert cascade.params is model.store
+    assert type(cascade.params) is tg.SlotView and cascade.params.store is model.store
+    assert model.cascade(params=model.store).params is model.store
 
 
 def _chain_dataset(n_behaviors):

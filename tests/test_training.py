@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnre import dataio, evalexplain, propagation, reasoning, tensorgrad as tg, training
+from cnre import dataio, propagation, reasoning, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 import unfused
@@ -143,7 +143,7 @@ def test_truncated_cascade_gives_same_loss_and_grads(n):
     batch = _leading_batch(split, n)
     indices = model.build_indices(model.cascade())
     runs = []
-    for cascade in (model.cascade(n), model.cascade()):
+    for cascade in (model.cascade(n, model.store), model.cascade(params=model.store)):
         loss, _ = model.batch_loss(batch, cascade, indices)
         model.store.zero_grad()
         loss.backward()
@@ -163,7 +163,7 @@ def test_nan_before_relu_raises_naming_its_op():
     split, model = _small_model(epochs=0)
     model.store["head_bh"].data[0, 0] = np.nan  # written directly, not by adam_step
     with pytest.raises(tg.NonFiniteError, match="'concatenation'"):
-        model.batch_loss(_leading_batch(split, 1), model.cascade(1), None)
+        model.batch_loss(_leading_batch(split, 1), model.cascade(1, model.store), None)
 
 
 GROUP_SLOTS = pytest.mark.parametrize("slot, code, op", [
@@ -178,7 +178,7 @@ GROUP_SLOTS = pytest.mark.parametrize("slot, code, op", [
 def test_nan_in_a_group_slot_raises_naming_the_group_op(slot, code, op, tape):
     """A NaN in a first-layer bias reaches the group's output in both modes."""
     _, model = _small_model(epochs=0, tau=1.0)
-    cascade = model.cascade()
+    cascade = model.cascade(params=model.store)
     indices = model.build_indices(cascade)
     model.store[slot].data[0, 0] = np.nan
     with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
@@ -253,7 +253,7 @@ class TestMixedPrecision:
     def test_float32_step_matches_float64_step(self):
         split, model = _mixed_model(epochs=0)
         batch = _leading_batch(split, 3, size=40)
-        cascade = model.cascade()
+        cascade = model.cascade(params=model.store)
         indices = model.build_indices(cascade)  # with its gate: both steps route alike
         loss64, _ = model.batch_loss(batch, cascade, indices)
         loss64.backward()
@@ -288,7 +288,7 @@ class TestMixedPrecision:
         (lambda store: tg.SlotCasts(store, np.float32), np.float32),
         (lambda store: tg.SlotCasts(store, np.float64), np.float64),
         (lambda store: store, np.float64),
-        (evalexplain._NoGradSlots, np.float64)])
+        (lambda store: None, np.float64)])  # the default: a SlotView of the store
     def test_a_cascade_runs_on_the_graphs_of_its_slots_dtype(self, monkeypatch, slots, dtype):
         _, model = _mixed_model(epochs=0)
         graphs, forward = [], propagation.cascade_forward
@@ -694,7 +694,7 @@ def test_full_loss_gradients_finite_difference():
     indices = model.build_indices(model.cascade())  # and the gate: dispatch stays fixed
 
     def loss_fn():
-        cascade = model.cascade()
+        cascade = model.cascade(params=model.store)
         loss, _ = model.batch_loss(per_behavior, cascade, indices)
         return loss
 
