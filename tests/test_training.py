@@ -288,6 +288,7 @@ class TestMixedPrecision:
         (lambda store: tg.SlotCasts(store, np.float32), np.float32),
         (lambda store: tg.SlotCasts(store, np.float64), np.float64),
         (lambda store: store, np.float64),
+        pytest.param(tg.SlotView, np.float64, id="_NoGradSlots-float64"),
         (lambda store: None, np.float64)])  # the default: a SlotView of the store
     def test_a_cascade_runs_on_the_graphs_of_its_slots_dtype(self, monkeypatch, slots, dtype):
         _, model = _mixed_model(epochs=0)
