@@ -268,16 +268,17 @@ def route(users, items, train, gate_arrays, tau, codes=None,
 class TraceSequence(Sequence):
     """The ReasoningTrace of each pair in a batch, built each time it is read.
 
+    A retrieval pair's neighbor ids and mediator are its rows of its group's
+    arrays, as ``retrieval.neighbors`` and ``logic_scores`` returned them; a
+    concatenation mediator is gathered from the snapshot's ``ItemTables``.
     Holds plain arrays only (never a tensor), so keeping the sequence does
     not keep the batch's autodiff tape alive.
     """
 
-    def __init__(self, r, neighbors, n_behaviors, tau, mediator):
-        self._route = r
-        self._neighbors = neighbors    # row k: pair k's neighbor ids (read for retrieval pairs)
-        self._flags = flag_table(n_behaviors)
-        self._tau = tau
-        self._mediator = mediator      # position -> mediator row; rows are copied on read
+    def __init__(self, r, users, items, tables, groups, n_behaviors, tau):
+        self._route, self._users, self._items, self._tables = r, users, items, tables
+        self._groups = groups  # group key -> (ascending batch positions, neighbor ids, mediators)
+        self._n_b, self._flags, self._tau = n_behaviors, flag_table(n_behaviors), tau
 
     def __len__(self):
         return self._route.codes.shape[0]
@@ -299,15 +300,22 @@ class TraceSequence(Sequence):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError("trace index out of range")
-        r = self._route
-        conf, op = float(r.confidence[k]), OPERATORS.get(r.kinds[k])
+        r, tables = self._route, self._tables
+        conf, kind, b = float(r.confidence[k]), int(r.kinds[k]), int(r.behaviors[k])
+        op = OPERATORS.get(kind)
+        if op is None:  # a concatenation mediator is built on read
+            neighbor_ids, mediator = None, np.concatenate(
+                [tables.user_rows[b][self._users[k]], tables.item_rows[b][self._items[k]]])
+        else:  # pair k's rows of its group, copied
+            pos, hoods, med = self._groups[kind * self._n_b + b]
+            row = np.searchsorted(pos, k)
+            neighbor_ids, mediator = hoods[row].tolist(), np.array(med[row])
         return ReasoningTrace(
             flags=self._flags[r.codes[k]], path=PATHS[r.paths[k]],
-            threshold=self._tau, behavior=int(r.behaviors[k]),
+            threshold=self._tau, behavior=b,
             confidence=None if math.isnan(conf) else conf,
-            neighbor_ids=None if op is None else self._neighbors[k].tolist(),
-            space=None if op is None else op.space,
-            mediator=np.array(self._mediator(k)))
+            neighbor_ids=neighbor_ids, space=None if op is None else op.space,
+            mediator=mediator)
 
 
 def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea=False,
@@ -334,42 +342,30 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
     group_key = r.kinds * n_b + r.behaviors
     order = np.argsort(group_key, kind="stable")
     ends = np.cumsum(np.bincount(group_key)).tolist()  # group key -> end of its slice of order
-    groups = [(key, order[start:end])
-              for key, (start, end) in enumerate(zip([0] + ends, ends)) if end > start]
-    positions = [pos for _, pos in groups]
-    parts, neighbors, retrieved = [], None, {}
-    for key, pos in groups:
+    groups, parts = {}, []  # group key -> (positions, neighbor ids, mediators); its logits
+    for key, (start, end) in enumerate(zip([0] + ends, ends)):
+        if end == start:
+            continue
+        pos, hoods, med = order[start:end], None, None
         kind, b = divmod(key, n_b)
         if kind == _CONCAT:
-            parts.append(concat_scores(users[pos], items[pos], b, cascade, tape))
-            continue
-        index = indices[(b, OPERATORS[kind].index_key)]
-        hoods = retrieval.neighbors(index, items[pos], n_c)
-        if neighbors is None:  # every index of a snapshot has the same rows: one width
-            neighbors = np.empty((len(items), hoods.shape[1]), dtype=np.int64)
-        neighbors[pos] = hoods
-        logits, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, hoods,
-                                   tape)
-        parts.append(logits)
-        retrieved.update(zip(pos.tolist(), med))
-    tables = item_tables(cascade)
-
-    def mediator(k):  # retrieval rows as computed; a concatenation is built on read
-        row = retrieved.get(k)
-        if row is None:
-            b = r.behaviors[k]
-            row = np.concatenate([tables.user_rows[b][users[k]], tables.item_rows[b][items[k]]])
-        return row
-    traces = TraceSequence(r, neighbors, n_b, tau, mediator)
+            part = concat_scores(users[pos], items[pos], b, cascade, tape)
+        else:
+            index = indices[(b, OPERATORS[kind].index_key)]
+            hoods = retrieval.neighbors(index, items[pos], n_c)
+            part, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, hoods, tape)
+        parts.append(part)
+        groups[key] = pos, hoods, med
+    traces = TraceSequence(r, users, items, item_tables(cascade), groups, n_b, tau)
 
     arrays = [part.data for part in parts] if tape else parts
     logits = np.empty((users.shape[0], 1), dtype=arrays[0].dtype if arrays else np.float64)
-    for pos, part in zip(positions, arrays):
+    for (pos, _, _), part in zip(groups.values(), arrays):
         logits[pos] = part
     if not tape:
         return logits[:, 0], traces
     return tg.record(logits, "batch_order", tuple(parts),
-                     lambda g: [g[pos] for pos in positions]), traces
+                     lambda g: [g[pos] for pos, _, _ in groups.values()]), traces
 
 
 def _relu(x):

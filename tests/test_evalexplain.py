@@ -307,6 +307,23 @@ class TestEvaluate:
                                                     for r in ranks]))
         assert report.path_fractions == {p: paths.count(p) / len(paths) for p in set(paths)}
 
+    def test_ties_ranked_as_rank_items(self):
+        """With every logit 0, a held-out rank is the item's 1-based place in rank_items:
+        a tied candidate ranks before it only when its item is lower."""
+        model, split = _quick_model()
+        for name in ("head_wo", "head_bo"):
+            model.store[name].data[:] = 0.0  # every logit is exactly 0
+        n = model.train_dataset.num_items
+        ranks = []
+        for u, held_out in sorted(split.test_positives.items()):
+            one_user = dataio.SplitDataset(train=split.train, test_positives={u: held_out})
+            report = evalexplain.evaluate(model, one_user, ks=range(1, n + 1))
+            rank = 1 + sum(hr == 0.0 for hr in report.hr.values())  # HR@k is 0 below the rank
+            ranked = [i for i, _, _ in evalexplain.rank_items(u, model)]
+            assert rank == ranked.index(held_out) + 1
+            ranks.append(rank)
+        assert len(set(ranks)) > 1  # a tie rule reversed would move some rank
+
     def test_held_out_item_that_is_not_a_candidate_raises(self):
         model, split = _quick_model()
         ds = model.train_dataset
