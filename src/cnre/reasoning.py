@@ -10,7 +10,7 @@ train edges only) is dispatched to exactly one preference strength:
     below the threshold, collaborative retrieval feeds a neural conjunction MLP.
   - Weak: exactly 1 auxiliary flag -> semantic (hypergraph) retrieval
     feeds a neural disjunction MLP, no confidence computed.
-  - Default: empty chain -> concatenation of the final cascaded
+  - Default: empty chain -> concatenation of the first behavior's
     embeddings (needed to rank never-touched items).
 
 Every path emits a width-2d mediator for the shared prediction head and
@@ -164,13 +164,16 @@ def flag_table(n_behaviors):
 def dispatch_table(n_behaviors):
     """(path index into PATHS, behavior) per chain code, from the scalar oracles.
 
-    Strong and default pairs use the target behavior's embeddings; medium
-    and weak pairs use their chain behavior's.
+    A code reads the embeddings of its highest set flag's behavior, and the
+    empty chain behavior 0's: strong pairs the target behavior's, medium
+    and weak pairs their chain behavior's, default pairs the first
+    behavior's. So at two or more behaviors, default pairs (most of
+    training's negatives, and evaluation's untouched candidates) do not
+    read the embeddings of strong pairs (training's positives).
     """
     flags = flag_table(n_behaviors)
     paths = [PATHS.index(dispatch(f)) for f in flags]
-    behaviors = [chain_behavior(f) if p in (_MEDIUM, _WEAK) else n_behaviors - 1
-                 for f, p in zip(flags, paths)]
+    behaviors = [max((k for k, f in enumerate(fl) if f), default=0) for fl in flags]
     return np.array(paths, dtype=np.int64), np.array(behaviors, dtype=np.int64)
 
 

@@ -33,6 +33,12 @@ second. The explain workload's files go to a temporary directory. The
 history is printed too, as a readable check. pytest does not collect
 this file.
 
+``tests/fingerprints.txt`` holds the output of the tiny runs at seeds 3
+and 4 and with ``--disable par``, and of the bench-size run at seed 3,
+under the environment (``environment()``) it was taken in;
+``tests/test_fingerprint.py`` checks the tiny lines against it. A change
+meant to change outputs rewrites the file.
+
 ``--disable NAME`` (one of ABLATIONS) rebuilds the train workload's model
 from its config with ``disable_<NAME>`` set, and prints only the train
 workload's digests: history, ``fit``, ``evaluate`` and ``neighbors``. The
@@ -41,10 +47,13 @@ config, so it has no ablated digest.
 """
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 
@@ -57,6 +66,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import funnel  # noqa: E402
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from cnre import dataio, evalexplain, retrieval, training  # noqa: E402
 
@@ -66,6 +76,36 @@ SIZES = {"bench": None, "tiny": TINY}  # None: each workload's own bench size
 EPOCHS = 2
 REQUESTS = 300
 ABLATIONS = ("hpp", "par", "prj", "rea", "cnj", "dsj")  # TrainConfig's disable_<name> flags
+
+
+def environment():
+    """{key: value} of what the digests depend on beyond the code and the thread count:
+    the numpy version, OpenBLAS's build configuration and the CPU kernel it picked.
+
+    The bundled OpenBLAS is a DYNAMIC_ARCH build, which picks its kernels per
+    CPU at run time, so the kernel is read from the library numpy loaded; where
+    it cannot be, the CPU model stands in for it.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        kernel = "cpu " + _cpu_model()
+    else:
+        corename.restype = ctypes.c_char_p
+        kernel = corename().decode()
+    return {"numpy": np.__version__, "openblas": blas.get("openblas configuration", "unknown"),
+            "kernel": kernel}
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next(line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor() or platform.machine()
 
 
 def _line(h, payload):

@@ -395,8 +395,8 @@ def test_chain_codes_and_table_match_scalar_dispatch(ds):
         assert reasoning.PATHS[paths[code]] is path
         if path in (P.MEDIUM, P.WEAK):
             assert behaviors[code] == reasoning.chain_behavior(flags)
-        else:
-            assert behaviors[code] == n_b - 1
+        else:  # strong reads the target behavior, default the first
+            assert behaviors[code] == (n_b - 1 if path is P.STRONG else 0)
 
 
 @SETTINGS
@@ -469,7 +469,7 @@ def _reference_trace(u, i, ds, gate, cascade, indices, tau, n_c, code=None,
              else tuple(code >> k & 1 for k in range(len(ds.spec))))
     path = P.DEFAULT if disable_rea else reasoning.dispatch(flags)
     t = reasoning.ReasoningTrace(flags=flags, path=path, threshold=tau,
-                                 behavior=len(ds.spec) - 1)
+                                 behavior=len(ds.spec) - 1 if path is P.STRONG else 0)
     if path in (P.MEDIUM, P.WEAK):
         t.behavior = b = reasoning.chain_behavior(flags)
         g, bundle = gate[b], cascade.per_behavior[b]

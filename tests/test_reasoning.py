@@ -275,6 +275,25 @@ class TestReasonBatch:
         _, traces2 = model2.reason_batch(np.arange(5), np.arange(5), cascade2, indices2)
         assert all(t.path is P.DEFAULT for t in traces2)
 
+    def test_default_reads_the_first_behavior(self):
+        """A code-0 pair's mediator is [e_u0[u], e_i0[i]] and its logit is concat_scores' on
+        behavior 0: with the code given, routed by disable_rea, or observed."""
+        train, model, cascade, indices = _trained_bits()
+        users, items = np.divmod(np.arange(train.num_users * train.num_items), train.num_items)
+        observed = train.chain_codes(users, items) == 0
+        assert 0 < observed.sum() < len(users)
+        every = np.ones(len(users), dtype=bool)
+        bundle = cascade.per_behavior[0]
+        for kw, pairs in (({"codes": 0}, every), ({"disable_rea": True}, every), ({}, observed)):
+            logits, traces = reasoning.reason_batch(users, items, train, cascade, indices,
+                                                    model.config.tau, tape=False, **kw)
+            want = reasoning.concat_scores(users[pairs], items[pairs], 0, cascade, tape=False)
+            assert logits[pairs].tobytes() == want[:, 0].tobytes()
+            for k in np.flatnonzero(pairs):
+                assert traces[k].path is P.DEFAULT and traces[k].behavior == 0
+                np.testing.assert_array_equal(traces[k].mediator, np.concatenate(
+                    [bundle.e_u.data[users[k]], bundle.e_i.data[items[k]]]))
+
     def test_disable_cnj_dsj_fall_back_to_concat(self):
         train, model, cascade, indices = _trained_bits(disable_cnj=True,
                                                        disable_dsj=True)
