@@ -162,7 +162,7 @@ def flag_table(n_behaviors):
 
 @functools.lru_cache(maxsize=None)
 def dispatch_table(n_behaviors):
-    """(path index into PATHS, behavior) per chain code, from the scalar oracles.
+    """(path index into PATHS, behavior) per chain code; the path is ``dispatch``'s.
 
     A code reads the embeddings of its highest set flag's behavior, and the
     empty chain behavior 0's: strong pairs the target behavior's, medium

@@ -86,14 +86,14 @@ def environment():
     CPU at run time, so the kernel is read from the library numpy loaded; where
     it cannot be, the CPU model stands in for it.
     """
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*"))
     try:
         corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
     except (IndexError, OSError, AttributeError):
         kernel = "cpu " + _cpu_model()
     else:
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         kernel = corename().decode()
     return {"numpy": np.__version__, "openblas": blas.get("openblas configuration", "unknown"),
             "kernel": kernel}
