@@ -8,15 +8,16 @@ reasoning trace into a lossless, line-serializable record; counterfactual
 edits perturb the chain observation only, never the parameters.
 
 Every read path (``rank_items``, ``evaluate``, ``explain`` and
-``counterfactual``) scores pairs with ``CnreModel.score(tape=False)``:
-``reasoning.reason_batch`` runs the same group scorers that training runs
-on the tape, with no tape op, and on the same slots gives the same logits
-bit for bit. It scores on one snapshot: a cascade and its indices (the
-retrieval indices and confidence gate ``CnreModel.build_indices`` reads
-from it), given by the caller or built fresh. The scorers read the slots
-the cascade keeps: the float64 store's (a training step's are float32
-casts). A fresh cascade is a bare ``model.cascade()``: it runs on, and
-keeps, the store's no-grad view, so a call records no tape op.
+``counterfactual``) scores pairs with ``CnreModel.score``:
+``reasoning.reason_batch`` runs the same group scorers that training
+runs, and on the same slots gives the same logits bit for bit. It scores
+on one snapshot: a cascade and its indices (the retrieval indices and
+confidence gate ``CnreModel.build_indices`` reads from it), given by the
+caller or built fresh. The scorers read the slots the cascade keeps, and
+those slots decide whether a tape is recorded: the float64 store's do (a
+training step's are float32 casts). A fresh cascade is a bare
+``model.cascade()``: it runs on, and keeps, the store's no-grad view, so
+a call records no tape.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio, reasoning, training, tensorgrad as tg
+from . import dataio, training, tensorgrad as tg
 
 
 @dataclass
@@ -122,11 +123,11 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
     candidates = (_unowned_items(model.train_dataset, u) if candidates is None
                   else np.asarray(list(candidates), dtype=np.int64))
     users = np.full(candidates.shape[0], u, dtype=np.int64)
-    logits, traces = model.score(users, candidates, cascade, indices, tape=False)
+    logits, traces = model.score(users, candidates, cascade, indices)
+    logits = logits.data[:, 0]
     order = np.lexsort((candidates, -logits))
-    labels = reasoning.PATH_LABELS.tolist()
     return list(zip(candidates[order].tolist(), tg._sigmoid(logits[order]).tolist(),
-                    map(labels.__getitem__, traces.paths[order].tolist())))
+                    traces.path_labels()[order].tolist()))
 
 
 # Pairs per evaluate batch: many users share one scorer call, and each of the
@@ -172,8 +173,8 @@ def evaluate(model, split, ks=(10, 50)):
     results = {}
     for batch, cands in _user_batches(ds, test_users):
         users = np.repeat(batch, [c.shape[0] for c in cands])
-        logits, traces = model.score(users, np.concatenate(cands), cascade, indices,
-                                     tape=False)
+        logits, traces = model.score(users, np.concatenate(cands), cascade, indices)
+        logits = logits.data[:, 0]
         labels = traces.path_labels()
         start = 0
         for u, items in zip(batch, cands):
@@ -233,9 +234,8 @@ def explain(user_raw, item_raw, model, cascade=None, indices=None, code=None):
     ds = model.train_dataset
     u, i = ds.encode_user(user_raw), ds.encode_item(item_raw)
     cascade, indices = _snapshot(model, cascade, indices)
-    logits, (trace,) = model.score(np.array([u]), np.array([i]), cascade, indices, codes=code,
-                                   tape=False)
-    return _trace_to_record(model, trace, u, i, float(tg._sigmoid(logits)[0]))
+    logits, (trace,) = model.score(np.array([u]), np.array([i]), cascade, indices, codes=code)
+    return _trace_to_record(model, trace, u, i, float(tg._sigmoid(logits.data[0, 0])))
 
 
 def counterfactual(user_raw, item_raw, edit, model, cascade=None, indices=None):

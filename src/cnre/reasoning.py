@@ -28,9 +28,10 @@ split into a user part and an item part; the item parts are tables of
 the cascade's items (``ItemTables``), so a pair costs a few width-d
 gathers and adds, plus the second operator layer on retrieval pairs. A
 retrieval pair's pooled neighbor term is an item table too, filled
-lazily per item. Training runs these functions on the tape, one op per
-group with a hand-written vjp; inference runs the same functions with no
-tape and, on the same slots, gets the same bits. They read their slots
+lazily per item. Each function is one op with a hand-written vjp, and the
+cascade's slots decide whether it records a tape: a training step's
+slots require grad, a bare cascade's no-grad view of the store does not,
+and on the same values both give the same bits. They read their slots
 where the cascade keeps the ones it was computed from, ``cascade.params``,
 so cascade and slots share one dtype: a training step's float32 casts
 (``tensorgrad.SlotCasts``), or the float64 store's values. The op-by-op
@@ -286,13 +287,6 @@ class TraceSequence(Sequence):
     def __len__(self):
         return self._route.codes.shape[0]
 
-    @property
-    def paths(self):
-        """Path index into PATHS of every pair (a read-only view)."""
-        paths = self._route.paths.view()
-        paths.flags.writeable = False
-        return paths
-
     def path_labels(self):
         """Path label of every pair, as a numpy string array."""
         return PATH_LABELS[self._route.paths]
@@ -322,7 +316,7 @@ class TraceSequence(Sequence):
 
 
 def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea=False,
-                 disable_cnj=False, disable_dsj=False, codes=None, tape=True):
+                 disable_cnj=False, disable_dsj=False, codes=None):
     """Route a batch of (u, i) pairs through the reasoner; returns (logits, traces).
 
     Each pair is dispatched by ``route``, whose confidence scores read the
@@ -332,11 +326,12 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
     items. Each group is scored by ``concat_scores`` or ``logic_scores``,
     and its logits are put back in batch order.
 
-    On the tape (training) the logits are an (n x 1) tensor: one op per
-    group, and one op that puts the rows in batch order. With ``tape=False``
-    (inference) the same functions give the same bits as a plain (n,)
-    array, with no tape op. Either way traces is a TraceSequence of
-    ReasoningTrace, built lazily.
+    The logits are an (n x 1) tensor: one op per group, and one op that
+    puts the rows in batch order. The cascade's slots decide whether they
+    record a tape: those of the store or of its ``tg.SlotCasts`` do
+    (training), those of a bare cascade's ``tg.SlotView`` do not
+    (inference), and on the same values both give the same bits. traces is
+    a TraceSequence of ReasoningTrace, built lazily.
     """
     users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     n_b = len(train.spec)
@@ -352,21 +347,18 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
         pos, hoods, med = order[start:end], None, None
         kind, b = divmod(key, n_b)
         if kind == _CONCAT:
-            part = concat_scores(users[pos], items[pos], b, cascade, tape)
+            part = concat_scores(users[pos], items[pos], b, cascade)
         else:
             index = indices[(b, OPERATORS[kind].index_key)]
             hoods = retrieval.neighbors(index, items[pos], n_c)
-            part, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, hoods, tape)
+            part, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, hoods)
         parts.append(part)
         groups[key] = pos, hoods, med
     traces = TraceSequence(r, users, items, item_tables(cascade), groups, n_b, tau)
 
-    arrays = [part.data for part in parts] if tape else parts
-    logits = np.empty((users.shape[0], 1), dtype=arrays[0].dtype if arrays else np.float64)
-    for (pos, _, _), part in zip(groups.values(), arrays):
-        logits[pos] = part
-    if not tape:
-        return logits[:, 0], traces
+    logits = np.empty((users.shape[0], 1), dtype=parts[0].data.dtype if parts else np.float64)
+    for (pos, _, _), part in zip(groups.values(), parts):
+        logits[pos] = part.data
     return tg.record(logits, "batch_order", tuple(parts),
                      lambda g: [g[pos] for pos, _, _ in groups.values()]), traces
 
@@ -462,14 +454,6 @@ def item_tables(cascade):
 _HEAD_SLOTS = ("head_wh", "head_bh", "head_wo", "head_bo")
 
 
-def _output(data, op, inputs, vjp, tape):
-    """A group's output: the tape op ``op``, or with no tape the array, checked under that name."""
-    if tape:
-        return tg.record(data, op, inputs, vjp)
-    tg._check_finite(data, op)
-    return data
-
-
 def _head_vjp(g, hidden, wo):
     """(grad of the head's first layer, of w_o, of b_o), given the relu's output hidden."""
     g_first = g @ wo.T
@@ -484,13 +468,13 @@ def _scatter_rows(g_rows, ids, weight, like):
     return g_table
 
 
-def concat_scores(users, items, b, cascade, tape=True):
+def concat_scores(users, items, b, cascade):
     """Head logits (g x 1) of concatenations [e_u[u], e_i[i]] of behavior b's embeddings.
 
     The first layer of [e_u, e_i] @ W_h + b_h is (e_u[u] @ Wh[:d] + b_h) +
     (e_i @ Wh[d:])[i], summed in that order: the user part is computed
     once per distinct user, and the item part is the ``ItemTables`` row.
-    The logits are relu(.) @ w_o + b_o. On the tape this is one op; its
+    The logits are relu(.) @ w_o + b_o, as one op (a tensor); its
     vjp returns the grads of the behavior's e_u and e_i, each scattered
     once, and of the four head slots.
     """
@@ -515,18 +499,18 @@ def concat_scores(users, items, b, cascade, tape=True):
                 _scatter_rows(g_items, item_ids, w_item, tables.item_rows[b]),
                 np.concatenate([user_in.T @ g_users, item_in.T @ g_items]),
                 g_first.sum(axis=0, keepdims=True), g_wo, g_bo)
-    return _output(logits, "concatenation", (bundle.e_u, bundle.e_i, wh, bh, wo, bo), vjp, tape)
+    return tg.record(logits, "concatenation", (bundle.e_u, bundle.e_i, wh, bh, wo, bo), vjp)
 
 
-def logic_scores(users, items, kind, b, cascade, index, hoods, tape=True):
+def logic_scores(users, items, kind, b, cascade, index, hoods):
     """Head logits (g x 1) and mediators (g x 2d) of one logic operator on behavior b.
 
     The operator's first layer on [e_u, e_space, S] sums the user row
     e_u[u] @ W1[:d], once per distinct user, and the item and pooled rows
     of ``ItemTables``, in that order (row p of the array hoods holds the
     neighbor ids of items[p]). relu(.) @ W2 + b2 is the mediator, and the
-    logits are relu(mediator @ W_h + b_h) @ w_o + b_o. On the tape this is
-    one op; its vjp returns the grads of the behavior's e_u, of the
+    logits are relu(mediator @ W_h + b_h) @ w_o + b_o, as one op (a
+    tensor); its vjp returns the grads of the behavior's e_u, of the
     operator's item space (the items' own rows and their neighbors'), and
     of the operator's and the head's four slots.
     """
@@ -566,9 +550,8 @@ def logic_scores(users, items, kind, b, cascade, index, hoods, tape=True):
                 g_w1, g_first.sum(axis=0, keepdims=True), first.T @ g_med,
                 g_med.sum(axis=0, keepdims=True), med.T @ g_hidden,
                 g_hidden.sum(axis=0, keepdims=True), g_wo, g_bo)
-    out = _output(logits, op.name, (bundle.e_u, space, w1, b1, w2, b2, wh, bh, wo, bo),
-                  vjp, tape)
-    return out, med
+    return tg.record(logits, op.name, (bundle.e_u, space, w1, b1, w2, b2, wh, bh, wo, bo),
+                     vjp), med
 
 
 def reason(u, i, train, cascade, indices, params, tau, n_c=10, **flags):
@@ -577,6 +560,5 @@ def reason(u, i, train, cascade, indices, params, tau, n_c=10, **flags):
     slots = cascade.params
     if params is not slots and params is not getattr(slots, "store", slots):
         raise ValueError("params are not the slots the cascade was computed from")
-    _, (trace,) = reason_batch([u], [i], train, cascade, indices, tau, n_c=n_c, tape=False,
-                               **flags)
+    _, (trace,) = reason_batch([u], [i], train, cascade, indices, tau, n_c=n_c, **flags)
     return tg.Tensor(trace.mediator[None, :]), trace

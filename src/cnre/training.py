@@ -182,11 +182,12 @@ class CnreModel:
             indices[(b, key)] = retrieval.build_index(space.data)
         return indices
 
-    def score(self, users, items, cascade, indices, codes=None, tape=True):
+    def score(self, users, items, cascade, indices, codes=None):
         """Head logits and traces of a batch of pairs: ``reasoning.reason_batch``.
 
         The scorers read the slots the cascade was computed from
-        (``cascade.params``), and the confidence gate reads the snapshot in
+        (``cascade.params``), so those slots decide whether the (n x 1)
+        logits record a tape, and the confidence gate reads the snapshot in
         indices (``build_indices``).
         """
         cfg = self.config
@@ -194,11 +195,11 @@ class CnreModel:
             users, items, self.train_dataset, cascade, indices,
             cfg.tau, n_c=cfg.n_c, disable_rea=cfg.disable_rea,
             disable_cnj=cfg.disable_cnj, disable_dsj=cfg.disable_dsj,
-            codes=codes, tape=tape)
+            codes=codes)
 
     def reason_batch(self, users, items, cascade, indices, codes=None):
         """(n x 2d mediators, traces) of a batch: the traces' mediators, stacked, as a tensor."""
-        _, traces = self.score(users, items, cascade, indices, codes=codes, tape=False)
+        _, traces = self.score(users, items, cascade, indices, codes=codes)
         rows = [t.mediator for t in traces]
         return tg.Tensor(np.array(rows).reshape(len(rows), 2 * self.config.embedding_dim)), traces
 

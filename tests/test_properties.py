@@ -515,14 +515,15 @@ def test_mixed_batch_equals_per_pair_reason(ds, data):
     gate_arrays = [{"e_u": b.e_u.data, "e_i": b.e_i.data} for b in cascade.per_behavior]
 
     logits, traces = reasoning.reason_batch(users, items, ds, cascade, indices, tau,
-                                            codes=codes, tape=False, **kw)
+                                            codes=codes, **kw)
+    logits = logits.data[:, 0]
     assert len(traces) == n and len(list(traces)) == n
     assert not any(isinstance(v, tg.Tensor) for v in vars(traces).values())
     for p in range(n):
         u, i = int(users[p]), int(items[p])
         logit1, traces1 = reasoning.reason_batch([u], [i], ds, cascade, indices, tau,
-                                                 codes=pair_codes[p], tape=False, **kw)
-        assert abs(logits[p] - logit1[0]) <= 1e-12
+                                                 codes=pair_codes[p], **kw)
+        assert abs(logits[p] - logit1.data[0, 0]) <= 1e-12
         assert _trace_fields(traces[p]) == _trace_fields(traces1[0])
         want = _reference_trace(u, i, ds, gate_arrays, cascade, indices, tau, cfg.n_c,
                                 code=pair_codes[p], **ablation)
@@ -844,8 +845,8 @@ def test_scorer_matches_tape_reasoner_and_head(ds, data):
     want_logits, med = unfused.reason_batch(users, items, ds, cascade, indices, model.store,
                                             tau, **kw)
     want_logits = want_logits.data[:, 0]
-    logits, got = reasoning.reason_batch(users, items, ds, cascade, indices, tau, tape=False,
-                                         **kw)
+    logits, got = reasoning.reason_batch(users, items, ds, cascade, indices, tau, **kw)
+    logits = logits.data[:, 0]
     _assert_close_to_scale(logits, want_logits)
     np.testing.assert_array_equal(np.lexsort((items, -logits)),
                                   np.lexsort((items, -want_logits)))
@@ -859,6 +860,8 @@ def test_scorer_matches_tape_reasoner_and_head(ds, data):
 @settings(max_examples=100, deadline=None)
 @given(ds=datasets(), data=st.data())
 def test_tape_and_no_tape_logits_are_the_same_bits(ds, data):
+    """A cascade over the store records a tape and a bare cascade does not; on the same
+    indices both score the same bits, traces and mediators included."""
     model, ablation = _scored_model(ds, data)
     cascade = model.cascade(params=model.store)
     indices = model.build_indices(cascade)
@@ -867,10 +870,11 @@ def test_tape_and_no_tape_logits_are_the_same_bits(ds, data):
     kw = dict(n_c=model.config.n_c, codes=codes, **ablation)
     taped, taped_traces = reasoning.reason_batch(users, items, ds, cascade, indices, tau,
                                                  **kw)
-    plain, traces = reasoning.reason_batch(users, items, ds, cascade, indices, tau,
-                                           tape=False, **kw)
-    assert taped.data.shape == (len(users), 1)
-    assert taped.data[:, 0].tobytes() == plain.tobytes()
+    plain, traces = reasoning.reason_batch(users, items, ds, model.cascade(), indices, tau,
+                                           **kw)
+    assert taped.requires_grad and not plain.requires_grad and plain._inputs == ()
+    assert taped.data.shape == plain.data.shape == (len(users), 1)
+    assert taped.data.tobytes() == plain.data.tobytes()
     for p in range(len(users)):
         assert _trace_fields(taped_traces[p]) == _trace_fields(traces[p])
         assert taped_traces[p].mediator.tobytes() == traces[p].mediator.tobytes()

@@ -186,14 +186,15 @@ class TestReasonBatch:
                 reasoning.reason(0, 0, train, cascade, indices, params, model.config.tau)
 
     def test_empty_batch_in_both_modes(self):
+        """On a bare cascade and on one over the store, an empty batch scores (0 x 1)."""
         train, model, cascade, indices = _trained_bits()
         none = np.array([], dtype=np.int64)
         med, traces = model.reason_batch(none, none, cascade, indices)
         assert med.data.shape == (0, 2 * model.config.embedding_dim)
         assert len(traces) == 0 and list(traces) == []
-        for tape, shape in ((True, (0, 1)), (False, (0,))):
-            logits, traces = model.score(none, none, cascade, indices, tape=tape)
-            assert (logits.data if tape else logits).shape == shape
+        for c in (cascade, model.cascade(params=model.store)):
+            logits, traces = model.score(none, none, c, indices)
+            assert logits.data.shape == (0, 1)
             assert len(traces) == 0 and list(traces) == []
 
     def test_trace_contracts(self):
@@ -252,21 +253,21 @@ class TestReasonBatch:
     def test_explicit_codes_reject_out_of_range_input(self, users, items, codes):
         train, model, cascade, indices = _trained_bits()
         assert (train.num_users, train.num_items, len(train.spec)) == (15, 10, 3)
-        for tape in (True, False):
+        for c in (cascade, model.cascade(params=model.store)):
             with pytest.raises(IndexError, match="out of range"):
-                model.score(users, items, cascade, indices, codes=codes, tape=tape)
+                model.score(users, items, c, indices, codes=codes)
 
     def test_rejected_item_fills_no_pooled_row(self):
         """Item -1 on the weak path is rejected before it can fill item N - 1's pooled row."""
         last = 9
         _, model, cascade, indices = _trained_bits()
-        want, _ = model.score([0], [last], cascade, indices, codes=1, tape=False)
+        want, _ = model.score([0], [last], cascade, indices, codes=1)
         _, model, cascade, indices = _trained_bits()  # the same snapshot, built again
         with pytest.raises(IndexError, match="item index out of range"):
-            model.score([0], [-1], cascade, indices, codes=1, tape=False)
-        got, traces = model.score([0], [last], cascade, indices, codes=1, tape=False)
+            model.score([0], [-1], cascade, indices, codes=1)
+        got, traces = model.score([0], [last], cascade, indices, codes=1)
         assert traces[0].path is P.WEAK and last not in traces[0].neighbor_ids
-        assert got.tobytes() == want.tobytes()
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_disable_rea_forces_default(self):
         train, model, cascade, indices = _trained_bits()
@@ -286,9 +287,9 @@ class TestReasonBatch:
         bundle = cascade.per_behavior[0]
         for kw, pairs in (({"codes": 0}, every), ({"disable_rea": True}, every), ({}, observed)):
             logits, traces = reasoning.reason_batch(users, items, train, cascade, indices,
-                                                    model.config.tau, tape=False, **kw)
-            want = reasoning.concat_scores(users[pairs], items[pairs], 0, cascade, tape=False)
-            assert logits[pairs].tobytes() == want[:, 0].tobytes()
+                                                    model.config.tau, **kw)
+            want = reasoning.concat_scores(users[pairs], items[pairs], 0, cascade)
+            assert logits.data[pairs].tobytes() == want.data.tobytes()
             for k in np.flatnonzero(pairs):
                 assert traces[k].path is P.DEFAULT and traces[k].behavior == 0
                 np.testing.assert_array_equal(traces[k].mediator, np.concatenate(
@@ -349,7 +350,7 @@ def _retrieval_mediators_match_operators(train, model, cascade, indices, tau):
     """Each retrieval pair's mediator is its operator on (e_u, e_space row, neighbor mean)."""
     users, items = np.divmod(np.arange(train.num_users * train.num_items), train.num_items)
     _, traces = reasoning.reason_batch(users, items, train, cascade, indices, tau,
-                                       n_c=model.config.n_c, tape=False)
+                                       n_c=model.config.n_c)
     checked = set()
     for p, trace in enumerate(traces):
         if trace.neighbor_ids is None:
@@ -451,7 +452,7 @@ def test_scorer_tables_follow_parameter_writes():
         return training.predict_logit(med, model.store).data[:, 0]
 
     def scored():
-        return model.score(users, items, cascade, indices, tape=False)[0]
+        return model.score(users, items, cascade, indices)[0].data[:, 0]
 
     before = scored()
     tables = cascade.memo["item_tables"]
@@ -489,8 +490,7 @@ def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
     tau, n_c = 1.0, model.config.n_c  # tau = 1 sends every medium pair to the conjunction
 
     def scored(idx, n_c=n_c):
-        return reasoning.reason_batch(users, items, train, cascade, idx, tau, n_c=n_c,
-                                      tape=False)
+        return reasoning.reason_batch(users, items, train, cascade, idx, tau, n_c=n_c)
 
     runs = [(indices, n_c), (other, n_c), (indices, n_c - 1), (other, n_c - 1)]
     got = [scored(idx, k) for idx, k in runs]
@@ -500,7 +500,7 @@ def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
     for (idx, k), (logits, traces) in zip(runs, got):
         del cascade.memo["item_tables"]  # fresh tables hold only this run's rows
         fresh, fresh_traces = scored(idx, k)
-        np.testing.assert_array_equal(logits, fresh)
+        np.testing.assert_array_equal(logits.data, fresh.data)
         assert [t.neighbor_ids for t in traces] == [t.neighbor_ids for t in fresh_traces]
     hoods = [[t.neighbor_ids for t in traces] for _, traces in got]
     assert hoods[0] != hoods[1] and hoods[0] != hoods[2]

@@ -173,29 +173,33 @@ GROUP_SLOTS = pytest.mark.parametrize("slot, code, op", [
 ])
 
 
-@pytest.mark.parametrize("tape", [True, False])
+@pytest.mark.parametrize("grad", [True, False])
 @GROUP_SLOTS
-def test_nan_in_a_group_slot_raises_naming_the_group_op(slot, code, op, tape):
-    """A NaN in a first-layer bias reaches the group's output in both modes."""
+def test_nan_in_a_group_slot_raises_naming_the_group_op(slot, code, op, grad):
+    """A NaN in a first-layer bias reaches the group's output on both cascade kinds:
+    over the store (a tape) and over its no-grad view (a bare cascade)."""
     _, model = _small_model(epochs=0, tau=1.0)
-    cascade = model.cascade(params=model.store)
+    cascade = model.cascade(params=model.store if grad else None)
+    assert cascade.params["head_bh"].requires_grad is grad
     indices = model.build_indices(cascade)
     model.store[slot].data[0, 0] = np.nan
     with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
-        model.score(np.arange(4), np.arange(4), cascade, indices, codes=code, tape=tape)
+        model.score(np.arange(4), np.arange(4), cascade, indices, codes=code)
 
 
-@pytest.mark.parametrize("tape", [True, False])
+@pytest.mark.parametrize("grad", [True, False])
 @GROUP_SLOTS
-def test_nan_in_a_float32_cast_raises_naming_the_group_op(slot, code, op, tape):
-    """The same on a training step's float32 casts: the cast's NaN names the group op."""
+def test_nan_in_a_float32_cast_raises_naming_the_group_op(slot, code, op, grad):
+    """The same on float32 casts, of the store (a training step's) or of its no-grad
+    view: the cast's NaN names the group op."""
     _, model = _small_model(epochs=0, tau=1.0)
-    casts = tg.SlotCasts(model.store, np.float32)
+    casts = tg.SlotCasts(model.store if grad else tg.SlotView(model.store), np.float32)
     cascade = model.cascade(None, casts)
+    assert casts["head_bh"].requires_grad is grad
     indices = model.build_indices(cascade)
     casts[slot].data[0, 0] = np.nan
     with pytest.raises(tg.NonFiniteError, match=f"'{op}'"):
-        model.score(np.arange(4), np.arange(4), cascade, indices, codes=code, tape=tape)
+        model.score(np.arange(4), np.arange(4), cascade, indices, codes=code)
 
 
 def _mixed_model(**kw):
@@ -429,7 +433,7 @@ class TestTrainLoop:
         batch = [np.empty((0, 3), dtype=np.int64)] * 2 + [triples]
         users, pos, neg = triples.T
         _, traces = model.score(np.concatenate([users, users]), np.concatenate([pos, neg]),
-                                cascade, indices, tape=False)
+                                cascade, indices)
         groups = {(t.space, t.behavior) for t in traces}
         assert len({space for space, _ in groups}) == 3  # every operator runs
         ops = []
