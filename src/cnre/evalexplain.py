@@ -130,11 +130,14 @@ def rank_items(u, model, candidates=None, cascade=None, indices=None):
                     traces.path_labels()[order].tolist()))
 
 
-# Pairs per evaluate batch: many users share one scorer call, and each of the
-# batch's width-d row gathers (2 MiB at d = 64) fits in a 4 MiB L2 cache.
-# Larger gathers (8 MiB at 16k pairs) grow the heap and are trimmed again on
-# free, a run of page faults in every batch.
-EVAL_BATCH_PAIRS = 1 << 12
+# Pairs per evaluate batch: many users share one scorer call. At size M
+# (8000 x 1000, d = 64, 300 users, one BLAS thread) 16k-pair batches, whose
+# row gathers take 8 MiB, ran evaluate in 130-137 ms against 153-164 ms for
+# 4096-pair ones (2 MiB gathers). The smaller batches' frees also left
+# glibc's dynamic mmap threshold low, so the next fit epoch faulted its
+# temporaries in afresh: per-process medians of 19-42k minor faults an epoch,
+# against 13-24k after 16k-pair batches (getrusage, six processes each).
+EVAL_BATCH_PAIRS = 1 << 14
 
 
 def _user_batches(ds, users):
@@ -156,9 +159,14 @@ def _user_batches(ds, users):
 def evaluate(model, split, ks=(10, 50)):
     """Mean HR/NDCG over test users plus path and sparsity analytics.
 
-    Users are scored in batches. A held-out item's rank is one plus the
-    number of candidates ranked before it: a higher logit, or an equal
-    logit and a lower item, the order ``rank_items`` sorts by.
+    Users are scored in batches, on one snapshot of the cascade's first
+    B - 1 behaviors: a candidate has no train-target edge, so its pair is
+    never strong and reads behavior 0 (default), its chain behavior (weak
+    and medium) or the gate and indices of behaviors up to B - 2. Those
+    bundles are the full cascade's bit for bit, so the logits are those of
+    a full snapshot. A held-out item's rank is one plus the number of
+    candidates ranked before it: a higher logit, or an equal logit and a
+    lower item, the order ``rank_items`` sorts by.
     """
     ds = model.train_dataset
     if (ds.num_users, ds.num_items) != (split.train.num_users, split.train.num_items):
@@ -169,7 +177,7 @@ def evaluate(model, split, ks=(10, 50)):
         raise dataio.InputError("the split has no test users: no user has a held-out "
                                 "target item (each needs at least 2 target edges)")
 
-    cascade, indices = _snapshot(model, None, None)
+    cascade, indices = _snapshot(model, model.cascade(len(ds.spec) - 1), None)
     results = {}
     for batch, cands in _user_batches(ds, test_users):
         users = np.repeat(batch, [c.shape[0] for c in cands])

@@ -27,9 +27,9 @@ or disjunction. Each takes the head's and the operator's first layers
 split into a user part and an item part; the item parts are tables of
 the cascade's items (``ItemTables``), so a pair costs a few width-d
 gathers and adds, plus the second operator layer on retrieval pairs. A
-retrieval pair's pooled neighbor term is an item table too, filled
-lazily per item. Each function is one op with a hand-written vjp, and the
-cascade's slots decide whether it records a tape: a training step's
+retrieval pair's pooled neighbor term is an item table too, computed
+whole on first use. Each function is one op with a hand-written vjp, and
+the cascade's slots decide whether it records a tape: a training step's
 slots require grad, a bare cascade's no-grad view of the store does not,
 and on the same values both give the same bits. They read their slots
 where the cascade keeps the ones it was computed from, ``cascade.params``,
@@ -351,7 +351,7 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
         else:
             index = indices[(b, OPERATORS[kind].index_key)]
             hoods = retrieval.neighbors(index, items[pos], n_c)
-            part, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, hoods)
+            part, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, n_c)
         parts.append(part)
         groups[key] = pos, hoods, med
     traces = TraceSequence(r, users, items, item_tables(cascade), groups, n_b, tau)
@@ -379,11 +379,10 @@ class ItemTables:
     where P_i averages item i's neighbor rows (so P_i @ e_space is S). The
     pooled rows depend on the parameters as well as on the index's id table
     (``retrieval.neighbors``): one N x 2d table per (operator, behavior,
-    index, neighbor width), filled an item at a time on first use; equal
-    widths give equal id rows. A training step builds the tables once for
-    its cascade; inference memoizes them per snapshot. No table is checked
-    for finiteness: every row a group reads reaches the group's output,
-    which is checked.
+    index, n_c), computed whole on first use. A training step builds the
+    tables once for its cascade; inference memoizes them per snapshot. No
+    table is checked for finiteness: every row a group reads reaches the
+    group's output, which is checked.
     """
 
     def __init__(self, cascade):
@@ -397,7 +396,7 @@ class ItemTables:
                        for kind, op in OPERATORS.items()}
         self.d = self.user_rows[0].shape[1]
         self._tables = {}
-        self._pooled = {}  # (kind, b, index, width) -> (rows, filled); holds the index itself
+        self._pooled = {}  # (kind, b, index, n_c) -> pooled rows; holds the index itself
 
     def _table(self, key, build):
         table = self._tables.get(key)
@@ -417,29 +416,22 @@ class ItemTables:
         return (self._table((prefix, b, "item"), lambda: space @ w1[d:2 * d] + b1),
                 self._table((prefix, b, "pool"), lambda: space @ w1[2 * d:]))
 
-    def pooled_rows(self, kind, b, index, items, hoods):
-        """The pooled-row table of one operator, behavior, index and neighbor width,
-        filled for items.
+    def pooled_rows(self, kind, b, index, n_c):
+        """The pooled-row table of one operator, behavior, index and n_c.
 
-        Row p of the array hoods holds the neighbor ids of items[p] in index,
-        and its width, ``hoods.shape[1]``, keys the table.
-        Rows not yet filled are computed in one product of their pooling
-        matrix with the operator's pool table: a CSR row's product reads
-        that row alone, so a row is the same bits whichever batch fills it.
+        Row i pools item i's neighbors in the index's id table for n_c
+        (``retrieval.neighbors``). The table is computed whole on first use,
+        in one product of that id table's pooling matrix with the operator's
+        pool table. A CSR row's product reads that row alone, so each row
+        holds the bits of its own row's product.
         """
-        pool_table = self.logic_items(kind, b)[1]
-        key = (kind, b, index, hoods.shape[1])
-        entry = self._pooled.get(key)
-        if entry is None:
-            entry = self._pooled[key] = (np.empty_like(pool_table),
-                                         np.zeros(pool_table.shape[0], dtype=bool))
-        rows, filled = entry
-        missing = np.flatnonzero(~filled[items])
-        if missing.size:
-            new, first = np.unique(items[missing], return_index=True)
-            pool = _pooling_matrix(hoods[missing[first]], rows.shape[0], rows.dtype)
-            rows[new] = pool @ pool_table
-            filled[new] = True
+        key = (kind, b, index, n_c)
+        rows = self._pooled.get(key)
+        if rows is None:
+            pool_table = self.logic_items(kind, b)[1]
+            hoods = retrieval.neighbors(index, np.arange(index.size), n_c)
+            rows = self._pooled[key] = (_pooling_matrix(hoods, index.size, pool_table.dtype)
+                                        @ pool_table)
         return rows
 
 
@@ -502,17 +494,17 @@ def concat_scores(users, items, b, cascade):
     return tg.record(logits, "concatenation", (bundle.e_u, bundle.e_i, wh, bh, wo, bo), vjp)
 
 
-def logic_scores(users, items, kind, b, cascade, index, hoods):
+def logic_scores(users, items, kind, b, cascade, index, n_c):
     """Head logits (g x 1) and mediators (g x 2d) of one logic operator on behavior b.
 
     The operator's first layer on [e_u, e_space, S] sums the user row
     e_u[u] @ W1[:d], once per distinct user, and the item and pooled rows
-    of ``ItemTables``, in that order (row p of the array hoods holds the
-    neighbor ids of items[p]). relu(.) @ W2 + b2 is the mediator, and the
-    logits are relu(mediator @ W_h + b_h) @ w_o + b_o, as one op (a
-    tensor); its vjp returns the grads of the behavior's e_u, of the
-    operator's item space (the items' own rows and their neighbors'), and
-    of the operator's and the head's four slots.
+    of ``ItemTables``, in that order (the pooled rows pool each item's
+    neighbors in the index's id table for n_c). relu(.) @ W2 + b2 is the
+    mediator, and the logits are relu(mediator @ W_h + b_h) @ w_o + b_o, as
+    one op (a tensor); its vjp returns the grads of the behavior's e_u, of
+    the operator's item space (the items' own rows and their neighbors'),
+    and of the operator's and the head's four slots.
     """
     tables = item_tables(cascade)
     params = cascade.params
@@ -527,7 +519,7 @@ def logic_scores(users, items, kind, b, cascade, index, hoods):
     user_in = tables.user_rows[b][user_ids]
     first = (user_in @ w_user)[user_of]
     first += tables.logic_items(kind, b)[0][items]
-    first += tables.pooled_rows(kind, b, index, items, hoods)[items]
+    first += tables.pooled_rows(kind, b, index, n_c)[items]
     med = _relu(first) @ w2.data + b2.data
     hidden = med @ wh.data + bh.data
     logits = _relu(hidden) @ wo.data + bo.data
@@ -537,11 +529,12 @@ def logic_scores(users, items, kind, b, cascade, index, hoods):
         g_med = g_hidden @ wh.data.T
         g_first = g_med @ w2.data.T
         g_first *= first > 0.0
-        item_ids, item_first, item_of = np.unique(items, return_index=True, return_inverse=True)
+        item_ids, item_of = np.unique(items, return_inverse=True)
         g_users = tg.scatter_add_rows(g_first, user_of, len(user_ids))
         g_items = tg.scatter_add_rows(g_first, item_of, len(item_ids))
         space_in = space.data[item_ids]
-        pool = _pooling_matrix(hoods[item_first], space.data.shape[0], space.data.dtype)
+        pool = _pooling_matrix(retrieval.neighbors(index, item_ids, n_c), space.data.shape[0],
+                               space.data.dtype)
         g_space = pool.T @ (g_items @ w_pool.T)
         g_space[item_ids] += g_items @ w_item.T
         g_w1 = np.concatenate([user_in.T @ g_users, space_in.T @ g_items,

@@ -226,6 +226,7 @@ def l2_norm_sq(a):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 14  # elements per Adam block: its two float64 temporaries take 256 KiB
 
 
 class ParameterStore:
@@ -235,6 +236,7 @@ class ParameterStore:
         self._slots = {}
         self._m = {}
         self._v = {}
+        self._scratch = np.empty((2, ADAM_BLOCK))  # adam_step's block temporaries
         self.step_count = 0
         self.version = 0  # bumped by every write: adam_step and load_arrays
 
@@ -261,27 +263,38 @@ class ParameterStore:
             t.zero_grad()
 
     def adam_step(self, lr):
-        """Standard bias-corrected Adam over all slots; zeroes gradients."""
+        """Standard bias-corrected Adam over all slots; zeroes gradients.
+
+        Each slot is updated in place, ADAM_BLOCK elements at a time, so the
+        block's two temporaries (the store's scratch buffers) stay in cache.
+        Each element goes through the same ops in the same order as the
+        out-of-place formula, so the results are the same bits.
+        """
         self.step_count += 1
         self.version += 1
         t = self.step_count
         for name, p in self._slots.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self._m[name]
-            v = self._v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            # lr * m_hat / (sqrt(v_hat) + eps), the same ops in the same
-            # order, in two buffers
-            step = np.divide(m, 1.0 - ADAM_BETA1 ** t)
-            den = np.divide(v, 1.0 - ADAM_BETA2 ** t)
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            np.multiply(lr, step, out=step)
-            step /= den
-            p.data -= step
+            data, m, v = p.data.reshape(-1), self._m[name].reshape(-1), self._v[name].reshape(-1)
+            grad = None if p.grad is None else p.grad.reshape(-1)
+            for s in range(0, data.shape[0], ADAM_BLOCK):
+                e = min(s + ADAM_BLOCK, data.shape[0])
+                step, den = self._scratch[0][:e - s], self._scratch[1][:e - s]
+                g = 0.0 if grad is None else grad[s:e]
+                mb, vb = m[s:e], v[s:e]
+                mb *= ADAM_BETA1
+                mb += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+                vb *= ADAM_BETA2
+                np.multiply(1.0 - ADAM_BETA2, g, out=step)
+                step *= g
+                vb += step
+                # lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(mb, 1.0 - ADAM_BETA1 ** t, out=step)
+                np.divide(vb, 1.0 - ADAM_BETA2 ** t, out=den)
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                np.multiply(lr, step, out=step)
+                step /= den
+                data[s:e] -= step
             _check_finite(p.data, f"adam_step:{name}")
         self.zero_grad()
 

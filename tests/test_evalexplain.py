@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cnre import dataio, evalexplain, reasoning, tensorgrad as tg, training
+from cnre import dataio, evalexplain, reasoning, retrieval, tensorgrad as tg, training
 from cnre.synthetic import make_planted_dataset
 
 
@@ -185,11 +185,11 @@ class TestNoTape:
                 for u in users] == first
 
     def test_evaluate_records_one_cascade_whatever_the_user_count(self, monkeypatch):
-        """Besides its scorer ops, evaluate runs the ops of one bare cascade, none of
-        them a tape op."""
+        """Besides its scorer ops, evaluate runs the ops of one bare cascade of the
+        first B - 1 behaviors, none of them a tape op."""
         model, split = _quick_model()
         calls = _record_calls(monkeypatch, fail=True)
-        model.cascade()
+        model.cascade(len(model.train_dataset.spec) - 1)
         one_cascade = list(calls)
         assert one_cascade and not _SCORER_OPS & set(one_cascade)
         users = sorted(split.test_positives)
@@ -363,6 +363,44 @@ class TestEvaluate:
         model, split = _quick_model()
         report = evalexplain.evaluate(model, split)
         assert sum(g["users"] for g in report.group_metrics) == report.user_count
+
+    @pytest.mark.parametrize("behaviors", [("view", "cart", "buy"), ("view", "buy")])
+    def test_evaluate_does_not_read_the_target_stage(self, behaviors):
+        """No candidate has a train-target edge, so other finite values in the
+        target's hypergraph slots move the full cascade's target bundle but not a
+        byte of evaluate's report."""
+        planted = make_planted_dataset(num_users=20, num_items=12, n_groups=3, seed=0)
+        ds = dataio.InteractionDataset(
+            dataio.BehaviorSpec(behaviors), planted.num_users, planted.num_items,
+            [planted.matrices[planted.spec.index_of(b)] for b in behaviors],
+            planted.user_ids, planted.item_ids)
+        split = dataio.leave_one_out_split(ds, 0)
+        cfg = training.TrainConfig(embedding_dim=6, hyperedges=3, epochs=2, seed=0, n_c=3)
+        model, _ = training.train(split, cfg)
+        report = evalexplain.evaluate(model, split).to_json_line()
+        target = model.cascade().per_behavior[-1].e_u.data.copy()
+        rng = np.random.default_rng(1)
+        model.store.load_arrays({f"hyp_{side}_{behaviors[-1]}": rng.normal(
+            scale=3.0, size=model.store[f"hyp_{side}_{behaviors[-1]}"].shape)
+            for side in "ui"})
+        assert not np.array_equal(model.cascade().per_behavior[-1].e_u.data, target)
+        assert evalexplain.evaluate(model, split).to_json_line() == report
+
+    def test_evaluate_searches_each_index_once_over_all_its_rows(self, monkeypatch):
+        """One _nearest call per (index, n_c) that evaluate touches, with every row
+        of the index as a query."""
+        model, split = _quick_model()
+        calls, real = [], retrieval._nearest
+
+        def counted(index, queries, n_c, exclude=None):
+            calls.append((index, n_c, queries.shape[0]))
+            return real(index, queries, n_c, exclude)
+        monkeypatch.setattr(retrieval, "_nearest", counted)
+        report = evalexplain.evaluate(model, split)
+        assert report.path_fractions.get("weak", 0) > 0  # some pair retrieved
+        keys = [(id(index), n_c) for index, n_c, _ in calls]
+        assert calls and len(set(keys)) == len(keys)
+        assert all(rows == index.size for index, _, rows in calls)
 
     @pytest.mark.parametrize("limit", [1, 7, 12, 30, evalexplain.EVAL_BATCH_PAIRS])
     def test_batches_hold_at_most_the_pair_bound(self, monkeypatch, limit):

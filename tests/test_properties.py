@@ -448,7 +448,7 @@ def test_pooled_rows_equal_one_batch_pooling_product(ds, data):
     batches.append(data.draw(st.permutations(range(n))))
     for batch in batches:
         its = np.array(batch, dtype=np.int64)
-        rows = tables.pooled_rows(kind, b, index, its, retrieval.neighbors(index, its, n_c))
+        rows = tables.pooled_rows(kind, b, index, n_c)
         np.testing.assert_array_equal(rows[its], want[its])
     np.testing.assert_array_equal(rows, want)
 

@@ -145,9 +145,11 @@ def test_neighbors_are_self_excluded_queries_of_index_rows():
         again = retrieval.neighbors(index, [29, 3], 5)
     assert got.dtype == np.int64 and got.tolist() == want
     assert again.tolist() == [want[3], want[0]]
-    # the repeated item, and the second call's items, are answered from the table;
-    # a search's exclude ids are the items whose rows it searches
-    assert sorted(i for c in search.call_args_list for i in c.args[3].tolist()) == [0, 3, 29]
+    # the first call searches every row of the index once, each excluding itself;
+    # the second call's items are answered from the table
+    (call,) = search.call_args_list
+    np.testing.assert_array_equal(call.args[1], space)
+    assert call.args[2] == 5 and call.args[3].tolist() == list(range(30))
     single = retrieval.build_index(np.array([[1.0, 2.0]]))
     assert retrieval.neighbors(single, [0], 3).shape == (1, 0)
 
@@ -156,8 +158,8 @@ def test_neighbors_are_self_excluded_queries_of_index_rows():
 @given(data=st.data(), n_rows=st.integers(1, 12), width=st.integers(1, 2))
 def test_neighbor_table_searches_each_item_once_per_n_c(data, n_rows, width):
     """Overlapping, repeated batches at several n_c, one of them >= N, on spaces with
-    duplicate rows: each row is the self-excluded query, and each (item, n_c) is
-    searched once."""
+    duplicate rows: each row is the self-excluded query, and each n_c asked is
+    searched in one call over every row, so each (item, n_c) is searched once."""
     cells = st.integers(-1, 1)
     distinct = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width),
                                   min_size=1, max_size=n_rows))
@@ -173,9 +175,11 @@ def test_neighbor_table_searches_each_item_once_per_n_c(data, n_rows, width):
             assert got.dtype == np.int64 and got.shape == (len(items), min(n_c, n_rows - 1))
             assert got.tolist() == [retrieval.query(fresh, space[i], n_c, exclude_id=i)
                                     for i in items]
-    searched = [(i, c.args[2]) for c in search.call_args_list if c.args[0] is index
-                for i in c.args[3].tolist()]
-    assert sorted(searched) == sorted({(i, n_c) for n_c, items in batches for i in items})
+    calls = [c.args for c in search.call_args_list if c.args[0] is index]
+    assert sorted(n_c for _, _, n_c, _ in calls) == sorted({n_c for n_c, _ in batches})
+    for _, queries, _, exclude in calls:
+        np.testing.assert_array_equal(queries, space)
+        assert exclude.tolist() == list(range(n_rows))
 
 
 @settings(max_examples=300, deadline=None)
