@@ -427,7 +427,8 @@ def sample_bpr_triples(train, b, count, rng):
 
     Positives are uniform over behavior b's edges whose user still has an
     unobserved item; each negative is uniform over that user's unobserved
-    items, rejection-sampled in vectorized rounds.
+    items, rejection-sampled in vectorized rounds: a drawn item is redrawn
+    while bit b of its pair's chain code (``chain_codes``) is set.
     """
     m = train.matrices[b]
     if not m.nnz:
@@ -445,13 +446,11 @@ def sample_bpr_triples(train, b, count, rng):
                       "users interacted with every item")
     picked = eligible[rng.integers(eligible.size, size=count)]
     users = rows[picked]
-    keys = rows * n_items + m.indices  # ascending, as the matrix is canonical
     neg = np.empty(count, dtype=np.int64)
     redraw = np.arange(count)
     while redraw.size:
         neg[redraw] = rng.integers(n_items, size=redraw.size)
-        drawn = users[redraw] * n_items + neg[redraw]
-        redraw = redraw[keys[np.minimum(np.searchsorted(keys, drawn), keys.size - 1)] == drawn]
+        redraw = redraw[(train.chain_codes(users[redraw], neg[redraw]) >> b) & 1 == 1]
     return np.stack([users, m.indices[picked], neg], axis=1)
 
 

@@ -15,10 +15,12 @@ train edges only) is dispatched to exactly one preference strength:
 
 Every path emits a width-2d mediator for the shared prediction head and
 a trace recording each step of the dispatch. Each logic operator is one
-row of ``OPERATORS``, and ``index_keys`` reads off the dispatch table the
-retrieval indices a snapshot needs: at B behaviors, the disjunction's on
-behaviors 0 ... B-2 (weak pairs) and the conjunction's on 1 ... B-2
-(medium pairs, whose chain behavior is the highest of >= 2 set flags).
+row of ``OPERATORS``; ``route`` reads each pair's path, behavior and
+operator off one cached ``routing_table``, and ``index_keys`` reads off
+it the retrieval indices a snapshot needs: at B behaviors, the
+disjunction's on behaviors 0 ... B-2 (weak pairs) and the conjunction's
+on 1 ... B-2 (medium pairs, whose chain behavior is the highest of >= 2
+set flags).
 
 ``reason_batch`` runs this process on a batch, routing pairs with
 ``route`` and scoring each (operator, behavior) group with one function:
@@ -28,12 +30,13 @@ split into a user part and an item part; the item parts are tables of
 the cascade's items (``ItemTables``), so a pair costs a few width-d
 gathers and adds, plus the second operator layer on retrieval pairs. A
 retrieval pair's pooled neighbor term is an item table too, computed
-whole on first use. Each function is one op with a hand-written vjp, and
-the cascade's slots decide whether it records a tape: a training step's
-slots require grad, a bare cascade's no-grad view of the store does not,
-and on the same values both give the same bits. They read their slots
-where the cascade keeps the ones it was computed from, ``cascade.params``,
-so cascade and slots share one dtype: a training step's float32 casts
+whole on first use; a snapshot keeps all its tables in one memo. Each
+function is one op with a hand-written vjp, and the cascade's slots
+decide whether it records a tape: a training step's slots require grad,
+a bare cascade's no-grad view of the store does not, and on the same
+values both give the same bits. They read their slots where the cascade
+keeps the ones it was computed from, ``cascade.params``, so cascade and
+slots share one dtype: a training step's float32 casts
 (``tensorgrad.SlotCasts``), or the float64 store's values. The op-by-op
 composition they replace is the reference in the tests
 (``tests/unfused.py``).
@@ -44,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -173,37 +177,41 @@ def dispatch_table(n_behaviors):
     read the embeddings of strong pairs (training's positives).
     """
     flags = flag_table(n_behaviors)
-    paths = [PATHS.index(dispatch(f)) for f in flags]
-    behaviors = [max((k for k, f in enumerate(fl) if f), default=0) for fl in flags]
-    return np.array(paths, dtype=np.int64), np.array(behaviors, dtype=np.int64)
+    table = np.array([[PATHS.index(dispatch(f)) for f in flags],
+                      [max((k for k, f in enumerate(fl) if f), default=0) for fl in flags]],
+                     dtype=np.int64)
+    table.flags.writeable = False  # cached: every caller shares it
+    return table
 
 
 @functools.lru_cache(maxsize=None)
-def _path_behaviors(n_behaviors, path):
-    """The sorted behaviors that the dispatch table gives some code of path."""
+def routing_table(n_behaviors, disable_rea, disable_cnj, disable_dsj):
+    """Rows (path, behavior, operator) per chain code, before the confidence gate.
+
+    The path and behavior are ``dispatch_table``'s. A logic operator is on
+    the codes of its ``OPERATORS`` path (the conjunction on medium codes,
+    the disjunction on weak ones), concatenation on the rest and where the
+    operator is disabled. Under disable_rea every code takes code 0's.
+    """
     paths, behaviors = dispatch_table(n_behaviors)
-    return tuple(sorted(set(behaviors[paths == path].tolist())))
+    kinds = np.full(paths.shape, _CONCAT, dtype=np.int64)
+    for kind, disabled in ((_CONJ, disable_cnj), (_DISJ, disable_dsj)):
+        kinds[paths == OPERATORS[kind].path] = _CONCAT if disabled else kind
+    table = np.stack([paths, behaviors, kinds])
+    if disable_rea:
+        table[:] = table[:, :1]
+    table.flags.writeable = False  # cached: every caller shares it
+    return table
 
 
 @functools.lru_cache(maxsize=None)
-def _kind_table(n_behaviors, disable_cnj, disable_dsj):
-    """Operator per chain code before the confidence gate: the conjunction on a medium
-    code, the disjunction on a weak one, concatenation otherwise and where disabled."""
-    paths, _ = dispatch_table(n_behaviors)
-    kinds = np.full(paths.shape, _CONCAT, dtype=np.int64)
-    if not disable_cnj:
-        kinds[paths == _MEDIUM] = _CONJ
-    if not disable_dsj:
-        kinds[paths == _WEAK] = _DISJ
-    kinds.flags.writeable = False
-    return kinds
-
-
 def index_keys(n_behaviors):
-    """{(behavior, index key): operator code} of every index ``route`` can read: an
-    operator's behaviors are those the dispatch table gives the pairs of its path."""
-    return dict(sorted(((b, op.index_key), kind) for kind, op in OPERATORS.items()
-                       for b in _path_behaviors(n_behaviors, op.path)))
+    """Read-only {(behavior, index key): operator code} of every index ``route`` can
+    read: the routing table's (operator, behavior) pairs of retrieval operators."""
+    _, behaviors, kinds = routing_table(n_behaviors, False, False, False)
+    return types.MappingProxyType(dict(sorted(
+        ((b, OPERATORS[kind].index_key), kind)
+        for kind, b in set(zip(kinds.tolist(), behaviors.tolist())) if kind != _CONCAT)))
 
 
 def _pooling_matrix(hoods, n_items, dtype):
@@ -230,37 +238,31 @@ class Route(NamedTuple):
 
 def route(users, items, train, gate_arrays, tau, codes=None,
           disable_rea=False, disable_cnj=False, disable_dsj=False):
-    """Dispatch a batch of pairs: chain codes, dispatch table, confidence gate, ablations.
+    """Dispatch a batch of pairs: chain codes, routing table, confidence gate, ablations.
 
-    Dispatch is a table lookup on each pair's chain code (on code 0 under
-    disable_rea); ``codes``, one code or one per pair, replaces the observed
-    codes. Medium pairs whose confidence (read from ``gate_arrays``) is
+    Dispatch is one gather of the ``routing_table`` at each pair's chain
+    code (code 0's entries under disable_rea); ``codes``, one code or one
+    per pair, replaces the observed codes. Medium pairs whose confidence
+    (read from ``gate_arrays``, per conjunction key of ``index_keys``) is
     below tau take the conjunction, weak pairs the disjunction, and every
     other pair concatenation. Raises IndexError, before any table is read,
     for an id outside the dataset or a code outside [0, 2^B).
     """
-    n = users.shape[0]
+    n, n_b = users.shape[0], len(train.spec)
     if codes is None:
         codes = train.chain_codes(users, items)
     else:
         train.check_ids(users, items)
         codes = np.broadcast_to(np.asarray(codes, dtype=np.int64), (n,))
-        n_codes = 1 << len(train.spec)
-        if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
-            raise IndexError(f"chain code out of range [0, {n_codes})")
-    n_b = len(train.spec)
-    path_table, behavior_table = dispatch_table(n_b)
-    routed = np.zeros_like(codes) if disable_rea else codes
-    paths = path_table[routed]
-    behaviors = behavior_table[routed]
-    kinds = _kind_table(n_b, disable_cnj, disable_dsj)[routed]
+        if codes.size and (codes.min() < 0 or codes.max() >= 1 << n_b):
+            raise IndexError(f"chain code out of range [0, {1 << n_b})")
+    table = routing_table(n_b, disable_rea, disable_cnj, disable_dsj)
+    paths, behaviors, kinds = table.take(codes, axis=1)
     confidence = np.full(n, np.nan)
     medium = np.flatnonzero(kinds == _CONJ)  # the gated pairs
     if medium.size:
-        for b in _path_behaviors(n_b, _MEDIUM):
+        for b in (b for (b, _), kind in index_keys(n_b).items() if kind == _CONJ):
             pos = medium[behaviors[medium] == b]
-            if not pos.size:
-                continue
             g = gate_arrays[b]
             # bitwise equal to the np.dot of the tests' oracle, test_reasoning.confidence_score
             dots = np.matmul(g["e_u"][users[pos], None, :], g["e_i"][items[pos], :, None])
@@ -379,10 +381,10 @@ class ItemTables:
     where P_i averages item i's neighbor rows (so P_i @ e_space is S). The
     pooled rows depend on the parameters as well as on the index's id table
     (``retrieval.neighbors``): one N x 2d table per (operator, behavior,
-    index, n_c), computed whole on first use. A training step builds the
-    tables once for its cascade; inference memoizes them per snapshot. No
-    table is checked for finiteness: every row a group reads reaches the
-    group's output, which is checked.
+    index, n_c), computed whole on first use. All tables share one memo:
+    a training step builds them once for its cascade, inference once per
+    snapshot. No table is checked for finiteness: every row a group reads
+    reaches the group's output, which is checked.
     """
 
     def __init__(self, cascade):
@@ -395,8 +397,7 @@ class ItemTables:
                        for b, bundle in enumerate(cascade.per_behavior)
                        for kind, op in OPERATORS.items()}
         self.d = self.user_rows[0].shape[1]
-        self._tables = {}
-        self._pooled = {}  # (kind, b, index, n_c) -> pooled rows; holds the index itself
+        self._tables = {}  # a pooled-row key holds its index itself
 
     def _table(self, key, build):
         table = self._tables.get(key)
@@ -410,29 +411,27 @@ class ItemTables:
         return self._table(("head", b), lambda: self.item_rows[b] @ wh[self.d:])
 
     def logic_items(self, kind, b):
-        """(e_space @ W1[d:2d] + b1, e_space @ W1[2d:]) for one operator and behavior."""
+        """e_space @ W1[d:2d] + b1 for one operator and behavior."""
         prefix, space, d = OPERATORS[kind].prefix, self.spaces[(b, kind)], self.d
         w1, b1 = (self.params[f"{prefix}_{k}"].data for k in ("w1", "b1"))
-        return (self._table((prefix, b, "item"), lambda: space @ w1[d:2 * d] + b1),
-                self._table((prefix, b, "pool"), lambda: space @ w1[2 * d:]))
+        return self._table(("item", kind, b), lambda: space @ w1[d:2 * d] + b1)
 
     def pooled_rows(self, kind, b, index, n_c):
         """The pooled-row table of one operator, behavior, index and n_c.
 
         Row i pools item i's neighbors in the index's id table for n_c
         (``retrieval.neighbors``). The table is computed whole on first use,
-        in one product of that id table's pooling matrix with the operator's
-        pool table. A CSR row's product reads that row alone, so each row
-        holds the bits of its own row's product.
+        in one product of that id table's pooling matrix with the pool
+        table e_space @ W1[2d:], which is computed there and not kept. A
+        CSR row's product reads that row alone, so each row holds the bits
+        of its own row's product.
         """
-        key = (kind, b, index, n_c)
-        rows = self._pooled.get(key)
-        if rows is None:
-            pool_table = self.logic_items(kind, b)[1]
+        def build():
+            w1 = self.params[f"{OPERATORS[kind].prefix}_w1"].data
+            pool_table = self.spaces[(b, kind)] @ w1[2 * self.d:]
             hoods = retrieval.neighbors(index, np.arange(index.size), n_c)
-            rows = self._pooled[key] = (_pooling_matrix(hoods, index.size, pool_table.dtype)
-                                        @ pool_table)
-        return rows
+            return _pooling_matrix(hoods, index.size, pool_table.dtype) @ pool_table
+        return self._table(("pooled", kind, b, index, n_c), build)
 
 
 def item_tables(cascade):
@@ -518,7 +517,7 @@ def logic_scores(users, items, kind, b, cascade, index, n_c):
     user_ids, user_of = np.unique(users, return_inverse=True)
     user_in = tables.user_rows[b][user_ids]
     first = (user_in @ w_user)[user_of]
-    first += tables.logic_items(kind, b)[0][items]
+    first += tables.logic_items(kind, b)[items]
     first += tables.pooled_rows(kind, b, index, n_c)[items]
     med = _relu(first) @ w2.data + b2.data
     hidden = med @ wh.data + bh.data

@@ -440,7 +440,9 @@ def test_pooled_rows_equal_one_batch_pooling_product(ds, data):
     index = indices[(b, key)]
     n = ds.num_items
     tables = reasoning.ItemTables(cascade)
-    pool_table = tables.logic_items(kind, b)[1]
+    op = reasoning.OPERATORS[kind]
+    w1 = cascade.params[f"{op.prefix}_w1"].data
+    pool_table = getattr(cascade.per_behavior[b], op.item_space).data @ w1[2 * cfg.embedding_dim:]
     hoods = retrieval.neighbors(index, range(n), n_c)
     want = reasoning._pooling_matrix(hoods, n, pool_table.dtype) @ pool_table
     # batches in any order, with repeats; the last one covers every item

@@ -65,6 +65,21 @@ class TestDispatch:
         assert reasoning.dispatch((1, 0, 1)) is P.STRONG
         assert reasoning.dispatch((0, 0, 1)) is P.STRONG
 
+    @pytest.mark.parametrize("n_behaviors", [3, 4])
+    def test_cached_tables_are_read_only(self, n_behaviors):
+        """Every route call shares these tables, so a write into one would reroute the rest."""
+        rows = [*reasoning.dispatch_table(n_behaviors),
+                *(row for ablation in itertools.product((False, True), repeat=3)
+                  for row in reasoning.routing_table(n_behaviors, *ablation))]
+        assert len(rows) == 2 + 3 * 8
+        for row in rows:
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 2
+        keys = reasoning.index_keys(n_behaviors)
+        with pytest.raises(TypeError):
+            keys[(0, "col")] = 1
+        assert reasoning.index_keys(n_behaviors) is keys
+
     def test_chain_behavior_is_last_set_auxiliary(self):
         assert reasoning.chain_behavior((1, 1, 0)) == 1
         assert reasoning.chain_behavior((1, 0, 0)) == 0
@@ -495,8 +510,9 @@ def test_other_indices_on_one_cascade_get_their_own_pooled_rows():
     runs = [(indices, n_c), (other, n_c), (indices, n_c - 1), (other, n_c - 1)]
     got = [scored(idx, k) for idx, k in runs]
     tables = cascade.memo["item_tables"]
-    groups = {(kind, b) for kind, b, _, _ in tables._pooled}
-    assert len(tables._pooled) == len(groups) * len(runs)  # one table per run and group
+    pooled = [key[1:] for key in tables._tables if key[0] == "pooled"]
+    groups = {(kind, b) for kind, b, _, _ in pooled}
+    assert len(pooled) == len(groups) * len(runs)  # one table per run and group
     for (idx, k), (logits, traces) in zip(runs, got):
         del cascade.memo["item_tables"]  # fresh tables hold only this run's rows
         fresh, fresh_traces = scored(idx, k)

@@ -300,7 +300,8 @@ class TestAdam:
 
     def test_steps_equal_out_of_place_formula_bit_for_bit(self):
         rng = np.random.default_rng(11)
-        shapes = {"a": (6, 3), "b": (1, 4), "c": (1, 1)}
+        # d spans two whole ADAM_BLOCKs and a short last block
+        shapes = {"a": (6, 3), "b": (1, 4), "c": (1, 1), "d": (2 * tg.ADAM_BLOCK + 3,)}
         store = _store_with(**{k: rng.normal(size=s) for k, s in shapes.items()})
         want = store.state_arrays()
         m = {k: np.zeros(s) for k, s in shapes.items()}
