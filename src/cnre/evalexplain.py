@@ -229,7 +229,7 @@ def _trace_to_record(model, trace, u, i, score):
     if trace.neighbor_ids is not None:
         steps.append({"step": "retrieve", "space": trace.space,
                       "neighbor_ids": [ds.decode_item(j) for j in trace.neighbor_ids]})
-    steps.append({"step": "operator", "name": trace.operator_name,
+    steps.append({"step": "operator", "name": trace.operator,
                   "behavior": ds.spec.names[trace.behavior]})
     steps.append({"step": "predict", "score": score})
     return ExplanationRecord(user=ds.decode_user(u), item=ds.decode_item(i),

@@ -14,13 +14,13 @@ train edges only) is dispatched to exactly one preference strength:
     embeddings (needed to rank never-touched items).
 
 Every path emits a width-2d mediator for the shared prediction head and
-a trace recording each step of the dispatch. Each logic operator is one
-row of ``OPERATORS``; ``route`` reads each pair's path, behavior and
-operator off one cached ``routing_table``, and ``index_keys`` reads off
-it the retrieval indices a snapshot needs: at B behaviors, the
-disjunction's on behaviors 0 ... B-2 (weak pairs) and the conjunction's
-on 1 ... B-2 (medium pairs, whose chain behavior is the highest of >= 2
-set flags).
+a trace of each step of the dispatch, read off the pair's route. Each
+logic operator is one row of ``OPERATORS``, and each chain code one
+column of the one cached ``routing_table``: its path, behavior and
+operator. ``route`` reads it per pair, and ``index_keys`` reads off it
+the retrieval indices a snapshot needs: at B behaviors, the disjunction's
+on behaviors 0 ... B-2 (weak pairs) and the conjunction's on 1 ... B-2
+(medium pairs, whose chain behavior is the highest of >= 2 set flags).
 
 ``reason_batch`` runs this process on a batch, routing pairs with
 ``route`` and scoring each (operator, behavior) group with one function:
@@ -68,7 +68,7 @@ class PreferenceStrength(Enum):
 
 @dataclass
 class ReasoningTrace:
-    """Full record of one dispatch decision and its retrievals."""
+    """Full record of one dispatch decision and its retrievals, read off its route."""
 
     flags: tuple
     path: PreferenceStrength
@@ -78,17 +78,17 @@ class ReasoningTrace:
     neighbor_ids: list | None = None     # retrieval paths only
     space: str | None = None             # the retrieval operator's Operator.space
     mediator: np.ndarray | None = None
-
-    @property
-    def operator_name(self):
-        """The explanation's name of the operator that scored the pair."""
-        return next((op.explanation for op in OPERATORS.values() if op.space == self.space),
-                    "concatenation")
+    operator: str = "concatenation"      # the scoring operator's Operator.explanation
 
 
 def observe_chain(train, u, i):
     """One flag per behavior: 1 iff (u, i) is a train edge of that behavior."""
     return tuple(int(i in train.items_of(b, u).tolist()) for b in range(len(train.spec)))
+
+
+def chain_flags(code, n_behaviors):
+    """The flags of a chain code: flag k is bit k."""
+    return tuple((code >> k) & 1 for k in range(n_behaviors))
 
 
 def dispatch(flags):
@@ -159,45 +159,26 @@ OPERATORS = {_CONJ: Operator("conjunction", _MEDIUM, "col", "e_col_i", "conj", "
 
 
 @functools.lru_cache(maxsize=None)
-def flag_table(n_behaviors):
-    """The flag tuple of every chain code."""
-    return tuple(tuple((code >> k) & 1 for k in range(n_behaviors))
-                 for code in range(1 << n_behaviors))
-
-
-@functools.lru_cache(maxsize=None)
-def dispatch_table(n_behaviors):
-    """(path index into PATHS, behavior) per chain code; the path is ``dispatch``'s.
-
-    A code reads the embeddings of its highest set flag's behavior, and the
-    empty chain behavior 0's: strong pairs the target behavior's, medium
-    and weak pairs their chain behavior's, default pairs the first
-    behavior's. So at two or more behaviors, default pairs (most of
-    training's negatives, and evaluation's untouched candidates) do not
-    read the embeddings of strong pairs (training's positives).
-    """
-    flags = flag_table(n_behaviors)
-    table = np.array([[PATHS.index(dispatch(f)) for f in flags],
-                      [max((k for k, f in enumerate(fl) if f), default=0) for fl in flags]],
-                     dtype=np.int64)
-    table.flags.writeable = False  # cached: every caller shares it
-    return table
-
-
-@functools.lru_cache(maxsize=None)
 def routing_table(n_behaviors, disable_rea, disable_cnj, disable_dsj):
     """Rows (path, behavior, operator) per chain code, before the confidence gate.
 
-    The path and behavior are ``dispatch_table``'s. A logic operator is on
-    the codes of its ``OPERATORS`` path (the conjunction on medium codes,
-    the disjunction on weak ones), concatenation on the rest and where the
-    operator is disabled. Under disable_rea every code takes code 0's.
+    A code's path is ``dispatch``'s on its flags (``chain_flags``), and its
+    behavior its highest set flag's, behavior 0 for the empty chain: strong
+    pairs read the target behavior's embeddings, medium and weak pairs
+    their chain behavior's, default pairs the first behavior's. So at two
+    or more behaviors, default pairs (most of training's negatives, and
+    evaluation's untouched candidates) do not read the embeddings of strong
+    pairs (training's positives). A logic operator is on the codes of its
+    ``OPERATORS`` path (the conjunction on medium codes, the disjunction on
+    weak ones), concatenation on the rest and where the operator is
+    disabled. Under disable_rea every code takes code 0's.
     """
-    paths, behaviors = dispatch_table(n_behaviors)
-    kinds = np.full(paths.shape, _CONCAT, dtype=np.int64)
-    for kind, disabled in ((_CONJ, disable_cnj), (_DISJ, disable_dsj)):
-        kinds[paths == OPERATORS[kind].path] = _CONCAT if disabled else kind
-    table = np.stack([paths, behaviors, kinds])
+    codes = range(1 << n_behaviors)
+    paths = [PATHS.index(dispatch(chain_flags(code, n_behaviors))) for code in codes]
+    kinds = {OPERATORS[kind].path: kind
+             for kind, disabled in ((_CONJ, disable_cnj), (_DISJ, disable_dsj)) if not disabled}
+    table = np.array([paths, [max(code.bit_length() - 1, 0) for code in codes],
+                      [kinds.get(path, _CONCAT) for path in paths]], dtype=np.int64)
     if disable_rea:
         table[:] = table[:, :1]
     table.flags.writeable = False  # cached: every caller shares it
@@ -240,13 +221,14 @@ def route(users, items, train, gate_arrays, tau, codes=None,
           disable_rea=False, disable_cnj=False, disable_dsj=False):
     """Dispatch a batch of pairs: chain codes, routing table, confidence gate, ablations.
 
-    Dispatch is one gather of the ``routing_table`` at each pair's chain
-    code (code 0's entries under disable_rea); ``codes``, one code or one
-    per pair, replaces the observed codes. Medium pairs whose confidence
-    (read from ``gate_arrays``, per conjunction key of ``index_keys``) is
-    below tau take the conjunction, weak pairs the disjunction, and every
-    other pair concatenation. Raises IndexError, before any table is read,
-    for an id outside the dataset or a code outside [0, 2^B).
+    Dispatch is one gather of ``routing_table``, the one per-code table, at
+    each pair's chain code (code 0's column under disable_rea); ``codes``,
+    one code or one per pair, replaces the observed codes. Medium pairs
+    whose confidence (read from ``gate_arrays``, per conjunction key of
+    ``index_keys``) is below tau take the conjunction, weak pairs the
+    disjunction, and every other pair concatenation. Raises IndexError,
+    before any table is read, for an id outside the dataset or a code
+    outside [0, 2^B).
     """
     n, n_b = users.shape[0], len(train.spec)
     if codes is None:
@@ -272,19 +254,22 @@ def route(users, items, train, gate_arrays, tau, codes=None,
 
 
 class TraceSequence(Sequence):
-    """The ReasoningTrace of each pair in a batch, built each time it is read.
+    """The ReasoningTrace of each pair in a batch, read off its route each time it is read.
 
-    A retrieval pair's neighbor ids and mediator are its rows of its group's
-    arrays, as ``retrieval.neighbors`` and ``logic_scores`` returned them; a
-    concatenation mediator is gathered from the snapshot's ``ItemTables``.
-    Holds plain arrays only (never a tensor), so keeping the sequence does
-    not keep the batch's autodiff tape alive.
+    Flags are the chain code's bits (``chain_flags``); path, behavior and
+    confidence the route's; the operator's names its ``OPERATORS`` row, or
+    concatenation's. A retrieval pair's neighbor ids are its item's row of
+    its index's id table (``retrieval.neighbors``), its mediator its row of
+    its group's ``logic_scores`` mediators; a concatenation mediator is
+    gathered from the snapshot's ``ItemTables``. Holds plain arrays and
+    indices only (never a tensor), so keeping the sequence does not keep
+    the batch's autodiff tape alive.
     """
 
-    def __init__(self, r, users, items, tables, groups, n_behaviors, tau):
+    def __init__(self, r, users, items, tables, groups, n_behaviors, tau, n_c):
         self._route, self._users, self._items, self._tables = r, users, items, tables
-        self._groups = groups  # group key -> (ascending batch positions, neighbor ids, mediators)
-        self._n_b, self._flags, self._tau = n_behaviors, flag_table(n_behaviors), tau
+        self._groups = groups  # group key -> (ascending batch positions, index, mediators)
+        self._n_b, self._tau, self._n_c = n_behaviors, tau, n_c
 
     def __len__(self):
         return self._route.codes.shape[0]
@@ -299,22 +284,22 @@ class TraceSequence(Sequence):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError("trace index out of range")
-        r, tables = self._route, self._tables
+        r, tables, item = self._route, self._tables, self._items[k]
         conf, kind, b = float(r.confidence[k]), int(r.kinds[k]), int(r.behaviors[k])
         op = OPERATORS.get(kind)
         if op is None:  # a concatenation mediator is built on read
             neighbor_ids, mediator = None, np.concatenate(
-                [tables.user_rows[b][self._users[k]], tables.item_rows[b][self._items[k]]])
-        else:  # pair k's rows of its group, copied
-            pos, hoods, med = self._groups[kind * self._n_b + b]
-            row = np.searchsorted(pos, k)
-            neighbor_ids, mediator = hoods[row].tolist(), np.array(med[row])
+                [tables.user_rows[b][self._users[k]], tables.item_rows[b][item]])
+        else:  # pair k's row of its index's id table and of its group's mediators, copied
+            pos, index, med = self._groups[kind * self._n_b + b]
+            neighbor_ids = retrieval.neighbors(index, [item], self._n_c)[0].tolist()
+            mediator = np.array(med[np.searchsorted(pos, k)])
         return ReasoningTrace(
-            flags=self._flags[r.codes[k]], path=PATHS[r.paths[k]],
+            flags=chain_flags(int(r.codes[k]), self._n_b), path=PATHS[r.paths[k]],
             threshold=self._tau, behavior=b,
             confidence=None if math.isnan(conf) else conf,
             neighbor_ids=neighbor_ids, space=None if op is None else op.space,
-            mediator=mediator)
+            mediator=mediator, operator="concatenation" if op is None else op.explanation)
 
 
 def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea=False,
@@ -324,16 +309,17 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
     Each pair is dispatched by ``route``, whose confidence scores read the
     gate kept in indices (``CnreModel.build_indices``). Pairs are then
     grouped by (operator, behavior), each group keeping batch order, and
-    retrieval asks the indices for the neighbors of each retrieval group's
-    items. Each group is scored by ``concat_scores`` or ``logic_scores``,
-    and its logits are put back in batch order.
+    each retrieval group reads its operator's index on its behavior. Each
+    group is scored by ``concat_scores`` or ``logic_scores``, and its
+    logits are put back in batch order.
 
     The logits are an (n x 1) tensor: one op per group, and one op that
     puts the rows in batch order. The cascade's slots decide whether they
     record a tape: those of the store or of its ``tg.SlotCasts`` do
     (training), those of a bare cascade's ``tg.SlotView`` do not
     (inference), and on the same values both give the same bits. traces is
-    a TraceSequence of ReasoningTrace, built lazily.
+    a TraceSequence of ReasoningTrace, each read off the route, the
+    group's index and mediators and the snapshot when it is read.
     """
     users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     n_b = len(train.spec)
@@ -342,21 +328,20 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
     group_key = r.kinds * n_b + r.behaviors
     order = np.argsort(group_key, kind="stable")
     ends = np.cumsum(np.bincount(group_key)).tolist()  # group key -> end of its slice of order
-    groups, parts = {}, []  # group key -> (positions, neighbor ids, mediators); its logits
+    groups, parts = {}, []  # group key -> (positions, index, mediators); its logits
     for key, (start, end) in enumerate(zip([0] + ends, ends)):
         if end == start:
             continue
-        pos, hoods, med = order[start:end], None, None
+        pos, index, med = order[start:end], None, None
         kind, b = divmod(key, n_b)
         if kind == _CONCAT:
             part = concat_scores(users[pos], items[pos], b, cascade)
         else:
             index = indices[(b, OPERATORS[kind].index_key)]
-            hoods = retrieval.neighbors(index, items[pos], n_c)
             part, med = logic_scores(users[pos], items[pos], kind, b, cascade, index, n_c)
         parts.append(part)
-        groups[key] = pos, hoods, med
-    traces = TraceSequence(r, users, items, item_tables(cascade), groups, n_b, tau)
+        groups[key] = pos, index, med
+    traces = TraceSequence(r, users, items, item_tables(cascade), groups, n_b, tau, n_c)
 
     logits = np.empty((users.shape[0], 1), dtype=parts[0].data.dtype if parts else np.float64)
     for (pos, _, _), part in zip(groups.values(), parts):

@@ -386,10 +386,10 @@ def test_chain_codes_and_table_match_scalar_dispatch(ds):
     n_b = len(ds.spec)
     users, items = np.divmod(np.arange(ds.num_users * ds.num_items), ds.num_items)
     codes = ds.chain_codes(users, items)
-    paths, behaviors = reasoning.dispatch_table(n_b)
+    paths, behaviors, _ = reasoning.routing_table(n_b, False, False, False)
     for u, i, code in zip(users.tolist(), items.tolist(), codes.tolist()):
         flags = reasoning.observe_chain(ds, u, i)
-        assert reasoning.flag_table(n_b)[code] == flags
+        assert reasoning.chain_flags(code, n_b) == flags
         assert sum(f << k for k, f in enumerate(flags)) == code
         path = reasoning.dispatch(flags)
         assert reasoning.PATHS[paths[code]] is path
@@ -412,8 +412,7 @@ def test_chain_code_lookup_matches_observe_chain(case, data):
     items = np.array([i for _, i in pairs], dtype=np.int64)
     codes = ds.chain_codes(users, items)
     assert codes.dtype == np.int64 and codes.shape == (len(pairs),)
-    flags = reasoning.flag_table(len(edges))
-    assert [flags[c] for c in codes.tolist()] == [
+    assert [reasoning.chain_flags(c, len(edges)) for c in codes.tolist()] == [
         reasoning.observe_chain(ds, u, i) for u, i in pairs]
     assert ds.chain_codes([], []).shape == (0,)
     # an id out of range raises, wherever it sits in the batch

@@ -68,10 +68,9 @@ class TestDispatch:
     @pytest.mark.parametrize("n_behaviors", [3, 4])
     def test_cached_tables_are_read_only(self, n_behaviors):
         """Every route call shares these tables, so a write into one would reroute the rest."""
-        rows = [*reasoning.dispatch_table(n_behaviors),
-                *(row for ablation in itertools.product((False, True), repeat=3)
-                  for row in reasoning.routing_table(n_behaviors, *ablation))]
-        assert len(rows) == 2 + 3 * 8
+        rows = [row for ablation in itertools.product((False, True), repeat=3)
+                for row in reasoning.routing_table(n_behaviors, *ablation)]
+        assert len(rows) == 3 * 8
         for row in rows:
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 2
@@ -79,6 +78,32 @@ class TestDispatch:
         with pytest.raises(TypeError):
             keys[(0, "col")] = 1
         assert reasoning.index_keys(n_behaviors) is keys
+
+    @pytest.mark.parametrize("n_behaviors", [2, 3, 4, 5])
+    def test_routing_table_is_the_scalar_rule_on_every_code(self, n_behaviors):
+        """Each code's column, under each ablation, against dispatch and chain_behavior."""
+        n_codes = 1 << n_behaviors
+        for disable_rea, disable_cnj, disable_dsj in itertools.product((False, True), repeat=3):
+            table = reasoning.routing_table(n_behaviors, disable_rea, disable_cnj, disable_dsj)
+            assert table.shape == (3, n_codes) and table.dtype == np.int64
+            want = []
+            for code in range(n_codes):
+                flags = tuple(int(c) for c in reversed(format(code, f"0{n_behaviors}b")))
+                assert reasoning.chain_flags(code, n_behaviors) == flags
+                path = reasoning.dispatch(flags)
+                if path in (P.MEDIUM, P.WEAK):
+                    behavior = reasoning.chain_behavior(flags)
+                else:  # strong reads the target behavior, default the first
+                    behavior = n_behaviors - 1 if path is P.STRONG else 0
+                kind = reasoning._CONCAT
+                if path is P.MEDIUM and not disable_cnj:
+                    kind = reasoning._CONJ
+                elif path is P.WEAK and not disable_dsj:
+                    kind = reasoning._DISJ
+                want.append([reasoning.PATHS.index(path), behavior, kind])
+            if disable_rea:  # every code takes the empty chain's column
+                want = [want[0]] * n_codes
+            assert table.T.tolist() == want
 
     def test_chain_behavior_is_last_set_auxiliary(self):
         assert reasoning.chain_behavior((1, 1, 0)) == 1
@@ -183,6 +208,34 @@ class TestReasonBatch:
             np.testing.assert_allclose(med_batch.data[k], med_one.data[0], atol=1e-12)
             assert trace.path == traces[k].path
             assert trace.neighbor_ids == traces[k].neighbor_ids
+
+    def test_traces_read_from_the_end_and_refuse_out_of_range(self):
+        train, model, cascade, indices = _trained_bits()
+        users = np.repeat(np.arange(train.num_users), train.num_items)  # every pair
+        items = np.tile(np.arange(train.num_items), train.num_users)
+        _, traces = reasoning.reason_batch(users, items, train, cascade, indices, 1.0,
+                                           n_c=model.config.n_c)
+        n = len(traces)
+        names = {None: "concatenation", "collaborative": "neural_conjunction",
+                 "semantic": "neural_disjunction"}
+        for k in range(1, n + 1):
+            back, fore = traces[-k], traces[n - k]
+            for field in dataclasses.fields(reasoning.ReasoningTrace):
+                a, b = getattr(back, field.name), getattr(fore, field.name)
+                if isinstance(a, np.ndarray):
+                    np.testing.assert_array_equal(a, b)
+                else:
+                    assert a == b, field.name
+            assert back.operator == names[back.space]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                traces[k]
+        retrieved = [k for k in range(n) if traces[k].neighbor_ids is not None]
+        assert {traces[k].space for k in retrieved} == {"collaborative", "semantic"}
+        for k in retrieved:
+            first = traces[k].neighbor_ids
+            first.append(-1)  # a trace's list is its own: a second read does not see this
+            assert traces[k].neighbor_ids == first[:-1]
 
     def test_reason_rejects_slots_that_are_not_its_cascades(self):
         """The scorers read cascade.params, so reason takes no other slots, but the store
