@@ -318,8 +318,7 @@ def reason_batch(users, items, train, cascade, indices, tau, n_c=10, disable_rea
     record a tape: those of the store or of its ``tg.SlotCasts`` do
     (training), those of a bare cascade's ``tg.SlotView`` do not
     (inference), and on the same values both give the same bits. traces is
-    a TraceSequence of ReasoningTrace, each read off the route, the
-    group's index and mediators and the snapshot when it is read.
+    a TraceSequence of ReasoningTrace, each read off the route when read.
     """
     users, items = np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
     n_b = len(train.spec)
@@ -405,16 +404,16 @@ class ItemTables:
         """The pooled-row table of one operator, behavior, index and n_c.
 
         Row i pools item i's neighbors in the index's id table for n_c
-        (``retrieval.neighbors``). The table is computed whole on first use,
-        in one product of that id table's pooling matrix with the pool
-        table e_space @ W1[2d:], which is computed there and not kept. A
-        CSR row's product reads that row alone, so each row holds the bits
-        of its own row's product.
+        (``retrieval.neighbors``, read first: its fill's search peaks in
+        memory). The table is computed whole on first use, in one product of
+        that id table's pooling matrix with the pool table e_space @ W1[2d:],
+        which is computed then and not kept. A CSR row's product reads that
+        row alone, so each row holds the bits of its own row's product.
         """
         def build():
+            hoods = retrieval.neighbors(index, np.arange(index.size), n_c)
             w1 = self.params[f"{OPERATORS[kind].prefix}_w1"].data
             pool_table = self.spaces[(b, kind)] @ w1[2 * self.d:]
-            hoods = retrieval.neighbors(index, np.arange(index.size), n_c)
             return _pooling_matrix(hoods, index.size, pool_table.dtype) @ pool_table
         return self._table(("pooled", kind, b, index, n_c), build)
 
@@ -499,11 +498,12 @@ def logic_scores(users, items, kind, b, cascade, index, n_c):
     wh, bh, wo, bo = (params[k] for k in _HEAD_SLOTS)
     d = tables.d
     w_user, w_item, w_pool = w1.data[:d], w1.data[d:2 * d], w1.data[2 * d:]
+    pooled = tables.pooled_rows(kind, b, index, n_c)  # first: a first build peaks in memory
     user_ids, user_of = np.unique(users, return_inverse=True)
     user_in = tables.user_rows[b][user_ids]
     first = (user_in @ w_user)[user_of]
     first += tables.logic_items(kind, b)[items]
-    first += tables.pooled_rows(kind, b, index, n_c)[items]
+    first += pooled[items]
     med = _relu(first) @ w2.data + b2.data
     hidden = med @ wh.data + bh.data
     logits = _relu(hidden) @ wo.data + bo.data
