@@ -498,7 +498,7 @@ def logic_scores(users, items, kind, b, cascade, index, n_c):
     wh, bh, wo, bo = (params[k] for k in _HEAD_SLOTS)
     d = tables.d
     w_user, w_item, w_pool = w1.data[:d], w1.data[d:2 * d], w1.data[2 * d:]
-    pooled = tables.pooled_rows(kind, b, index, n_c)  # first: a first build peaks in memory
+    pooled = tables.pooled_rows(kind, b, index, n_c)  # fetched first: its build peaks in memory
     user_ids, user_of = np.unique(users, return_inverse=True)
     user_in = tables.user_rows[b][user_ids]
     first = (user_in @ w_user)[user_of]
